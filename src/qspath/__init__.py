@@ -28,6 +28,7 @@ from .errors import (
     CyclicGraphError,
     FamilyError,
     FormatError,
+    InternalError,
     InvalidPathError,
     NoPathError,
     PathLimitExceeded,

@@ -48,18 +48,36 @@ def _write(text: str, output: str | None) -> None:
             handle.write(text)
 
 
+# Parameters each generate family takes, in order.
+FAMILY_PARAMS = {
+    "grid": ("p", "q"),
+    "complete": ("n",),
+    "cycle": ("n",),
+    "hypercube": ("n",),
+    "tournament": ("n",),
+    "qap-reduce": ("qap-file",),
+    "disjoint-reduce": ("n",),
+}
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     family = args.family
+    expected = FAMILY_PARAMS[family]
+    if len(args.params) != len(expected):
+        word = "parameter" if len(expected) == 1 else "parameters"
+        raise QspathError(
+            f"generate {family} needs the {word} {' '.join(expected)}, "
+            f"got {len(args.params)}"
+        )
     if family == "qap-reduce":
-        if not args.params:
-            raise QspathError("qap-reduce needs the path of a QAP text file")
         with open(args.params[0], encoding="utf-8") as handle:
             text = handle.read()
         inst = qap_to_qspp(parse_qaplib(text))
         _write(emit_instance(inst), args.output)
         return 0
+    sizes = [int(v) for v in args.params]
+    n = sizes[0]
     if family == "disjoint-reduce":
-        n = int(args.params[0])
         if args.seed is None:
             raise QspathError("disjoint-reduce needs --seed")
         rng = random.Random(args.seed)
@@ -70,35 +88,24 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         return 0
 
     if family == "grid":
-        p, q = (int(v) for v in args.params)
-        g = make_grid(p, q)
-        source, target = 0, g.n - 1
+        g = make_grid(*sizes)
     elif family == "complete":
-        n = int(args.params[0])
         if args.example:
             _write(emit_instance(worked_example(n)), args.output)
             return 0
         g = make_complete_symmetric(n, simplified=not args.full, source=0, target=n - 1)
-        source, target = 0, n - 1
     elif family == "cycle":
-        n = int(args.params[0])
         g = make_directed_cycle(n)
-        source, target = 0, n - 1
     elif family == "hypercube":
-        n = int(args.params[0])
         g = make_hypercube(n)
-        source, target = 0, g.n - 1
-    elif family == "tournament":
-        n = int(args.params[0])
+    else:  # tournament
         bits = args.orientation
         if bits is None:
             if args.seed is None:
                 raise QspathError("tournament needs --orientation or --seed")
             bits = random.Random(args.seed).getrandbits(n * (n - 1) // 2)
         g = make_tournament(n, bits)
-        source, target = 0, n - 1
-    else:
-        raise QspathError(f"unknown family {family!r}")
+    source, target = 0, g.n - 1
     inst = filled_instance(g, source, target, args.fill, args.seed, args.max_entry)
     _write(emit_instance(inst), args.output)
     return 0
@@ -200,18 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write an instance file")
-    gen.add_argument(
-        "family",
-        choices=[
-            "grid",
-            "complete",
-            "cycle",
-            "hypercube",
-            "tournament",
-            "qap-reduce",
-            "disjoint-reduce",
-        ],
-    )
+    gen.add_argument("family", choices=list(FAMILY_PARAMS))
     gen.add_argument("params", nargs="*", help="family parameters (sizes or a QAP file)")
     gen.add_argument("--fill", choices=sorted(FILLS), default="zero")
     gen.add_argument("--seed", type=int, default=None, help="64-bit seed for random fills")
@@ -252,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QspathError, OSError, ValueError, IndexError) as exc:
+    except (QspathError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

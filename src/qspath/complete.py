@@ -23,18 +23,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FamilyError
+from .errors import FamilyError, InternalError
 from .graphs import Digraph, Path
 from .model import (
     InteractionMatrix,
     QsppInstance,
-    cost_of_arcs,
     require_symmetric_interaction,
     validate_instance,
 )
 from .pathmatrix import (
     InfeasibilityCertificate,
     LinearizationResult,
+    _verify_certificate,
+    _verify_solution,
     build_path_matrix,
     lp_oracle,
 )
@@ -273,17 +274,15 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
             if _never_together(inst.graph, e, f) and inst.interaction.rows[e][f]:
                 raise FamilyError("apply normalize_knstar first")
     paths, arc_of = _k4_paths(inst.graph, inst.source, inst.target)
-    b = [cost_of_arcs(inst, p.arcs) for p in paths]
     pm = build_path_matrix(inst)
     row_of_path = {p: i for i, p in enumerate(pm.paths)}
+    b = [pm.costs[row_of_path[p]] for p in paths]
 
     def certificate(weights: dict[Path, Fraction]) -> InfeasibilityCertificate:
         y = [Fraction(0)] * len(pm.paths)
         for path, w in weights.items():
             y[row_of_path[path]] = w
-        for col in range(pm.arc_count):
-            assert sum(pm.rows[i][col] * y[i] for i in range(len(y))) >= 0
-        assert sum(c * v for c, v in zip(pm.costs, y)) < 0
+        _verify_certificate(pm, y)
         return InfeasibilityCertificate(tuple(y))
 
     negative = next((i for i, cost in enumerate(b) if cost < 0), None)
@@ -333,9 +332,7 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     vec = [Fraction(0)] * inst.graph.m
     for endpoints, value in entries.items():
         vec[arc_of[endpoints]] = value
-    assert all(v >= 0 for v in vec)
-    for path, cost in zip(paths, b):
-        assert sum(vec[a] for a in path.arcs) == cost
+    _verify_solution(pm, vec, require_nonneg=True)
     return LinearizationResult(True, vector=tuple(vec))
 
 
@@ -368,5 +365,6 @@ def tournament4_linearize(inst: QsppInstance) -> LinearizationResult:
     if all(not v for row in inst.interaction.rows for v in row):
         return LinearizationResult(True, vector=inst.linear)
     result = lp_oracle(build_path_matrix(inst), require_nonneg=True)
-    assert result.linearizable, "four-vertex tournaments are always linearizable"
+    if not result.linearizable:
+        raise InternalError("four-vertex tournaments are always linearizable")
     return result

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
 Everything raised on purpose derives from QspathError so callers (and the
-CLI) can distinguish precondition violations from genuine bugs.
+CLI) can distinguish precondition violations from genuine bugs.  A failed
+self-check on a computed result raises InternalError, which deliberately
+sits outside that hierarchy.
 """
 from __future__ import annotations
 
@@ -40,3 +42,10 @@ class ScaleError(QspathError):
 
 class FormatError(QspathError):
     """Malformed instance or QAP text."""
+
+
+class InternalError(Exception):
+    """A self-check on a computed result failed: a bug, not a bad input.
+
+    Not a QspathError, so the CLI never reports it as a usage error.
+    """

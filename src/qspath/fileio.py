@@ -118,23 +118,18 @@ def parse_instance(text: str) -> QsppInstance:
     kind = tok.next("matrix kind (sparse or dense)")
     if kind == "sparse":
         count = tok.next_int("entry count")
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        seen: set[tuple[int, int]] = set()
-        for _ in range(count):
-            e = tok.next_int("entry row")
-            f = tok.next_int("entry column")
-            value = tok.next_rational("entry value")
-            if not (0 <= e < m and 0 <= f < m):
-                raise FormatError(f"entry ({e},{f}) outside the arc range")
-            if e == f:
-                raise FormatError("diagonal interaction entries must stay zero")
-            key = (min(e, f), max(e, f))
-            if key in seen:
-                raise FormatError(f"pair ({e},{f}) listed twice")
-            seen.add(key)
-            rows[e][f] = value
-            rows[f][e] = value
-        matrix = InteractionMatrix(rows)
+        triples = (
+            (
+                tok.next_int("entry row"),
+                tok.next_int("entry column"),
+                tok.next_rational("entry value"),
+            )
+            for _ in range(count)
+        )
+        try:
+            matrix = InteractionMatrix.from_triples(m, triples)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
     elif kind == "dense":
         rows = [
             [tok.next_rational(f"Q[{i}][{j}]") for j in range(m)] for i in range(m)

@@ -8,20 +8,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
+from .adjacent import _adjacent
 from .graphs import Digraph, make_complete_symmetric
 from .model import InteractionMatrix, QsppInstance
 from .reductions import QapInstance
-
-
-def _pairwise_symmetric(m: int, value) -> InteractionMatrix:
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for e in range(m):
-        for f in range(e + 1, m):
-            v = value(e, f)
-            rows[e][f] = v
-            rows[f][e] = v
-    return InteractionMatrix(rows)
 
 
 def fill_zero(g: Digraph) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
@@ -32,7 +24,13 @@ def fill_random(
     g: Digraph, rng: random.Random, max_entry: int = 9
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Uniform integer interactions on every arc pair, zero linear costs."""
-    matrix = _pairwise_symmetric(g.m, lambda e, f: Fraction(rng.randint(0, max_entry)))
+    matrix = InteractionMatrix.from_triples(
+        g.m,
+        (
+            (e, f, Fraction(rng.randint(0, max_entry)))
+            for e, f in combinations(range(g.m), 2)
+        ),
+    )
     return (Fraction(0),) * g.m, matrix
 
 
@@ -41,7 +39,9 @@ def fill_weak_sum(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Interactions a[e] + a[f] for a random per-arc vector a, zero linear costs."""
     a = [Fraction(rng.randint(0, max_entry)) for _ in range(g.m)]
-    matrix = _pairwise_symmetric(g.m, lambda e, f: a[e] + a[f])
+    matrix = InteractionMatrix.from_triples(
+        g.m, ((e, f, a[e] + a[f]) for e, f in combinations(range(g.m), 2))
+    )
     return (Fraction(0),) * g.m, matrix
 
 
@@ -50,23 +50,25 @@ def fill_product(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Rank-one data: interactions a[e]*a[f], linear costs a[e] squared."""
     a = [Fraction(rng.randint(0, max_entry)) for _ in range(g.m)]
-    matrix = _pairwise_symmetric(g.m, lambda e, f: a[e] * a[f])
+    matrix = InteractionMatrix.from_triples(
+        g.m, ((e, f, a[e] * a[f]) for e, f in combinations(range(g.m), 2))
+    )
     return tuple(v * v for v in a), matrix
 
 
 def fill_adjacent(
     g: Digraph, rng: random.Random, max_entry: int = 9
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
-    """Random interactions on consecutive arc pairs only, zero linear costs."""
-
-    def value(e: int, f: int) -> Fraction:
-        a, b = g.arcs[e], g.arcs[f]
-        consecutive = (a.tail == b.head and a.head != b.tail) or (
-            a.head == b.tail and a.tail != b.head
-        )
-        return Fraction(rng.randint(0, max_entry)) if consecutive else Fraction(0)
-
-    return (Fraction(0),) * g.m, _pairwise_symmetric(g.m, value)
+    """Random interactions on adjacent arc pairs only, zero linear costs."""
+    matrix = InteractionMatrix.from_triples(
+        g.m,
+        (
+            (e, f, Fraction(rng.randint(0, max_entry)))
+            for e, f in combinations(range(g.m), 2)
+            if _adjacent(g, e, f)
+        ),
+    )
+    return (Fraction(0),) * g.m, matrix
 
 
 FILLS = {

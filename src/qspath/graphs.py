@@ -234,18 +234,20 @@ def make_tournament(n: int, orientation_bits: int = 0) -> Digraph:
 # ---- path enumeration and DAG utilities --------------------------------
 
 
-def _coreachable(g: Digraph, t: int) -> list[bool]:
-    """Vertices from which t can be reached."""
+def reachable(g: Digraph, start: int, forward: bool) -> list[bool]:
+    """Per-vertex flags: reachable from ``start`` along arcs, or with
+    ``forward`` false, able to reach ``start``."""
     seen = [False] * g.n
-    seen[t] = True
-    stack = [t]
+    seen[start] = True
+    stack = [start]
     while stack:
         v = stack.pop()
-        for a in g.in_arcs(v):
-            u = g.arcs[a].head
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
+        for a in g.out_arcs(v) if forward else g.in_arcs(v):
+            arc = g.arcs[a]
+            w = arc.tail if forward else arc.head
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
     return seen
 
 
@@ -259,7 +261,7 @@ def iter_st_paths(
     """
     if source == target:
         raise ValueError("source and target must differ")
-    useful = _coreachable(g, target)
+    useful = reachable(g, target, forward=False)
     if not useful[source]:
         return
     on_path = [False] * g.n
@@ -298,25 +300,33 @@ def enumerate_st_paths(
     return list(iter_st_paths(g, source, target, limit))
 
 
-def topological_order(g: Digraph) -> list[int] | None:
+def topological_order(
+    g: Digraph, within: Sequence[bool] | None = None
+) -> list[int] | None:
     """A topological order of the vertices, or None if the graph has a cycle.
 
-    Kahn's algorithm with a min-heap, so the order is deterministic
+    With ``within`` (one flag per vertex) only the subgraph induced by the
+    flagged vertices is ordered, and only its cycles count.  Kahn's
+    algorithm with a min-heap, so the order is deterministic
     (lexicographically smallest).
     """
-    indeg = [len(g.in_arcs(v)) for v in range(g.n)]
-    ready = [v for v in range(g.n) if indeg[v] == 0]
-    heapq.heapify(ready)
+    keep = within if within is not None else [True] * g.n
+    indeg = [0] * g.n
+    for arc in g.arcs:
+        if keep[arc.head] and keep[arc.tail]:
+            indeg[arc.tail] += 1
+    ready = [v for v in range(g.n) if keep[v] and indeg[v] == 0]  # sorted: a heap
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
         for a in g.out_arcs(v):
             w = g.arcs[a].tail
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return order if len(order) == g.n else None
+            if keep[w]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+    return order if len(order) == sum(keep) else None
 
 
 def is_acyclic(g: Digraph) -> bool:

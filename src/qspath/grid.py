@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import FamilyError
-from .graphs import Digraph, Path, detect_grid, is_acyclic
+from .errors import FamilyError, InternalError
+from .graphs import Digraph, Path, detect_grid, is_acyclic, make_grid
 from .model import (
     QsppInstance,
     cost_of_arcs,
@@ -59,7 +59,10 @@ def grid_shape(g: Digraph) -> GridShape:
     dims = detect_grid(g)
     if dims is None:
         raise FamilyError("graph is not a row-major directed grid")
-    p, q = dims
+    return _classify(*dims, g)
+
+
+def _classify(p: int, q: int, g: Digraph) -> GridShape:
     down: dict[tuple[int, int], int] = {}
     right: dict[tuple[int, int], int] = {}
     for arc_id, arc in enumerate(g.arcs):
@@ -198,9 +201,7 @@ def _critical_path_arcs(
 def critical_paths(p: int, q: int) -> dict[int, Path]:
     """The (p-1)(q-1)+1 critical paths of the p-by-q grid, keyed by the
     support arc each one pins down (ids follow make_grid's numbering)."""
-    from .graphs import make_grid
-
-    shape = grid_shape(make_grid(p, q))
+    shape = _classify(p, q, make_grid(p, q))
     out: dict[int, Path] = {}
     out[shape.right[(1, 1)]] = Path(tuple(_critical_path_arcs(shape, p, q, None, None)))
     for i in range(1, p):
@@ -222,31 +223,21 @@ def _updated_cost(
     rows = inst.interaction.rows
     linear = inst.linear
     new_set = set(new_arcs)
-    removed = prev_arcs - new_set
-    added = new_set - prev_arcs
     common = prev_arcs & new_set
-    delta = Fraction(0)
-    for r in removed:
-        delta -= linear[r]
-        row = rows[r]
-        for k in common:
-            delta -= row[k] + rows[k][r]
-    removed_list = list(removed)
-    for x in range(len(removed_list)):
-        for y in range(x + 1, len(removed_list)):
-            a, b = removed_list[x], removed_list[y]
-            delta -= rows[a][b] + rows[b][a]
-    for d in added:
-        delta += linear[d]
-        row = rows[d]
-        for k in common:
-            delta += row[k] + rows[k][d]
-    added_list = list(added)
-    for x in range(len(added_list)):
-        for y in range(x + 1, len(added_list)):
-            a, b = added_list[x], added_list[y]
-            delta += rows[a][b] + rows[b][a]
-    return prev_cost + delta
+
+    def share(arcs: list[int]) -> Fraction:
+        """What ``arcs`` add to a path that already holds ``common``."""
+        total = Fraction(0)
+        for idx, a in enumerate(arcs):
+            row = rows[a]
+            total += linear[a]
+            for k in common:
+                total += row[k] + rows[k][a]
+            for b in arcs[idx + 1 :]:
+                total += row[b] + rows[b][a]
+        return total
+
+    return prev_cost - share(list(prev_arcs - new_set)) + share(list(new_set - prev_arcs))
 
 
 def _critical_costs(
@@ -258,14 +249,11 @@ def _critical_costs(
     previous cost through the two-arc difference, which keeps the whole
     sweep at one cheap update per path.
     """
-    costs: dict[int, Fraction] = {}
-    if cols == 1:
-        arcs = _critical_path_arcs(shape, rows, cols, None, None)
-        costs[shape.down[(1, 1)]] = cost_of_arcs(inst, arcs)
-        return costs
     arcs = _critical_path_arcs(shape, rows, cols, None, None)
     cost = cost_of_arcs(inst, arcs)
-    costs[shape.right[(1, 1)]] = cost
+    if cols == 1:
+        return {shape.down[(1, 1)]: cost}
+    costs = {shape.right[(1, 1)]: cost}
     prev = set(arcs)
     for i in range(1, rows):
         for j in range(cols - 1, 0, -1):
@@ -439,20 +427,17 @@ def _mismatch_result(
     arc: int,
     note: str,
 ) -> LinearizationResult:
-    if cols == 1:
+    head, tail = inst.graph.arcs[arc]
+    if cols == 1 or tail != head + shape.q:
         sub = _critical_path_arcs(shape, rows, cols, None, None)
     else:
-        coords = next(
-            (ij for ij, a in shape.down.items() if a == arc), None
-        )
-        if coords is None:
-            sub = _critical_path_arcs(shape, rows, cols, None, None)
-        else:
-            sub = _critical_path_arcs(shape, rows, cols, coords[0], coords[1])
+        i, j = divmod(head, shape.q)
+        sub = _critical_path_arcs(shape, rows, cols, i + 1, j + 1)
     path = _witness_path(shape, rows, cols, sub)
     expected = cost_of_arcs(inst, path.arcs)
     got = linear_cost(candidate, path)
-    assert expected != got, "witness construction must exhibit a disagreement"
+    if expected == got:
+        raise InternalError("witness construction must exhibit a disagreement")
     return LinearizationResult(
         False,
         witness=CostMismatch(path, expected, got),
@@ -483,8 +468,12 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
         (Fraction(0),) * inst.graph.m,
         inst.interaction,
     )
-    pseudo_full = _pseudo_vector(inst, shape, p, q)
     candidate = _pseudo_vector(zero, shape, p, q)
+    # The pseudo-vector is linear in (c, Q), so the instance's own one is the
+    # zero-linear candidate plus the reduced form of c.
+    reduced_linear = list(inst.linear)
+    _reduce_in_place(shape, p, q, reduced_linear)
+    pseudo_full = [a + b for a, b in zip(candidate, reduced_linear)]
     for r in range(p, 2, -1):
         row_candidate = candidate
         lifted: dict[int, list[Fraction]] = {}

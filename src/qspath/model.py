@@ -35,7 +35,13 @@ Rational = Fraction
 
 
 def as_rational(value: object) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions; floats are rejected."""
+    """Coerce ints, strings like '3/4', and Fractions; floats are rejected.
+
+    A value that already is a Fraction is returned as it is, so data made
+    exact once is never rebuilt.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact cost data")
     return Fraction(value)
@@ -64,7 +70,7 @@ class InteractionMatrix:
 
     @classmethod
     def zero(cls, m: int) -> "InteractionMatrix":
-        return cls([[0] * m for _ in range(m)])
+        return cls([[Fraction(0)] * m for _ in range(m)])
 
     @classmethod
     def from_entries(
@@ -72,19 +78,34 @@ class InteractionMatrix:
     ) -> "InteractionMatrix":
         """Build a symmetric zero-diagonal matrix from off-diagonal entries.
 
-        Each key (e, f) sets both the (e, f) and (f, e) cells.
+        Each key (e, f) sets both the (e, f) and (f, e) cells; see
+        from_triples for the entries it rejects.
+        """
+        return cls.from_triples(m, ((e, f, v) for (e, f), v in entries.items()))
+
+    @classmethod
+    def from_triples(
+        cls, m: int, triples: Iterable[tuple[int, int, object]]
+    ) -> "InteractionMatrix":
+        """Build a symmetric zero-diagonal matrix from (e, f, value) triples.
+
+        Each triple sets both the (e, f) and (f, e) cells; cells no triple
+        names stay zero.  Raises ValueError on an index outside the arc range,
+        a diagonal entry, or an unordered pair given twice (in either
+        orientation, whatever the values).
         """
         rows = [[Fraction(0)] * m for _ in range(m)]
-        seen: dict[tuple[int, int], Fraction] = {}
-        for (e, f), value in entries.items():
+        seen: set[int] = set()
+        for e, f, value in triples:
+            if not (0 <= e < m and 0 <= f < m):
+                raise ValueError(f"entry ({e},{f}) outside the arc range")
             if e == f:
                 raise ValueError("diagonal interaction entries must stay zero")
-            val = as_rational(value)
-            key = (min(e, f), max(e, f))
-            if seen.setdefault(key, val) != val:
-                raise ValueError(f"conflicting values for the pair {key}")
-            rows[e][f] = val
-            rows[f][e] = val
+            key = e * m + f if e < f else f * m + e
+            if key in seen:
+                raise ValueError(f"pair ({e},{f}) listed twice")
+            seen.add(key)
+            rows[e][f] = rows[f][e] = as_rational(value)
         return cls(rows)
 
     @property

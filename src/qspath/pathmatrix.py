@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ScaleError
+from .errors import InternalError, ScaleError
 from .graphs import DEFAULT_PATH_LIMIT, Path, iter_st_paths
 from .model import QsppInstance, cost_of_arcs
 
@@ -165,7 +165,8 @@ def _phase1_simplex(
                 ):
                     best_ratio = ratio
                     leaving = i
-        assert leaving is not None, "phase-1 objective cannot be unbounded"
+        if leaving is None:
+            raise InternalError("phase-1 objective cannot be unbounded")
         pivot_val = tableau[leaving][entering]
         tableau[leaving] = [v / pivot_val for v in tableau[leaving]]
         pivot_row = tableau[leaving]
@@ -192,20 +193,23 @@ def _phase1_simplex(
 def _verify_solution(
     pm: PathMatrix, x: list[Fraction], require_nonneg: bool
 ) -> None:
-    assert all(
+    """Raise InternalError unless B x = b (and x >= 0 when required)."""
+    if not all(
         sum(r * v for r, v in zip(row, x)) == cost
         for row, cost in zip(pm.rows, pm.costs)
-    ), "oracle produced a vector that misses a path cost"
-    if require_nonneg:
-        assert all(v >= 0 for v in x), "oracle produced a negative entry"
+    ):
+        raise InternalError("oracle produced a vector that misses a path cost")
+    if require_nonneg and not all(v >= 0 for v in x):
+        raise InternalError("oracle produced a negative entry")
 
 
 def _verify_certificate(pm: PathMatrix, y: list[Fraction]) -> None:
+    """Raise InternalError unless B^T y >= 0 and b^T y < 0."""
     for col in range(pm.arc_count):
-        assert sum(pm.rows[i][col] * y[i] for i in range(len(y))) >= 0, (
-            "certificate fails B^T y >= 0"
-        )
-    assert sum(c * v for c, v in zip(pm.costs, y)) < 0, "certificate fails b^T y < 0"
+        if sum(pm.rows[i][col] * y[i] for i in range(len(y))) < 0:
+            raise InternalError("certificate fails B^T y >= 0")
+    if sum(c * v for c, v in zip(pm.costs, y)) >= 0:
+        raise InternalError("certificate fails b^T y < 0")
 
 
 def lp_oracle(pm: PathMatrix, require_nonneg: bool = True) -> LinearizationResult:

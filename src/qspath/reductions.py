@@ -66,13 +66,8 @@ def qap_objective(qap: QapInstance, placement: Sequence[int]) -> Fraction:
 def qap_brute_force(qap: QapInstance) -> tuple[tuple[int, ...], Fraction]:
     """Exact optimum over all n! placements; ties keep the first in
     lexicographic order."""
-    best: tuple[tuple[int, ...], Fraction] | None = None
-    for perm in permutations(range(qap.n)):
-        value = qap_objective(qap, perm)
-        if best is None or value < best[1]:
-            best = (perm, value)
-    assert best is not None
-    return best
+    values = ((perm, qap_objective(qap, perm)) for perm in permutations(range(qap.n)))
+    return min(values, key=lambda pair: pair[1])
 
 
 def qap_to_qspp(qap: QapInstance) -> QsppInstance:
@@ -133,11 +128,13 @@ def qap_to_qspp(qap: QapInstance) -> QsppInstance:
 def decode_qap_path(inst: QsppInstance, path_arcs: Sequence[int]) -> tuple[int, ...]:
     """Placement (facility i -> location) encoded by a reduced-instance path.
 
-    Raises ValueError when the path repeats a facility, i.e. its cost is in
-    the big-M regime and does not encode an assignment.
+    Raises ValueError when the graph carries no (facility, location) labels,
+    or when the path repeats a facility, i.e. its cost is in the big-M regime
+    and does not encode an assignment.
     """
     labels = inst.graph.labels
-    assert labels is not None, "decode needs the labelled reduction graph"
+    if labels is None:
+        raise ValueError("decode needs the labelled reduction graph")
     placement: dict[int, int] = {}
     for arc in path_arcs:
         fac, loc = labels[arc]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CyclicGraphError, FamilyError, NoPathError
-from .graphs import Digraph, Path
+from .graphs import Digraph, Path, reachable, topological_order
 from .model import (
     InteractionMatrix,
     QsppInstance,
@@ -49,21 +49,6 @@ def detect_weak_sum(q: InteractionMatrix) -> tuple[Fraction, ...] | None:
     return tuple(witness)
 
 
-def _reachable(g: Digraph, start: int, forward: bool) -> list[bool]:
-    seen = [False] * g.n
-    seen[start] = True
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        arcs = g.out_arcs(v) if forward else g.in_arcs(v)
-        for a in arcs:
-            w = g.arcs[a].tail if forward else g.arcs[a].head
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return seen
-
-
 def all_paths_equal_length(g: Digraph, source: int, target: int) -> int | None:
     """Common arc count of every source-target path, or None if they differ.
 
@@ -72,28 +57,13 @@ def all_paths_equal_length(g: Digraph, source: int, target: int) -> int | None:
     only that subgraph matters: it must be acyclic (cycles elsewhere are
     fine).  Raises NoPathError when the target is unreachable.
     """
-    reach_s = _reachable(g, source, forward=True)
-    reach_t = _reachable(g, target, forward=False)
+    reach_s = reachable(g, source, forward=True)
+    reach_t = reachable(g, target, forward=False)
     if not reach_s[target]:
         raise NoPathError(f"no path from {source} to {target}")
     on_route = [reach_s[v] and reach_t[v] for v in range(g.n)]
-    # Kahn restricted to the on-route subgraph
-    indeg = [0] * g.n
-    for arc in g.arcs:
-        if on_route[arc.head] and on_route[arc.tail]:
-            indeg[arc.tail] += 1
-    ready = [v for v in range(g.n) if on_route[v] and indeg[v] == 0]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for a in g.out_arcs(v):
-            w = g.arcs[a].tail
-            if on_route[w]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-    if len(order) != sum(on_route):
+    order = topological_order(g, within=on_route)
+    if order is None:
         raise CyclicGraphError(
             "equal-length detection needs the set of vertices on source-target "
             "routes to induce an acyclic subgraph"

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from qspath import (
     emit_instance,
     make_cyclic_counterexample,
@@ -190,3 +192,19 @@ def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/file.qspp")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "cycle"],
+        ["generate", "complete"],
+        ["generate", "disjoint-reduce"],
+        ["generate", "grid", "3"],
+    ],
+)
+def test_generate_with_missing_parameters_names_the_family(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"generate {argv[1]} needs" in err

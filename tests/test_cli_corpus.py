@@ -1,0 +1,171 @@
+"""Golden CLI corpus: pinned stdout digests and exit codes.
+
+Each case runs ``qspath.cli.main`` in-process and compares the SHA-256 of
+its stdout and its exit code with values recorded before any refactoring of
+the library, so a change that alters one byte of CLI output fails here.
+The ``solve`` and ``linearize`` cases read files written by the ``generate``
+cases; every grid is at most 5x5 to keep the suite fast.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from qspath.cli import main
+
+QAP_TEXT = "3  0 1 2 1 0 3 2 3 0  0 4 1 4 0 2 1 2 0  1 0 2 0 1 3 2 1 0"
+
+# name -> (generate arguments, exit code, stdout SHA-256)
+GENERATE = {
+    "grid-random": (
+        ["grid", "4", "4", "--fill", "random", "--seed", "3"], 0,
+        "b9e29560e00fbd2279b292f4878b6f3750f0bf52695535d73b99f34efda86980",
+    ),
+    "grid-weak-sum": (
+        ["grid", "5", "5", "--fill", "weak-sum", "--seed", "4"], 0,
+        "169c383a8a6a219849e7b500da5526ab852b9ea20b5492c18b2e00ac9d639fe8",
+    ),
+    "grid-product": (
+        ["grid", "3", "4", "--fill", "product", "--seed", "5"], 0,
+        "3fabbb86c3f3193610f5811ce73aed36131b058deeb34d1a7a5d66d061ea2b75",
+    ),
+    "grid-adjacent": (
+        ["grid", "4", "3", "--fill", "adjacent", "--seed", "6"], 0,
+        "b276a590b79295a6a4f38a75ce3639cf2a200d1d9089f5a578c54b0f1098b3f3",
+    ),
+    "grid-zero": (
+        ["grid", "3", "3"], 0,
+        "581f6c8ed7db8137b9ce1e6042486e35f5d3d89a5ff09aaffd390dc3a82dae16",
+    ),
+    "complete-4": (
+        ["complete", "4", "--example"], 0,
+        "1b641341b1ea621efaa9f6bb0061fcce75b23928db6049c518cb43176204c398",
+    ),
+    "complete-5": (
+        ["complete", "5", "--example"], 0,
+        "ea43358afeb1d03d78fa23b6cf0dca6aaef62b6bd78e6be562327517c427a94c",
+    ),
+    "complete-4-weak-sum": (
+        ["complete", "4", "--fill", "weak-sum", "--seed", "1"], 0,
+        "289ab025d799ab0a48f4da4a9aee2c6fd33a53a7cafd0580566cc236e02c32de",
+    ),
+    "cycle": (
+        ["cycle", "5", "--fill", "random", "--seed", "1"], 0,
+        "635e0a5554ccb97fd8bb310b0b889ea19039df50ee356996065e79466680786b",
+    ),
+    "hypercube": (
+        ["hypercube", "3", "--fill", "weak-sum", "--seed", "2"], 0,
+        "933c4b85ee34a8aa293241f29e7e9dc61bae1758f02b883daf67f83a32facf87",
+    ),
+    "tournament": (
+        ["tournament", "4", "--orientation", "21", "--fill", "random", "--seed", "9"], 0,
+        "968b74099067201f76a262c53c479abc2c090a865210d116b5e7c0f7b76df983",
+    ),
+    "qap-reduce": (
+        ["qap-reduce", "{qap}"], 0,
+        "b8121643890097b58dd43f366a228bd79c7c4f5e434add89472c89b48fa3510e",
+    ),
+    "disjoint-reduce": (
+        ["disjoint-reduce", "6", "--seed", "11"], 0,
+        "944cda28dde39a11086986567af66c87992e86bf65cbde54a44d766036ae30fd",
+    ),
+}
+
+# name -> (command, input file, extra arguments, exit code, stdout SHA-256)
+COMMANDS = {
+    "linearize-grid-yes": (
+        "linearize", "grid-weak-sum", ["--mode", "grid"], 0,
+        "eef735093c26d99503bbd17adb0b9f4c74bcaf9f729741bb2355bb7c6da358b4",
+    ),
+    "linearize-grid-no": (
+        "linearize", "grid-random", ["--mode", "grid"], 3,
+        "df26fc1a9a25099098a6dd3e3e06fcac6898f9fe2da9ba0e23d4d8d1248004d4",
+    ),
+    "linearize-grid-product": (
+        "linearize", "grid-product", ["--mode", "grid"], 3,
+        "87a08cdbc2d2ffb4f2da1964ad940bf271925cc876cceae4acf2d668e1f03cec",
+    ),
+    "linearize-oracle": (
+        "linearize", "grid-adjacent", ["--mode", "oracle"], 3,
+        "f38cf01271f724a3cf54dec340b3b4026a6a80b52404ea5720415ec65f39742f",
+    ),
+    "linearize-oracle-nonneg": (
+        "linearize", "complete-5", ["--mode", "oracle-nonneg"], 3,
+        "8561daac5a0e0a17a738b9ea74a76414568e4aee0d83b0f81556cfd18fff8594",
+    ),
+    "linearize-k4-no": (
+        "linearize", "complete-4", ["--mode", "k4"], 3,
+        "ab07a49649e72a161df20d80f9b42a4e35c30c0c73ba16a5b23dfafcc728e61d",
+    ),
+    "linearize-k4-yes": (
+        "linearize", "complete-4-weak-sum", ["--mode", "k4"], 0,
+        "7166794a7a3aa7cba6f7cac7ae45236501fe9ed0e153c22a68edb8ceac882131",
+    ),
+    "linearize-t4": (
+        "linearize", "tournament", ["--mode", "t4"], 0,
+        "4dee2f8fe54ec375a7601dba8d68cb593fc2eeeed2f0c55a07779b05c956b99e",
+    ),
+    "solve-brute": (
+        "solve", "grid-random", ["--method", "brute"], 0,
+        "e1b9c2563ec6f07307523678ba29c676e9f69b8cac6a7b10e5dbc3967189b5b4",
+    ),
+    "solve-aqspp": (
+        "solve", "grid-adjacent", ["--method", "aqspp"], 0,
+        "eabd32764c91fa54fe95e8c8caf9141f9ca9dc4c5a44a191e31169334c037fae",
+    ),
+    "solve-product": (
+        "solve", "grid-product", ["--method", "product"], 0,
+        "b6e7374a49efdc3db9c77d88bea27f8f23cdfd8781230ee04a7bfb36abdda49a",
+    ),
+    "solve-spp": (
+        "solve", "grid-zero", ["--method", "spp"], 0,
+        "fa039fbda0c35c88b4901157aee6e83286c353724a0f371f389bb4a4f8ec52af",
+    ),
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _generate_argv(name: str, qap_path: str) -> list[str]:
+    return ["generate"] + [a.format(qap=qap_path) for a in GENERATE[name][0]]
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> dict[str, str]:
+    """Instance file path of every generate case."""
+    root = tmp_path_factory.mktemp("corpus")
+    qap_path = root / "tiny.dat"
+    qap_path.write_text(QAP_TEXT)
+    files = {"qap": str(qap_path)}
+    for name in GENERATE:
+        _, text = _run(_generate_argv(name, str(qap_path)))
+        path = root / f"{name}.qspp"
+        path.write_text(text)
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE))
+def test_generate_output_is_pinned(corpus, name):
+    _, code, digest = GENERATE[name]
+    got_code, out = _run(_generate_argv(name, corpus["qap"]))
+    assert (got_code, _digest(out)) == (code, digest)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_output_is_pinned(corpus, name):
+    command, file_name, extra, code, digest = COMMANDS[name]
+    got_code, out = _run([command, corpus[file_name]] + extra)
+    assert (got_code, _digest(out)) == (code, digest)

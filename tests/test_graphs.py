@@ -21,6 +21,7 @@ from qspath import (
     topological_order,
     validate_path,
 )
+from qspath.graphs import reachable
 
 
 def test_digraph_rejects_bad_arcs():
@@ -233,3 +234,17 @@ def test_enumeration_yields_valid_simple_paths(n, seed, density):
         verts = validate_path(g, p, 0, n - 1)
         assert len(set(verts)) == len(verts)
     assert paths == enumerate_st_paths(g, 0, n - 1, limit=10**4)
+
+
+def test_reachable_forward_and_backward():
+    g = Digraph(5, [(0, 1), (1, 2), (3, 1), (2, 4)])
+    assert reachable(g, 1, forward=True) == [False, True, True, False, True]
+    assert reachable(g, 1, forward=False) == [True, True, False, True, False]
+
+
+def test_topological_order_within_ignores_cycles_outside():
+    # 0 -> 1 -> 4 is acyclic; the cycle 1 -> 2 -> 3 -> 1 lies outside the mask
+    looped = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
+    assert topological_order(looped) is None
+    assert topological_order(looped, within=[True, True, False, False, True]) == [0, 1, 4]
+    assert topological_order(looped, within=[False, True, True, True, False]) is None

@@ -49,6 +49,8 @@ def test_as_rational_rejects_floats():
         as_rational(0.5)
     assert as_rational("3/2") == Fraction(3, 2)
     assert as_rational(7) == 7
+    exact = Fraction(5, 3)
+    assert as_rational(exact) is exact
 
 
 def test_interaction_matrix_constructors():
@@ -57,6 +59,12 @@ def test_interaction_matrix_constructors():
     assert q.is_symmetric() and q.has_zero_diagonal()
     with pytest.raises(ValueError):
         InteractionMatrix.from_entries(3, {(1, 1): 1})
+    with pytest.raises(ValueError, match="listed twice"):
+        InteractionMatrix.from_entries(3, {(0, 2): 1, (2, 0): 1})
+    with pytest.raises(ValueError, match="outside the arc range"):
+        InteractionMatrix.from_entries(3, {(0, 3): 1})
+    with pytest.raises(ValueError, match="outside the arc range"):
+        InteractionMatrix.from_entries(3, {(-1, 0): 1})
     with pytest.raises(ValueError):
         InteractionMatrix([[0, 1], [1, 0], [0, 0]])
 

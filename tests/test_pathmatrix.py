@@ -1,12 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qspath
 from qspath import (
     InfeasibilityCertificate,
+    InternalError,
+    QspathError,
     InteractionMatrix,
     PathMatrix,
     QsppInstance,
@@ -172,3 +178,42 @@ def test_oracle_scale_guard():
     big = PathMatrix(((),) * 1001, (Fraction(0),) * 1001, (None,) * 1001, 0)
     with pytest.raises(ScaleError):
         lp_oracle(big)
+
+
+OPTIMIZED_CHECK = """
+import sys
+from fractions import Fraction
+from qspath import InternalError, build_path_matrix, make_grid
+from qspath.generate import filled_instance
+from qspath.pathmatrix import _verify_certificate, _verify_solution
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+g = make_grid(3, 3)
+pm = build_path_matrix(filled_instance(g, 0, g.n - 1, "random", 1))
+failures = 0
+for check in (
+    lambda: _verify_certificate(pm, [Fraction(0)] * len(pm.rows)),
+    lambda: _verify_certificate(pm, [Fraction(-1)] * len(pm.rows)),
+    lambda: _verify_solution(pm, [Fraction(0)] * pm.arc_count, False),
+):
+    try:
+        check()
+    except InternalError:
+        failures += 1
+sys.exit(0 if failures == 3 else 1)
+"""
+
+
+def test_result_checks_survive_optimized_mode():
+    assert not issubclass(InternalError, QspathError)
+    src = os.path.dirname(os.path.dirname(qspath.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from qspath import (
+    Digraph,
     DisjointPathsInstance,
     FormatError,
     NoPathError,
     QapInstance,
+    QsppInstance,
     brute_force_solve,
     disjoint_to_aqspp,
     enumerate_st_paths,
@@ -78,6 +80,11 @@ def test_decode_rejects_facility_repeats():
     by_layer_fac = {(loc, fac): a for a, (fac, loc) in enumerate(labels)}
     with pytest.raises(ValueError):
         decode_qap_path(inst, (by_layer_fac[(0, 1)], by_layer_fac[(1, 1)]))
+    unlabelled = QsppInstance(
+        Digraph(inst.graph.n, inst.graph.arcs), 0, inst.target, inst.linear, inst.interaction
+    )
+    with pytest.raises(ValueError, match="labelled"):
+        decode_qap_path(unlabelled, (0,))
 
 
 def test_every_cheap_path_decodes_and_every_repeat_is_penalized():

@@ -97,7 +97,7 @@ def build_auxiliary(inst: QsppInstance) -> AuxiliaryGraph:
             costs.append(inst.linear[f] + 2 * rows[e][f])
     for e in g.in_arcs(inst.target):
         arcs.append((1 + e, aux_target))
-        costs.append(Fraction(0))
+        costs.append(0)
     graph = Digraph(m + 2, arcs)
     back = (None,) + tuple(range(m)) + (None,)
     return AuxiliaryGraph(graph, tuple(costs), aux_source, aux_target, back)
@@ -138,7 +138,7 @@ def make_cyclic_counterexample(epsilon: object) -> QsppInstance:
     if not 0 < eps < 1:
         raise ValueError("epsilon must satisfy 0 < epsilon < 1")
     g = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
-    linear = [Fraction(0)] * 5
+    linear = [0] * 5
     linear[2] = eps
     interaction = InteractionMatrix.from_entries(5, {(0, 4): 1})
     return QsppInstance(g, 0, 4, tuple(linear), interaction)

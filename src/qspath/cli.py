@@ -78,6 +78,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     sizes = [int(v) for v in args.params]
     n = sizes[0]
     if family == "disjoint-reduce":
+        if n < 4:
+            raise QspathError(
+                "generate disjoint-reduce needs n >= 4 for four distinct "
+                f"terminals, got {n}"
+            )
         if args.seed is None:
             raise QspathError("disjoint-reduce needs --seed")
         rng = random.Random(args.seed)

@@ -96,8 +96,7 @@ def normalize_knstar(inst: QsppInstance) -> QsppInstance:
     for e in range(m):
         for f in range(e + 1, m):
             if _never_together(inst.graph, e, f):
-                rows[e][f] = Fraction(0)
-                rows[f][e] = Fraction(0)
+                rows[e][f] = rows[f][e] = 0
     return QsppInstance(
         inst.graph, inst.source, inst.target, inst.linear, InteractionMatrix(rows)
     )
@@ -154,7 +153,7 @@ def path_class_costs(
     g = inst.graph
     rows = inst.interaction.rows
     m = g.m
-    sums = [Fraction(0)] * 6
+    sums = [0] * 6
     for e in range(m):
         for f in range(e + 1, m):
             value = rows[e][f]
@@ -179,10 +178,7 @@ def path_class_costs(
                 idx = 4 if consecutive else 5
             sums[idx] += 2 * value
     totals = {
-        k: sum(
-            (_paths_per_pair(n, idx + 1, k) * sums[idx] for idx in range(6)),
-            Fraction(0),
-        )
+        k: sum(_paths_per_pair(n, idx + 1, k) * sums[idx] for idx in range(6))
         for k in range(2, n)
     }
     return PathClassSums(tuple(sums)), totals
@@ -279,7 +275,7 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     b = [pm.costs[row_of_path[p]] for p in paths]
 
     def certificate(weights: dict[Path, Fraction]) -> InfeasibilityCertificate:
-        y = [Fraction(0)] * len(pm.paths)
+        y = [0] * len(pm.paths)
         for path, w in weights.items():
             y[row_of_path[path]] = w
         _verify_certificate(pm, y)
@@ -289,16 +285,11 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     if negative is not None:
         return LinearizationResult(
             False,
-            witness=certificate({paths[negative]: Fraction(1)}),
+            witness=certificate({paths[negative]: 1}),
             note="a path has negative cost, unreachable with nonnegative entries",
         )
     if b[0] + b[1] > b[2] + b[3]:
-        weights = {
-            paths[0]: Fraction(-1),
-            paths[1]: Fraction(-1),
-            paths[2]: Fraction(1),
-            paths[3]: Fraction(1),
-        }
+        weights = {paths[0]: -1, paths[1]: -1, paths[2]: 1, paths[3]: 1}
         return LinearizationResult(
             False,
             witness=certificate(weights),
@@ -329,7 +320,7 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
             (y, target): b[1] - b[3],
             (x, y): b[2] + b[3] - b[1] - b[0],
         }
-    vec = [Fraction(0)] * inst.graph.m
+    vec = [0] * inst.graph.m
     for endpoints, value in entries.items():
         vec[arc_of[endpoints]] = value
     _verify_solution(pm, vec, require_nonneg=True)

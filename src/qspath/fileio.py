@@ -65,7 +65,15 @@ class _Tokens:
                 f"token {self.pos} ({token!r}): expected integer {what}"
             ) from None
 
-    def next_rational(self, what: str) -> Fraction:
+    def next_count(self, what: str) -> int:
+        value = self.next_int(what)
+        if value < 0:
+            raise FormatError(
+                f"token {self.pos}: {what} must not be negative, got {value}"
+            )
+        return value
+
+    def next_rational(self, what: str) -> int | Fraction:
         token = self.next(what)
         try:
             return as_rational(token)
@@ -92,9 +100,9 @@ def parse_instance(text: str) -> QsppInstance:
     tok.expect("QSPP")
     tok.expect("1")
     tok.expect("n")
-    n = tok.next_int("vertex count")
+    n = tok.next_count("vertex count")
     tok.expect("m")
-    m = tok.next_int("arc count")
+    m = tok.next_count("arc count")
     tok.expect("s")
     source = tok.next_int("source")
     tok.expect("t")
@@ -117,7 +125,7 @@ def parse_instance(text: str) -> QsppInstance:
     tok.expect("Q")
     kind = tok.next("matrix kind (sparse or dense)")
     if kind == "sparse":
-        count = tok.next_int("entry count")
+        count = tok.next_count("entry count")
         triples = (
             (
                 tok.next_int("entry row"),

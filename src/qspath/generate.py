@@ -17,7 +17,7 @@ from .reductions import QapInstance
 
 
 def fill_zero(g: Digraph) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
-    return (Fraction(0),) * g.m, InteractionMatrix.zero(g.m)
+    return (0,) * g.m, InteractionMatrix.zero(g.m)
 
 
 def fill_random(
@@ -27,29 +27,29 @@ def fill_random(
     matrix = InteractionMatrix.from_triples(
         g.m,
         (
-            (e, f, Fraction(rng.randint(0, max_entry)))
+            (e, f, rng.randint(0, max_entry))
             for e, f in combinations(range(g.m), 2)
         ),
     )
-    return (Fraction(0),) * g.m, matrix
+    return (0,) * g.m, matrix
 
 
 def fill_weak_sum(
     g: Digraph, rng: random.Random, max_entry: int = 9
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Interactions a[e] + a[f] for a random per-arc vector a, zero linear costs."""
-    a = [Fraction(rng.randint(0, max_entry)) for _ in range(g.m)]
+    a = [rng.randint(0, max_entry) for _ in range(g.m)]
     matrix = InteractionMatrix.from_triples(
         g.m, ((e, f, a[e] + a[f]) for e, f in combinations(range(g.m), 2))
     )
-    return (Fraction(0),) * g.m, matrix
+    return (0,) * g.m, matrix
 
 
 def fill_product(
     g: Digraph, rng: random.Random, max_entry: int = 3
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Rank-one data: interactions a[e]*a[f], linear costs a[e] squared."""
-    a = [Fraction(rng.randint(0, max_entry)) for _ in range(g.m)]
+    a = [rng.randint(0, max_entry) for _ in range(g.m)]
     matrix = InteractionMatrix.from_triples(
         g.m, ((e, f, a[e] * a[f]) for e, f in combinations(range(g.m), 2))
     )
@@ -63,12 +63,12 @@ def fill_adjacent(
     matrix = InteractionMatrix.from_triples(
         g.m,
         (
-            (e, f, Fraction(rng.randint(0, max_entry)))
+            (e, f, rng.randint(0, max_entry))
             for e, f in combinations(range(g.m), 2)
             if _adjacent(g, e, f)
         ),
     )
-    return (Fraction(0),) * g.m, matrix
+    return (0,) * g.m, matrix
 
 
 FILLS = {
@@ -147,22 +147,20 @@ def worked_example(n: int) -> QsppInstance:
     else:
         entries = {(arc_of[(2, 3)], arc_of[(3, 4)]): 1}
     matrix = InteractionMatrix.from_entries(g.m, entries)
-    return QsppInstance(g, 0, n - 1, (Fraction(0),) * g.m, matrix)
+    return QsppInstance(g, 0, n - 1, (0,) * g.m, matrix)
 
 
 def random_qap(n: int, rng: random.Random, max_entry: int = 9) -> QapInstance:
     """Random symmetric assignment data with integer entries in 0..max_entry."""
 
     def symmetric() -> list[list[Fraction]]:
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                v = Fraction(rng.randint(0, max_entry))
+                v = rng.randint(0, max_entry)
                 rows[i][j] = v
                 rows[j][i] = v
         return rows
 
-    square = [
-        [Fraction(rng.randint(0, max_entry)) for _ in range(n)] for _ in range(n)
-    ]
+    square = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
     return QapInstance(n, symmetric(), symmetric(), square)

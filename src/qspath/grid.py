@@ -114,7 +114,7 @@ def _reduce_in_place(
             weight = vec[f]
             if not weight:
                 continue
-            vec[f] = Fraction(0)
+            vec[f] = 0
             if i >= 2:
                 vec[shape.down[(i - 1, j)]] += weight
             if j >= 2:
@@ -131,7 +131,7 @@ def _reduce_in_place(
 
 def _restricted(shape: GridShape, rows: int, cols: int, vec: Sequence[Fraction]) -> list[Fraction]:
     """Copy of ``vec`` with everything outside the sub-grid zeroed."""
-    out = [Fraction(0)] * (len(vec))
+    out = [0] * len(vec)
     for (i, j), arc in shape.down.items():
         if i <= rows - 1 and j <= cols:
             out[arc] = vec[arc]
@@ -227,7 +227,7 @@ def _updated_cost(
 
     def share(arcs: list[int]) -> Fraction:
         """What ``arcs`` add to a path that already holds ``common``."""
-        total = Fraction(0)
+        total = 0
         for idx, a in enumerate(arcs):
             row = rows[a]
             total += linear[a]
@@ -292,7 +292,7 @@ def _pseudo_vector(
 ) -> list[Fraction]:
     gamma = _critical_costs(inst, shape, rows, cols)
     entries = _solve_reduced(shape, rows, cols, gamma)
-    vec = [Fraction(0)] * inst.graph.m
+    vec = [0] * inst.graph.m
     for arc, value in entries.items():
         vec[arc] = value
     return vec
@@ -387,7 +387,7 @@ def linearize_g2q(inst: QsppInstance) -> tuple[Fraction, ...]:
         raise FamilyError("this construction needs exactly two rows")
     _require_corner_instance(inst, shape)
     require_symmetric_interaction(inst, "the two-row construction")
-    vec = [Fraction(0)] * inst.graph.m
+    vec = [0] * inst.graph.m
     for arc, value in _g2q_entries(inst, shape, shape.q).items():
         vec[arc] = value
     return tuple(vec)
@@ -465,7 +465,7 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
         inst.graph,
         inst.source,
         inst.target,
-        (Fraction(0),) * inst.graph.m,
+        (0,) * inst.graph.m,
         inst.interaction,
     )
     candidate = _pseudo_vector(zero, shape, p, q)
@@ -496,7 +496,7 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
                     note=f"candidate disagrees below sub-target ({r - 1},{j})",
                 )
         candidate = _reduced(shape, r - 1, q, lifted[q])
-    base = [Fraction(0)] * inst.graph.m
+    base = [0] * inst.graph.m
     for arc, value in _g2q_entries(zero, shape, q).items():
         base[arc] = value
     arc = _first_mismatch(_support_arcs(shape, 2, q), candidate, base)

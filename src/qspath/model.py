@@ -1,6 +1,8 @@
 """QSPP/SPP instance model over exact rationals, cost evaluation, and solvers.
 
-Everything that feeds a verdict is computed with fractions.Fraction; floats
+Everything that feeds a verdict is exact: a whole number is a plain int and
+any other value a fractions.Fraction, so integer data never pays for
+Fraction arithmetic.  as_rational is where a value becomes exact; floats
 never enter these code paths.  Linear cost vectors are sign-unrestricted at
 the type level (reduced forms legitimately go negative); nonnegativity is an
 opt-in check, see validate_instance(as_problem=True).
@@ -34,20 +36,28 @@ from .graphs import (
 Rational = Fraction
 
 
-def as_rational(value: object) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions; floats are rejected.
+def as_rational(value: object) -> int | Fraction:
+    """Make a value exact: an int when it is whole, a Fraction otherwise.
 
-    A value that already is a Fraction is returned as it is, so data made
-    exact once is never rebuilt.
+    Accepts ints, Fractions and anything Fraction accepts, such as the
+    strings '3', '3/4' or '1.5'; floats are rejected.  An int, or a Fraction
+    whose denominator is not 1, is returned as it is, so data made exact
+    once is never rebuilt.
     """
-    if type(value) is Fraction:
+    if type(value) is int:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact cost data")
-    return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    exact = value if type(value) is Fraction else Fraction(value)
+    return exact.numerator if exact.denominator == 1 else exact
 
 
-def rational_vector(values: Iterable[object]) -> tuple[Fraction, ...]:
+def rational_vector(values: Iterable[object]) -> tuple[int | Fraction, ...]:
     return tuple(as_rational(v) for v in values)
 
 
@@ -70,7 +80,7 @@ class InteractionMatrix:
 
     @classmethod
     def zero(cls, m: int) -> "InteractionMatrix":
-        return cls([[Fraction(0)] * m for _ in range(m)])
+        return cls([[0] * m for _ in range(m)])
 
     @classmethod
     def from_entries(
@@ -94,7 +104,7 @@ class InteractionMatrix:
         a diagonal entry, or an unordered pair given twice (in either
         orientation, whatever the values).
         """
-        rows = [[Fraction(0)] * m for _ in range(m)]
+        rows = [[0] * m for _ in range(m)]
         seen: set[int] = set()
         for e, f, value in triples:
             if not (0 <= e < m and 0 <= f < m):
@@ -205,7 +215,7 @@ def cost_of_arcs(inst: QsppInstance, arcs: Sequence[int]) -> Fraction:
     """Path cost of an already-validated arc sequence."""
     rows = inst.interaction.rows
     linear = inst.linear
-    total = Fraction(0)
+    total = 0
     for idx, a in enumerate(arcs):
         row = rows[a]
         total += linear[a]
@@ -222,7 +232,7 @@ def path_cost(inst: QsppInstance, path: Path) -> Fraction:
 
 def linear_cost(linear: Sequence[Fraction], path: Path) -> Fraction:
     """Cost of a path under a plain linear cost vector."""
-    return sum((linear[a] for a in path.arcs), Fraction(0))
+    return sum(linear[a] for a in path.arcs)
 
 
 def brute_force_solve(
@@ -258,8 +268,8 @@ def _dijkstra(spp: SppInstance) -> tuple[Path, Fraction]:
     g = spp.graph
     dist: list[Fraction | None] = [None] * g.n
     pred: list[int | None] = [None] * g.n
-    dist[spp.source] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), spp.source)]
+    dist[spp.source] = 0
+    heap: list[tuple[Fraction, int]] = [(0, spp.source)]
     done = [False] * g.n
     while heap:
         d, u = heapq.heappop(heap)
@@ -284,7 +294,7 @@ def _dag_relax(spp: SppInstance, order: list[int]) -> tuple[Path, Fraction]:
     g = spp.graph
     dist: list[Fraction | None] = [None] * g.n
     pred: list[int | None] = [None] * g.n
-    dist[spp.source] = Fraction(0)
+    dist[spp.source] = 0
     for u in order:
         du = dist[u]
         if du is None:

@@ -55,7 +55,7 @@ class QapInstance:
 
 def qap_objective(qap: QapInstance, placement: Sequence[int]) -> Fraction:
     """Objective of placing facility i at location placement[i]."""
-    total = Fraction(0)
+    total = 0
     for i in range(qap.n):
         total += qap.c[i][placement[i]]
         for k in range(qap.n):
@@ -89,8 +89,7 @@ def qap_to_qspp(qap: QapInstance) -> QsppInstance:
         for j in range(n):
             c[i][j] += a[i][i] * b[j][j]
     for i in range(n):
-        a[i][i] = Fraction(0)
-        b[i][i] = Fraction(0)
+        a[i][i] = b[i][i] = 0
 
     big_m = 1 + sum(
         abs(a[i][k] * b[j][l])
@@ -111,7 +110,7 @@ def qap_to_qspp(qap: QapInstance) -> QsppInstance:
     graph = Digraph(n + 1, arcs, labels)
 
     m = n * n
-    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for e in range(m):
         fac_e, loc_e = labels[e]
         for f in range(m):
@@ -119,7 +118,7 @@ def qap_to_qspp(qap: QapInstance) -> QsppInstance:
                 continue
             fac_f, loc_f = labels[f]
             if fac_e == fac_f or loc_e == loc_f:
-                rows[e][f] = Fraction(big_m)
+                rows[e][f] = big_m
             else:
                 rows[e][f] = a[fac_e][fac_f] * b[loc_e][loc_f]
     return QsppInstance(graph, 0, n, tuple(linear), InteractionMatrix(rows))
@@ -180,7 +179,7 @@ def parse_qaplib(text: str) -> QapInstance:
 
     raw_a = take(0)
     raw_b = take(n * n)
-    raw_c = take(2 * n * n) if len(tokens) == need + n * n else [[Fraction(0)] * n for _ in range(n)]
+    raw_c = take(2 * n * n) if len(tokens) == need + n * n else [[0] * n for _ in range(n)]
 
     symmetrized = []
 
@@ -189,7 +188,7 @@ def parse_qaplib(text: str) -> QapInstance:
             return mat
         symmetrized.append(name)
         return [
-            [(mat[i][j] + mat[j][i]) / 2 for j in range(n)] for i in range(n)
+            [Fraction(mat[i][j] + mat[j][i], 2) for j in range(n)] for i in range(n)
         ]
 
     return QapInstance(
@@ -253,5 +252,5 @@ def disjoint_to_aqspp(dp: DisjointPathsInstance) -> QsppInstance:
 
     graph = Digraph(2 * n + m, arcs)
     interaction = InteractionMatrix.from_entries(len(arcs), entries)
-    linear = (Fraction(0),) * len(arcs)
+    linear = (0,) * len(arcs)
     return QsppInstance(graph, lane1(dp.s1), lane2(dp.t2), linear, interaction)

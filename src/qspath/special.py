@@ -17,6 +17,7 @@ from .model import (
     InteractionMatrix,
     QsppInstance,
     SppInstance,
+    as_rational,
     cost_of_arcs,
     spp_solve,
 )
@@ -36,11 +37,11 @@ def detect_weak_sum(q: InteractionMatrix) -> tuple[Fraction, ...] | None:
     if m == 0:
         return ()
     if m == 1:
-        return (Fraction(0),)
+        return (0,)
     if m == 2:
-        half = rows[0][1] / 2
+        half = as_rational(Fraction(rows[0][1], 2))
         return (half, half)
-    a0 = (rows[0][1] + rows[0][2] - rows[1][2]) / 2
+    a0 = as_rational(Fraction(rows[0][1] + rows[0][2] - rows[1][2], 2))
     witness = [a0] + [rows[0][f] - a0 for f in range(1, m)]
     for e in range(m):
         for f in range(e + 1, m):
@@ -203,6 +204,6 @@ def linearize_directed_cycle(inst: QsppInstance) -> tuple[Fraction, ...]:
         arcs.append(a)
         v = inst.graph.arcs[a].tail
     total = cost_of_arcs(inst, arcs)
-    result = [Fraction(0)] * inst.graph.m
+    result = [0] * inst.graph.m
     result[arcs[0]] = total
     return tuple(result)

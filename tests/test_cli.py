@@ -160,6 +160,22 @@ def test_generate_disjoint_reduce(tmp_path, capsys):
     assert is_adjacent_qspp(inst)
 
 
+def test_generate_disjoint_reduce_needs_four_vertices(capsys):
+    code, out, err = run(capsys, "generate", "disjoint-reduce", "3", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "generate disjoint-reduce needs n >= 4" in err
+
+
+def test_negative_arc_count_exit_two(tmp_path, capsys):
+    path = tmp_path / "negative.qspp"
+    path.write_text("QSPP 1\nn 2\nm -1\ns 0\nt 1\nc\n\nQ sparse 0\n")
+    code, out, err = run(capsys, "linearize", str(path), "--mode", "oracle")
+    assert code == 2
+    assert out == ""
+    assert "arc count must not be negative" in err
+
+
 def test_bench_output_and_empty_range(capsys):
     code, out, _ = run(capsys, "bench", "--max-p", "3", "--max-q", "3", "--seed", "1")
     assert code == 0

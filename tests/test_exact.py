@@ -1,0 +1,175 @@
+"""The exact-value rule: a whole number is an int, anything else a Fraction.
+
+as_rational is where values become exact; these tests pin its token
+handling, check that no float reaches a result, that integral grid data
+stays int end to end, and that rational data (the Fraction path) gives the
+scaled results of the integral data.
+"""
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+from qspath import (
+    InteractionMatrix,
+    QsppInstance,
+    brute_force_solve,
+    build_path_matrix,
+    emit_instance,
+    k4_linearize,
+    linearize_g2q,
+    linearize_grid,
+    linearize_weak_sum,
+    lp_oracle,
+    make_complete_symmetric,
+    make_grid,
+    normalize_knstar,
+    parse_instance,
+    parse_qaplib,
+    pseudo_linearize,
+    solve_product_case,
+)
+from qspath.generate import filled_instance
+from qspath.model import as_rational
+
+TOKENS = [
+    "1_0", " 3", "-0", "+4", "07", "٣", "３", "3/1", "6/4",
+    "1e3", "1.5", ".5", "0x10", "3/0", "+-3", "",
+]
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_token_agrees_with_fraction(token):
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            as_rational(token)
+        return
+    got = as_rational(token)
+    assert got == expected
+    assert type(got) is (int if expected.denominator == 1 else Fraction)
+
+
+def test_exact_values_keep_their_form_and_floats_are_refused():
+    assert type(as_rational(Fraction(6, 2))) is int
+    thirds = Fraction(5, 3)
+    assert as_rational(thirds) is thirds
+    assert as_rational(-7) == -7
+    for value in (0.5, 3.0):
+        with pytest.raises(TypeError):
+            as_rational(value)
+
+
+def numbers(obj):
+    """Every number inside a result, tuple, dict or dataclass."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return
+    if isinstance(obj, (int, float, Fraction)):
+        yield obj
+    elif isinstance(obj, InteractionMatrix):
+        yield from numbers(obj.rows)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from numbers(getattr(obj, field.name))
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from numbers(key)
+            yield from numbers(value)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from numbers(item)
+    else:
+        raise TypeError(f"no rule for {type(obj).__name__}")
+
+
+def assert_no_floats(result):
+    found = list(numbers(result))
+    assert found
+    assert all(type(v) in (int, Fraction) for v in found)
+
+
+def grid(p, q, fill, seed):
+    g = make_grid(p, q)
+    return filled_instance(g, 0, g.n - 1, fill, seed)
+
+
+def test_grid_results_hold_no_floats():
+    yes = grid(4, 4, "weak-sum", 1)
+    no = grid(4, 4, "random", 2)
+    assert linearize_grid(yes).linearizable
+    assert not linearize_grid(no).linearizable
+    for inst in (yes, no, grid(3, 4, "product", 3)):
+        assert_no_floats(linearize_grid(inst))
+        assert_no_floats(pseudo_linearize(inst))
+    assert_no_floats(linearize_weak_sum(yes))
+    assert_no_floats(linearize_g2q(grid(2, 5, "random", 4)))
+    assert_no_floats(solve_product_case(grid(3, 3, "product", 5)))
+
+
+def test_oracle_and_brute_force_results_hold_no_floats():
+    verdicts = set()
+    for inst in (grid(3, 3, "weak-sum", 6), grid(3, 3, "random", 7)):
+        pm = build_path_matrix(inst)
+        for nonneg in (False, True):
+            result = lp_oracle(pm, require_nonneg=nonneg)
+            verdicts.add(result.linearizable)
+            assert_no_floats(result)
+        assert_no_floats(brute_force_solve(inst))
+    assert verdicts == {True, False}
+
+
+def test_four_vertex_results_hold_no_floats():
+    g = make_complete_symmetric(4, simplified=True, source=0, target=3)
+    verdicts = set()
+    for seed in range(8):
+        result = k4_linearize(normalize_knstar(filled_instance(g, 0, 3, "random", seed)))
+        verdicts.add(result.linearizable)
+        assert_no_floats(result)
+    assert verdicts == {True, False}
+
+
+def test_qaplib_symmetrization_holds_no_floats():
+    qap = parse_qaplib("2  0 1 2 0  0 3 5 0  1 2 3 4")
+    assert qap.symmetrized == ("a", "b")
+    assert qap.a[0][1] == Fraction(3, 2)
+    assert qap.b[0][1] == 4 and type(qap.b[0][1]) is int
+    assert_no_floats(qap)
+
+
+def test_integral_grid_data_stays_int():
+    for inst in (grid(4, 5, "weak-sum", 8), grid(4, 5, "random", 9)):
+        parsed = parse_instance(emit_instance(inst))
+        for data in (inst, parsed):
+            assert all(type(v) is int for v in data.linear)
+            assert all(type(v) is int for row in data.interaction.rows for v in row)
+        result = linearize_grid(parsed)
+        assert all(type(v) is int for v in numbers(result))
+    assert type(brute_force_solve(grid(3, 3, "random", 9))[1]) is int
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_thirds_scale_the_grid_result(seed):
+    fill = "weak-sum" if seed % 2 else "random"
+    base = grid(4, 5, fill, seed)
+    rng = random.Random(seed)
+    linear = tuple(rng.randint(0, 9) for _ in range(base.graph.m))
+    whole = QsppInstance(base.graph, 0, base.target, linear, base.interaction)
+    third = QsppInstance(
+        base.graph,
+        0,
+        base.target,
+        tuple(Fraction(v, 3) for v in linear),
+        base.interaction.scaled(Fraction(1, 3)),
+    )
+    assert any(type(v) is Fraction for v in third.linear)
+    expected, got = linearize_grid(whole), linearize_grid(third)
+    assert got.linearizable == expected.linearizable == (fill == "weak-sum")
+    assert got.note == expected.note
+    if expected.linearizable:
+        assert got.vector == tuple(Fraction(v, 3) for v in expected.vector)
+    else:
+        assert got.witness.path == expected.witness.path
+        assert got.witness.expected == Fraction(expected.witness.expected, 3)
+        assert got.witness.got == Fraction(expected.witness.got, 3)

@@ -109,6 +109,19 @@ def test_parse_rejects_bad_sparse_entries():
         parse_instance(head + "Q sparse 1 0 9 5")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "QSPP 1 n -2 m 0 s 0 t 1 c Q sparse 0",
+        "QSPP 1 n 2 m -1 s 0 t 1 c Q sparse 0",
+        "QSPP 1 n 2 m 2 s 0 t 1 arc 0 0 1 arc 1 0 1 c 0 0 Q sparse -1",
+    ],
+)
+def test_parse_rejects_negative_counts(text):
+    with pytest.raises(FormatError, match="must not be negative"):
+        parse_instance(text)
+
+
 def test_parse_rejects_asymmetric_dense():
     text = "QSPP 1 n 2 m 2 s 0 t 1 arc 0 0 1 arc 1 0 1 c 0 0 Q dense 0 1 2 0"
     with pytest.raises(FormatError, match="symmetric"):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .adjacent import solve_aqspp
 from .complete import k4_linearize, normalize_knstar, tournament4_linearize
-from .errors import QspathError
+from .errors import FormatError, QspathError
 from .fileio import emit_instance, parse_instance
 from .generate import FILLS, filled_instance, random_digraph, worked_example
 from .graphs import (
@@ -69,13 +69,26 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             f"generate {family} needs the {word} {' '.join(expected)}, "
             f"got {len(args.params)}"
         )
+    try:
+        inst = _generated_instance(args)
+    except ValueError as exc:
+        # the parameters and options are user input; the graph and instance
+        # constructors refuse bad values with ValueError, a usage error here
+        raise QspathError(f"generate {family}: {exc}") from exc
+    _write(emit_instance(inst), args.output)
+    return 0
+
+
+def _generated_instance(args: argparse.Namespace) -> QsppInstance:
+    family = args.family
     if family == "qap-reduce":
-        with open(args.params[0], encoding="utf-8") as handle:
-            text = handle.read()
-        inst = qap_to_qspp(parse_qaplib(text))
-        _write(emit_instance(inst), args.output)
-        return 0
-    sizes = [int(v) for v in args.params]
+        return qap_to_qspp(parse_qaplib(_read_text(args.params[0])))
+    try:
+        sizes = [int(v) for v in args.params]
+    except ValueError:
+        raise QspathError(
+            f"generate {family} needs integer parameters, got {' '.join(args.params)}"
+        ) from None
     n = sizes[0]
     if family == "disjoint-reduce":
         if n < 4:
@@ -88,16 +101,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         g = random_digraph(n, args.density, rng)
         s1, t1, s2, t2 = rng.sample(range(n), 4)
-        inst = disjoint_to_aqspp(DisjointPathsInstance(g, s1, t1, s2, t2))
-        _write(emit_instance(inst), args.output)
-        return 0
+        return disjoint_to_aqspp(DisjointPathsInstance(g, s1, t1, s2, t2))
 
     if family == "grid":
         g = make_grid(*sizes)
     elif family == "complete":
         if args.example:
-            _write(emit_instance(worked_example(n)), args.output)
-            return 0
+            return worked_example(n)
         g = make_complete_symmetric(n, simplified=not args.full, source=0, target=n - 1)
     elif family == "cycle":
         g = make_directed_cycle(n)
@@ -110,15 +120,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 raise QspathError("tournament needs --orientation or --seed")
             bits = random.Random(args.seed).getrandbits(n * (n - 1) // 2)
         g = make_tournament(n, bits)
-    source, target = 0, g.n - 1
-    inst = filled_instance(g, source, target, args.fill, args.seed, args.max_entry)
-    _write(emit_instance(inst), args.output)
-    return 0
+    return filled_instance(g, 0, g.n - 1, args.fill, args.seed, args.max_entry)
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load(path: str) -> QsppInstance:
-    with open(path, encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+    return parse_instance(_read_text(path))
 
 
 def _print_solution(method: str, inst: QsppInstance, path, cost: Fraction) -> None:
@@ -253,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QspathError, OSError, ValueError) as exc:
+    except (QspathError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import qspath.cli
 from qspath import (
     emit_instance,
     make_cyclic_counterexample,
@@ -224,3 +225,40 @@ def test_generate_with_missing_parameters_names_the_family(capsys, argv):
     assert code == 2
     assert out == ""
     assert f"generate {argv[1]} needs" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "grid", "1", "5"], "grid needs p >= 2 and q >= 2"),
+        (["generate", "grid", "a", "5"], "generate grid needs integer parameters"),
+        (["generate", "complete", "6", "--example"], "worked examples exist for sizes 4 and 5"),
+    ],
+)
+def test_generate_rejects_bad_values_with_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_library_value_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "grid.qspp"
+    run(capsys, "generate", "grid", "3", "3", "--output", str(path))
+
+    def broken(*args, **kwargs):
+        raise ValueError("a fault inside the library")
+
+    monkeypatch.setattr(qspath.cli, "lp_oracle", broken)
+    with pytest.raises(ValueError, match="a fault inside the library"):
+        main(["linearize", str(path), "--mode", "oracle"])
+
+
+@pytest.mark.parametrize("argv", [["solve", "{f}"], ["generate", "qap-reduce", "{f}"]])
+def test_file_that_is_not_utf8_exit_two(tmp_path, capsys, argv):
+    path = tmp_path / "binary.dat"
+    path.write_bytes(b"\xff\xfe\x00 not text")
+    code, out, err = run(capsys, *[a.format(f=path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8 text" in err

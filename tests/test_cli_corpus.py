@@ -4,7 +4,10 @@ Each case runs ``qspath.cli.main`` in-process and compares the SHA-256 of
 its stdout and its exit code with values recorded before any refactoring of
 the library, so a change that alters one byte of CLI output fails here.
 The ``solve`` and ``linearize`` cases read files written by the ``generate``
-cases; every grid is at most 5x5 to keep the suite fast.
+cases.  Grids are at most 5x5, except for the path-matrix oracle cases,
+which reach 5x6 and 6x5 in the equality sense and 5x5 in the nonnegative
+sense so that both senses print a vector and a certificate at benchmark
+sizes.
 """
 from __future__ import annotations
 
@@ -72,6 +75,30 @@ GENERATE = {
         ["disjoint-reduce", "6", "--seed", "11"], 0,
         "944cda28dde39a11086986567af66c87992e86bf65cbde54a44d766036ae30fd",
     ),
+    "grid-5x5-weak-sum": (
+        ["grid", "5", "5", "--fill", "weak-sum", "--seed", "21"], 0,
+        "c46b50497e68acc5a5496dd305cb17007f86d310e1965abf497795d746b39e9c",
+    ),
+    "grid-5x5-random": (
+        ["grid", "5", "5", "--fill", "random", "--seed", "22"], 0,
+        "5d10c1f9651e5210a7bc4d2ebf352d79e880acba376db387d2aee5f6d0c233d3",
+    ),
+    "grid-6x5-weak-sum": (
+        ["grid", "6", "5", "--fill", "weak-sum", "--seed", "23"], 0,
+        "3116cacd8efe40bf17f9cba86602f42fd1a6b879b2d25150915f63d38402939a",
+    ),
+    "grid-5x6-random": (
+        ["grid", "5", "6", "--fill", "random", "--seed", "24"], 0,
+        "696a61b609f4b7aafd4bb6efbaf3462a9f23394e38acaa026c26eb552fb6d996",
+    ),
+    "grid-4x5-adjacent": (
+        ["grid", "4", "5", "--fill", "adjacent", "--seed", "25"], 0,
+        "7f3afde1b923512e04523060fa0df08f193d93f3323c09fe97ae53db35b9fafd",
+    ),
+    "grid-5x4-product": (
+        ["grid", "5", "4", "--fill", "product", "--seed", "27"], 0,
+        "c93a4d933aa7be16ed8b0e04c113fae036df18c43068ded37142bb2e1fe36bd3",
+    ),
 }
 
 # name -> (command, input file, extra arguments, exit code, stdout SHA-256)
@@ -123,6 +150,38 @@ COMMANDS = {
     "solve-spp": (
         "solve", "grid-zero", ["--method", "spp"], 0,
         "fa039fbda0c35c88b4901157aee6e83286c353724a0f371f389bb4a4f8ec52af",
+    ),
+    "oracle-5x5-weak-sum": (
+        "linearize", "grid-5x5-weak-sum", ["--mode", "oracle"], 0,
+        "28fb3c03969307be48974cd7d38e4ad996a13b437a0ca204e8dcc7dc4e4e3030",
+    ),
+    "oracle-5x5-random": (
+        "linearize", "grid-5x5-random", ["--mode", "oracle"], 3,
+        "f2a8c0daa870ea47c170d254f8d9d8c58e3c9aeb6c248275b41b50172f22a7ab",
+    ),
+    "oracle-6x5-weak-sum": (
+        "linearize", "grid-6x5-weak-sum", ["--mode", "oracle"], 0,
+        "c5c07c48efefe2313a47f1fa4a2f644f800e15de9e72f8d998c5add51b4a92ff",
+    ),
+    "oracle-5x6-random": (
+        "linearize", "grid-5x6-random", ["--mode", "oracle"], 3,
+        "fe12f7a810290ed02e3636bd56de8b8195010af082df6b3cb54b3f106d86e27f",
+    ),
+    "oracle-nonneg-5x5-weak-sum": (
+        "linearize", "grid-5x5-weak-sum", ["--mode", "oracle-nonneg"], 0,
+        "ed488655a1f63021021eb7a47e6f525c5e7d1f9b15598f67d4a19e2a0cd57800",
+    ),
+    "oracle-nonneg-5x5-random": (
+        "linearize", "grid-5x5-random", ["--mode", "oracle-nonneg"], 3,
+        "4046b5352926a8f3d6ea7935896a1e23a944878089d8e19bad96605af2891b2c",
+    ),
+    "oracle-nonneg-4x5-adjacent": (
+        "linearize", "grid-4x5-adjacent", ["--mode", "oracle-nonneg"], 3,
+        "770ff2070d50c7195514dab706eb23671eb16ed81a2752d98a22e90bb28f7661",
+    ),
+    "oracle-nonneg-5x4-product": (
+        "linearize", "grid-5x4-product", ["--mode", "oracle-nonneg"], 3,
+        "b3b39d0646191c6d8265c462b0daf1f76a64982059bf153aab042ee012b0f844",
     ),
 }
 

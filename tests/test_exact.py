@@ -173,3 +173,59 @@ def test_thirds_scale_the_grid_result(seed):
         assert got.witness.path == expected.witness.path
         assert got.witness.expected == Fraction(expected.witness.expected, 3)
         assert got.witness.got == Fraction(expected.witness.got, 3)
+
+
+def oracle_values(result):
+    return result.vector if result.linearizable else result.witness.coefficients
+
+
+def test_integral_oracle_results_stay_int():
+    seen = set()
+    for inst in (
+        grid(5, 5, "weak-sum", 10),
+        grid(5, 5, "random", 11),
+        grid(4, 5, "product", 12),
+        grid(4, 5, "adjacent", 13),
+    ):
+        pm = build_path_matrix(inst)
+        assert all(type(v) is int for v in pm.costs)
+        for nonneg in (False, True):
+            result = lp_oracle(pm, require_nonneg=nonneg)
+            seen.add((nonneg, result.linearizable))
+            values = oracle_values(result)
+            assert values
+            assert all(
+                type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                for v in values
+            )
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_thirds_scale_the_oracle_result(seed):
+    """Dividing every cost by 3 divides b by 3: the pivots do not depend on b
+    beyond its signs and ratios, so a vector comes out divided by 3 and a
+    certificate comes out the same."""
+    fill = "weak-sum" if seed % 2 else "random"
+    base = grid(4, 4, fill, seed)
+    rng = random.Random(seed)
+    linear = tuple(rng.randint(0, 9) for _ in range(base.graph.m))
+    whole = QsppInstance(base.graph, 0, base.target, linear, base.interaction)
+    third = QsppInstance(
+        base.graph,
+        0,
+        base.target,
+        tuple(Fraction(v, 3) for v in linear),
+        base.interaction.scaled(Fraction(1, 3)),
+    )
+    whole_pm, third_pm = build_path_matrix(whole), build_path_matrix(third)
+    assert any(type(v) is Fraction for v in third_pm.costs)
+    for nonneg in (False, True):
+        expected = lp_oracle(whole_pm, require_nonneg=nonneg)
+        got = lp_oracle(third_pm, require_nonneg=nonneg)
+        assert got.linearizable == expected.linearizable
+        if expected.linearizable:
+            assert got.vector == tuple(Fraction(v, 3) for v in expected.vector)
+        else:
+            assert oracle_values(got) == oracle_values(expected)
+        assert_no_floats(got)

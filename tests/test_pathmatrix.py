@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from qspath import (
     QsppInstance,
     ScaleError,
     build_path_matrix,
+    linearize_grid,
     lp_oracle,
     make_complete_symmetric,
     make_grid,
@@ -172,6 +174,56 @@ def test_oracle_outcomes_always_verify(seed, nonneg):
             assert all(v >= 0 for v in result.vector)
     else:
         assert_valid_certificate(pm, result.witness.coefficients)
+
+
+def planted_grid(p: int, q: int, rng: random.Random) -> dict[tuple[int, int], int]:
+    """Weak-sum interactions, then random values on every arc pair that no
+    monotone path carries together: two down arcs leaving the same row, or
+    two right arcs leaving the same column.  Such instances are linearizable
+    without being weak-sum."""
+    g = make_grid(p, q)
+    a = [rng.randint(0, 9) for _ in range(g.m)]
+    entries = {(e, f): a[e] + a[f] for e, f in combinations(range(g.m), 2)}
+    exclusive: dict[tuple[str, int], list[int]] = {}
+    for arc_id, arc in enumerate(g.arcs):
+        i, j = divmod(arc.head, q)
+        key = ("down", i) if arc.tail == arc.head + q else ("right", j)
+        exclusive.setdefault(key, []).append(arc_id)
+    for group in exclusive.values():
+        for e, f in combinations(group, 2):
+            entries[(e, f)] = rng.randint(0, 9)
+    return entries
+
+
+def grid_instance(p: int, q: int, linear, entries) -> QsppInstance:
+    g = make_grid(p, q)
+    return QsppInstance(g, 0, g.n - 1, linear, InteractionMatrix.from_entries(g.m, entries))
+
+
+@pytest.mark.parametrize("p, q", [(6, 6), (6, 7), (7, 6), (7, 7)])
+def test_grid_decision_matches_oracle_on_planted_grids(p, q):
+    """The grid decision against the equality-sense oracle beyond weak-sum
+    data: planted instances, and copies with one co-occurring pair changed,
+    whose verdict the oracle decides."""
+    rng = random.Random(p * 100 + q)
+    verdicts = []
+    for _ in range(2):
+        entries = planted_grid(p, q, rng)
+        linear = tuple(rng.randint(0, 9) for _ in range(2 * p * q - p - q))
+        planted = grid_instance(p, q, linear, entries)
+        pm = build_path_matrix(planted)
+        assert linearize_grid(planted).linearizable
+        assert lp_oracle(pm, require_nonneg=False).linearizable
+        for _ in range(3):
+            arcs = rng.choice(pm.paths).arcs
+            e, f = sorted(rng.sample(arcs, 2))
+            changed = dict(entries)
+            changed[(e, f)] += rng.randint(1, 9)
+            inst = grid_instance(p, q, linear, changed)
+            oracle = lp_oracle(build_path_matrix(inst), require_nonneg=False)
+            assert linearize_grid(inst).linearizable == oracle.linearizable
+            verdicts.append(oracle.linearizable)
+    assert False in verdicts
 
 
 def test_oracle_scale_guard():

@@ -217,6 +217,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _path_limit(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if limit < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {limit}")
+    return limit
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qspath",
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("file")
     solve.add_argument("--method", choices=["brute", "aqspp", "product", "spp"], default="brute")
-    solve.add_argument("--limit", type=int, default=10**6)
+    solve.add_argument("--limit", type=_path_limit, default=10**6)
     solve.set_defaults(func=_cmd_solve)
 
     lin = sub.add_parser("linearize", help="decide linearizability of an instance file")
@@ -251,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["grid", "k4", "t4", "oracle", "oracle-nonneg"],
         required=True,
     )
-    lin.add_argument("--limit", type=int, default=1000)
+    lin.add_argument("--limit", type=_path_limit, default=1000)
     lin.set_defaults(func=_cmd_linearize)
 
     bench = sub.add_parser("bench", help="time the grid decision across sizes")

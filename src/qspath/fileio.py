@@ -16,17 +16,28 @@ Layout (whitespace-tolerant on parsing, canonical on emission):
     Q dense                       (m rows of m rationals, must be symmetric
                                    with a zero diagonal)
 
-Rationals are integers or numerator/denominator pairs like 3/2; floats never
-appear.  Grid instances use the row-major vertex numbering, so a p-by-q grid
-vertex in row i, column j (1-based) is vertex (i-1)*q + (j-1).
+The emitter writes rationals as integers or numerator/denominator pairs like
+3/2.  The parser also accepts decimal tokens such as 1.5 or 1e3 and reads
+them exactly, as Fraction does (1.5 is 3/2, 1e3 is the int 1000); no value
+ever becomes a float.  Grid instances use the row-major vertex numbering, so
+a p-by-q grid vertex in row i, column j (1-based) is vertex (i-1)*q + (j-1).
+
+The parser reads the file block by block: the arc lines, the linear costs
+and the sparse entries are each converted a column at a time, and the
+entries are checked in whole passes.  When a block does not convert or
+check cleanly, it is read again one token at a time, so a malformed file
+always gets the FormatError for its first fault in file order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, TypeVar
 
-from .errors import FormatError
+from .errors import FormatError, InternalError
 from .graphs import Digraph
-from .model import InteractionMatrix, QsppInstance, as_rational
+from .model import InteractionMatrix, QsppInstance, as_rational, check_entry_pairs, rational_tokens
+
+T = TypeVar("T")
 
 
 def emit_instance(inst: QsppInstance) -> str:
@@ -93,6 +104,77 @@ class _Tokens:
                 f"trailing data from token {self.pos + 1} ({self.items[self.pos]!r})"
             )
 
+    def block(
+        self,
+        size: int,
+        convert: Callable[[list[str], int, int], T],
+        rescan: Callable[[], object],
+    ) -> T:
+        """Convert the next size tokens in whole-column passes.
+
+        convert(items, start, end) reads items[start:end] a column at a time.
+        If the block is short or convert raises, rescan reads the same tokens
+        one at a time with the methods above and raises the FormatError that
+        names the first fault in file order.
+        """
+        start = self.pos
+        end = start + size
+        if end <= len(self.items):
+            try:
+                result = convert(self.items, start, end)
+            except (ValueError, ZeroDivisionError, TypeError):
+                pass
+            else:
+                # the converted tokens are not read again; free their strings
+                # before the caller builds on the result
+                self.items[start:end] = [None] * size
+                self.pos = end
+                return result
+        rescan()
+        raise InternalError(f"block at token {start + 1} failed to convert but rescanned clean")
+
+
+def _arcs(items: list[str], start: int, end: int) -> list[tuple[int, int]]:
+    """Lines 'arc <id> <head> <tail>' with ids 0, 1, ... as (head, tail) pairs."""
+    m = (end - start) // 4
+    keywords, ids = items[start:end:4], items[start + 1:end:4]
+    if keywords != ["arc"] * m or list(map(int, ids)) != list(range(m)):
+        raise ValueError("arc lines out of form")
+    return list(zip(map(int, items[start + 2:end:4]), map(int, items[start + 3:end:4])))
+
+
+def _rescan_arcs(tok: _Tokens, m: int) -> None:
+    for expected_id in range(m):
+        tok.expect("arc")
+        arc_id = tok.next_int("arc id")
+        if arc_id != expected_id:
+            raise FormatError(f"arc ids must be dense and ascending, got {arc_id}")
+        tok.next_int("arc head")
+        tok.next_int("arc tail")
+
+
+def _entries(
+    items: list[str], start: int, end: int
+) -> tuple[list[int], list[int], list[int | Fraction]]:
+    """Lines '<e> <f> <value>' as an e column, an f column and exact values."""
+    es = list(map(int, items[start:end:3]))
+    fs = list(map(int, items[start + 1:end:3]))
+    return es, fs, rational_tokens(items[start + 2:end:3])
+
+
+def _rescan_entries(tok: _Tokens, m: int, count: int) -> None:
+    def pairs():
+        for _ in range(count):
+            e = tok.next_int("entry row")
+            f = tok.next_int("entry column")
+            tok.next_rational("entry value")
+            yield e, f
+
+    try:
+        check_entry_pairs(m, pairs())
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
 
 def parse_instance(text: str) -> QsppInstance:
     """Parse the canonical text form back into an instance."""
@@ -107,35 +189,26 @@ def parse_instance(text: str) -> QsppInstance:
     source = tok.next_int("source")
     tok.expect("t")
     target = tok.next_int("target")
-    arcs = []
-    for expected_id in range(m):
-        tok.expect("arc")
-        arc_id = tok.next_int("arc id")
-        if arc_id != expected_id:
-            raise FormatError(f"arc ids must be dense and ascending, got {arc_id}")
-        head = tok.next_int("arc head")
-        tail = tok.next_int("arc tail")
-        arcs.append((head, tail))
+    arcs = tok.block(4 * m, _arcs, lambda: _rescan_arcs(tok, m))
     try:
         graph = Digraph(n, arcs)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     tok.expect("c")
-    linear = tuple(tok.next_rational(f"linear cost {i}") for i in range(m))
+    linear = tok.block(
+        m,
+        lambda items, start, end: rational_tokens(items[start:end]),
+        lambda: [tok.next_rational(f"linear cost {i}") for i in range(m)],
+    )
     tok.expect("Q")
     kind = tok.next("matrix kind (sparse or dense)")
     if kind == "sparse":
         count = tok.next_count("entry count")
-        triples = (
-            (
-                tok.next_int("entry row"),
-                tok.next_int("entry column"),
-                tok.next_rational("entry value"),
-            )
-            for _ in range(count)
+        es, fs, values = tok.block(
+            3 * count, _entries, lambda: _rescan_entries(tok, m, count)
         )
         try:
-            matrix = InteractionMatrix.from_triples(m, triples)
+            matrix = InteractionMatrix._from_columns(m, es, fs, values)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
     elif kind == "dense":

@@ -89,6 +89,8 @@ def filled_instance(
     max_entry: int = 9,
 ) -> QsppInstance:
     """Instance on ``g`` with costs from the named filler."""
+    if max_entry < 0:
+        raise ValueError(f"--max-entry must not be negative, got {max_entry}")
     if fill == "zero":
         linear, matrix = fill_zero(g)
     else:

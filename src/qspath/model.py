@@ -21,9 +21,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CyclicGraphError, NoPathError
+from .errors import CyclicGraphError, InternalError, NoPathError
 from .graphs import (
     DEFAULT_PATH_LIMIT,
     Digraph,
@@ -61,6 +62,31 @@ def rational_vector(values: Iterable[object]) -> tuple[int | Fraction, ...]:
     return tuple(as_rational(v) for v in values)
 
 
+def rational_tokens(tokens: Sequence[str]) -> list[int | Fraction]:
+    """as_rational over string tokens, with a column of whole numbers read
+    in one int pass; raises what as_rational raises on a bad token."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return list(map(as_rational, tokens))
+
+
+def check_entry_pairs(m: int, pairs: Iterable[tuple[int, int]]) -> None:
+    """Raise ValueError at the first (e, f) pair, in order, that lies outside
+    the arc range, sits on the diagonal, or repeats an earlier unordered pair
+    (in either orientation)."""
+    seen: set[int] = set()
+    for e, f in pairs:
+        if not (0 <= e < m and 0 <= f < m):
+            raise ValueError(f"entry ({e},{f}) outside the arc range")
+        if e == f:
+            raise ValueError("diagonal interaction entries must stay zero")
+        key = e * m + f if e < f else f * m + e
+        if key in seen:
+            raise ValueError(f"pair ({e},{f}) listed twice")
+        seen.add(key)
+
+
 class InteractionMatrix:
     """Square matrix of pairwise arc interaction costs, exact rationals.
 
@@ -79,8 +105,15 @@ class InteractionMatrix:
         self.rows: tuple[tuple[Fraction, ...], ...] = mat
 
     @classmethod
+    def _of_exact(cls, rows: Iterable[Iterable[int | Fraction]]) -> "InteractionMatrix":
+        """Wrap square rows whose values are already exact, coercing nothing."""
+        matrix = object.__new__(cls)
+        matrix.rows = tuple(map(tuple, rows))
+        return matrix
+
+    @classmethod
     def zero(cls, m: int) -> "InteractionMatrix":
-        return cls([[0] * m for _ in range(m)])
+        return cls._of_exact([0] * m for _ in range(m))
 
     @classmethod
     def from_entries(
@@ -102,21 +135,45 @@ class InteractionMatrix:
         Each triple sets both the (e, f) and (f, e) cells; cells no triple
         names stay zero.  Raises ValueError on an index outside the arc range,
         a diagonal entry, or an unordered pair given twice (in either
-        orientation, whatever the values).
+        orientation, whatever the values), naming the first such triple.
         """
-        rows = [[0] * m for _ in range(m)]
-        seen: set[int] = set()
+        es: list[int] = []
+        fs: list[int] = []
+        values: list[int | Fraction] = []
         for e, f, value in triples:
-            if not (0 <= e < m and 0 <= f < m):
-                raise ValueError(f"entry ({e},{f}) outside the arc range")
-            if e == f:
-                raise ValueError("diagonal interaction entries must stay zero")
-            key = e * m + f if e < f else f * m + e
-            if key in seen:
-                raise ValueError(f"pair ({e},{f}) listed twice")
-            seen.add(key)
-            rows[e][f] = rows[f][e] = as_rational(value)
-        return cls(rows)
+            es.append(e)
+            fs.append(f)
+            values.append(as_rational(value))
+        return cls._from_columns(m, es, fs, values)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        m: int,
+        es: Sequence[int],
+        fs: Sequence[int],
+        values: Sequence[int | Fraction],
+    ) -> "InteractionMatrix":
+        """from_triples on index columns and values that are already exact.
+
+        The columns are checked in whole passes; only when one fails does
+        check_entry_pairs walk them in order to name the first fault.
+        """
+        if es and not (
+            min(es) >= 0
+            and min(fs) >= 0
+            and max(es) < m
+            and max(fs) < m
+            and not any(map(eq, es, fs))
+            and len({e * m + f if e < f else f * m + e for e, f in zip(es, fs)})
+            == len(es)
+        ):
+            check_entry_pairs(m, zip(es, fs))
+            raise InternalError("entry columns failed a bulk check but not the ordered one")
+        rows = [[0] * m for _ in range(m)]
+        for e, f, value in zip(es, fs, values):
+            rows[e][f] = rows[f][e] = value
+        return cls._of_exact(rows)
 
     @property
     def m(self) -> int:

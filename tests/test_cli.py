@@ -262,3 +262,36 @@ def test_file_that_is_not_utf8_exit_two(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("fill", ["random", "weak-sum", "product", "adjacent"])
+def test_generate_refuses_negative_max_entry(capsys, fill):
+    code, out, err = run(capsys, "generate", "grid", "3", "3", "--fill", fill,
+                         "--seed", "1", "--max-entry", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: generate grid: --max-entry must not be negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "FILE", "--limit", "-3"],
+        ["solve", "FILE", "--limit", "0"],
+        ["linearize", "FILE", "--mode", "oracle", "--limit", "-1"],
+        ["linearize", "FILE", "--mode", "grid", "--limit", "zz"],
+    ],
+)
+def test_limit_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "grid.qspp"
+    run(capsys, "generate", "grid", "2", "2", "--output", str(path))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qspath " + argv[0])
+    bad = argv[-1]
+    expected = "expected an integer" if bad == "zz" else f"must be at least 1, got {bad}"
+    assert f"error: argument --limit: {expected}" in captured.err

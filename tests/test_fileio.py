@@ -133,3 +133,49 @@ def test_parse_rejects_structural_errors():
         parse_instance("QSPP 1 n 2 m 1 s 0 t 0 arc 0 0 1 c 0 Q sparse 0")
     with pytest.raises(FormatError):
         parse_instance("QSPP 1 n 2 m 1 s 0 t 1 arc 0 0 5 c 0 Q sparse 0")
+
+
+def assert_exact(inst: QsppInstance) -> None:
+    """Whole values are ints, every other value a Fraction."""
+    for v in list(inst.linear) + [v for row in inst.interaction.rows for v in row]:
+        assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+def test_parse_accepts_shuffled_reversed_and_zero_entries():
+    g = make_grid(2, 2)
+    head = "QSPP 1 n 4 m 4 s 0 t 3 arc 0 0 2 arc 1 0 1 arc 2 1 3 arc 3 2 3 c 0 0 0 0 "
+    # out of row-major order, e > f, and an explicitly listed zero
+    text = head + "Q sparse 4  3 1 4  2 0 0  1 0 7  3 2 -2"
+    expected = QsppInstance(
+        g, 0, 3, (0, 0, 0, 0),
+        InteractionMatrix([[0, 7, 0, 0], [7, 0, 0, 4], [0, 0, 0, -2], [0, 4, -2, 0]]),
+    )
+    inst = parse_instance(text)
+    assert same_instance(inst, expected)
+    assert_exact(inst)
+
+
+def test_parse_reads_signed_fractional_and_decimal_tokens_exactly():
+    g = make_grid(2, 2)
+    head = "QSPP 1 n 4 m 4 s 0 t 3 arc 0 0 2 arc 1 0 1 arc 2 1 3 arc 3 2 3 "
+    text = head + "c -5/4 1.5 1e3 6/2 Q sparse 3  0 3 -5/4  1 2 1.5  0 1 1e3"
+    inst = parse_instance(text)
+    expected = QsppInstance(
+        g, 0, 3, (Fraction(-5, 4), Fraction(3, 2), 1000, 3),
+        InteractionMatrix.from_entries(
+            4, {(0, 3): Fraction(-5, 4), (1, 2): Fraction(3, 2), (0, 1): 1000}
+        ),
+    )
+    assert same_instance(inst, expected)
+    assert_exact(inst)
+    assert type(inst.linear[2]) is int and type(inst.interaction.at(1, 0)) is int
+
+
+def test_parse_accepts_empty_blocks():
+    g = make_grid(2, 2)
+    head = "QSPP 1 n 4 m 4 s 0 t 3 arc 0 0 2 arc 1 0 1 arc 2 1 3 arc 3 2 3 c 1 2 3 4 "
+    inst = parse_instance(head + "Q sparse 0")
+    assert same_instance(inst, QsppInstance(g, 0, 3, (1, 2, 3, 4), InteractionMatrix.zero(4)))
+    assert_exact(inst)
+    bare = parse_instance("QSPP 1 n 2 m 0 s 0 t 1 c Q sparse 0")
+    assert (bare.graph.n, bare.graph.m, bare.linear, bare.interaction.rows) == (2, 0, (), ())

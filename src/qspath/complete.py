@@ -84,6 +84,19 @@ def _never_together(g: Digraph, e: int, f: int) -> bool:
     )
 
 
+def _require_normalized(inst: QsppInstance) -> None:
+    """Refuse interaction costs on pairs no path can carry (FamilyError)."""
+    g = inst.graph
+    rows = inst.interaction.rows
+    for e in range(g.m):
+        for f in range(e + 1, g.m):
+            if rows[e][f] and _never_together(g, e, f):
+                raise FamilyError(
+                    "interaction cost on a pair no path can carry; apply "
+                    "normalize_knstar first"
+                )
+
+
 def normalize_knstar(inst: QsppInstance) -> QsppInstance:
     """Zero the interaction cost of every pair that no path can carry.
 
@@ -150,6 +163,7 @@ def path_class_costs(
         raise FamilyError(
             "length-class costs assume a zero linear vector; shift it first"
         )
+    _require_normalized(inst)
     g = inst.graph
     rows = inst.interaction.rows
     m = g.m
@@ -157,14 +171,7 @@ def path_class_costs(
     for e in range(m):
         for f in range(e + 1, m):
             value = rows[e][f]
-            if _never_together(g, e, f):
-                if value:
-                    raise FamilyError(
-                        "interaction cost on a pair no path can carry; apply "
-                        "normalize_knstar first"
-                    )
-                continue
-            if not value:
+            if not value or _never_together(g, e, f):
                 continue
             terminal = _is_terminal(g, inst.source, inst.target, e) + _is_terminal(
                 g, inst.source, inst.target, f
@@ -218,7 +225,7 @@ def check_necessary_conditions(inst: QsppInstance) -> NecessaryConditionsReport:
     (n-k)(k-2)/(k-3) times the length-(k-1) total, for k from 4 to n-1.
     """
     sums, totals = path_class_costs(inst)
-    n = knstar_order(inst.graph, inst.source, inst.target)
+    n = inst.graph.n  # path_class_costs checked the shape
     checks = []
     for k in range(2, n - 1):
         lhs = totals[k] * (n - k - 1)
@@ -233,12 +240,12 @@ def check_necessary_conditions(inst: QsppInstance) -> NecessaryConditionsReport:
 
 
 def _k4_paths(
-    g: Digraph, source: int, target: int
+    g: Digraph, source: int, target: int, x: int, y: int
 ) -> tuple[list[Path], dict[tuple[int, int], int]]:
-    """The four paths of the simplified four-vertex shape: both length-2
-    paths first (ordered by the middle vertex), then both length-3 paths."""
+    """The four paths of the simplified four-vertex shape with interior
+    vertices x < y: both length-2 paths first (ordered by the middle vertex),
+    then both length-3 paths."""
     arc_of = {(a.head, a.tail): i for i, a in enumerate(g.arcs)}
-    x, y = sorted(v for v in range(g.n) if v not in (source, target))
     routes = [
         (source, x, target),
         (source, y, target),
@@ -265,11 +272,10 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     if n != 4:
         raise FamilyError("this characterization is specific to four vertices")
     require_symmetric_interaction(inst, "the four-vertex characterization")
-    for e in range(inst.graph.m):
-        for f in range(e + 1, inst.graph.m):
-            if _never_together(inst.graph, e, f) and inst.interaction.rows[e][f]:
-                raise FamilyError("apply normalize_knstar first")
-    paths, arc_of = _k4_paths(inst.graph, inst.source, inst.target)
+    _require_normalized(inst)
+    source, target = inst.source, inst.target
+    x, y = sorted(v for v in range(n) if v not in (source, target))
+    paths, arc_of = _k4_paths(inst.graph, source, target, x, y)
     pm = build_path_matrix(inst)
     row_of_path = {p: i for i, p in enumerate(pm.paths)}
     b = [pm.costs[row_of_path[p]] for p in paths]
@@ -296,8 +302,6 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
             note="length-2 path costs exceed length-3 path costs",
         )
 
-    source, target = inst.source, inst.target
-    x, y = sorted(v for v in range(inst.graph.n) if v not in (source, target))
     entries: dict[tuple[int, int], Fraction]
     if b[0] <= b[2] and b[1] <= b[3]:
         entries = {

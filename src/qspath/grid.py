@@ -10,18 +10,27 @@ source at the top-left and target at the bottom-right corner:
   outside the last column plus the single top-left right arc, a set of
   (p-1)(q-1)+1 arcs.
 * Vectors with equal path costs have the same reduced form, and the reduced
-  form is pinned down by the costs of one critical path per support arc.
+  form is pinned down by the costs of one critical path per support arc:
+  in support-arc order, reduced entries and critical-path costs are related
+  by a unit lower-triangular map.
 * Solving for the reduced-form vector whose critical-path costs equal the
   instance's quadratic critical-path costs gives the pseudo-linearization:
   the instance is linearizable in the equality sense (sign-unrestricted)
   exactly when that vector reproduces every path cost.
 
-linearize_grid decides the latter without enumerating paths: it sweeps the
-target up and left (shrink_target), reducing the shrunken candidate on each
-sub-grid and comparing it against the independently computed
-pseudo-linearization of the sub-instance; the 2-row base case has an
-explicit always-valid construction (linearize_g2q).  Total work is
-polynomial, roughly (p+q) times the number of sub-grid critical paths.
+linearize_grid decides the latter without enumerating paths.  Its candidate
+is the pseudo-linearization minus the linear costs, which prices every path
+at its quadratic cost alone; it sweeps the target up and left
+(shrink_target), which keeps that property on the paths to the new target,
+and on each sub-grid it prices the critical paths of the shrunk candidate
+against their quadratic costs.  The first critical path, in support-arc
+order, whose two costs differ names the failing support arc.  The sub-grids
+that span all q columns need no check: each of their critical paths,
+continued down the last column, is a critical path of the full grid, which
+the pseudo-linearization prices exactly.  On two rows every path is a
+critical path, so there the pseudo-linearization is a linearization
+(linearize_g2q).  Total work is polynomial, roughly (p+q) times the number
+of sub-grid critical paths.
 """
 from __future__ import annotations
 
@@ -49,9 +58,6 @@ class GridShape:
     q: int
     down: dict[tuple[int, int], int]
     right: dict[tuple[int, int], int]
-
-    def vertex(self, i: int, j: int) -> int:
-        return (i - 1) * self.q + (j - 1)
 
 
 def grid_shape(g: Digraph) -> GridShape:
@@ -129,26 +135,6 @@ def _reduce_in_place(
                     vec[right] -= weight
 
 
-def _restricted(shape: GridShape, rows: int, cols: int, vec: Sequence[Fraction]) -> list[Fraction]:
-    """Copy of ``vec`` with everything outside the sub-grid zeroed."""
-    out = [0] * len(vec)
-    for (i, j), arc in shape.down.items():
-        if i <= rows - 1 and j <= cols:
-            out[arc] = vec[arc]
-    for (i, j), arc in shape.right.items():
-        if i <= rows and j <= cols - 1:
-            out[arc] = vec[arc]
-    return out
-
-
-def _reduced(
-    shape: GridShape, rows: int, cols: int, vec: Sequence[Fraction]
-) -> list[Fraction]:
-    out = _restricted(shape, rows, cols, vec)
-    _reduce_in_place(shape, rows, cols, out)
-    return out
-
-
 def reduce_cost_vector(
     g: Digraph, costs: Sequence[object], *, descending_ties: bool = False
 ) -> tuple[Fraction, ...]:
@@ -163,7 +149,7 @@ def reduce_cost_vector(
     if len(vec) != g.m:
         raise ValueError("cost vector length must equal the arc count")
     _reduce_in_place(shape, shape.p, shape.q, vec, descending_ties)
-    return tuple(vec)
+    return rational_vector(vec)
 
 
 # ---- critical paths and their costs -------------------------------------
@@ -213,15 +199,14 @@ def critical_paths(p: int, q: int) -> dict[int, Path]:
 
 
 def _updated_cost(
-    inst: QsppInstance,
+    matrix: Sequence[Sequence[Fraction]],
+    linear: Sequence[Fraction],
     prev_cost: Fraction,
     prev_arcs: set[int],
     new_arcs: list[int],
 ) -> Fraction:
     """Cost of the new path from the previous one, touching only the
     symmetric difference (the consecutive critical paths differ in two arcs)."""
-    rows = inst.interaction.rows
-    linear = inst.linear
     new_set = set(new_arcs)
     common = prev_arcs & new_set
 
@@ -229,28 +214,37 @@ def _updated_cost(
         """What ``arcs`` add to a path that already holds ``common``."""
         total = 0
         for idx, a in enumerate(arcs):
-            row = rows[a]
+            row = matrix[a]
             total += linear[a]
             for k in common:
-                total += row[k] + rows[k][a]
+                total += row[k] + matrix[k][a]
             for b in arcs[idx + 1 :]:
-                total += row[b] + rows[b][a]
+                total += row[b] + matrix[b][a]
         return total
 
     return prev_cost - share(list(prev_arcs - new_set)) + share(list(new_set - prev_arcs))
 
 
 def _critical_costs(
-    inst: QsppInstance, shape: GridShape, rows: int, cols: int
+    inst: QsppInstance,
+    shape: GridShape,
+    rows: int,
+    cols: int,
+    linear: Sequence[Fraction] | None = None,
 ) -> dict[int, Fraction]:
-    """Quadratic-plus-linear cost of every critical path of the sub-grid.
+    """Cost of every critical path of the sub-grid, keyed by its support arc,
+    under the instance's interactions and ``linear`` (by default the
+    instance's own linear costs).
 
-    The first path is priced directly; each following one reuses the
+    The first path is priced from scratch; each following one reuses the
     previous cost through the two-arc difference, which keeps the whole
     sweep at one cheap update per path.
     """
+    matrix = inst.interaction.rows
+    if linear is None:
+        linear = inst.linear
     arcs = _critical_path_arcs(shape, rows, cols, None, None)
-    cost = cost_of_arcs(inst, arcs)
+    cost = _updated_cost(matrix, linear, 0, set(), arcs)
     if cols == 1:
         return {shape.down[(1, 1)]: cost}
     costs = {shape.right[(1, 1)]: cost}
@@ -258,7 +252,7 @@ def _critical_costs(
     for i in range(1, rows):
         for j in range(cols - 1, 0, -1):
             arcs = _critical_path_arcs(shape, rows, cols, i, j)
-            cost = _updated_cost(inst, cost, prev, arcs)
+            cost = _updated_cost(matrix, linear, cost, prev, arcs)
             costs[shape.down[(i, j)]] = cost
             prev = set(arcs)
     return costs
@@ -307,7 +301,7 @@ def pseudo_linearize(inst: QsppInstance) -> tuple[Fraction, ...]:
     shape = grid_shape(inst.graph)
     _require_corner_instance(inst, shape)
     require_symmetric_interaction(inst, "pseudo-linearization")
-    return tuple(_pseudo_vector(inst, shape, shape.p, shape.q))
+    return rational_vector(_pseudo_vector(inst, shape, shape.p, shape.q))
 
 
 # ---- target shrinking ----------------------------------------------------
@@ -350,59 +344,26 @@ def shrink_target(
     vec = list(rational_vector(vector))
     if len(vec) != g.m:
         raise ValueError("vector length must equal the arc count")
-    return tuple(_shrink(vec, inst, bridges[0]))
-
-
-# ---- two-row base case ---------------------------------------------------
-
-
-def _g2q_entries(
-    inst: QsppInstance, shape: GridShape, cols: int
-) -> dict[int, Fraction]:
-    """Explicit linearization of a two-row sub-grid, in reduced form.
-
-    Path k is the unique one using the column-k down arc; its cost lands on
-    that arc (shifted by the last path's cost), the last path's cost lands
-    on the top-left right arc.
-    """
-    def column_path(k: int) -> list[int]:
-        arcs = [shape.right[(1, b)] for b in range(1, k)]
-        arcs.append(shape.down[(1, k)])
-        arcs.extend(shape.right[(2, b)] for b in range(k, cols))
-        return arcs
-
-    path_costs = [cost_of_arcs(inst, column_path(k)) for k in range(1, cols + 1)]
-    entries: dict[int, Fraction] = {}
-    entries[shape.down[(1, 1)]] = path_costs[0]
-    for k in range(2, cols):
-        entries[shape.down[(1, k)]] = path_costs[k - 1] - path_costs[-1]
-    entries[shape.right[(1, 1)]] = path_costs[-1]
-    return entries
+    return rational_vector(_shrink(vec, inst, bridges[0]))
 
 
 def linearize_g2q(inst: QsppInstance) -> tuple[Fraction, ...]:
-    """Linearization vector for an instance on a two-row grid (always exists)."""
+    """Linearization vector for an instance on a two-row grid (always exists).
+
+    Every path of a two-row grid is a critical path, so the
+    pseudo-linearization reproduces all of them: the cost of the path down
+    column k lands on that down arc (shifted by the last path's cost for
+    1 < k < q), the last path's cost on the top-left right arc.
+    """
     shape = grid_shape(inst.graph)
     if shape.p != 2:
         raise FamilyError("this construction needs exactly two rows")
     _require_corner_instance(inst, shape)
     require_symmetric_interaction(inst, "the two-row construction")
-    vec = [0] * inst.graph.m
-    for arc, value in _g2q_entries(inst, shape, shape.q).items():
-        vec[arc] = value
-    return tuple(vec)
+    return rational_vector(_pseudo_vector(inst, shape, 2, shape.q))
 
 
 # ---- the full decision procedure -----------------------------------------
-
-
-def _first_mismatch(
-    order: list[int], left: Sequence[Fraction], right: Sequence[Fraction]
-) -> int | None:
-    for arc in order:
-        if left[arc] != right[arc]:
-            return arc
-    return None
 
 
 def _witness_path(
@@ -453,38 +414,25 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     to lp_oracle with nonnegativity if the signed notion matters).  On
     failure the witness is a concrete corner-to-corner path whose true cost
     the forced candidate misses.
-
-    Nonzero linear costs are handled by deciding the shifted zero-linear
-    instance, which has the same verdict.
     """
     shape = grid_shape(inst.graph)
     _require_corner_instance(inst, shape)
     require_symmetric_interaction(inst, "the grid decision procedure")
     p, q = shape.p, shape.q
-    zero = QsppInstance(
-        inst.graph,
-        inst.source,
-        inst.target,
-        (0,) * inst.graph.m,
-        inst.interaction,
-    )
-    candidate = _pseudo_vector(zero, shape, p, q)
-    # The pseudo-vector is linear in (c, Q), so the instance's own one is the
-    # zero-linear candidate plus the reduced form of c.
-    reduced_linear = list(inst.linear)
-    _reduce_in_place(shape, p, q, reduced_linear)
-    pseudo_full = [a + b for a, b in zip(candidate, reduced_linear)]
+    pseudo_full = _pseudo_vector(inst, shape, p, q)
+    # prices every corner-to-corner path at its quadratic cost alone
+    candidate = [v - c for v, c in zip(pseudo_full, inst.linear)]
     for r in range(p, 2, -1):
         row_candidate = candidate
         lifted: dict[int, list[Fraction]] = {}
         for j in range(q, 0, -1):
-            lifted[j] = _shrink(row_candidate, zero, shape.down[(r - 1, j)])
+            lifted[j] = _shrink(row_candidate, inst, shape.down[(r - 1, j)])
             if j > 1:
-                row_candidate = _shrink(row_candidate, zero, shape.right[(r, j - 1)])
+                row_candidate = _shrink(row_candidate, inst, shape.right[(r, j - 1)])
         for j in range(1, q):
-            reduced = _reduced(shape, r - 1, j, lifted[j])
-            pseudo_sub = _pseudo_vector(zero, shape, r - 1, j)
-            arc = _first_mismatch(_support_arcs(shape, r - 1, j), reduced, pseudo_sub)
+            # quadratic cost minus the shrunk candidate's, per critical path
+            gaps = _critical_costs(inst, shape, r - 1, j, [-v for v in lifted[j]])
+            arc = next((a for a in _support_arcs(shape, r - 1, j) if gaps[a]), None)
             if arc is not None:
                 return _mismatch_result(
                     inst,
@@ -495,19 +443,5 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
                     arc,
                     note=f"candidate disagrees below sub-target ({r - 1},{j})",
                 )
-        candidate = _reduced(shape, r - 1, q, lifted[q])
-    base = [0] * inst.graph.m
-    for arc, value in _g2q_entries(zero, shape, q).items():
-        base[arc] = value
-    arc = _first_mismatch(_support_arcs(shape, 2, q), candidate, base)
-    if arc is not None:
-        return _mismatch_result(
-            inst,
-            pseudo_full,
-            shape,
-            2,
-            q,
-            arc,
-            note="candidate disagrees on the two-row base case",
-        )
-    return LinearizationResult(True, vector=tuple(pseudo_full))
+        candidate = lifted[q]
+    return LinearizationResult(True, vector=rational_vector(pseudo_full))

@@ -278,7 +278,7 @@ def cost_of_arcs(inst: QsppInstance, arcs: Sequence[int]) -> Fraction:
         total += linear[a]
         for b in arcs[idx + 1 :]:
             total += row[b] + rows[b][a]
-    return total
+    return as_rational(total)
 
 
 def path_cost(inst: QsppInstance, path: Path) -> Fraction:
@@ -289,7 +289,7 @@ def path_cost(inst: QsppInstance, path: Path) -> Fraction:
 
 def linear_cost(linear: Sequence[Fraction], path: Path) -> Fraction:
     """Cost of a path under a plain linear cost vector."""
-    return sum(linear[a] for a in path.arcs)
+    return as_rational(sum(linear[a] for a in path.arcs))
 
 
 def brute_force_solve(

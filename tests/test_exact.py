@@ -27,7 +27,10 @@ from qspath import (
     normalize_knstar,
     parse_instance,
     parse_qaplib,
+    path_cost,
     pseudo_linearize,
+    reduce_cost_vector,
+    shrink_target,
     solve_product_case,
 )
 from qspath.generate import filled_instance
@@ -173,6 +176,34 @@ def test_thirds_scale_the_grid_result(seed):
         assert got.witness.path == expected.witness.path
         assert got.witness.expected == Fraction(expected.witness.expected, 3)
         assert got.witness.got == Fraction(expected.witness.got, 3)
+
+
+def test_whole_values_of_rational_data_come_back_as_int():
+    """Sums of thirds that come out whole are ints, not Fraction(n, 1)."""
+    results, verdicts = [], set()
+    for p, fill in ((3, "random"), (3, "weak-sum"), (2, "random")):
+        base = grid(p, 3, fill, 5)
+        inst = QsppInstance(
+            base.graph, 0, base.target, base.linear, base.interaction.scaled(Fraction(1, 3))
+        )
+        decision = linearize_grid(inst)
+        verdicts.add(decision.linearizable)
+        pseudo = pseudo_linearize(inst)
+        results += [
+            decision,
+            [path_cost(inst, path) for path in build_path_matrix(inst).paths],
+            brute_force_solve(inst),
+            pseudo,
+            reduce_cost_vector(inst.graph, [Fraction(1, 3)] * inst.graph.m),
+            shrink_target(pseudo, inst, base.target - 1),
+        ]
+        if p == 2:
+            results.append(linearize_g2q(inst))
+    assert verdicts == {True, False}
+    values = list(numbers(results))
+    assert any(type(v) is int and v for v in values)
+    assert any(type(v) is Fraction for v in values)
+    assert all(type(v) is int or v.denominator != 1 for v in values)
 
 
 def oracle_values(result):

@@ -8,6 +8,7 @@ from qspath import (
     Digraph,
     FamilyError,
     InteractionMatrix,
+    Path,
     QsppInstance,
     build_path_matrix,
     count_grid_paths,
@@ -199,6 +200,38 @@ def test_shrink_moves_linearizations_to_the_new_target():
         shrunk = shrink_target(vector, inst, v)
         moved = QsppInstance(inst.graph, 0, v, inst.linear, inst.interaction)
         assert vector_reproduces_costs(moved, shrunk)
+
+
+def test_shrinking_down_the_last_column_keeps_critical_path_costs():
+    """Why the grid decision checks no sub-grid that spans all q columns,
+    and no two-row base case: the pseudo-linearization minus the linear
+    costs, shrunk down the last column to row R, prices every critical path
+    of the R-by-q sub-grid at its quadratic cost, also when the instance is
+    not linearizable."""
+    rng = random.Random(89)
+    checked = 0
+    for _ in range(20):
+        p, q = rng.randint(3, 6), rng.randint(2, 6)
+        g = make_grid(p, q)
+        base = filled_instance(g, 0, g.n - 1, "random", rng.randint(0, 10**6))
+        base = QsppInstance(
+            g, 0, g.n - 1, base.linear, base.interaction.scaled(rng.choice((1, Fraction(1, 3))))
+        )
+        linear = tuple(rng.randint(-9, 9) for _ in range(g.m))
+        inst = QsppInstance(g, 0, g.n - 1, linear, base.interaction)
+        assert not linearize_grid(inst).linearizable or q == 2
+        candidate = [v - c for v, c in zip(pseudo_linearize(inst), linear)]
+        index = arc_index(g)
+        for rows in range(p - 1, 1, -1):
+            above = QsppInstance(g, 0, (rows + 1) * q - 1, base.linear, base.interaction)
+            candidate = shrink_target(candidate, above, rows * q - 1)
+            sub = QsppInstance(g, 0, rows * q - 1, base.linear, base.interaction)
+            small = make_grid(rows, q)  # same vertex numbers: q columns
+            for path in critical_paths(rows, q).values():
+                arcs = Path(tuple(index[tuple(small.arcs[a])] for a in path.arcs))
+                assert sum(candidate[a] for a in arcs.arcs) == path_cost(sub, arcs)
+                checked += 1
+    assert checked > 300
 
 
 def test_shrink_requires_bridge_and_acyclic_graph():

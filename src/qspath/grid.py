@@ -355,12 +355,9 @@ def linearize_g2q(inst: QsppInstance) -> tuple[Fraction, ...]:
     column k lands on that down arc (shifted by the last path's cost for
     1 < k < q), the last path's cost on the top-left right arc.
     """
-    shape = grid_shape(inst.graph)
-    if shape.p != 2:
+    if grid_shape(inst.graph).p != 2:
         raise FamilyError("this construction needs exactly two rows")
-    _require_corner_instance(inst, shape)
-    require_symmetric_interaction(inst, "the two-row construction")
-    return rational_vector(_pseudo_vector(inst, shape, 2, shape.q))
+    return pseudo_linearize(inst)
 
 
 # ---- the full decision procedure -----------------------------------------

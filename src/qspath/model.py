@@ -344,7 +344,7 @@ def _dijkstra(spp: SppInstance) -> tuple[Path, Fraction]:
                 heapq.heappush(heap, (nd, v))
     if dist[spp.target] is None or not done[spp.target]:
         raise NoPathError(f"no path from {spp.source} to {spp.target}")
-    return _reconstruct(g, pred, spp.target), dist[spp.target]
+    return _reconstruct(g, pred, spp.target), as_rational(dist[spp.target])
 
 
 def _dag_relax(spp: SppInstance, order: list[int]) -> tuple[Path, Fraction]:
@@ -364,7 +364,7 @@ def _dag_relax(spp: SppInstance, order: list[int]) -> tuple[Path, Fraction]:
                 pred[v] = a
     if dist[spp.target] is None:
         raise NoPathError(f"no path from {spp.source} to {spp.target}")
-    return _reconstruct(g, pred, spp.target), dist[spp.target]
+    return _reconstruct(g, pred, spp.target), as_rational(dist[spp.target])
 
 
 def spp_solve(spp: SppInstance) -> tuple[Path, Fraction]:

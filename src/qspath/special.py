@@ -19,6 +19,7 @@ from .model import (
     SppInstance,
     as_rational,
     cost_of_arcs,
+    rational_vector,
     spp_solve,
 )
 
@@ -99,7 +100,7 @@ def linearize_weak_sum(inst: QsppInstance) -> tuple[Fraction, ...]:
     if length is None:
         raise FamilyError("source-target paths do not all have the same length")
     factor = 2 * (length - 1)
-    return tuple(factor * a + c for a, c in zip(witness, inst.linear))
+    return rational_vector(factor * a + c for a, c in zip(witness, inst.linear))
 
 
 def _rational_sqrt(value: Fraction) -> Fraction | None:

@@ -31,6 +31,7 @@ from qspath import (
     pseudo_linearize,
     reduce_cost_vector,
     shrink_target,
+    solve_aqspp,
     solve_product_case,
 )
 from qspath.generate import filled_instance
@@ -199,6 +200,12 @@ def test_whole_values_of_rational_data_come_back_as_int():
         ]
         if p == 2:
             results.append(linearize_g2q(inst))
+        if fill == "weak-sum":
+            results.append(linearize_weak_sum(inst))
+    adjacent = grid(3, 3, "adjacent", 4)
+    results.append(solve_aqspp(dataclasses.replace(
+        adjacent, interaction=adjacent.interaction.scaled(Fraction(1, 3))
+    )))
     assert verdicts == {True, False}
     values = list(numbers(results))
     assert any(type(v) is int and v for v in values)

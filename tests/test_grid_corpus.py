@@ -27,7 +27,15 @@ from pathlib import Path
 
 import pytest
 
-from qspath import Digraph, InteractionMatrix, QsppInstance, emit_instance, linearize_g2q, make_grid, parse_instance
+from qspath import (
+    Digraph,
+    InteractionMatrix,
+    QsppInstance,
+    emit_instance,
+    linearize_g2q,
+    make_grid,
+    parse_instance,
+)
 from qspath.cli import main
 from qspath.generate import filled_instance
 

@@ -105,12 +105,14 @@ def path_vertices(g: Digraph, path: Path) -> tuple[int, ...]:
     """Vertex sequence visited by ``path``; raises if the arcs do not chain."""
     if not path.arcs:
         raise InvalidPathError("a path must contain at least one arc")
-    verts = [g.arcs[path.arcs[0]].head]
+    verts: list[int] = []
     for a in path.arcs:
         if not (0 <= a < g.m):
             raise InvalidPathError(f"arc id {a} out of range")
         arc = g.arcs[a]
-        if arc.head != verts[-1]:
+        if not verts:
+            verts.append(arc.head)
+        elif arc.head != verts[-1]:
             raise InvalidPathError(f"arc {a} does not chain with the previous arc")
         verts.append(arc.tail)
     return tuple(verts)

@@ -24,13 +24,19 @@ at its quadratic cost alone; it sweeps the target up and left
 (shrink_target), which keeps that property on the paths to the new target,
 and on each sub-grid it prices the critical paths of the shrunk candidate
 against their quadratic costs.  The first critical path, in support-arc
-order, whose two costs differ names the failing support arc.  The sub-grids
-that span all q columns need no check: each of their critical paths,
-continued down the last column, is a critical path of the full grid, which
-the pseudo-linearization prices exactly.  On two rows every path is a
-critical path, so there the pseudo-linearization is a linearization
-(linearize_g2q).  Total work is polynomial, roughly (p+q) times the number
-of sub-grid critical paths.
+order, whose two costs differ names the failing support arc.  Since
+shrinking keeps path costs, that happens exactly when the pseudo-linearization
+misprices the sub-grid path continued to the corner (down one arc, along the
+next row, down the last column).  Sub-grids that span all q columns, or a
+single column, need no check: there every continued path is a critical path
+of the full grid, which the pseudo-linearization prices exactly.  On two rows
+every path is a critical path, so there the pseudo-linearization is a
+linearization (linearize_g2q), and p-by-2 grids check no sub-grid at all.
+
+Consecutive critical paths differ by one unit square, so _critical_costs
+prices all of a sub-grid's in one walk over one arc list, O(p+q) work per
+path.  Total work is roughly (p+q) times the number of sub-grid critical
+paths.
 """
 from __future__ import annotations
 
@@ -157,8 +163,6 @@ def reduce_cost_vector(
 
 def _support_arcs(shape: GridShape, rows: int, cols: int) -> list[int]:
     """Reduced-form support of the rows-by-cols sub-grid, in solve order."""
-    if cols == 1:
-        return [shape.down[(1, 1)]]
     order = [shape.right[(1, 1)]]
     for i in range(1, rows):
         order.extend(shape.down[(i, j)] for j in range(1, cols))
@@ -170,8 +174,6 @@ def _critical_path_arcs(
 ) -> list[int]:
     """Arc sequence of the critical path for support arc down(i, j); pass
     i = j = None for the top-left right arc's path."""
-    if cols == 1:
-        return [shape.down[(k, 1)] for k in range(1, rows)]
     if i is None:
         path = [shape.right[(1, b)] for b in range(1, cols)]
         path.extend(shape.down[(k, cols)] for k in range(1, rows))
@@ -198,33 +200,6 @@ def critical_paths(p: int, q: int) -> dict[int, Path]:
     return out
 
 
-def _updated_cost(
-    matrix: Sequence[Sequence[Fraction]],
-    linear: Sequence[Fraction],
-    prev_cost: Fraction,
-    prev_arcs: set[int],
-    new_arcs: list[int],
-) -> Fraction:
-    """Cost of the new path from the previous one, touching only the
-    symmetric difference (the consecutive critical paths differ in two arcs)."""
-    new_set = set(new_arcs)
-    common = prev_arcs & new_set
-
-    def share(arcs: list[int]) -> Fraction:
-        """What ``arcs`` add to a path that already holds ``common``."""
-        total = 0
-        for idx, a in enumerate(arcs):
-            row = matrix[a]
-            total += linear[a]
-            for k in common:
-                total += row[k] + matrix[k][a]
-            for b in arcs[idx + 1 :]:
-                total += row[b] + matrix[b][a]
-        return total
-
-    return prev_cost - share(list(prev_arcs - new_set)) + share(list(new_set - prev_arcs))
-
-
 def _critical_costs(
     inst: QsppInstance,
     shape: GridShape,
@@ -232,63 +207,55 @@ def _critical_costs(
     cols: int,
     linear: Sequence[Fraction] | None = None,
 ) -> dict[int, Fraction]:
-    """Cost of every critical path of the sub-grid, keyed by its support arc,
-    under the instance's interactions and ``linear`` (by default the
-    instance's own linear costs).
+    """Cost of every critical path of the sub-grid (at least two rows and
+    two columns), keyed by its support arc, under the instance's
+    interactions and ``linear`` (by default the instance's own linear costs).
 
-    The first path is priced from scratch; each following one reuses the
-    previous cost through the two-arc difference, which keeps the whole
-    sweep at one cheap update per path.
+    After the top path, each step of the walk down(i, j), i = 1..rows-1,
+    j = cols-1..1, flips one unit square: right(i, j), down(i, j+1) at list
+    positions i+j-2 and i+j-1 become down(i, j), right(i+1, j).  With a
+    symmetric matrix, the cost moves by the linear difference plus twice
+    what the new pair adds to the rest of the path (and to each other) minus
+    what the old pair did.
     """
     matrix = inst.interaction.rows
     if linear is None:
         linear = inst.linear
     arcs = _critical_path_arcs(shape, rows, cols, None, None)
-    cost = _updated_cost(matrix, linear, 0, set(), arcs)
-    if cols == 1:
-        return {shape.down[(1, 1)]: cost}
+    cost = sum(linear[a] + sum(matrix[a][k] for k in arcs) for a in arcs)
     costs = {shape.right[(1, 1)]: cost}
-    prev = set(arcs)
     for i in range(1, rows):
         for j in range(cols - 1, 0, -1):
-            arcs = _critical_path_arcs(shape, rows, cols, i, j)
-            cost = _updated_cost(matrix, linear, cost, prev, arcs)
-            costs[shape.down[(i, j)]] = cost
-            prev = set(arcs)
+            s = i + j - 2
+            a1, a2 = arcs[s], arcs[s + 1]
+            b1, b2 = shape.down[(i, j)], shape.right[(i + 1, j)]
+            old1, old2, new1, new2 = matrix[a1], matrix[a2], matrix[b1], matrix[b2]
+            shared = sum(
+                new1[k] + new2[k] - old1[k] - old2[k] for k in arcs[:s] + arcs[s + 2 :]
+            )
+            cost += linear[b1] + linear[b2] - linear[a1] - linear[a2]
+            cost += 2 * (new1[b2] - old1[a2] + shared)
+            arcs[s], arcs[s + 1] = b1, b2
+            costs[b1] = cost
     return costs
 
 
-def _solve_reduced(
-    shape: GridShape, rows: int, cols: int, gamma: dict[int, Fraction]
-) -> dict[int, Fraction]:
-    """Unique reduced-form entries reproducing the critical-path costs."""
-    out: dict[int, Fraction] = {}
-    if cols == 1:
-        first = shape.down[(1, 1)]
-        out[first] = gamma[first]
-        return out
-    top = shape.right[(1, 1)]
-    out[top] = gamma[top]
-    for j in range(1, cols):
-        e = shape.down[(1, j)]
-        out[e] = gamma[e] - (out[top] if j >= 2 else 0)
-    prefix = out[shape.down[(1, 1)]]
-    for i in range(2, rows):
-        for j in range(1, cols):
-            e = shape.down[(i, j)]
-            out[e] = gamma[e] - prefix
-        prefix += out[shape.down[(i, 1)]]
-    return out
-
-
-def _pseudo_vector(
-    inst: QsppInstance, shape: GridShape, rows: int, cols: int
-) -> list[Fraction]:
-    gamma = _critical_costs(inst, shape, rows, cols)
-    entries = _solve_reduced(shape, rows, cols, gamma)
+def _pseudo_vector(inst: QsppInstance, shape: GridShape) -> list[Fraction]:
+    """Unique reduced-form vector reproducing the full grid's critical-path
+    costs."""
+    gamma = _critical_costs(inst, shape, shape.p, shape.q)
     vec = [0] * inst.graph.m
-    for arc, value in entries.items():
-        vec[arc] = value
+    top = shape.right[(1, 1)]
+    vec[top] = gamma[top]
+    for j in range(1, shape.q):
+        e = shape.down[(1, j)]
+        vec[e] = gamma[e] - (vec[top] if j >= 2 else 0)
+    prefix = vec[shape.down[(1, 1)]]
+    for i in range(2, shape.p):
+        for j in range(1, shape.q):
+            e = shape.down[(i, j)]
+            vec[e] = gamma[e] - prefix
+        prefix += vec[shape.down[(i, 1)]]
     return vec
 
 
@@ -301,7 +268,7 @@ def pseudo_linearize(inst: QsppInstance) -> tuple[Fraction, ...]:
     shape = grid_shape(inst.graph)
     _require_corner_instance(inst, shape)
     require_symmetric_interaction(inst, "pseudo-linearization")
-    return rational_vector(_pseudo_vector(inst, shape, shape.p, shape.q))
+    return rational_vector(_pseudo_vector(inst, shape))
 
 
 # ---- target shrinking ----------------------------------------------------
@@ -312,16 +279,10 @@ def _shrink(
     inst: QsppInstance,
     bridge_arc: int,
 ) -> list[Fraction]:
-    link = vec[bridge_arc]
     row = inst.interaction.rows[bridge_arc]
-    arcs = inst.graph.arcs
-    source = inst.source
-    out = []
-    for e in range(len(vec)):
-        value = vec[e] - 2 * row[e]
-        if arcs[e].head == source:
-            value += link
-        out.append(value)
+    out = [v - 2 * w for v, w in zip(vec, row)]
+    for e in inst.graph.out_arcs(inst.source):
+        out[e] += vec[bridge_arc]
     return out
 
 
@@ -386,7 +347,7 @@ def _mismatch_result(
     note: str,
 ) -> LinearizationResult:
     head, tail = inst.graph.arcs[arc]
-    if cols == 1 or tail != head + shape.q:
+    if tail != head + shape.q:
         sub = _critical_path_arcs(shape, rows, cols, None, None)
     else:
         i, j = divmod(head, shape.q)
@@ -416,17 +377,17 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     _require_corner_instance(inst, shape)
     require_symmetric_interaction(inst, "the grid decision procedure")
     p, q = shape.p, shape.q
-    pseudo_full = _pseudo_vector(inst, shape, p, q)
+    pseudo_full = _pseudo_vector(inst, shape)
     # prices every corner-to-corner path at its quadratic cost alone
     candidate = [v - c for v, c in zip(pseudo_full, inst.linear)]
     for r in range(p, 2, -1):
         row_candidate = candidate
         lifted: dict[int, list[Fraction]] = {}
-        for j in range(q, 0, -1):
+        for j in range(q, 1, -1):
             lifted[j] = _shrink(row_candidate, inst, shape.down[(r - 1, j)])
-            if j > 1:
+            if j > 2:
                 row_candidate = _shrink(row_candidate, inst, shape.right[(r, j - 1)])
-        for j in range(1, q):
+        for j in range(2, q):
             # quadratic cost minus the shrunk candidate's, per critical path
             gaps = _critical_costs(inst, shape, r - 1, j, [-v for v in lifted[j]])
             arc = next((a for a in _support_arcs(shape, r - 1, j) if gaps[a]), None)

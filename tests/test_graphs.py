@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from qspath import (
     Digraph,
+    InvalidPathError,
+    Path,
     PathLimitExceeded,
     count_grid_paths,
     detect_grid,
@@ -248,3 +250,14 @@ def test_topological_order_within_ignores_cycles_outside():
     assert topological_order(looped) is None
     assert topological_order(looped, within=[True, True, False, False, True]) == [0, 1, 4]
     assert topological_order(looped, within=[False, True, True, True, False]) is None
+
+
+def test_path_vertices_rejects_out_of_range_arc_ids_anywhere():
+    g = make_grid(2, 2)
+    for arcs, bad in [((99,), 99), ((-1,), -1), ((1, 2, 99), 99), ((0, -4), -4)]:
+        message = f"^arc id {bad} out of range$"
+        with pytest.raises(InvalidPathError, match=message):
+            path_vertices(g, Path(arcs))
+        with pytest.raises(InvalidPathError, match=message):
+            validate_path(g, Path(arcs), 0, 3)
+    assert path_vertices(g, Path((0, 3))) == (0, 2, 3)

@@ -25,7 +25,12 @@ from qspath import (
     validate_path,
 )
 from qspath.generate import filled_instance
-from qspath.grid import _critical_costs, grid_shape
+from qspath.grid import (
+    _critical_costs,
+    _critical_path_arcs,
+    _support_arcs,
+    grid_shape,
+)
 
 from helpers import (
     arc_index,
@@ -149,6 +154,36 @@ def test_incremental_critical_costs_match_direct_recomputation():
             for arc, path in critical_paths(p, q).items()
         }
         assert fast == slow
+
+
+def test_critical_costs_of_every_sub_grid_match_direct_pricing():
+    """The decision's call shape: a sub-grid of the full grid, with linear
+    costs other than the instance's (signed, non-integral)."""
+    rng = random.Random(41)
+    for _ in range(4):
+        p, q = rng.randint(4, 7), rng.randint(4, 7)
+        g = make_grid(p, q)
+        base = filled_instance(g, 0, g.n - 1, "random", rng.randint(0, 10**6))
+        interaction = base.interaction.scaled(rng.choice((1, Fraction(1, 3))))
+        inst = QsppInstance(g, 0, g.n - 1, base.linear, interaction)
+        shape = grid_shape(g)
+        matrix = inst.interaction.rows
+        for rows in range(2, p + 1):
+            for cols in range(2, q + 1):
+                linear = [
+                    Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(g.m)
+                ]
+                direct = {}
+                for arc in _support_arcs(shape, rows, cols):
+                    if arc == shape.right[(1, 1)]:
+                        arcs = _critical_path_arcs(shape, rows, cols, None, None)
+                    else:
+                        i, j = divmod(g.arcs[arc].head, q)
+                        arcs = _critical_path_arcs(shape, rows, cols, i + 1, j + 1)
+                    direct[arc] = sum(linear[a] for a in arcs) + sum(
+                        matrix[a][b] for a in arcs for b in arcs
+                    )
+                assert _critical_costs(inst, shape, rows, cols, linear) == direct
 
 
 def test_pseudo_linearization_zero_instance():
@@ -285,12 +320,22 @@ def test_linearize_grid_zero_interaction():
 
 
 def test_thin_grids_are_always_linearizable():
+    """p-by-2 and 2-by-q grids check no sub-grid: the full grid's candidate
+    is returned as it is, and must still reproduce every path cost."""
     rng = random.Random(61)
-    for p, q in [(2, 2), (2, 4), (2, 6), (3, 2), (5, 2)]:
-        inst = grid_instance(p, q, seed=rng.randint(0, 10**9))
-        result = linearize_grid(inst)
-        assert result.linearizable
-        assert vector_reproduces_costs(inst, result.vector)
+    for side in range(2, 9):
+        for p, q in ((side, 2), (2, side)):
+            for fill in ("random", "weak-sum", "product", "adjacent"):
+                g = make_grid(p, q)
+                base = filled_instance(g, 0, g.n - 1, fill, rng.randint(0, 10**6))
+                linear = tuple(Fraction(c + rng.randint(-9, 9), 3) for c in base.linear)
+                interaction = base.interaction.scaled(Fraction(1, 3))
+                inst = QsppInstance(g, 0, g.n - 1, linear, interaction)
+                result = linearize_grid(inst)
+                assert result.linearizable
+                assert vector_reproduces_costs(inst, result.vector)
+                oracle = lp_oracle(build_path_matrix(inst), require_nonneg=False)
+                assert oracle.linearizable
 
 
 def test_linearize_grid_verdict_matches_oracle():

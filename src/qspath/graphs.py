@@ -236,6 +236,14 @@ def make_tournament(n: int, orientation_bits: int = 0) -> Digraph:
 # ---- path enumeration and DAG utilities --------------------------------
 
 
+def check_endpoints(g: Digraph, source: int, target: int) -> None:
+    """Raise ValueError unless source and target are distinct vertices of g."""
+    if not (0 <= source < g.n and 0 <= target < g.n):
+        raise ValueError("source/target outside the vertex range")
+    if source == target:
+        raise ValueError("source and target must differ")
+
+
 def reachable(g: Digraph, start: int, forward: bool) -> list[bool]:
     """Per-vertex flags: reachable from ``start`` along arcs, or with
     ``forward`` false, able to reach ``start``."""
@@ -261,8 +269,7 @@ def iter_st_paths(
     Raises PathLimitExceeded as soon as a (limit+1)-th path is found, so a
     caller that consumed ``limit`` paths without an exception has them all.
     """
-    if source == target:
-        raise ValueError("source and target must differ")
+    check_endpoints(g, source, target)
     useful = reachable(g, target, forward=False)
     if not useful[source]:
         return

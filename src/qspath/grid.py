@@ -3,16 +3,17 @@
 The machinery rests on three facts about linear cost vectors on a grid with
 source at the top-left and target at the bottom-right corner:
 
-* Redistributing costs around one interior vertex (zeroing its rightward
-  outgoing arc, or the downward one in the last column) never changes any
-  path cost.  Sweeping all interior vertices deepest-first drives every such
-  arc to zero; what remains, the reduced form, is supported on the down arcs
-  outside the last column plus the single top-left right arc, a set of
-  (p-1)(q-1)+1 arcs.
+* Every linear vector has a reduced form with the same path costs,
+  supported on the down arcs outside the last column plus the single
+  top-left right arc, a set of (p-1)(q-1)+1 arcs.  It exists because
+  redistributing cost around one interior vertex (zeroing its rightward
+  outgoing arc, or the downward one in the last column) changes no path
+  cost, and doing so deepest-first drives every other arc to zero.
 * Vectors with equal path costs have the same reduced form, and the reduced
   form is pinned down by the costs of one critical path per support arc:
   in support-arc order, reduced entries and critical-path costs are related
-  by a unit lower-triangular map.
+  by a unit lower-triangular map.  _solve_reduced inverts it; both
+  reduce_cost_vector and the pseudo-linearization are that solve.
 * Solving for the reduced-form vector whose critical-path costs equal the
   instance's quadratic critical-path costs gives the pseudo-linearization:
   the instance is linearizable in the equality sense (sign-unrestricted)
@@ -93,71 +94,6 @@ def _require_corner_instance(inst: QsppInstance, shape: GridShape) -> None:
         )
 
 
-# ---- reduced form -------------------------------------------------------
-
-
-def _reduce_in_place(
-    shape: GridShape,
-    rows: int,
-    cols: int,
-    vec: list[Fraction],
-    descending_ties: bool = False,
-) -> None:
-    """Drive the redistributable arcs of the top-left rows-by-cols sub-grid
-    to zero, deepest vertices first.
-
-    Vertices of equal depth are processed in increasing column order by
-    default; ``descending_ties`` flips that (the outcome is identical, which
-    the test suite checks).
-    """
-    for depth in range(rows + cols - 1, 2, -1):
-        cells = [
-            (i, depth - i)
-            for i in range(max(1, depth - cols), min(rows, depth - 1) + 1)
-        ]
-        cells.sort(key=lambda ij: ij[1], reverse=descending_ties)
-        for i, j in cells:
-            if (i, j) == (1, 1) or (i, j) == (rows, cols):
-                continue
-            if j <= cols - 1:
-                f = shape.right[(i, j)]
-            else:
-                f = shape.down[(i, j)]
-            weight = vec[f]
-            if not weight:
-                continue
-            vec[f] = 0
-            if i >= 2:
-                vec[shape.down[(i - 1, j)]] += weight
-            if j >= 2:
-                vec[shape.right[(i, j - 1)]] += weight
-            if i <= rows - 1:
-                down = shape.down[(i, j)]
-                if down != f:
-                    vec[down] -= weight
-            if j <= cols - 1:
-                right = shape.right[(i, j)]
-                if right != f:
-                    vec[right] -= weight
-
-
-def reduce_cost_vector(
-    g: Digraph, costs: Sequence[object], *, descending_ties: bool = False
-) -> tuple[Fraction, ...]:
-    """Reduced form of a linear cost vector on a full grid.
-
-    The result vanishes outside the support set (down arcs off the last
-    column plus the top-left right arc) and has the same cost as ``costs``
-    on every corner-to-corner path.
-    """
-    shape = grid_shape(g)
-    vec = list(rational_vector(costs))
-    if len(vec) != g.m:
-        raise ValueError("cost vector length must equal the arc count")
-    _reduce_in_place(shape, shape.p, shape.q, vec, descending_ties)
-    return rational_vector(vec)
-
-
 # ---- critical paths and their costs -------------------------------------
 
 
@@ -186,18 +122,21 @@ def _critical_path_arcs(
     return path
 
 
+def _critical_path_table(shape: GridShape, rows: int, cols: int) -> dict[int, list[int]]:
+    """Arc sequence of every critical path of the rows-by-cols sub-grid,
+    keyed by the support arc it pins down."""
+    out = {shape.right[(1, 1)]: _critical_path_arcs(shape, rows, cols, None, None)}
+    for i in range(1, rows):
+        for j in range(1, cols):
+            out[shape.down[(i, j)]] = _critical_path_arcs(shape, rows, cols, i, j)
+    return out
+
+
 def critical_paths(p: int, q: int) -> dict[int, Path]:
     """The (p-1)(q-1)+1 critical paths of the p-by-q grid, keyed by the
     support arc each one pins down (ids follow make_grid's numbering)."""
     shape = _classify(p, q, make_grid(p, q))
-    out: dict[int, Path] = {}
-    out[shape.right[(1, 1)]] = Path(tuple(_critical_path_arcs(shape, p, q, None, None)))
-    for i in range(1, p):
-        for j in range(1, q):
-            out[shape.down[(i, j)]] = Path(
-                tuple(_critical_path_arcs(shape, p, q, i, j))
-            )
-    return out
+    return {a: Path(tuple(arcs)) for a, arcs in _critical_path_table(shape, p, q).items()}
 
 
 def _critical_costs(
@@ -240,11 +179,13 @@ def _critical_costs(
     return costs
 
 
-def _pseudo_vector(inst: QsppInstance, shape: GridShape) -> list[Fraction]:
-    """Unique reduced-form vector reproducing the full grid's critical-path
-    costs."""
-    gamma = _critical_costs(inst, shape, shape.p, shape.q)
-    vec = [0] * inst.graph.m
+# ---- reduced form -------------------------------------------------------
+
+
+def _solve_reduced(shape: GridShape, gamma: dict[int, Fraction]) -> list[Fraction]:
+    """Unique reduced-form vector whose critical-path costs are ``gamma``
+    (keyed by support arc): a unit lower-triangular solve in support order."""
+    vec = [0] * (len(shape.down) + len(shape.right))
     top = shape.right[(1, 1)]
     vec[top] = gamma[top]
     for j in range(1, shape.q):
@@ -257,6 +198,29 @@ def _pseudo_vector(inst: QsppInstance, shape: GridShape) -> list[Fraction]:
             vec[e] = gamma[e] - prefix
         prefix += vec[shape.down[(i, 1)]]
     return vec
+
+
+def reduce_cost_vector(g: Digraph, costs: Sequence[object]) -> tuple[Fraction, ...]:
+    """Reduced form of a linear cost vector on a full grid.
+
+    The result vanishes outside the support set (down arcs off the last
+    column plus the top-left right arc) and has the same cost as ``costs``
+    on every corner-to-corner path: it is solved from the costs of the
+    critical paths under ``costs``.
+    """
+    shape = grid_shape(g)
+    vec = rational_vector(costs)
+    if len(vec) != g.m:
+        raise ValueError("cost vector length must equal the arc count")
+    paths = _critical_path_table(shape, shape.p, shape.q)
+    gamma = {arc: sum(vec[a] for a in path) for arc, path in paths.items()}
+    return rational_vector(_solve_reduced(shape, gamma))
+
+
+def _pseudo_vector(inst: QsppInstance, shape: GridShape) -> list[Fraction]:
+    """Unique reduced-form vector reproducing the full grid's critical-path
+    costs."""
+    return _solve_reduced(shape, _critical_costs(inst, shape, shape.p, shape.q))
 
 
 def pseudo_linearize(inst: QsppInstance) -> tuple[Fraction, ...]:
@@ -291,12 +255,15 @@ def shrink_target(
 ) -> tuple[Fraction, ...]:
     """Rewrite a candidate linearization when the target moves to ``v``.
 
-    ``v`` must be a predecessor of the current target in an acyclic graph.
+    ``v`` must be a vertex of the graph and a predecessor of the current
+    target, and the graph must be acyclic.
     Every arc loses twice its interaction with the dropped bridge arc
     (v, target), and arcs leaving the source absorb the bridge's own cost.
     The instance's linear costs are assumed to be zero (shift them first).
     """
     g = inst.graph
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} outside the vertex range")
     if not is_acyclic(g):
         raise FamilyError("target shrinking is defined on acyclic graphs")
     bridges = [a for a in g.out_arcs(v) if g.arcs[a].tail == inst.target]
@@ -346,12 +313,7 @@ def _mismatch_result(
     arc: int,
     note: str,
 ) -> LinearizationResult:
-    head, tail = inst.graph.arcs[arc]
-    if tail != head + shape.q:
-        sub = _critical_path_arcs(shape, rows, cols, None, None)
-    else:
-        i, j = divmod(head, shape.q)
-        sub = _critical_path_arcs(shape, rows, cols, i + 1, j + 1)
+    sub = _critical_path_table(shape, rows, cols)[arc]
     path = _witness_path(shape, rows, cols, sub)
     expected = cost_of_arcs(inst, path.arcs)
     got = linear_cost(candidate, path)

@@ -21,14 +21,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CyclicGraphError, InternalError, NoPathError
+from .errors import CyclicGraphError, NoPathError
 from .graphs import (
     DEFAULT_PATH_LIMIT,
     Digraph,
     Path,
+    check_endpoints,
     iter_st_paths,
     topological_order,
     validate_path,
@@ -154,22 +154,8 @@ class InteractionMatrix:
         fs: Sequence[int],
         values: Sequence[int | Fraction],
     ) -> "InteractionMatrix":
-        """from_triples on index columns and values that are already exact.
-
-        The columns are checked in whole passes; only when one fails does
-        check_entry_pairs walk them in order to name the first fault.
-        """
-        if es and not (
-            min(es) >= 0
-            and min(fs) >= 0
-            and max(es) < m
-            and max(fs) < m
-            and not any(map(eq, es, fs))
-            and len({e * m + f if e < f else f * m + e for e, f in zip(es, fs)})
-            == len(es)
-        ):
-            check_entry_pairs(m, zip(es, fs))
-            raise InternalError("entry columns failed a bulk check but not the ordered one")
+        """from_triples on index columns and values that are already exact."""
+        check_entry_pairs(m, zip(es, fs))
         rows = [[0] * m for _ in range(m)]
         for e, f, value in zip(es, fs, values):
             rows[e][f] = rows[f][e] = value
@@ -219,13 +205,6 @@ class InteractionMatrix:
         return f"InteractionMatrix(m={self.m})"
 
 
-def _check_endpoints(graph: Digraph, source: int, target: int) -> None:
-    if not (0 <= source < graph.n and 0 <= target < graph.n):
-        raise ValueError("source/target outside the vertex range")
-    if source == target:
-        raise ValueError("source and target must differ")
-
-
 @dataclass(frozen=True)
 class QsppInstance:
     """Quadratic shortest path instance (graph, source, target, linear, interaction)."""
@@ -237,7 +216,7 @@ class QsppInstance:
     interaction: InteractionMatrix
 
     def __post_init__(self):
-        _check_endpoints(self.graph, self.source, self.target)
+        check_endpoints(self.graph, self.source, self.target)
         object.__setattr__(self, "linear", rational_vector(self.linear))
         if len(self.linear) != self.graph.m:
             raise ValueError("linear cost vector length must equal the arc count")
@@ -255,7 +234,7 @@ class SppInstance:
     linear: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_endpoints(self.graph, self.source, self.target)
+        check_endpoints(self.graph, self.source, self.target)
         object.__setattr__(self, "linear", rational_vector(self.linear))
         if len(self.linear) != self.graph.m:
             raise ValueError("linear cost vector length must equal the arc count")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CyclicGraphError, FamilyError, NoPathError
-from .graphs import Digraph, Path, reachable, topological_order
+from .graphs import Digraph, Path, check_endpoints, reachable, topological_order
 from .model import (
     InteractionMatrix,
     QsppInstance,
@@ -59,6 +59,7 @@ def all_paths_equal_length(g: Digraph, source: int, target: int) -> int | None:
     only that subgraph matters: it must be acyclic (cycles elsewhere are
     fine).  Raises NoPathError when the target is unreachable.
     """
+    check_endpoints(g, source, target)
     reach_s = reachable(g, source, forward=True)
     reach_t = reachable(g, target, forward=False)
     if not reach_s[target]:

@@ -89,3 +89,51 @@ def assert_valid_certificate(pm, coefficients) -> None:
     for col in range(pm.arc_count):
         assert sum(pm.rows[i][col] * coefficients[i] for i in range(len(coefficients))) >= 0
     assert sum(c * y for c, y in zip(pm.costs, coefficients)) < 0
+
+
+def _square_deltas(g: Digraph, p: int, q: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """For each unit square (i, j) of the p-by-q grid (1-based top-left
+    corner), its (arc, sign) terms: +down(i, j) + right(i+1, j)
+    - right(i, j) - down(i, j+1), with row-major vertex ids."""
+    lookup = arc_index(g)
+
+    def arc(i, j, i2, j2):
+        return lookup[((i - 1) * q + j - 1, (i2 - 1) * q + j2 - 1)]
+
+    return {
+        (i, j): [
+            (arc(i, j, i + 1, j), 1),
+            (arc(i + 1, j, i + 1, j + 1), 1),
+            (arc(i, j, i, j + 1), -1),
+            (arc(i, j + 1, i + 1, j + 1), -1),
+        ]
+        for i in range(1, p)
+        for j in range(1, q)
+    }
+
+
+def incomparable_square_pairs(g: Digraph, p: int, q: int):
+    """(S, S', delta_S, delta_S') for every unit square S and every square
+    S' strictly above-left of it."""
+    deltas = _square_deltas(g, p, q)
+    for (i, j), delta in deltas.items():
+        for i2 in range(1, i):
+            for j2 in range(1, j):
+                yield (i, j), (i2, j2), delta, deltas[(i2, j2)]
+
+
+def square_pair_linearizable(inst: QsppInstance, p: int, q: int) -> bool:
+    """Equality-sense linearizability of a corner-to-corner grid instance.
+
+    A path's indicator vector is the top path's (right along row 1, down
+    the last column) plus delta_S over the unit squares above-right of the
+    path.  A pair of comparable squares contributes a linear term to the
+    path cost, so the cost is linear in the path exactly when
+    delta_S Q delta_S' = 0 for every square S' strictly above-left of S.
+    Linear costs play no role.
+    """
+    rows = inst.interaction.rows
+    return all(
+        sum(s * t * rows[a][b] for a, s in delta for b, t in other) == 0
+        for _, _, delta, other in incomparable_square_pairs(inst.graph, p, q)
+    )

@@ -265,8 +265,7 @@ def test_criterion_09_reduced_form_uniqueness():
         shifted = tuple(c + z for c, z in zip(costs, kernel))
         reduced = reduce_cost_vector(g, costs)
         assert reduced == reduce_cost_vector(g, shifted)
-        assert reduced == reduce_cost_vector(g, costs, descending_ties=True)
-    report(9, "100 potential-kernel shifts and both tie orders reduce identically")
+    report(9, "100 potential-kernel shifts reduce identically")
 
 
 def test_criterion_10_complexity_smoke(capsys):

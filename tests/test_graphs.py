@@ -261,3 +261,12 @@ def test_path_vertices_rejects_out_of_range_arc_ids_anywhere():
         with pytest.raises(InvalidPathError, match=message):
             validate_path(g, Path(arcs), 0, 3)
     assert path_vertices(g, Path((0, 3))) == (0, 2, 3)
+
+
+def test_path_enumeration_rejects_endpoints_outside_the_graph():
+    """A negative id must not be read from the end of the vertex list, and
+    an id past the last vertex must not surface as IndexError."""
+    g = make_grid(3, 3)
+    for source, target in [(-9, 8), (0, -1), (9, 8), (0, 9), (4, 4)]:
+        with pytest.raises(ValueError):
+            enumerate_st_paths(g, source, target)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -34,7 +35,9 @@ from qspath.grid import (
 
 from helpers import (
     arc_index,
+    incomparable_square_pairs,
     random_symmetric_interaction,
+    square_pair_linearizable,
     vector_reproduces_costs,
 )
 
@@ -115,14 +118,25 @@ def test_reduce_is_invariant_under_potential_kernel():
         assert reduce_cost_vector(g, costs) == reduce_cost_vector(g, shifted)
 
 
-def test_reduce_tie_order_does_not_matter():
-    rng = random.Random(29)
-    for p, q in [(3, 3), (4, 4), (2, 5)]:
-        g = make_grid(p, q)
-        costs = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.m))
-        assert reduce_cost_vector(g, costs) == reduce_cost_vector(
-            g, costs, descending_ties=True
-        )
+REDUCED_FORM_DIGEST = "ab811e4370b2ead85824036583e5e34984e06d66deee0071d08a2c46b5172834"
+
+
+def test_reduce_cost_vector_outputs_are_pinned():
+    """SHA-256 of the repr of reduce_cost_vector on 1,000 seeded vectors:
+    2x2 to 9x9 grids, half with permuted arc ids, entries with
+    denominators 1, 3, 6 and 7 (so value types are pinned too)."""
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        p, q = rng.randint(2, 9), rng.randint(2, 9)
+        arcs = list(make_grid(p, q).arcs)
+        if rng.random() < 0.5:
+            rng.shuffle(arcs)
+        g = Digraph(p * q, arcs)
+        den = rng.choice((1, 3, 6, 7))
+        costs = [Fraction(rng.randint(-20, 20), den) for _ in range(g.m)]
+        digest.update(repr(reduce_cost_vector(g, costs)).encode())
+    assert digest.hexdigest() == REDUCED_FORM_DIGEST
 
 
 def test_reduce_rejects_non_grids():
@@ -279,6 +293,14 @@ def test_shrink_requires_bridge_and_acyclic_graph():
         shrink_target((0, 0, 0), cyc, 1)
 
 
+def test_shrink_rejects_vertices_outside_the_graph():
+    inst = weak_sum_grid(3, 3, seed=8)
+    vector = pseudo_linearize(inst)
+    for v in (-4, -1, 9, 30):  # -4 would otherwise name vertex 5
+        with pytest.raises(ValueError, match="outside the vertex range"):
+            shrink_target(vector, inst, v)
+
+
 def test_two_row_construction_single_interior_pair():
     g = make_grid(2, 3)
     idx = arc_index(g)
@@ -378,6 +400,88 @@ def test_linearize_grid_verdict_matches_oracle_on_fractional_entries():
             assert vector_reproduces_costs(inst, result.vector)
 
     check()
+
+
+def planted_grid_rows(g, p, q, rng):
+    """Dense random Q on a p-by-q grid, then made linearizable: each
+    incomparable square pair (S, S') is met through its down(S) x down(S')
+    entry, taken in decreasing order of the two squares' column sum, since
+    such an entry lies in no pair of larger column sum."""
+    rows = [[0] * g.m for _ in range(g.m)]
+    for e in range(g.m):
+        for f in range(e + 1, g.m):
+            rows[e][f] = rows[f][e] = rng.randint(-9, 9)
+    pairs = sorted(incomparable_square_pairs(g, p, q), key=lambda t: -t[0][1] - t[1][1])
+    for _, _, delta, other in pairs:
+        gap = sum(s * t * rows[a][b] for a, s in delta for b, t in other)
+        a, b = delta[0][0], other[0][0]
+        rows[a][b] -= gap
+        rows[b][a] -= gap
+    return rows
+
+
+def test_square_pair_criterion_matches_path_matrix_oracle():
+    """The large-grid oracle below, checked where lp_oracle reaches."""
+    rng = random.Random(83)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        p, q = rng.randint(2, 4), rng.randint(2, 4)
+        arcs = list(make_grid(p, q).arcs)
+        rng.shuffle(arcs)
+        g = Digraph(p * q, arcs)
+        rows = planted_grid_rows(g, p, q, rng)
+        pairs = list(incomparable_square_pairs(g, p, q))
+        if pairs and rng.random() < 0.6:  # the down x down entry of one pair
+            _, _, delta, other = rng.choice(pairs)
+            e, f = delta[0][0], other[0][0]
+        else:
+            e, f = rng.sample(range(g.m), 2)
+        rows[e][f] = rows[f][e] = rows[e][f] + 1
+        inst = QsppInstance(g, 0, g.n - 1, (0,) * g.m, InteractionMatrix(rows))
+        verdict = square_pair_linearizable(inst, p, q)
+        assert lp_oracle(build_path_matrix(inst), require_nonneg=False).linearizable == verdict
+        seen[verdict] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
+
+
+def test_linearize_grid_agrees_with_square_pair_criterion_on_large_grids():
+    """Past the sizes the path-matrix oracle reaches: dense planted
+    linearizable grids (not weak-sum) and copies with one entry changed,
+    with permuted arc ids and signed linear costs.  Two of the changed
+    entries are aimed at the smallest sub-grids of the sweep, which alone
+    can see them."""
+    rng = random.Random(97)
+    seen = {True: 0, False: 0}
+    for p, q, divisor in [(8, 8, 7), (9, 11, 1), (11, 9, 1), (12, 12, 1)]:
+        arcs = list(make_grid(p, q).arcs)
+        rng.shuffle(arcs)
+        g = Digraph(p * q, arcs)
+        planted = planted_grid_rows(g, p, q, rng)
+        pairs = list(incomparable_square_pairs(g, p, q))
+        changed = [tuple(rng.sample(range(g.m), 2))]
+        # down(S) x down(S') for S in column 2 breaks only the pair (S, S')
+        _, _, delta, other = rng.choice([t for t in pairs if t[0][1] == 2])
+        changed.append((delta[0][0], other[0][0]))
+        # down(1, 1) x right(3, j) breaks the pairs of (1, 1) with (2, j) and
+        # (3, j) by opposite amounts, so only two-row sub-grids see it
+        _, _, delta, other = rng.choice([t for t in pairs if t[0][0] == 2 and t[1] == (1, 1)])
+        changed.append((other[0][0], delta[1][0]))
+        variants = [planted]
+        for e, f in changed:
+            rows = [list(row) for row in planted]
+            rows[e][f] = rows[f][e] = rows[e][f] + rng.choice((-2, -1, 1, 3))
+            variants.append(rows)
+        for rows in variants:
+            linear = tuple(Fraction(rng.randint(-9, 9), divisor) for _ in range(g.m))
+            interaction = InteractionMatrix(rows)
+            if divisor > 1:
+                interaction = interaction.scaled(Fraction(1, divisor))
+            inst = QsppInstance(g, 0, g.n - 1, linear, interaction)
+            verdict = square_pair_linearizable(inst, p, q)
+            assert verdict or rows is not planted
+            assert linearize_grid(inst).linearizable == verdict
+            seen[verdict] += 1
+    assert seen[True] >= 4 and seen[False] >= 8
 
 
 def test_linearize_grid_witness_is_a_real_disagreement():

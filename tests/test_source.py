@@ -1,0 +1,19 @@
+"""Guards on the library source itself."""
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "qspath"
+
+
+def test_library_has_no_assert_statements():
+    """python -O strips assert statements, so a check written as one would
+    silently stop running; the library raises InternalError instead."""
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -106,6 +106,13 @@ def test_equal_length_rejects_mixed_lengths_and_bad_inputs():
         all_paths_equal_length(Digraph(3, [(0, 1)]), 0, 2)
 
 
+def test_equal_length_rejects_endpoints_outside_the_graph():
+    g = make_grid(3, 3)
+    for source, target in [(-9, 8), (0, -1), (9, 8), (0, 9), (4, 4)]:
+        with pytest.raises(ValueError):
+            all_paths_equal_length(g, source, target)
+
+
 def test_equal_length_needs_acyclic_route_subgraph():
     # the two-cycle between the middle vertices sits on source-target routes
     k4 = make_complete_symmetric(4, simplified=True, source=0, target=3)

@@ -19,30 +19,58 @@ source at the top-left and target at the bottom-right corner:
   the instance is linearizable in the equality sense (sign-unrestricted)
   exactly when that vector reproduces every path cost.
 
-linearize_grid decides the latter without enumerating paths.  Its candidate
-is the pseudo-linearization minus the linear costs, which prices every path
-at its quadratic cost alone; it sweeps the target up and left
-(shrink_target), which keeps that property on the paths to the new target,
-and on each sub-grid it prices the critical paths of the shrunk candidate
-against their quadratic costs.  The first critical path, in support-arc
-order, whose two costs differ names the failing support arc.  Since
-shrinking keeps path costs, that happens exactly when the pseudo-linearization
-misprices the sub-grid path continued to the corner (down one arc, along the
-next row, down the last column).  Sub-grids that span all q columns, or a
-single column, need no check: there every continued path is a critical path
-of the full grid, which the pseudo-linearization prices exactly.  On two rows
-every path is a critical path, so there the pseudo-linearization is a
-linearization (linearize_g2q), and p-by-2 grids check no sub-grid at all.
+linearize_grid decides the latter by the square-pair criterion.  For the
+unit square S with top-left corner (i, j) let delta_S = e(down(i, j)) +
+e(right(i+1, j)) - e(right(i, j)) - e(down(i, j+1)), the change in a path's
+arc indicator when the path flips around S from its upper-right to its
+lower-left side.  The instance is equality-linearizable exactly when
+delta_S Q delta_S' = 0 for every unit square S' strictly above-left of S.
+Proof: corner-to-corner paths correspond to the up-right-closed sets X of
+unit squares (those above-right of the path), and a path's indicator is the
+top path's (right along row 1, down column q) plus the sum of delta_S over S
+in X.  Two comparable squares in X, one weakly above-right of the other,
+contribute a term linear in X's indicator, since the lower-left one forces
+the other into X.  So the
+cost is an affine function of X plus 2 delta_S Q delta_S' over each
+incomparable pair in X, that is, each S' strictly above-left of S.  If all
+of these vanish, the cost is affine in X, hence linear in the arc indicator
+(the delta_S are independent and all paths have p+q-2 arcs).  Conversely,
+for an incomparable pair, let X be the up-right closure of S and S' without
+S and S'; then X, X+S, X+S' and X+S+S' are all paths, and the second
+difference of their costs is 2 delta_S Q delta_S', which a linear cost makes
+zero.  There are about (pq)^2/4 such pairs, one four-by-four sum each
+(_square_pairs_vanish), so the check is linear in the size of Q.  On a
+"yes" the pseudo-linearization is the linearization.
 
-Consecutive critical paths differ by one unit square, so _critical_costs
-prices all of a sub-grid's in one walk over one arc list, O(p+q) work per
-path.  Total work is roughly (p+q) times the number of sub-grid critical
-paths.
+The criterion does not name a path, so on a "no" a sweep names the witness.
+Its candidate is the pseudo-linearization minus the linear costs, which
+prices every path at its quadratic cost alone; it sweeps the target up and
+left (shrink_target), which keeps that property on the paths to the new
+target, and on each sub-grid it prices the critical paths of the shrunk
+candidate against their quadratic costs.  The first critical path, in
+support-arc order, whose two costs differ names the failing support arc.
+Since shrinking keeps path costs, that happens exactly when the
+pseudo-linearization misprices the sub-grid path continued to the corner
+(down one arc, along the next row, down the last column).  Sub-grids that
+span all q columns, or a single column, need no check: there every
+continued path is a critical path of the full grid, which the
+pseudo-linearization prices exactly.  On two rows every path is a critical
+path, so there the pseudo-linearization is a linearization (linearize_g2q),
+and p-by-2 grids check no sub-grid at all; neither has an incomparable pair.
+
+Cost: consecutive critical paths differ by one unit square, so
+_critical_costs prices all of a sub-grid's in one walk over one arc list,
+O(p+q) work per path.  A "yes" costs the symmetry guard and the criterion,
+both linear in the size of Q, plus the pseudo-linearization, O(pq(p+q)).  A
+"no" adds the sweep up to its first failing sub-grid: at most p+q times the
+number of sub-grid critical paths, O(p^3 q^2 + p^2 q^3) as in the paper.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, itemgetter, sub
 from typing import Sequence
 
 from .errors import FamilyError, InternalError
@@ -291,6 +319,33 @@ def linearize_g2q(inst: QsppInstance) -> tuple[Fraction, ...]:
 # ---- the full decision procedure -----------------------------------------
 
 
+def _square_pairs_vanish(inst: QsppInstance, shape: GridShape) -> bool:
+    """The square-pair criterion: delta_S Q delta_S' = 0 for every unit
+    square S' strictly above-left of a unit square S.  Stops at the first S
+    with a failing pair; needs the symmetric matrix."""
+    matrix = inst.interaction.rows
+    down, right = shape.down, shape.right
+    # per row of unit squares, each square's arcs in delta's sign pattern
+    # + + - -: down(i, j), right(i+1, j), right(i, j), down(i, j+1)
+    squares = [
+        [
+            a
+            for j in range(1, shape.q)
+            for a in (down[(i, j)], right[(i + 1, j)], right[(i, j)], down[(i, j + 1)])
+        ]
+        for i in range(1, shape.p)
+    ]
+    for i in range(1, shape.p - 1):
+        for j in range(1, shape.q - 1):
+            # (delta_S Q)[b] for the arcs b of the squares above-left of S
+            above_left = itemgetter(*chain.from_iterable(r[: 4 * j] for r in squares[:i]))
+            a1, a2, b1, b2 = (above_left(matrix[a]) for a in squares[i][4 * j : 4 * j + 4])
+            w = list(map(sub, map(add, a1, a2), map(add, b1, b2)))
+            if any(map(sub, map(add, w[0::4], w[1::4]), map(add, w[2::4], w[3::4]))):
+                return False
+    return True
+
+
 def _witness_path(
     shape: GridShape, rows: int, cols: int, sub_arcs: list[int]
 ) -> Path:
@@ -333,14 +388,18 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     instance as given (it may carry negative entries; feed the path matrix
     to lp_oracle with nonnegativity if the signed notion matters).  On
     failure the witness is a concrete corner-to-corner path whose true cost
-    the forced candidate misses.
+    the forced candidate misses, found by the sub-grid sweep once the
+    square-pair criterion has said no.
     """
     shape = grid_shape(inst.graph)
     _require_corner_instance(inst, shape)
     require_symmetric_interaction(inst, "the grid decision procedure")
     p, q = shape.p, shape.q
     pseudo_full = _pseudo_vector(inst, shape)
-    # prices every corner-to-corner path at its quadratic cost alone
+    if _square_pairs_vanish(inst, shape):
+        return LinearizationResult(True, vector=rational_vector(pseudo_full))
+    # not linearizable: the sweep names the witness.  The candidate prices
+    # every corner-to-corner path at its quadratic cost alone.
     candidate = [v - c for v, c in zip(pseudo_full, inst.linear)]
     for r in range(p, 2, -1):
         row_candidate = candidate
@@ -364,4 +423,4 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
                     note=f"candidate disagrees below sub-target ({r - 1},{j})",
                 )
         candidate = lifted[q]
-    return LinearizationResult(True, vector=rational_vector(pseudo_full))
+    raise InternalError("the sweep found no mismatch on a grid the square-pair criterion rejects")

@@ -169,9 +169,12 @@ class InteractionMatrix:
         return self.rows[e][f]
 
     def is_symmetric(self) -> bool:
+        # each row right of the diagonal against its column below it, one
+        # C-level comparison per row; zip builds one column at a time
         rows = self.rows
-        m = self.m
-        return all(rows[e][f] == rows[f][e] for e in range(m) for f in range(e + 1, m))
+        return all(
+            row[e + 1 :] == col[e + 1 :] for e, (row, col) in enumerate(zip(rows, zip(*rows)))
+        )
 
     def has_zero_diagonal(self) -> bool:
         return all(self.rows[e][e] == 0 for e in range(self.m))

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -26,6 +27,8 @@ from qspath import (
     validate_path,
 )
 from qspath.generate import filled_instance
+from qspath import grid
+from qspath.errors import InternalError
 from qspath.grid import (
     _critical_costs,
     _critical_path_arcs,
@@ -421,11 +424,16 @@ def planted_grid_rows(g, p, q, rng):
 
 
 def test_square_pair_criterion_matches_path_matrix_oracle():
-    """The large-grid oracle below, checked where lp_oracle reaches."""
+    """The large-grid oracle below, checked where lp_oracle reaches, and the
+    decision against both.  Two-row and two-column grids have no pair of
+    squares one above-left of the other, so they are always linearizable."""
     rng = random.Random(83)
     seen = {True: 0, False: 0}
-    for _ in range(40):
-        p, q = rng.randint(2, 4), rng.randint(2, 4)
+    shapes = chain(
+        ((rng.randint(2, 4), rng.randint(2, 4)) for _ in range(40)),
+        [(2, q) for q in range(2, 7)] + [(p, 2) for p in range(3, 7)],
+    )
+    for p, q in shapes:
         arcs = list(make_grid(p, q).arcs)
         rng.shuffle(arcs)
         g = Digraph(p * q, arcs)
@@ -440,6 +448,8 @@ def test_square_pair_criterion_matches_path_matrix_oracle():
         inst = QsppInstance(g, 0, g.n - 1, (0,) * g.m, InteractionMatrix(rows))
         verdict = square_pair_linearizable(inst, p, q)
         assert lp_oracle(build_path_matrix(inst), require_nonneg=False).linearizable == verdict
+        assert linearize_grid(inst).linearizable == verdict
+        assert verdict or min(p, q) > 2
         seen[verdict] += 1
     assert seen[True] >= 10 and seen[False] >= 10
 
@@ -482,6 +492,28 @@ def test_linearize_grid_agrees_with_square_pair_criterion_on_large_grids():
             assert linearize_grid(inst).linearizable == verdict
             seen[verdict] += 1
     assert seen[True] >= 4 and seen[False] >= 8
+
+
+def test_linearizable_grid_runs_no_sweep(monkeypatch):
+    """A "yes" comes from the square-pair criterion alone: no target is
+    shrunk and the vector is the pseudo-linearization."""
+    inst = filled_instance(make_grid(6, 7), 0, 41, "weak-sum", 5)
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran on a linearizable grid")
+
+    monkeypatch.setattr(grid, "_shrink", no_sweep)
+    result = linearize_grid(inst)
+    assert result.linearizable
+    assert result.vector == pseudo_linearize(inst)
+
+
+def test_sweep_that_finds_no_mismatch_is_an_internal_error(monkeypatch):
+    inst = filled_instance(make_grid(5, 6), 0, 29, "weak-sum", 5)
+    assert linearize_grid(inst).linearizable
+    monkeypatch.setattr(grid, "_square_pairs_vanish", lambda inst, shape: False)
+    with pytest.raises(InternalError):
+        linearize_grid(inst)
 
 
 def test_linearize_grid_witness_is_a_real_disagreement():

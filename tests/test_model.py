@@ -23,7 +23,7 @@ from qspath import (
     spp_solve,
     validate_instance,
 )
-from qspath.model import as_rational, zero_interaction_instance
+from qspath.model import as_rational, require_symmetric_interaction, zero_interaction_instance
 
 from helpers import (
     arc_index,
@@ -77,6 +77,30 @@ def test_instance_dimension_checks():
         QsppInstance(g, 0, 3, (0,) * 4, InteractionMatrix.zero(5))
     with pytest.raises(ValueError):
         QsppInstance(g, 1, 1, (0,) * 4, InteractionMatrix.zero(4))
+
+
+@pytest.mark.parametrize("e", [0, 99, 198])
+def test_symmetry_checks_find_one_asymmetric_pair_anywhere(e):
+    """A 200-arc matrix of distinct Fraction objects, symmetric but for the
+    pair (e, e+1): first, middle or last in the order rows are checked."""
+    m = 200
+    g = Digraph(m + 1, [(v, v + 1) for v in range(m)])
+    rng = random.Random(e)
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            num, den = rng.randint(-9, 9), rng.randint(1, 4)
+            rows[a][b], rows[b][a] = Fraction(num, den), Fraction(num, den)
+    inst = QsppInstance(g, 0, m, (0,) * m, InteractionMatrix(rows))
+    assert inst.interaction.is_symmetric()
+    assert validate_instance(inst).ok
+    require_symmetric_interaction(inst, "the test")
+    rows[e][e + 1] += Fraction(1, 3)
+    inst = QsppInstance(g, 0, m, (0,) * m, InteractionMatrix(rows))
+    assert not inst.interaction.is_symmetric()
+    assert validate_instance(inst).violations == ("interaction matrix is not symmetric",)
+    with pytest.raises(ValueError, match="symmetric"):
+        require_symmetric_interaction(inst, "the test")
 
 
 def test_path_cost_short_route_pair():

@@ -43,27 +43,28 @@ zero.  There are about (pq)^2/4 such pairs, one four-by-four sum each
 "yes" the pseudo-linearization is the linearization.
 
 The criterion does not name a path, so on a "no" a sweep names the witness.
-Its candidate is the pseudo-linearization minus the linear costs, which
-prices every path at its quadratic cost alone; it sweeps the target up and
-left (shrink_target), which keeps that property on the paths to the new
-target, and on each sub-grid it prices the critical paths of the shrunk
-candidate against their quadratic costs.  The first critical path, in
-support-arc order, whose two costs differ names the failing support arc.
-Since shrinking keeps path costs, that happens exactly when the
-pseudo-linearization misprices the sub-grid path continued to the corner
-(down one arc, along the next row, down the last column).  Sub-grids that
-span all q columns, or a single column, need no check: there every
-continued path is a critical path of the full grid, which the
-pseudo-linearization prices exactly.  On two rows every path is a critical
-path, so there the pseudo-linearization is a linearization (linearize_g2q),
-and p-by-2 grids check no sub-grid at all; neither has an incomparable pair.
+It visits the sub-grids of rows = p-1..2 rows and cols = 2..q-1 columns in
+that order, and continues each sub-grid critical path to the corner (down
+one arc, along the next row, down the last column).  Under the linear costs
+c - pseudo, _critical_costs prices every continued path at its true cost
+minus its pseudo-linearization price; the first nonzero gap, in support-arc
+order, names the failing sub-target and its path is the witness.  No target
+is shrunk.  The paper shrinks the target to each sub-target instead, and
+since shrinking keeps path costs (shrink_target), the shrunk candidate's gap
+on a sub-grid path is this gap on its continuation.  Sub-grids that span all
+q columns, or a single column, need no check: there every continued path is
+a critical path of the full grid, which the pseudo-linearization prices
+exactly.  On two rows every path is a critical path, so there the
+pseudo-linearization is a linearization (linearize_g2q), and p-by-2 grids
+check no sub-grid at all; neither has an incomparable pair.
 
 Cost: consecutive critical paths differ by one unit square, so
 _critical_costs prices all of a sub-grid's in one walk over one arc list,
-O(p+q) work per path.  A "yes" costs the symmetry guard and the criterion,
-both linear in the size of Q, plus the pseudo-linearization, O(pq(p+q)).  A
-"no" adds the sweep up to its first failing sub-grid: at most p+q times the
-number of sub-grid critical paths, O(p^3 q^2 + p^2 q^3) as in the paper.
+O(p+q) work per continued path.  A "yes" costs the symmetry guard and the
+criterion, both linear in the size of Q, plus the pseudo-linearization,
+O(pq(p+q)).  A "no" adds the sweep up to its first failing sub-grid: at
+most p+q times the number of sub-grid critical paths, O(p^3 q^2 + p^2 q^3)
+as in the paper.
 """
 from __future__ import annotations
 
@@ -136,23 +137,30 @@ def _support_arcs(shape: GridShape, rows: int, cols: int) -> list[int]:
 def _critical_path_arcs(
     shape: GridShape, rows: int, cols: int, i: int | None, j: int | None
 ) -> list[int]:
-    """Arc sequence of the critical path for support arc down(i, j); pass
-    i = j = None for the top-left right arc's path."""
+    """Arc sequence of the critical path for support arc down(i, j) of the
+    rows-by-cols sub-grid (pass i = j = None for the top-left right arc's
+    path).  When rows < p the path goes on to the corner: down(rows, cols),
+    along row rows+1, down the last column."""
     if i is None:
         path = [shape.right[(1, b)] for b in range(1, cols)]
         path.extend(shape.down[(k, cols)] for k in range(1, rows))
-        return path
-    path = [shape.down[(k, 1)] for k in range(1, i)]
-    path.extend(shape.right[(i, b)] for b in range(1, j))
-    path.append(shape.down[(i, j)])
-    path.extend(shape.right[(i + 1, b)] for b in range(j, cols))
-    path.extend(shape.down[(k, cols)] for k in range(i + 1, rows))
+    else:
+        path = [shape.down[(k, 1)] for k in range(1, i)]
+        path.extend(shape.right[(i, b)] for b in range(1, j))
+        path.append(shape.down[(i, j)])
+        path.extend(shape.right[(i + 1, b)] for b in range(j, cols))
+        path.extend(shape.down[(k, cols)] for k in range(i + 1, rows))
+    if rows < shape.p:
+        path.append(shape.down[(rows, cols)])
+        path.extend(shape.right[(rows + 1, b)] for b in range(cols, shape.q))
+        path.extend(shape.down[(k, shape.q)] for k in range(rows + 1, shape.p))
     return path
 
 
 def _critical_path_table(shape: GridShape, rows: int, cols: int) -> dict[int, list[int]]:
-    """Arc sequence of every critical path of the rows-by-cols sub-grid,
-    keyed by the support arc it pins down."""
+    """Arc sequence of every critical path of the rows-by-cols sub-grid
+    (continued to the corner when rows < p), keyed by the support arc it
+    pins down."""
     out = {shape.right[(1, 1)]: _critical_path_arcs(shape, rows, cols, None, None)}
     for i in range(1, rows):
         for j in range(1, cols):
@@ -172,22 +180,20 @@ def _critical_costs(
     shape: GridShape,
     rows: int,
     cols: int,
-    linear: Sequence[Fraction] | None = None,
+    linear: Sequence[Fraction],
 ) -> dict[int, Fraction]:
     """Cost of every critical path of the sub-grid (at least two rows and
-    two columns), keyed by its support arc, under the instance's
-    interactions and ``linear`` (by default the instance's own linear costs).
+    two columns), continued to the corner when rows < p, keyed by its
+    support arc, under the instance's interactions and ``linear``.
 
     After the top path, each step of the walk down(i, j), i = 1..rows-1,
     j = cols-1..1, flips one unit square: right(i, j), down(i, j+1) at list
     positions i+j-2 and i+j-1 become down(i, j), right(i+1, j).  With a
     symmetric matrix, the cost moves by the linear difference plus twice
     what the new pair adds to the rest of the path (and to each other) minus
-    what the old pair did.
+    what the old pair did.  The continuation past the sub-grid never flips.
     """
     matrix = inst.interaction.rows
-    if linear is None:
-        linear = inst.linear
     arcs = _critical_path_arcs(shape, rows, cols, None, None)
     cost = sum(linear[a] + sum(matrix[a][k] for k in arcs) for a in arcs)
     costs = {shape.right[(1, 1)]: cost}
@@ -248,7 +254,9 @@ def reduce_cost_vector(g: Digraph, costs: Sequence[object]) -> tuple[Fraction, .
 def _pseudo_vector(inst: QsppInstance, shape: GridShape) -> list[Fraction]:
     """Unique reduced-form vector reproducing the full grid's critical-path
     costs."""
-    return _solve_reduced(shape, _critical_costs(inst, shape, shape.p, shape.q))
+    return _solve_reduced(
+        shape, _critical_costs(inst, shape, shape.p, shape.q, inst.linear)
+    )
 
 
 def pseudo_linearize(inst: QsppInstance) -> tuple[Fraction, ...]:
@@ -264,18 +272,6 @@ def pseudo_linearize(inst: QsppInstance) -> tuple[Fraction, ...]:
 
 
 # ---- target shrinking ----------------------------------------------------
-
-
-def _shrink(
-    vec: Sequence[Fraction],
-    inst: QsppInstance,
-    bridge_arc: int,
-) -> list[Fraction]:
-    row = inst.interaction.rows[bridge_arc]
-    out = [v - 2 * w for v, w in zip(vec, row)]
-    for e in inst.graph.out_arcs(inst.source):
-        out[e] += vec[bridge_arc]
-    return out
 
 
 def shrink_target(
@@ -300,7 +296,11 @@ def shrink_target(
     vec = list(rational_vector(vector))
     if len(vec) != g.m:
         raise ValueError("vector length must equal the arc count")
-    return rational_vector(_shrink(vec, inst, bridges[0]))
+    bridge = bridges[0]
+    out = [v - 2 * w for v, w in zip(vec, inst.interaction.rows[bridge])]
+    for e in g.out_arcs(inst.source):
+        out[e] += vec[bridge]
+    return rational_vector(out)
 
 
 def linearize_g2q(inst: QsppInstance) -> tuple[Fraction, ...]:
@@ -346,50 +346,15 @@ def _square_pairs_vanish(inst: QsppInstance, shape: GridShape) -> bool:
     return True
 
 
-def _witness_path(
-    shape: GridShape, rows: int, cols: int, sub_arcs: list[int]
-) -> Path:
-    """Extend a sub-grid critical path to the full corner-to-corner path
-    whose cost the failed candidate gets wrong."""
-    arcs = list(sub_arcs)
-    if (rows, cols) != (shape.p, shape.q):
-        arcs.append(shape.down[(rows, cols)])
-        arcs.extend(shape.right[(rows + 1, b)] for b in range(cols, shape.q))
-        arcs.extend(shape.down[(k, shape.q)] for k in range(rows + 1, shape.p))
-    return Path(tuple(arcs))
-
-
-def _mismatch_result(
-    inst: QsppInstance,
-    candidate: Sequence[Fraction],
-    shape: GridShape,
-    rows: int,
-    cols: int,
-    arc: int,
-    note: str,
-) -> LinearizationResult:
-    sub = _critical_path_table(shape, rows, cols)[arc]
-    path = _witness_path(shape, rows, cols, sub)
-    expected = cost_of_arcs(inst, path.arcs)
-    got = linear_cost(candidate, path)
-    if expected == got:
-        raise InternalError("witness construction must exhibit a disagreement")
-    return LinearizationResult(
-        False,
-        witness=CostMismatch(path, expected, got),
-        note=note,
-    )
-
-
 def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     """Decide equality-sense linearizability of a grid instance.
 
     On success the returned vector is the reduced-form linearization of the
     instance as given (it may carry negative entries; feed the path matrix
     to lp_oracle with nonnegativity if the signed notion matters).  On
-    failure the witness is a concrete corner-to-corner path whose true cost
-    the forced candidate misses, found by the sub-grid sweep once the
-    square-pair criterion has said no.
+    failure, once the square-pair criterion has said no, the witness is the
+    first sub-grid critical path, continued to the corner, whose true cost
+    the pseudo-linearization misses.
     """
     shape = grid_shape(inst.graph)
     _require_corner_instance(inst, shape)
@@ -398,29 +363,22 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     pseudo_full = _pseudo_vector(inst, shape)
     if _square_pairs_vanish(inst, shape):
         return LinearizationResult(True, vector=rational_vector(pseudo_full))
-    # not linearizable: the sweep names the witness.  The candidate prices
-    # every corner-to-corner path at its quadratic cost alone.
-    candidate = [v - c for v, c in zip(pseudo_full, inst.linear)]
-    for r in range(p, 2, -1):
-        row_candidate = candidate
-        lifted: dict[int, list[Fraction]] = {}
-        for j in range(q, 1, -1):
-            lifted[j] = _shrink(row_candidate, inst, shape.down[(r - 1, j)])
-            if j > 2:
-                row_candidate = _shrink(row_candidate, inst, shape.right[(r, j - 1)])
-        for j in range(2, q):
-            # quadratic cost minus the shrunk candidate's, per critical path
-            gaps = _critical_costs(inst, shape, r - 1, j, [-v for v in lifted[j]])
-            arc = next((a for a in _support_arcs(shape, r - 1, j) if gaps[a]), None)
+    # not linearizable: the sweep names the witness.  Under these linear
+    # costs a path costs its true cost minus its pseudo-linearization price.
+    gap_linear = [c - v for c, v in zip(inst.linear, pseudo_full)]
+    for rows in range(p - 1, 1, -1):
+        for cols in range(2, q):
+            gaps = _critical_costs(inst, shape, rows, cols, gap_linear)
+            arc = next((a for a in _support_arcs(shape, rows, cols) if gaps[a]), None)
             if arc is not None:
-                return _mismatch_result(
-                    inst,
-                    pseudo_full,
-                    shape,
-                    r - 1,
-                    j,
-                    arc,
-                    note=f"candidate disagrees below sub-target ({r - 1},{j})",
+                path = Path(tuple(_critical_path_table(shape, rows, cols)[arc]))
+                expected = cost_of_arcs(inst, path.arcs)
+                got = linear_cost(pseudo_full, path)
+                if expected == got:
+                    raise InternalError("witness construction must exhibit a disagreement")
+                return LinearizationResult(
+                    False,
+                    witness=CostMismatch(path, expected, got),
+                    note=f"candidate disagrees below sub-target ({rows},{cols})",
                 )
-        candidate = lifted[q]
     raise InternalError("the sweep found no mismatch on a grid the square-pair criterion rejects")

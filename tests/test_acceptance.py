@@ -275,7 +275,7 @@ def test_criterion_10_complexity_smoke(capsys):
             make_grid(p, q), 0, p * q - 1, "random", seed=rng.randint(0, 10**9)
         )
         shape = grid_shape(inst.graph)
-        fast = _critical_costs(inst, shape, p, q)
+        fast = _critical_costs(inst, shape, p, q, inst.linear)
         for arc, path in critical_paths(p, q).items():
             assert fast[arc] == path_cost(inst, path)
     start = time.perf_counter()

@@ -32,6 +32,7 @@ from qspath.errors import InternalError
 from qspath.grid import (
     _critical_costs,
     _critical_path_arcs,
+    _critical_path_table,
     _support_arcs,
     grid_shape,
 )
@@ -165,7 +166,7 @@ def test_incremental_critical_costs_match_direct_recomputation():
     for p, q in [(2, 2), (3, 4), (5, 5), (6, 6)]:
         inst = grid_instance(p, q, seed=rng.randint(0, 10**9))
         shape = grid_shape(inst.graph)
-        fast = _critical_costs(inst, shape, p, q)
+        fast = _critical_costs(inst, shape, p, q, inst.linear)
         slow = {
             arc: path_cost(inst, path)
             for arc, path in critical_paths(p, q).items()
@@ -174,8 +175,9 @@ def test_incremental_critical_costs_match_direct_recomputation():
 
 
 def test_critical_costs_of_every_sub_grid_match_direct_pricing():
-    """The decision's call shape: a sub-grid of the full grid, with linear
-    costs other than the instance's (signed, non-integral)."""
+    """The decision's call shape: a sub-grid of the full grid, its critical
+    paths continued to the corner, with linear costs other than the
+    instance's (signed, non-integral)."""
     rng = random.Random(41)
     for _ in range(4):
         p, q = rng.randint(4, 7), rng.randint(4, 7)
@@ -197,10 +199,30 @@ def test_critical_costs_of_every_sub_grid_match_direct_pricing():
                     else:
                         i, j = divmod(g.arcs[arc].head, q)
                         arcs = _critical_path_arcs(shape, rows, cols, i + 1, j + 1)
+                    if rows < p:
+                        validate_path(g, Path(tuple(arcs)), 0, g.n - 1)
                     direct[arc] = sum(linear[a] for a in arcs) + sum(
                         matrix[a][b] for a in arcs for b in arcs
                     )
                 assert _critical_costs(inst, shape, rows, cols, linear) == direct
+
+
+def test_full_width_and_single_column_sub_grids_continue_to_full_critical_paths():
+    """Why the witness sweep skips sub-grids that span all q columns or a
+    single column: every critical path of such a sub-grid, continued to the
+    corner, is a critical path of the full grid, which the
+    pseudo-linearization prices exactly."""
+    checked = 0
+    for p in range(3, 8):
+        for q in range(3, 8):
+            shape = grid_shape(make_grid(p, q))
+            full = set(critical_paths(p, q).values())
+            for rows in range(2, p):
+                for cols in (1, q):
+                    for arcs in _critical_path_table(shape, rows, cols).values():
+                        assert Path(tuple(arcs)) in full
+                        checked += 1
+    assert checked > 500
 
 
 def test_pseudo_linearization_zero_instance():
@@ -255,11 +277,10 @@ def test_shrink_moves_linearizations_to_the_new_target():
 
 
 def test_shrinking_down_the_last_column_keeps_critical_path_costs():
-    """Why the grid decision checks no sub-grid that spans all q columns,
-    and no two-row base case: the pseudo-linearization minus the linear
-    costs, shrunk down the last column to row R, prices every critical path
-    of the R-by-q sub-grid at its quadratic cost, also when the instance is
-    not linearizable."""
+    """shrink_target keeps path costs on the paths to the new target: the
+    pseudo-linearization minus the linear costs, shrunk down the last column
+    to row R, prices every critical path of the R-by-q sub-grid at its
+    quadratic cost, also when the instance is not linearizable."""
     rng = random.Random(89)
     checked = 0
     for _ in range(20):
@@ -495,14 +516,14 @@ def test_linearize_grid_agrees_with_square_pair_criterion_on_large_grids():
 
 
 def test_linearizable_grid_runs_no_sweep(monkeypatch):
-    """A "yes" comes from the square-pair criterion alone: no target is
-    shrunk and the vector is the pseudo-linearization."""
+    """A "yes" comes from the square-pair criterion alone: no sub-grid is
+    swept and the vector is the pseudo-linearization."""
     inst = filled_instance(make_grid(6, 7), 0, 41, "weak-sum", 5)
 
     def no_sweep(*args):
         raise AssertionError("the sweep ran on a linearizable grid")
 
-    monkeypatch.setattr(grid, "_shrink", no_sweep)
+    monkeypatch.setattr(grid, "_support_arcs", no_sweep)
     result = linearize_grid(inst)
     assert result.linearizable
     assert result.vector == pseudo_linearize(inst)

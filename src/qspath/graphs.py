@@ -261,6 +261,54 @@ def reachable(g: Digraph, start: int, forward: bool) -> list[bool]:
     return seen
 
 
+def _walk_st_paths(
+    g: Digraph, source: int, target: int, limit: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (arcs, shared) for every simple source-target path, lexicographic
+    by arc ids, where ``shared`` is the number of leading arcs the path has in
+    common with the one before it (0 for the first).
+
+    ``shared`` is the lowest stack depth the search reached since the last
+    yield: the arcs below it were never popped, and the arc at that depth was
+    replaced by a later arc out of the same vertex.  Raises PathLimitExceeded
+    as soon as a (limit+1)-th path is found.
+    """
+    check_endpoints(g, source, target)
+    useful = reachable(g, target, forward=False)
+    if not useful[source]:
+        return
+    tail = [arc.tail for arc in g.arcs]
+    on_path = [False] * g.n
+    on_path[source] = True
+    arc_stack: list[int] = []
+    iter_stack = [iter(g.out_arcs(source))]
+    found = 0
+    shared = 0
+    while iter_stack:
+        for a in iter_stack[-1]:
+            v = tail[a]
+            if on_path[v] or not useful[v]:
+                continue
+            arc_stack.append(a)
+            if v == target:
+                found += 1
+                if found > limit:
+                    raise PathLimitExceeded(limit)
+                yield tuple(arc_stack), shared
+                arc_stack.pop()
+                shared = len(arc_stack)
+                continue
+            on_path[v] = True
+            iter_stack.append(iter(g.out_arcs(v)))
+            break
+        else:
+            iter_stack.pop()
+            if arc_stack:
+                on_path[tail[arc_stack.pop()]] = False
+                if len(arc_stack) < shared:
+                    shared = len(arc_stack)
+
+
 def iter_st_paths(
     g: Digraph, source: int, target: int, limit: int = DEFAULT_PATH_LIMIT
 ) -> Iterator[Path]:
@@ -269,37 +317,8 @@ def iter_st_paths(
     Raises PathLimitExceeded as soon as a (limit+1)-th path is found, so a
     caller that consumed ``limit`` paths without an exception has them all.
     """
-    check_endpoints(g, source, target)
-    useful = reachable(g, target, forward=False)
-    if not useful[source]:
-        return
-    on_path = [False] * g.n
-    on_path[source] = True
-    arc_stack: list[int] = []
-    iter_stack = [iter(g.out_arcs(source))]
-    found = 0
-    while iter_stack:
-        advanced = False
-        for a in iter_stack[-1]:
-            v = g.arcs[a].tail
-            if on_path[v] or not useful[v]:
-                continue
-            arc_stack.append(a)
-            if v == target:
-                found += 1
-                if found > limit:
-                    raise PathLimitExceeded(limit)
-                yield Path(tuple(arc_stack))
-                arc_stack.pop()
-                continue
-            on_path[v] = True
-            iter_stack.append(iter(g.out_arcs(v)))
-            advanced = True
-            break
-        if not advanced:
-            iter_stack.pop()
-            if arc_stack:
-                on_path[g.arcs[arc_stack.pop()].tail] = False
+    for arcs, _ in _walk_st_paths(g, source, target, limit):
+        yield Path(arcs)
 
 
 def enumerate_st_paths(

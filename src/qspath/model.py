@@ -10,7 +10,13 @@ opt-in check, see validate_instance(as_problem=True).
 The total cost of a path is the ordered double sum of interaction costs over
 its arc pairs plus the sum of its linear costs, so each unordered arc pair
 contributes twice its matrix entry and the (zero) diagonal contributes
-nothing.
+nothing.  cost_of_arcs prices one path this way, in O(L^2) for L arcs.
+Exact enumeration (brute_force_solve, and build_path_matrix in pathmatrix)
+prices every path once along the depth-first search instead: a path keeps
+the cost of the prefix it shares with the path before it, and each new arc
+adds its linear cost and its interactions with that prefix, read from the
+rows of Q + Q^T built once per call, O(L) per new arc, so no path is priced
+again from its first arc.
 
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
 the earliest enumerated optimum, and the shortest-path solvers only ever
@@ -21,15 +27,17 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CyclicGraphError, NoPathError
 from .graphs import (
     DEFAULT_PATH_LIMIT,
     Digraph,
     Path,
+    _walk_st_paths,
     check_endpoints,
-    iter_st_paths,
     topological_order,
     validate_path,
 )
@@ -92,10 +100,12 @@ class InteractionMatrix:
 
     Construction does not force symmetry or a zero diagonal so that
     validate_instance can report violations; operations that rely on those
-    invariants state so in their contracts.
+    invariants state so in their contracts.  The builders that guarantee
+    both (zero, from_entries, from_triples) record it, so checking them
+    again is O(1); ``_known_symmetric`` false means unknown, not asymmetric.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_known_symmetric")
 
     def __init__(self, rows: Iterable[Iterable[object]]):
         mat = tuple(rational_vector(row) for row in rows)
@@ -103,17 +113,25 @@ class InteractionMatrix:
             if len(row) != len(mat):
                 raise ValueError("interaction matrix must be square")
         self.rows: tuple[tuple[Fraction, ...], ...] = mat
+        self._known_symmetric = False
 
     @classmethod
-    def _of_exact(cls, rows: Iterable[Iterable[int | Fraction]]) -> "InteractionMatrix":
-        """Wrap square rows whose values are already exact, coercing nothing."""
+    def _of_exact(
+        cls, rows: Iterable[Iterable[int | Fraction]], known_symmetric: bool
+    ) -> "InteractionMatrix":
+        """Wrap square rows whose values are already exact, coercing nothing.
+
+        ``known_symmetric`` is the caller's guarantee of symmetry and a zero
+        diagonal; the rows themselves are not checked.
+        """
         matrix = object.__new__(cls)
         matrix.rows = tuple(map(tuple, rows))
+        matrix._known_symmetric = known_symmetric
         return matrix
 
     @classmethod
     def zero(cls, m: int) -> "InteractionMatrix":
-        return cls._of_exact([0] * m for _ in range(m))
+        return cls._of_exact(([0] * m for _ in range(m)), known_symmetric=True)
 
     @classmethod
     def from_entries(
@@ -159,7 +177,7 @@ class InteractionMatrix:
         rows = [[0] * m for _ in range(m)]
         for e, f, value in zip(es, fs, values):
             rows[e][f] = rows[f][e] = value
-        return cls._of_exact(rows)
+        return cls._of_exact(rows, known_symmetric=True)
 
     @property
     def m(self) -> int:
@@ -169,6 +187,8 @@ class InteractionMatrix:
         return self.rows[e][f]
 
     def is_symmetric(self) -> bool:
+        if self._known_symmetric:
+            return True
         # each row right of the diagonal against its column below it, one
         # C-level comparison per row; zip builds one column at a time
         rows = self.rows
@@ -177,14 +197,24 @@ class InteractionMatrix:
         )
 
     def has_zero_diagonal(self) -> bool:
+        if self._known_symmetric:
+            return True
         return all(self.rows[e][e] == 0 for e in range(self.m))
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for row in self.rows for v in row)
 
     def scaled(self, alpha: object) -> "InteractionMatrix":
+        """alpha times every entry, a whole product as an int; a recorded
+        symmetry is kept."""
         a = as_rational(alpha)
-        return InteractionMatrix([[a * v for v in row] for row in self.rows])
+        return InteractionMatrix._of_exact(
+            (
+                [v if type(v) is int else as_rational(v) for v in map(mul, repeat(a), row)]
+                for row in self.rows
+            ),
+            self._known_symmetric,
+        )
 
     def upper_entries(self) -> list[tuple[int, int, Fraction]]:
         """Nonzero entries (e, f, value) with e < f, in row-major order."""
@@ -274,6 +304,32 @@ def linear_cost(linear: Sequence[Fraction], path: Path) -> Fraction:
     return as_rational(sum(linear[a] for a in path.arcs))
 
 
+def _priced_paths(
+    inst: QsppInstance, limit: int
+) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
+    """Yield (arcs, cost) for every simple source-target path in enumeration
+    order, priced along the walk (see the module docstring).
+
+    costs[k] is the cost of the current path's first k arcs; a path keeps
+    costs[:shared+1] and prices only its new arcs.  A new arc a after prefix
+    P adds c_a + sum over b in P of (Q_ab + Q_ba), as cost_of_arcs does, so
+    an asymmetric Q, which the library admits, is priced the same way.  The
+    rows of Q + Q^T are built once per call.
+    """
+    linear = inst.linear
+    rows = inst.interaction.rows
+    pair_entry = [tuple(map(add, row, col)).__getitem__ for row, col in zip(rows, zip(*rows))]
+    costs: list[int | Fraction] = [0]
+    for arcs, shared in _walk_st_paths(inst.graph, inst.source, inst.target, limit):
+        del costs[shared + 1 :]
+        total = costs[shared]
+        for k in range(shared, len(arcs)):
+            a = arcs[k]
+            total += linear[a] + sum(map(pair_entry[a], arcs[:k]))
+            costs.append(total)
+        yield arcs, as_rational(total)
+
+
 def brute_force_solve(
     inst: QsppInstance, limit: int = DEFAULT_PATH_LIMIT
 ) -> tuple[Path, Fraction]:
@@ -282,14 +338,13 @@ def brute_force_solve(
     Raises PathLimitExceeded past ``limit`` paths and NoPathError if the
     target is unreachable.
     """
-    best: tuple[Path, Fraction] | None = None
-    for path in iter_st_paths(inst.graph, inst.source, inst.target, limit):
-        cost = cost_of_arcs(inst, path.arcs)
+    best: tuple[tuple[int, ...], int | Fraction] | None = None
+    for arcs, cost in _priced_paths(inst, limit):
         if best is None or cost < best[1]:
-            best = (path, cost)
+            best = (arcs, cost)
     if best is None:
         raise NoPathError(f"no path from {inst.source} to {inst.target}")
-    return best
+    return Path(best[0]), best[1]
 
 
 def _reconstruct(g: Digraph, pred_arc: list[int | None], target: int) -> Path:

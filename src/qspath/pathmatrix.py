@@ -8,7 +8,9 @@ Gaussian elimination for the unrestricted system and a phase-1 simplex with
 Bland's rule for the nonnegative one.  Infeasibility is always returned with
 a certificate vector y satisfying B^T y >= 0 and b^T y < 0 (with equality
 throughout in the unrestricted case), and certificates are re-checked before
-they are handed out.
+they are handed out.  build_path_matrix takes each row's cost from the
+priced depth-first walk in model, which pays O(L) per arc a path does not
+share with the row before it, not O(L^2) per row.
 
 Both kernels run on the same exact values as the rest of the library: an
 int when the value is whole, a Fraction otherwise.  The 0/1 path rows stay
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, ScaleError
-from .graphs import DEFAULT_PATH_LIMIT, Path, iter_st_paths
-from .model import QsppInstance, as_rational, cost_of_arcs
+from .graphs import DEFAULT_PATH_LIMIT, Path
+from .model import QsppInstance, _priced_paths, as_rational
 
 MAX_ORACLE_PATHS = 1000
 MAX_ORACLE_ARCS = 1000
@@ -88,13 +90,13 @@ def build_path_matrix(inst: QsppInstance, limit: int = DEFAULT_PATH_LIMIT) -> Pa
     rows = []
     costs = []
     paths = []
-    for path in iter_st_paths(inst.graph, inst.source, inst.target, limit):
+    for arcs, cost in _priced_paths(inst, limit):
         row = [0] * m
-        for a in path.arcs:
+        for a in arcs:
             row[a] = 1
         rows.append(tuple(row))
-        costs.append(cost_of_arcs(inst, path.arcs))
-        paths.append(path)
+        costs.append(cost)
+        paths.append(Path(arcs))
     return PathMatrix(tuple(rows), tuple(costs), tuple(paths), m)
 
 

@@ -15,7 +15,10 @@ from qspath import (
     Path,
     QsppInstance,
     enumerate_st_paths,
+    make_complete_symmetric,
+    make_grid,
 )
+from qspath.generate import random_dag, random_digraph
 
 
 def arc_index(g: Digraph) -> dict[tuple[int, int], int]:
@@ -53,6 +56,78 @@ def double_loop_cost(inst: QsppInstance, path: Path) -> Fraction:
             if e != f:
                 total += inst.interaction.rows[e][f]
     return total
+
+
+def naive_st_paths(g: Digraph, source: int, target: int) -> list[Path]:
+    """Every simple source-target path by plain recursion, trying the arcs
+    out of each vertex in ascending id order, so the list is lexicographic
+    by arc ids; no reachability pruning."""
+    found = []
+
+    def extend(v: int, arcs: tuple[int, ...], visited: frozenset[int]) -> None:
+        if v == target:
+            found.append(Path(arcs))
+            return
+        for a, arc in enumerate(g.arcs):
+            if arc.head == v and arc.tail not in visited:
+                extend(arc.tail, arcs + (a,), visited | {arc.tail})
+
+    extend(source, (), frozenset({source}))
+    return found
+
+
+def _signed_thirds(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 3)))
+
+
+def priced_walk_instances(family: str, rng: random.Random) -> list[QsppInstance]:
+    """Instances with signed Fraction data for checking exact enumeration
+    and pricing against the naive oracles.
+
+    grid: Fraction Q from the symmetric builder; dag and cyclic: random
+    graphs (on cyclic ones the simple-path rule prunes); complete: full and
+    simplified complete symmetric digraphs; asymmetric: Q with Q_ef != Q_fe
+    built by the coercing constructor (zero diagonal).  Cyclic and complete
+    graphs also run to a target that is not the last vertex, so an arc into
+    the target is not always the last one the search tries.
+    """
+    if family == "grid":
+        shapes = ((2, 2), (3, 3), (3, 5), (4, 4), (5, 4))
+        graphs = [(make_grid(p, q), p * q - 1) for p, q in shapes]
+    elif family == "dag":
+        graphs = [(random_dag(n, 0.6, rng), n - 1) for n in (3, 5, 7, 8)]
+    elif family == "cyclic":
+        ends = ((4, 3), (5, 1), (6, 2), (7, 6), (7, 1))
+        graphs = [(random_digraph(n, 0.6, rng), t) for n, t in ends]
+    elif family == "complete":
+        graphs = [
+            (make_complete_symmetric(n, simplified=s, target=t), t)
+            for n, t in ((4, 3), (5, 1), (6, 5))
+            for s in (False, True)
+        ]
+    elif family == "asymmetric":
+        graphs = [
+            (make_grid(3, 4), 11),
+            (random_dag(6, 0.6, rng), 5),
+            (make_complete_symmetric(4), 2),
+        ]
+    else:
+        raise ValueError(family)
+    out = []
+    for g, target in graphs:
+        m = g.m
+        linear = tuple(_signed_thirds(rng) for _ in range(m))
+        if family == "asymmetric":
+            matrix = InteractionMatrix(
+                [[0 if e == f else _signed_thirds(rng) for f in range(m)] for e in range(m)]
+            )
+        else:
+            matrix = InteractionMatrix.from_triples(
+                m,
+                ((e, f, _signed_thirds(rng)) for e in range(m) for f in range(e + 1, m)),
+            )
+        out.append(QsppInstance(g, 0, target, linear, matrix))
+    return out
 
 
 def random_symmetric_interaction(

@@ -25,6 +25,8 @@ from qspath import (
 )
 from qspath.graphs import reachable
 
+from helpers import naive_st_paths
+
 
 def test_digraph_rejects_bad_arcs():
     with pytest.raises(ValueError):
@@ -236,6 +238,7 @@ def test_enumeration_yields_valid_simple_paths(n, seed, density):
         verts = validate_path(g, p, 0, n - 1)
         assert len(set(verts)) == len(verts)
     assert paths == enumerate_st_paths(g, 0, n - 1, limit=10**4)
+    assert paths == naive_st_paths(g, 0, n - 1)
 
 
 def test_reachable_forward_and_backward():

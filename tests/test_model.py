@@ -12,9 +12,11 @@ from qspath import (
     InvalidPathError,
     NoPathError,
     Path,
+    PathLimitExceeded,
     QsppInstance,
     SppInstance,
     brute_force_solve,
+    build_path_matrix,
     enumerate_st_paths,
     make_complete_symmetric,
     make_directed_cycle,
@@ -23,12 +25,15 @@ from qspath import (
     spp_solve,
     validate_instance,
 )
+from qspath.graphs import DEFAULT_PATH_LIMIT, _walk_st_paths
 from qspath.model import as_rational, require_symmetric_interaction, zero_interaction_instance
 
 from helpers import (
     arc_index,
     double_loop_cost,
+    naive_st_paths,
     path_by_vertices,
+    priced_walk_instances,
     quadratic_form_cost,
     random_symmetric_interaction,
 )
@@ -179,11 +184,93 @@ def test_brute_force_is_a_lower_bound_and_breaks_ties_first():
     assert best_path.arcs == (0, 2, 5)
 
 
+@pytest.mark.parametrize("family", ["grid", "dag", "cyclic", "complete", "asymmetric"])
+def test_priced_enumeration_matches_the_naive_oracles(family):
+    """Brute force, the path matrix and the walker's shared-prefix count
+    against naive enumeration priced by both oracles."""
+    instances = priced_walk_instances(family, random.Random(family))
+    if family == "asymmetric":
+        assert not any(inst.interaction.is_symmetric() for inst in instances)
+    for inst in instances:
+        g, s, t = inst.graph, inst.source, inst.target
+        paths = naive_st_paths(g, s, t)
+        costs = [double_loop_cost(inst, p) for p in paths]
+        assert costs == [quadratic_form_cost(inst, p) for p in paths]
+        pm = build_path_matrix(inst)
+        assert pm.paths == tuple(paths)
+        assert pm.rows == tuple(tuple(int(a in p.arcs) for a in range(g.m)) for p in paths)
+        assert pm.costs == tuple(costs)
+        assert all(type(c) is int or c.denominator != 1 for c in pm.costs)
+        if paths:
+            best = min(costs)
+            assert brute_force_solve(inst) == (paths[costs.index(best)], best)
+        else:
+            with pytest.raises(NoPathError):
+                brute_force_solve(inst)
+        previous: tuple[int, ...] = ()
+        for arcs, shared in _walk_st_paths(g, s, t, DEFAULT_PATH_LIMIT):
+            common = 0
+            while common < min(len(arcs), len(previous)) and arcs[common] == previous[common]:
+                common += 1
+            assert shared == common
+            previous = arcs
+
+
+def test_brute_force_and_path_matrix_keep_the_enumeration_contracts():
+    g = make_grid(3, 3)
+    zero = QsppInstance(g, 0, 8, (0,) * g.m, InteractionMatrix.zero(g.m))
+    paths = enumerate_st_paths(g, 0, 8)
+    assert len(paths) == 6
+    # exactly `limit` paths succeed; on an all-zero instance the tie goes
+    # to the first path enumerated
+    assert brute_force_solve(zero, limit=6) == (paths[0], 0)
+    assert build_path_matrix(zero, limit=6).paths == tuple(paths)
+    with pytest.raises(PathLimitExceeded):
+        brute_force_solve(zero, limit=5)
+    with pytest.raises(PathLimitExceeded):
+        build_path_matrix(zero, limit=5)
+    k5 = make_complete_symmetric(5)
+    cyclic_zero = QsppInstance(k5, 0, 4, (0,) * k5.m, InteractionMatrix.zero(k5.m))
+    assert brute_force_solve(cyclic_zero) == (enumerate_st_paths(k5, 0, 4)[0], 0)
+
+
+def test_scaled_keeps_exact_forms_and_the_matrix_invariants():
+    """A whole product is an int whatever the factor; symmetry and the zero
+    diagonal are kept, an asymmetric matrix stays asymmetric, and how a
+    matrix was built takes no part in equality or hashing."""
+
+    def forms(matrix):
+        return [[type(v) for v in row] for row in matrix.rows]
+
+    thirds = InteractionMatrix.from_entries(3, {(0, 1): Fraction(1, 3), (1, 2): 2})
+    tripled = InteractionMatrix([[0, 1, 0], [1, 0, 6], [0, 6, 0]])
+    assert thirds.scaled(3) == tripled and forms(thirds.scaled(3)) == [[int] * 3] * 3
+    assert hash(thirds.scaled(3)) == hash(tripled)
+    halved = thirds.scaled(Fraction(1, 2))
+    assert halved.rows == ((0, Fraction(1, 6), 0), (Fraction(1, 6), 0, 1), (0, 1, 0))
+    assert forms(halved) == [[int, Fraction, int], [Fraction, int, int], [int, int, int]]
+    assert thirds.scaled(0) == InteractionMatrix.zero(3)
+    assert forms(thirds.scaled(0)) == [[int] * 3] * 3
+    for matrix in (thirds.scaled(3), halved, tripled.scaled(Fraction(2, 3))):
+        assert matrix.is_symmetric() and matrix.has_zero_diagonal()
+    skew = InteractionMatrix([[0, 1], [2, 5]]).scaled(3)
+    assert skew.rows == ((0, 3), (6, 15)) and forms(skew) == [[int, int], [int, int]]
+    assert not skew.is_symmetric() and not skew.has_zero_diagonal()
+    malformed = InteractionMatrix([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0]])
+    report = validate_instance(QsppInstance(make_grid(2, 2), 0, 3, (0,) * 4, malformed.scaled(2)))
+    assert report.violations == (
+        "interaction matrix is not symmetric",
+        "interaction matrix has a nonzero diagonal entry",
+    )
+
+
 def test_brute_force_no_path():
     g = Digraph(3, [(0, 1)])
     inst = QsppInstance(g, 0, 2, (0,), InteractionMatrix.zero(1))
     with pytest.raises(NoPathError):
         brute_force_solve(inst)
+    pm = build_path_matrix(inst)
+    assert pm.rows == pm.costs == pm.paths == () and pm.arc_count == 1
 
 
 def test_spp_grid_unit_costs():

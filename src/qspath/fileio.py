@@ -22,15 +22,26 @@ them exactly, as Fraction does (1.5 is 3/2, 1e3 is the int 1000); no value
 ever becomes a float.  Grid instances use the row-major vertex numbering, so
 a p-by-q grid vertex in row i, column j (1-based) is vertex (i-1)*q + (j-1).
 
+The emitter writes Q a row at a time: the nonzero cells right of the
+diagonal are picked by itertools.compress, named from a table of id strings
+built once, and each row is one join.
+
 The parser reads the file block by block: the arc lines, the linear costs
 and the sparse entries are each converted a column at a time, and the
-entries are checked in whole passes.  When a block does not convert or
-check cleanly, it is read again one token at a time, so a malformed file
-always gets the FormatError for its first fault in file order.
+entries are checked in whole passes.  Arc ids, vertex ids and entry ids are
+read through a table from each canonical id string to its int, built once
+per file and no larger than the file's token count; a column holding any
+other spelling (007, +3, an id out of range) goes through int as a whole,
+so it reads as int reads it.  When a block does not convert or check
+cleanly, it is read again one token at a time, so a malformed file always
+gets the FormatError for its first fault in file order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import compress
+from operator import add
 from typing import Callable, TypeVar
 
 from .errors import FormatError, InternalError
@@ -47,11 +58,20 @@ def emit_instance(inst: QsppInstance) -> str:
     for arc_id, arc in enumerate(g.arcs):
         lines.append(f"arc {arc_id} {arc.head} {arc.tail}")
     lines.append("c")
-    lines.append(" ".join(str(v) for v in inst.linear) if inst.linear else "")
-    entries = inst.interaction.upper_entries()
-    lines.append(f"Q sparse {len(entries)}")
-    for e, f, value in entries:
-        lines.append(f"{e} {f} {value}")
+    lines.append(" ".join(map(str, inst.linear)))
+    # Q a row at a time: compress picks the nonzero cells right of the
+    # diagonal, each named by "<f> " from a table, and one join writes the row
+    named = [f"{k} " for k in range(g.m)]
+    count = 0
+    blocks = []
+    for e, row in enumerate(inst.interaction.rows):
+        upper = row[e + 1 :]
+        cells = list(map(add, compress(named[e + 1 :], upper), map(str, compress(upper, upper))))
+        if cells:
+            count += len(cells)
+            blocks.append(named[e] + ("\n" + named[e]).join(cells))
+    lines.append(f"Q sparse {count}")
+    lines.extend(blocks)
     return "\n".join(lines) + "\n"
 
 
@@ -134,13 +154,25 @@ class _Tokens:
         raise InternalError(f"block at token {start + 1} failed to convert but rescanned clean")
 
 
-def _arcs(items: list[str], start: int, end: int) -> list[tuple[int, int]]:
+def _ints(tokens: list[str], ids: dict[str, int]) -> list[int]:
+    """int over a column of id tokens, read through the table ids; a token
+    it does not hold (007, +3, an id out of range) sends the whole column
+    through int, which raises ValueError on a token that is no integer."""
+    try:
+        return list(map(ids.__getitem__, tokens))
+    except KeyError:
+        return list(map(int, tokens))
+
+
+def _arcs(
+    items: list[str], start: int, end: int, ids: dict[str, int]
+) -> list[tuple[int, int]]:
     """Lines 'arc <id> <head> <tail>' with ids 0, 1, ... as (head, tail) pairs."""
     m = (end - start) // 4
-    keywords, ids = items[start:end:4], items[start + 1:end:4]
-    if keywords != ["arc"] * m or list(map(int, ids)) != list(range(m)):
+    keywords = items[start:end:4]
+    if keywords != ["arc"] * m or _ints(items[start + 1:end:4], ids) != list(range(m)):
         raise ValueError("arc lines out of form")
-    return list(zip(map(int, items[start + 2:end:4]), map(int, items[start + 3:end:4])))
+    return list(zip(_ints(items[start + 2:end:4], ids), _ints(items[start + 3:end:4], ids)))
 
 
 def _rescan_arcs(tok: _Tokens, m: int) -> None:
@@ -154,11 +186,11 @@ def _rescan_arcs(tok: _Tokens, m: int) -> None:
 
 
 def _entries(
-    items: list[str], start: int, end: int
+    items: list[str], start: int, end: int, ids: dict[str, int]
 ) -> tuple[list[int], list[int], list[int | Fraction]]:
     """Lines '<e> <f> <value>' as an e column, an f column and exact values."""
-    es = list(map(int, items[start:end:3]))
-    fs = list(map(int, items[start + 1:end:3]))
+    es = _ints(items[start:end:3], ids)
+    fs = _ints(items[start + 1:end:3], ids)
     return es, fs, rational_tokens(items[start + 2:end:3])
 
 
@@ -189,7 +221,10 @@ def parse_instance(text: str) -> QsppInstance:
     source = tok.next_int("source")
     tok.expect("t")
     target = tok.next_int("target")
-    arcs = tok.block(4 * m, _arcs, lambda: _rescan_arcs(tok, m))
+    # canonical vertex and arc ids by their text; no more of them than the
+    # file has tokens, so a huge n or m in a short file builds no large table
+    ids = {str(k): k for k in range(min(max(n, m), len(tok.items)))}
+    arcs = tok.block(4 * m, partial(_arcs, ids=ids), lambda: _rescan_arcs(tok, m))
     try:
         graph = Digraph(n, arcs)
     except ValueError as exc:
@@ -205,7 +240,7 @@ def parse_instance(text: str) -> QsppInstance:
     if kind == "sparse":
         count = tok.next_count("entry count")
         es, fs, values = tok.block(
-            3 * count, _entries, lambda: _rescan_entries(tok, m, count)
+            3 * count, partial(_entries, ids=ids), lambda: _rescan_entries(tok, m, count)
         )
         try:
             matrix = InteractionMatrix._from_columns(m, es, fs, values)

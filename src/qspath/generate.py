@@ -1,19 +1,50 @@
 """Seeded instance generation: cost fillers and random structures.
 
 All randomness flows through an explicit random.Random instance so that a
-fixed seed reproduces an instance bit for bit.  Fillers return problem-
-definition data (symmetric, zero diagonal, nonnegative).
+fixed seed reproduces an instance bit for bit.  Fillers draw a whole column
+of values at once (_draws takes from the stream exactly what one randint
+call per value would) and hand Q to the matrix builder as index and value
+columns.  They return problem-definition data (symmetric, zero diagonal,
+nonnegative).
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, repeat
+from operator import add, mul
 
 from .adjacent import _adjacent
 from .graphs import Digraph, make_complete_symmetric
 from .model import InteractionMatrix, QsppInstance
 from .reductions import QapInstance
+
+
+def _draws(rng: random.Random, hi: int, count: int) -> list[int]:
+    """What ``count`` calls of rng.randint(0, hi) return, value for value,
+    leaving rng in the same state, through getrandbits alone.
+
+    This is randint's own rejection loop without its call layers: each draw
+    takes getrandbits(k), k = (hi + 1).bit_length(), again while the value
+    exceeds hi (so hi = 0 still takes one bit per try).
+    """
+    n = hi + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+def _pair_columns(m: int) -> tuple[list[int], list[int]]:
+    """The e and f columns of every pair e < f, in row-major order."""
+    es = list(chain.from_iterable(map(repeat, range(m), range(m - 1, -1, -1))))
+    fs = list(chain.from_iterable(map(range, range(1, m + 1), repeat(m))))
+    return es, fs
 
 
 def fill_zero(g: Digraph) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
@@ -24,51 +55,49 @@ def fill_random(
     g: Digraph, rng: random.Random, max_entry: int = 9
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Uniform integer interactions on every arc pair, zero linear costs."""
-    matrix = InteractionMatrix.from_triples(
-        g.m,
-        (
-            (e, f, rng.randint(0, max_entry))
-            for e, f in combinations(range(g.m), 2)
-        ),
-    )
-    return (0,) * g.m, matrix
+    es, fs = _pair_columns(g.m)
+    values = _draws(rng, max_entry, len(es))
+    return (0,) * g.m, InteractionMatrix._from_columns(g.m, es, fs, values)
 
 
 def fill_weak_sum(
     g: Digraph, rng: random.Random, max_entry: int = 9
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Interactions a[e] + a[f] for a random per-arc vector a, zero linear costs."""
-    a = [rng.randint(0, max_entry) for _ in range(g.m)]
-    matrix = InteractionMatrix.from_triples(
-        g.m, ((e, f, a[e] + a[f]) for e, f in combinations(range(g.m), 2))
-    )
-    return (0,) * g.m, matrix
+    a = _draws(rng, max_entry, g.m)
+    es, fs = _pair_columns(g.m)
+    values = list(map(add, map(a.__getitem__, es), map(a.__getitem__, fs)))
+    return (0,) * g.m, InteractionMatrix._from_columns(g.m, es, fs, values)
 
 
 def fill_product(
     g: Digraph, rng: random.Random, max_entry: int = 3
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Rank-one data: interactions a[e]*a[f], linear costs a[e] squared."""
-    a = [rng.randint(0, max_entry) for _ in range(g.m)]
-    matrix = InteractionMatrix.from_triples(
-        g.m, ((e, f, a[e] * a[f]) for e, f in combinations(range(g.m), 2))
-    )
-    return tuple(v * v for v in a), matrix
+    a = _draws(rng, max_entry, g.m)
+    es, fs = _pair_columns(g.m)
+    values = list(map(mul, map(a.__getitem__, es), map(a.__getitem__, fs)))
+    return tuple(v * v for v in a), InteractionMatrix._from_columns(g.m, es, fs, values)
 
 
 def fill_adjacent(
     g: Digraph, rng: random.Random, max_entry: int = 9
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Random interactions on adjacent arc pairs only, zero linear costs."""
-    matrix = InteractionMatrix.from_triples(
-        g.m,
-        (
-            (e, f, rng.randint(0, max_entry))
-            for e, f in combinations(range(g.m), 2)
-            if _adjacent(g, e, f)
-        ),
-    )
-    return (0,) * g.m, matrix
+    es: list[int] = []
+    fs: list[int] = []
+    for e, arc in enumerate(g.arcs):
+        # an arc adjacent to e leaves e's tail or enters e's head; only the
+        # arc back from e's tail to its head does both, and it is not adjacent
+        near = sorted(
+            f
+            for f in chain(g.out_arcs(arc.tail), g.in_arcs(arc.head))
+            if f > e and _adjacent(g, e, f)
+        )
+        es.extend(repeat(e, len(near)))
+        fs.extend(near)
+    values = _draws(rng, max_entry, len(es))
+    return (0,) * g.m, InteractionMatrix._from_columns(g.m, es, fs, values)
 
 
 FILLS = {
@@ -157,12 +186,13 @@ def random_qap(n: int, rng: random.Random, max_entry: int = 9) -> QapInstance:
 
     def symmetric() -> list[list[Fraction]]:
         rows = [[0] * n for _ in range(n)]
+        values = iter(_draws(rng, max_entry, n * (n + 1) // 2))
         for i in range(n):
-            for j in range(i, n):
-                v = rng.randint(0, max_entry)
+            for j, v in zip(range(i, n), values):
                 rows[i][j] = v
                 rows[j][i] = v
         return rows
 
-    square = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
+    drawn = _draws(rng, max_entry, n * n)
+    square = [drawn[i : i + n] for i in range(0, n * n, n)]
     return QapInstance(n, symmetric(), symmetric(), square)

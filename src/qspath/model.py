@@ -216,16 +216,6 @@ class InteractionMatrix:
             self._known_symmetric,
         )
 
-    def upper_entries(self) -> list[tuple[int, int, Fraction]]:
-        """Nonzero entries (e, f, value) with e < f, in row-major order."""
-        out = []
-        for e in range(self.m):
-            row = self.rows[e]
-            for f in range(e + 1, self.m):
-                if row[f]:
-                    out.append((e, f, row[f]))
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InteractionMatrix):
             return NotImplemented

@@ -161,9 +161,16 @@ def vector_reproduces_costs(inst: QsppInstance, vector) -> bool:
 
 
 def assert_valid_certificate(pm, coefficients) -> None:
+    """Raise AssertionError unless y = coefficients has B^T y >= 0 and
+    b^T y < 0.  pytest does not rewrite asserts in this module and python -O
+    strips them, so the checks raise explicitly."""
     for col in range(pm.arc_count):
-        assert sum(pm.rows[i][col] * coefficients[i] for i in range(len(coefficients))) >= 0
-    assert sum(c * y for c, y in zip(pm.costs, coefficients)) < 0
+        total = sum(pm.rows[i][col] * coefficients[i] for i in range(len(coefficients)))
+        if total < 0:
+            raise AssertionError(f"certificate has (B^T y)[{col}] = {total} < 0")
+    value = sum(c * y for c, y in zip(pm.costs, coefficients))
+    if value >= 0:
+        raise AssertionError(f"certificate has b^T y = {value}, not negative")
 
 
 def _square_deltas(g: Digraph, p: int, q: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -212,3 +219,45 @@ def square_pair_linearizable(inst: QsppInstance, p: int, q: int) -> bool:
         sum(s * t * rows[a][b] for a, s in delta for b, t in other) == 0
         for _, _, delta, other in incomparable_square_pairs(inst.graph, p, q)
     )
+
+
+def naive_emit(inst: QsppInstance) -> str:
+    """The instance file one f-string per line, each cell right of the
+    diagonal tested on its own."""
+    g = inst.graph
+    rows = inst.interaction.rows
+    lines = ["QSPP 1", f"n {g.n}", f"m {g.m}", f"s {inst.source}", f"t {inst.target}"]
+    for arc_id, arc in enumerate(g.arcs):
+        lines.append(f"arc {arc_id} {arc.head} {arc.tail}")
+    lines.append("c")
+    lines.append(" ".join(f"{v}" for v in inst.linear))
+    entries = [
+        f"{e} {f} {rows[e][f]}" for e in range(g.m) for f in range(e + 1, g.m) if rows[e][f]
+    ]
+    lines.append(f"Q sparse {len(entries)}")
+    lines.extend(entries)
+    return "\n".join(lines) + "\n"
+
+
+def randint_fill(g: Digraph, fill: str, rng: random.Random, max_entry: int):
+    """(linear costs, rows of Q) of a generate fill, drawn with randint one
+    arc pair at a time in row-major pair order."""
+    m = g.m
+    a = [rng.randint(0, max_entry) for _ in range(m)] if fill in ("weak-sum", "product") else None
+    rows = [[0] * m for _ in range(m)]
+    for e in range(m):
+        for f in range(e + 1, m):
+            x, y = g.arcs[e], g.arcs[f]
+            if fill == "random":
+                v = rng.randint(0, max_entry)
+            elif fill == "weak-sum":
+                v = a[e] + a[f]
+            elif fill == "product":
+                v = a[e] * a[f]
+            elif (x.tail == y.head and x.head != y.tail) or (x.head == y.tail and x.tail != y.head):
+                v = rng.randint(0, max_entry)
+            else:
+                continue
+            rows[e][f] = rows[f][e] = v
+    linear = [v * v for v in a] if fill == "product" else [0] * m
+    return tuple(linear), tuple(map(tuple, rows))

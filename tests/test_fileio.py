@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from qspath import (
 from qspath.generate import filled_instance, random_qap
 from qspath.reductions import qap_to_qspp
 
-from helpers import random_symmetric_interaction
+from helpers import naive_emit, random_symmetric_interaction
 
 
 def same_instance(a: QsppInstance, b: QsppInstance) -> bool:
@@ -179,3 +180,99 @@ def test_parse_accepts_empty_blocks():
     assert_exact(inst)
     bare = parse_instance("QSPP 1 n 2 m 0 s 0 t 1 c Q sparse 0")
     assert (bare.graph.n, bare.graph.m, bare.linear, bare.interaction.rows) == (2, 0, (), ())
+
+
+def _emit_cases():
+    for fill in ("zero", "random", "weak-sum", "product", "adjacent"):
+        for g in (make_grid(3, 4), make_complete_symmetric(5, simplified=True)):
+            yield filled_instance(g, 0, g.n - 1, fill, seed=7, max_entry=3)
+    rng = random.Random(11)
+    g = make_grid(3, 3)
+    signed = {
+        (e, f): Fraction(rng.randint(-9, 9), rng.choice((1, 3, 4)))
+        for e in range(g.m)
+        for f in range(e + 1, g.m)
+        if rng.random() < 0.5
+    }
+    linear = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(g.m))
+    yield QsppInstance(g, 0, 8, linear, InteractionMatrix.from_entries(g.m, signed))
+    yield QsppInstance(g, 0, 8, (0,) * g.m, InteractionMatrix.zero(g.m))
+    # only the upper triangle is written, whatever the lower one holds
+    rows = [[(e * 7 + f) % 5 - 2 if e != f else 0 for f in range(4)] for e in range(4)]
+    yield QsppInstance(make_grid(2, 2), 0, 3, (1, -2, Fraction(1, 2), 0), InteractionMatrix(rows))
+
+
+def test_emit_matches_the_naive_emitter():
+    texts = [emit_instance(inst) for inst in _emit_cases()]
+    assert texts == [naive_emit(inst) for inst in _emit_cases()]
+    assert any("\nQ sparse 0\n" in text for text in texts)
+    assert any(re.search(r"\n\d+ \d+ -\d+/\d+\n", text) for text in texts)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def _respelled(text: str, every: int) -> str:
+    """text with every so-many arc and entry id token written another way
+    that int reads as the same number: 007, +3, -0, Arabic-Indic digits."""
+    spellings = (
+        lambda t: "00" + t,
+        lambda t: "+" + t,
+        lambda t: "-0" if t == "0" else t.translate(ARABIC_INDIC),
+    )
+    out, in_entries, k = [], False, 0
+    for line in text.splitlines():
+        parts = line.split()
+        columns = range(1, 4) if parts[:1] == ["arc"] else range(2) if in_entries else ()
+        for j in columns:
+            if k % every == 0:
+                parts[j] = spellings[k // every % 3](parts[j])
+            k += 1
+        in_entries = in_entries or parts[:2] == ["Q", "sparse"]
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("every", [1, 2, 7, 1000])
+def test_parse_reads_ids_outside_the_table_through_int(every):
+    inst = filled_instance(make_grid(3, 3), 0, 8, "random", seed=5)
+    text = emit_instance(inst)
+    odd = _respelled(text, every)
+    assert odd != text
+    if every == 1:
+        tokens = odd.split()
+        assert {"007", "+3", "-0", "\u0666"} <= set(tokens)
+    assert same_instance(parse_instance(odd), inst)
+
+
+# Messages a file with an id out of range, negative or huge gets, pinned as
+# the parser gave them before ids were read through a table.
+BAD_IDS = [
+    ("arc 2 1 4", "arc 9 1 4", "arc ids must be dense and ascending, got 9"),
+    ("arc 2 1 4", "arc -2 1 4", "arc ids must be dense and ascending, got -2"),
+    ("arc 2 1 4", "arc 2 6 4", "arc (6,4) references a vertex outside [0,6)"),
+    (
+        "arc 2 1 4",
+        "arc 2 99999999999999999999 4",
+        "arc (99999999999999999999,4) references a vertex outside [0,6)",
+    ),
+    ("arc 2 1 4", "arc 2 1 -1", "arc (1,-1) references a vertex outside [0,6)"),
+    ("\n1 3 7\n", "\n7 3 7\n", "entry (7,3) outside the arc range"),
+    ("\n1 3 7\n", "\n-1 3 7\n", "entry (-1,3) outside the arc range"),
+    ("\n1 3 7\n", "\n1 +7 7\n", "entry (1,7) outside the arc range"),
+    ("\n1 3 7\n", "\n1 -3 7\n", "entry (1,-3) outside the arc range"),
+    (
+        "\n1 3 7\n",
+        "\n1 99999999999999999999 7\n",
+        "entry (1,99999999999999999999) outside the arc range",
+    ),
+]
+
+
+@pytest.mark.parametrize("old,new,message", BAD_IDS)
+def test_parse_keeps_the_messages_for_bad_ids(old, new, message):
+    text = emit_instance(filled_instance(make_grid(2, 3), 0, 5, "random", seed=1))
+    assert text.count(old) == 1
+    with pytest.raises(FormatError) as info:
+        parse_instance(text.replace(old, new))
+    assert str(info.value) == message

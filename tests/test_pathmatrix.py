@@ -99,6 +99,16 @@ def test_oracle_rejects_costly_short_paths_with_certificate():
     assert lp_oracle(pm, require_nonneg=False).linearizable
 
 
+def test_certificate_check_raises_on_bad_certificates():
+    """assert_valid_certificate raises AssertionError itself, so its checks
+    also run under python -O, which strips bare asserts from helpers.py."""
+    pm = build_path_matrix(k4_instance(SHORT_PATHS_COSTLY))
+    with pytest.raises(AssertionError, match="not negative"):
+        assert_valid_certificate(pm, [0] * len(pm.paths))
+    with pytest.raises(AssertionError, match=r"\(B\^T y\)\[0\] = -"):
+        assert_valid_certificate(pm, [-1] * len(pm.paths))
+
+
 def test_oracle_feasible_interior_pair():
     inst = k4_instance({((0, 1), (1, 2)): 1})
     pm = build_path_matrix(inst)

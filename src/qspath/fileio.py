@@ -26,15 +26,22 @@ The emitter writes Q a row at a time: the nonzero cells right of the
 diagonal are picked by itertools.compress, named from a table of id strings
 built once, and each row is one join.
 
-The parser reads the file block by block: the arc lines, the linear costs
-and the sparse entries are each converted a column at a time, and the
-entries are checked in whole passes.  Arc ids, vertex ids and entry ids are
-read through a table from each canonical id string to its int, built once
-per file and no larger than the file's token count; a column holding any
-other spelling (007, +3, an id out of range) goes through int as a whole,
-so it reads as int reads it.  When a block does not convert or check
-cleanly, it is read again one token at a time, so a malformed file always
-gets the FormatError for its first fault in file order.
+The parser reads the text as a stream.  It splits one slice at a time,
+about 64 KiB cut at a newline (a text with no later newline is one slice),
+so no list of all the file's tokens is ever built; token numbers in messages
+count on across slices.  The arc lines and the linear costs are each
+converted a column at a time.  The entries of a sparse Q are converted one
+slice of whole "e f v" records at a time, and each slice is checked and
+written into the rows of Q at once by the one entry checker in model, whose
+bitmap of seen cells also finds a pair repeated from an earlier slice.
+Arc ids, vertex ids and entry ids are read through a table from each
+canonical id string to its int, built once per file and no larger than the
+text could hold tokens (L characters hold at most L//2 + 1); a column
+holding any other spelling (007, +3, an id out of range) goes through int
+as a whole, so it reads as int reads it.  When a block or a slice does not
+convert cleanly, it is read again one token at a time, its pairs going to
+the same checker, so a malformed file always gets the FormatError for its
+first fault in file order.
 """
 from __future__ import annotations
 
@@ -46,7 +53,7 @@ from typing import Callable, TypeVar
 
 from .errors import FormatError, InternalError
 from .graphs import Digraph
-from .model import InteractionMatrix, QsppInstance, as_rational, check_entry_pairs, rational_tokens
+from .model import InteractionMatrix, QsppInstance, _EntryRows, as_rational, rational_tokens
 
 T = TypeVar("T")
 
@@ -75,16 +82,58 @@ def emit_instance(inst: QsppInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# characters per slice of the text the parser splits at once; a slice ends
+# at the first newline this far past its start, or at the end of the text
+_SLICE_CHARS = 1 << 16
+
+
 class _Tokens:
+    """The whitespace-separated tokens of a text, split one slice at a time.
+
+    items[at:] are the tokens split so far and not yet read; base counts
+    the tokens read before items[0], so pos, the number of the last token
+    read, runs on across slices.  A slice ends at a newline, so no token is
+    ever cut in two.
+    """
+
     def __init__(self, text: str):
-        self.items = text.split()
-        self.pos = 0
+        self.text = text
+        self.cut = 0
+        self.items: list[str] = []
+        self.at = 0
+        self.base = 0
+
+    @property
+    def pos(self) -> int:
+        return self.base + self.at
+
+    def _more(self) -> bool:
+        """Drop the tokens read and add the next slice's; False at the end
+        of the text."""
+        text = self.text
+        if self.cut >= len(text):
+            return False
+        newline = text.find("\n", self.cut + _SLICE_CHARS)
+        end = len(text) if newline < 0 else newline + 1
+        del self.items[: self.at]
+        self.base += self.at
+        self.at = 0
+        self.items += text[self.cut : end].split()
+        self.cut = end
+        return True
+
+    def _has(self, count: int) -> bool:
+        """Whether count more tokens are there, splitting slices as needed."""
+        while len(self.items) - self.at < count:
+            if not self._more():
+                return False
+        return True
 
     def next(self, what: str) -> str:
-        if self.pos >= len(self.items):
+        if self.at == len(self.items) and not self._has(1):
             raise FormatError(f"unexpected end of file, expected {what}")
-        token = self.items[self.pos]
-        self.pos += 1
+        token = self.items[self.at]
+        self.at += 1
         return token
 
     def next_int(self, what: str) -> int:
@@ -119,10 +168,17 @@ class _Tokens:
             raise FormatError(f"token {self.pos}: expected {literal!r}, got {token!r}")
 
     def done(self) -> None:
-        if self.pos != len(self.items):
+        if self._has(1):
             raise FormatError(
-                f"trailing data from token {self.pos + 1} ({self.items[self.pos]!r})"
+                f"trailing data from token {self.pos + 1} ({self.items[self.at]!r})"
             )
+
+    def records(self, count: int, width: int) -> int:
+        """How many whole records of width tokens, up to count, the next
+        slice holds: those already split, or else those the next slices
+        add.  0 only when fewer than width tokens are left in the text."""
+        self._has(width)
+        return min(count, (len(self.items) - self.at) // width)
 
     def block(
         self,
@@ -133,23 +189,19 @@ class _Tokens:
         """Convert the next size tokens in whole-column passes.
 
         convert(items, start, end) reads items[start:end] a column at a time.
-        If the block is short or convert raises, rescan reads the same tokens
-        one at a time with the methods above and raises the FormatError that
-        names the first fault in file order.
+        If the text ends first or convert raises, rescan reads the same
+        tokens one at a time with the methods above and raises the
+        FormatError that names the first fault in file order.
         """
-        start = self.pos
-        end = start + size
-        if end <= len(self.items):
+        if self._has(size):
             try:
-                result = convert(self.items, start, end)
+                result = convert(self.items, self.at, self.at + size)
             except (ValueError, ZeroDivisionError, TypeError):
                 pass
             else:
-                # the converted tokens are not read again; free their strings
-                # before the caller builds on the result
-                self.items[start:end] = [None] * size
-                self.pos = end
+                self.at += size
                 return result
+        start = self.pos
         rescan()
         raise InternalError(f"block at token {start + 1} failed to convert but rescanned clean")
 
@@ -194,18 +246,33 @@ def _entries(
     return es, fs, rational_tokens(items[start + 2:end:3])
 
 
-def _rescan_entries(tok: _Tokens, m: int, count: int) -> None:
-    def pairs():
-        for _ in range(count):
-            e = tok.next_int("entry row")
-            f = tok.next_int("entry column")
-            tok.next_rational("entry value")
-            yield e, f
+def _rescan_entries(tok: _Tokens, rows: _EntryRows, count: int) -> None:
+    for _ in range(count):
+        e = tok.next_int("entry row")
+        f = tok.next_int("entry column")
+        value = tok.next_rational("entry value")
+        try:
+            rows.add((e,), (f,), (value,))
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
 
-    try:
-        check_entry_pairs(m, pairs())
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+
+def _sparse(tok: _Tokens, m: int, count: int, ids: dict[str, int]) -> InteractionMatrix:
+    """The count entry lines of a sparse Q, converted and written one slice
+    of whole records at a time."""
+    rows = _EntryRows(m)
+    while count:
+        # with no whole record left, the rescan of the rest meets the end
+        k = tok.records(count, 3) or count
+        es, fs, values = tok.block(
+            3 * k, partial(_entries, ids=ids), lambda: _rescan_entries(tok, rows, k)
+        )
+        try:
+            rows.add(es, fs, values)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
+        count -= k
+    return rows.matrix()
 
 
 def parse_instance(text: str) -> QsppInstance:
@@ -222,8 +289,9 @@ def parse_instance(text: str) -> QsppInstance:
     tok.expect("t")
     target = tok.next_int("target")
     # canonical vertex and arc ids by their text; no more of them than the
-    # file has tokens, so a huge n or m in a short file builds no large table
-    ids = {str(k): k for k in range(min(max(n, m), len(tok.items)))}
+    # text can hold tokens, so a huge n or m in a short file builds no large
+    # table
+    ids = {str(k): k for k in range(min(max(n, m), len(text) // 2 + 1))}
     arcs = tok.block(4 * m, partial(_arcs, ids=ids), lambda: _rescan_arcs(tok, m))
     try:
         graph = Digraph(n, arcs)
@@ -238,14 +306,7 @@ def parse_instance(text: str) -> QsppInstance:
     tok.expect("Q")
     kind = tok.next("matrix kind (sparse or dense)")
     if kind == "sparse":
-        count = tok.next_count("entry count")
-        es, fs, values = tok.block(
-            3 * count, partial(_entries, ids=ids), lambda: _rescan_entries(tok, m, count)
-        )
-        try:
-            matrix = InteractionMatrix._from_columns(m, es, fs, values)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
+        matrix = _sparse(tok, m, tok.next_count("entry count"), ids)
     elif kind == "dense":
         rows = [
             [tok.next_rational(f"Q[{i}][{j}]") for j in range(m)] for i in range(m)

@@ -18,6 +18,11 @@ adds its linear cost and its interactions with that prefix, read from the
 rows of Q + Q^T built once per call, O(L) per new arc, so no path is priced
 again from its first arc.
 
+Every matrix built from off-diagonal entries (each seeded fill,
+from_triples, from_entries and the parser of sparse files) is checked and
+written by one entry checker, _EntryRows, which finds a repeated pair in a
+bitmap of seen cells.
+
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
 the earliest enumerated optimum, and the shortest-path solvers only ever
 replace a label on strict improvement.
@@ -79,20 +84,54 @@ def rational_tokens(tokens: Sequence[str]) -> list[int | Fraction]:
         return list(map(as_rational, tokens))
 
 
-def check_entry_pairs(m: int, pairs: Iterable[tuple[int, int]]) -> None:
-    """Raise ValueError at the first (e, f) pair, in order, that lies outside
-    the arc range, sits on the diagonal, or repeats an earlier unordered pair
-    (in either orientation)."""
-    seen: set[int] = set()
-    for e, f in pairs:
-        if not (0 <= e < m and 0 <= f < m):
-            raise ValueError(f"entry ({e},{f}) outside the arc range")
-        if e == f:
-            raise ValueError("diagonal interaction entries must stay zero")
-        key = e * m + f if e < f else f * m + e
-        if key in seen:
-            raise ValueError(f"pair ({e},{f}) listed twice")
-        seen.add(key)
+class _EntryRows:
+    """The rows of a symmetric zero-diagonal matrix, written entry by entry
+    from (e, f, value) columns as each entry passes its checks.
+
+    add reads the entries in order and checks each one for the arc range,
+    then the diagonal, then a repeat of an earlier unordered pair (in either
+    orientation, whatever the values).  A repeat is looked up in seen, a
+    bytearray of m*m cells that marks each pair written at its cell above
+    the diagonal.  The first fault raises ValueError and nothing after it is
+    written.  seen lives across add calls, so entries may arrive in pieces
+    and a pair repeated in a later piece is still found.
+    """
+
+    __slots__ = ("m", "rows", "seen")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.rows: list = [[0] * m for _ in range(m)]
+        self.seen = bytearray(m * m)
+
+    def add(
+        self, es: Iterable[int], fs: Iterable[int], values: Iterable[int | Fraction]
+    ) -> None:
+        m = self.m
+        rows = self.rows
+        seen = self.seen
+        for e, f, value in zip(es, fs, values):
+            if not (0 <= e < m and 0 <= f < m):
+                raise ValueError(f"entry ({e},{f}) outside the arc range")
+            # the pair's cell above the diagonal marks it in either orientation
+            if e < f:
+                cell = e * m + f
+            elif e > f:
+                cell = f * m + e
+            else:
+                raise ValueError("diagonal interaction entries must stay zero")
+            if seen[cell]:
+                raise ValueError(f"pair ({e},{f}) listed twice")
+            seen[cell] = 1
+            rows[e][f] = rows[f][e] = value
+
+    def matrix(self) -> "InteractionMatrix":
+        """The matrix of the entries added so far; each row becomes a tuple
+        in place, so no second copy of Q is ever built."""
+        rows = self.rows
+        for e, row in enumerate(rows):
+            rows[e] = tuple(row)
+        return InteractionMatrix._of_exact(rows, known_symmetric=True)
 
 
 class InteractionMatrix:
@@ -173,11 +212,9 @@ class InteractionMatrix:
         values: Sequence[int | Fraction],
     ) -> "InteractionMatrix":
         """from_triples on index columns and values that are already exact."""
-        check_entry_pairs(m, zip(es, fs))
-        rows = [[0] * m for _ in range(m)]
-        for e, f, value in zip(es, fs, values):
-            rows[e][f] = rows[f][e] = value
-        return cls._of_exact(rows, known_symmetric=True)
+        rows = _EntryRows(m)
+        rows.add(es, fs, values)
+        return rows.matrix()
 
     @property
     def m(self) -> int:

@@ -17,6 +17,7 @@ import io
 
 import pytest
 
+from qspath import fileio
 from qspath.cli import main
 
 QAP_TEXT = "3  0 1 2 1 0 3 2 3 0  0 4 1 4 0 2 1 2 0  1 0 2 0 1 3 2 1 0"
@@ -228,3 +229,11 @@ def test_command_output_is_pinned(corpus, name):
     command, file_name, extra, code, digest = COMMANDS[name]
     got_code, out = _run([command, corpus[file_name]] + extra)
     assert (got_code, _digest(out)) == (code, digest)
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 17, 64])
+def test_command_outputs_are_pinned_at_short_slices(corpus, chars, monkeypatch):
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
+    for command, file_name, extra, code, digest in COMMANDS.values():
+        got_code, out = _run([command, corpus[file_name]] + extra)
+        assert (got_code, _digest(out)) == (code, digest)

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from qspath import (
     InteractionMatrix,
     QsppInstance,
     emit_instance,
+    fileio,
     make_complete_symmetric,
     make_cyclic_counterexample,
     make_directed_cycle,
@@ -33,7 +36,7 @@ def same_instance(a: QsppInstance, b: QsppInstance) -> bool:
     )
 
 
-def test_round_trip_every_family():
+def _every_family():
     rng = random.Random(3)
     cyc = make_directed_cycle(5)
     instances = [
@@ -53,8 +56,111 @@ def test_round_trip_every_family():
         qap_to_qspp(random_qap(3, rng)),
         make_cyclic_counterexample(Fraction(2, 7)),
     ]
-    for inst in instances:
+    return instances
+
+
+def test_round_trip_every_family():
+    for inst in _every_family():
         assert same_instance(inst, parse_instance(emit_instance(inst)))
+
+
+# slice lengths, in characters, short enough that every test file is cut
+# into many slices, at every line or a few lines at a time
+SLICES = [1, 2, 3, 17, 64]
+
+
+@pytest.mark.parametrize("chars", SLICES)
+def test_round_trip_every_family_at_short_slices(chars, monkeypatch):
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
+    for inst in _every_family():
+        text = emit_instance(inst)
+        assert text.find("\n", chars) < len(text) - 1  # two slices at least
+        assert same_instance(inst, parse_instance(text))
+
+
+def _entry_lines_split(text: str) -> str:
+    """text with the e f v tokens of its entry lines rewrapped two to a
+    line, so every other record is split across two lines."""
+    head, _, entries = text.partition("Q sparse ")
+    count, _, body = entries.partition("\n")
+    tokens = body.split()
+    pairs = [" ".join(tokens[k : k + 2]) for k in range(0, len(tokens), 2)]
+    return f"{head}Q sparse {count}\n" + "\n".join(pairs) + "\n"
+
+
+@pytest.mark.parametrize("chars", [*SLICES, 1 << 16])
+@pytest.mark.parametrize(
+    "layout",
+    [_entry_lines_split, lambda text: text.replace("\n", " "), lambda text: text.replace("\n", "\r\n")],
+    ids=["split-records", "no-newline", "crlf"],
+)
+def test_parse_reads_any_line_layout_at_any_slice_length(layout, chars, monkeypatch):
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
+    inst = filled_instance(make_grid(3, 4), 0, 11, "random", seed=6)
+    text = layout(emit_instance(inst))
+    assert same_instance(parse_instance(text), inst)
+    # a fault in the last record keeps its token number
+    tokens = text.split()
+    bad = text[: text.rindex(tokens[-1])] + "zz" + text[text.rindex(tokens[-1]) + len(tokens[-1]) :]
+    with pytest.raises(FormatError) as info:
+        parse_instance(bad)
+    assert str(info.value) == f"token {len(tokens)} ('zz'): expected rational entry value"
+
+
+@pytest.mark.parametrize("chars", [17, 64, 1 << 16])
+def test_parse_finds_a_pair_repeated_in_a_later_slice(chars, monkeypatch):
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
+    text = emit_instance(filled_instance(make_grid(3, 3), 0, 8, "random", seed=2))
+    head, _, entries = text.partition("Q sparse ")
+    count, _, body = entries.partition("\n")
+    e, f, value = body.split("\n")[0].split()
+    repeated = f"{head}Q sparse {int(count) + 1}\n{body}{f} {e} {value}\n"
+    if chars < len(body):
+        assert len(body) > 2 * chars  # the two lines lie in different slices
+    with pytest.raises(FormatError) as info:
+        parse_instance(repeated)
+    assert str(info.value) == f"pair ({f},{e}) listed twice"
+
+
+def _traced_peak(run) -> int:
+    """The peak of memory traced while run() runs, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_peaks_below_a_split_of_the_whole_text():
+    text = emit_instance(filled_instance(make_grid(12, 12), 0, 143, "random", seed=1))
+    assert _traced_peak(lambda: parse_instance(text)) < _traced_peak(text.split)
+
+
+# counts near 10**9 in files of a few dozen characters, with the messages
+# the parser gave before its id table was bounded by the text's length
+HUGE_COUNTS = [
+    (
+        "QSPP 1 n 999999999 m 999999998 s 0 t 1 arc 0 0 1 arc 1 1 2 c 0 0 Q sparse 0",
+        "token 19: expected 'arc', got 'c'",
+    ),
+    (
+        "QSPP 1\nn 1000000000\nm 999999937\ns 0\nt 999999999\narc 0 0 999999999\nc\n5\n"
+        "Q sparse 1\n0 999999936 4\n",
+        "token 15: expected 'arc', got 'c'",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message", HUGE_COUNTS)
+def test_huge_counts_in_a_short_file_build_no_large_table(text, message):
+    def parse():
+        with pytest.raises(FormatError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+
+    assert _traced_peak(parse) < 64 * 1024
 
 
 def test_round_trip_negative_and_fractional_values():

@@ -32,6 +32,7 @@ from qspath import (
     InteractionMatrix,
     QsppInstance,
     emit_instance,
+    fileio,
     linearize_g2q,
     make_grid,
     parse_instance,
@@ -189,6 +190,14 @@ def test_pinned_grid_outcome(index, tmp_path):
     case = PINNED_CASES[index]
     expected = {key: value for key, value in case.items() if key != "recipe"}
     assert outcome(case["recipe"], tmp_path / "case.qspp") == expected
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 17, 64])
+def test_pinned_grid_outcomes_at_short_slices(chars, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
+    for case in PINNED_CASES:
+        expected = {key: value for key, value in case.items() if key != "recipe"}
+        assert outcome(case["recipe"], tmp_path / "case.qspp") == expected
 
 
 if __name__ == "__main__":

@@ -74,6 +74,32 @@ def test_interaction_matrix_constructors():
         InteractionMatrix([[0, 1], [1, 0], [0, 0]])
 
 
+# faulty entries for a 5-arc matrix whose entries start with (1, 3, 4),
+# each with the message that names it
+FAULTS = {
+    "range": ((0, 5, 1), "entry (0,5) outside the arc range"),
+    "range-and-diagonal": ((7, 7, 1), "entry (7,7) outside the arc range"),
+    "negative": ((-1, 2, 1), "entry (-1,2) outside the arc range"),
+    "diagonal": ((2, 2, 0), "diagonal interaction entries must stay zero"),
+    "repeat": ((3, 1, 9), "pair (3,1) listed twice"),
+    "repeat-same-way": ((1, 3, 4), "pair (1,3) listed twice"),
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_from_triples_names_the_first_fault(seed):
+    rng = random.Random(seed)
+    names = rng.sample(sorted(FAULTS), rng.randint(2, len(FAULTS)))
+    entries = [("clean", (1, 3, 4)), ("clean", (0, 4, 2))]
+    for name in names:
+        entries.insert(rng.randint(2, len(entries)), (name, FAULTS[name][0]))
+    first = next(name for name, _ in entries if name != "clean")
+    triples = [triple for _, triple in entries]
+    with pytest.raises(ValueError) as info:
+        InteractionMatrix.from_triples(5, triples)
+    assert str(info.value) == FAULTS[first][1]
+
+
 def test_instance_dimension_checks():
     g = make_grid(2, 2)
     with pytest.raises(ValueError):

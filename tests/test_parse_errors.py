@@ -8,7 +8,8 @@ placed before a token that does not parse.  ``parse_errors.json`` holds every
 file with the exception class and message the parser gave when the corpus
 was recorded, or, for a file that still parses, the SHA-256 of its canonical
 re-emission.  So a change to the parser must report the same first fault,
-in the same words, on every file.
+in the same words, on every file, also when the file is split into many
+short slices and its tokens are spread over lines.
 
 To record the file again (only when a message is meant to change):
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from qspath import InteractionMatrix, QsppInstance, emit_instance, make_grid, parse_instance
+from qspath import InteractionMatrix, QsppInstance, emit_instance, fileio, make_grid, parse_instance
 from qspath.generate import filled_instance
 
 PINNED = Path(__file__).with_name("parse_errors.json")
@@ -180,6 +181,24 @@ def test_corpus_matches_its_generator():
 def test_pinned_parse_outcome(index):
     case = PINNED_CASES[index]
     assert outcome(case["text"]) == {"error": case["error"], "message": case["message"]}
+
+
+def _lines(text: str, rng: random.Random) -> str:
+    """text with each space between tokens made a space, a newline or a
+    CRLF at random, so the parser's slices end inside its sections."""
+    return "".join(
+        part + rng.choice((" ", "\n", "\r\n")) for part in text.split(" ")
+    )
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 17, 64])
+def test_pinned_parse_outcomes_at_short_slices(chars, monkeypatch):
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
+    rng = random.Random(chars)
+    for case in PINNED_CASES:
+        expected = {"error": case["error"], "message": case["message"]}
+        assert outcome(case["text"]) == expected
+        assert outcome(_lines(case["text"], rng)) == expected
 
 
 if __name__ == "__main__":

@@ -34,11 +34,12 @@ converted a column at a time.  The entries of a sparse Q are converted one
 slice of whole "e f v" records at a time, and each slice is checked and
 written into the rows of Q at once by the one entry checker in model, whose
 bitmap of seen cells also finds a pair repeated from an earlier slice.
-Arc ids, vertex ids and entry ids are read through a table from each
-canonical id string to its int, built once per file and no larger than the
-text could hold tokens (L characters hold at most L//2 + 1); a column
-holding any other spelling (007, +3, an id out of range) goes through int
-as a whole, so it reads as int reads it.  When a block or a slice does not
+Arc ids, vertex ids, entry ids and entry values are read through a table
+from each canonical id string to its int, built once per file and no larger
+than the text could hold tokens (L characters hold at most L//2 + 1); a
+column holding any other spelling (007, +3, an id out of range, a value
+such as -3 or 3/2) goes through int, or as_rational for values, as a whole,
+so it reads as those read it.  When a block or a slice does not
 convert cleanly, it is read again one token at a time, its pairs going to
 the same checker, so a malformed file always gets the FormatError for its
 first fault in file order.
@@ -240,10 +241,19 @@ def _rescan_arcs(tok: _Tokens, m: int) -> None:
 def _entries(
     items: list[str], start: int, end: int, ids: dict[str, int]
 ) -> tuple[list[int], list[int], list[int | Fraction]]:
-    """Lines '<e> <f> <value>' as an e column, an f column and exact values."""
+    """Lines '<e> <f> <value>' as an e column, an f column and exact values.
+
+    The values are read through the id table too, as most are small whole
+    numbers; a column holding any value it does not hold (-3, 3/2, 1.5,
+    007, a value past the table) goes through rational_tokens as a whole.
+    """
     es = _ints(items[start:end:3], ids)
     fs = _ints(items[start + 1:end:3], ids)
-    return es, fs, rational_tokens(items[start + 2:end:3])
+    values = items[start + 2:end:3]
+    try:
+        return es, fs, list(map(ids.__getitem__, values))
+    except KeyError:
+        return es, fs, rational_tokens(values)
 
 
 def _rescan_entries(tok: _Tokens, rows: _EntryRows, count: int) -> None:

@@ -3,9 +3,13 @@
 All randomness flows through an explicit random.Random instance so that a
 fixed seed reproduces an instance bit for bit.  Fillers draw a whole column
 of values at once (_draws takes from the stream exactly what one randint
-call per value would) and hand Q to the matrix builder as index and value
-columns.  They return problem-definition data (symmetric, zero diagonal,
-nonnegative).
+call per value would).  The random, weak-sum and product fills set every
+cell of Q by construction, so they hand its finished rows, symmetric with a
+zero diagonal, to the matrix unchecked: a weak-sum or product row is one map
+over the per-arc vector, and a random row is its upper part, drawn in
+row-major pair order, plus the same cells read down its column.  The
+adjacent fill names only some pairs and goes through the entry checker.  They return problem-definition data
+(symmetric, zero diagonal, nonnegative).
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import random
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
+from typing import Callable, Iterator
 
 from .adjacent import _adjacent
 from .graphs import Digraph, make_complete_symmetric
@@ -40,11 +45,13 @@ def _draws(rng: random.Random, hi: int, count: int) -> list[int]:
     return out
 
 
-def _pair_columns(m: int) -> tuple[list[int], list[int]]:
-    """The e and f columns of every pair e < f, in row-major order."""
-    es = list(chain.from_iterable(map(repeat, range(m), range(m - 1, -1, -1))))
-    fs = list(chain.from_iterable(map(range, range(1, m + 1), repeat(m))))
-    return es, fs
+def _outer_rows(a: list[int], op: Callable[[int, int], int]) -> Iterator[list[int]]:
+    """Row e of the matrix op(a[e], a[f]) with a zero diagonal, one row at a
+    time."""
+    for e, x in enumerate(a):
+        row = list(map(op, repeat(x), a))
+        row[e] = 0
+        yield row
 
 
 def fill_zero(g: Digraph) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
@@ -55,9 +62,19 @@ def fill_random(
     g: Digraph, rng: random.Random, max_entry: int = 9
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Uniform integer interactions on every arc pair, zero linear costs."""
-    es, fs = _pair_columns(g.m)
-    values = _draws(rng, max_entry, len(es))
-    return (0,) * g.m, InteractionMatrix._from_columns(g.m, es, fs, values)
+    m = g.m
+    values = _draws(rng, max_entry, m * (m - 1) // 2)
+    # the draws of pairs e < f in row-major order, each row padded with zeros
+    # up to and including its diagonal; a row of Q is its padded row plus its
+    # padded column, since one of the two is zero in every cell
+    padded = []
+    start = 0
+    for e in range(m):
+        end = start + m - 1 - e
+        padded.append([0] * (e + 1) + values[start:end])
+        start = end
+    rows = (tuple(map(add, row, col)) for row, col in zip(padded, zip(*padded)))
+    return (0,) * m, InteractionMatrix._of_exact(rows, known_symmetric=True)
 
 
 def fill_weak_sum(
@@ -65,9 +82,7 @@ def fill_weak_sum(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Interactions a[e] + a[f] for a random per-arc vector a, zero linear costs."""
     a = _draws(rng, max_entry, g.m)
-    es, fs = _pair_columns(g.m)
-    values = list(map(add, map(a.__getitem__, es), map(a.__getitem__, fs)))
-    return (0,) * g.m, InteractionMatrix._from_columns(g.m, es, fs, values)
+    return (0,) * g.m, InteractionMatrix._of_exact(_outer_rows(a, add), known_symmetric=True)
 
 
 def fill_product(
@@ -75,9 +90,8 @@ def fill_product(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Rank-one data: interactions a[e]*a[f], linear costs a[e] squared."""
     a = _draws(rng, max_entry, g.m)
-    es, fs = _pair_columns(g.m)
-    values = list(map(mul, map(a.__getitem__, es), map(a.__getitem__, fs)))
-    return tuple(v * v for v in a), InteractionMatrix._from_columns(g.m, es, fs, values)
+    matrix = InteractionMatrix._of_exact(_outer_rows(a, mul), known_symmetric=True)
+    return tuple(v * v for v in a), matrix
 
 
 def fill_adjacent(

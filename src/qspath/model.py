@@ -18,10 +18,11 @@ adds its linear cost and its interactions with that prefix, read from the
 rows of Q + Q^T built once per call, O(L) per new arc, so no path is priced
 again from its first arc.
 
-Every matrix built from off-diagonal entries (each seeded fill,
-from_triples, from_entries and the parser of sparse files) is checked and
-written by one entry checker, _EntryRows, which finds a repeated pair in a
-bitmap of seen cells.
+Every matrix built from off-diagonal entries (from_triples, from_entries,
+the adjacent fill and the parser of sparse files) is checked and written by
+one entry checker, _EntryRows, which finds a repeated pair in a bitmap of
+seen cells.  The random, weak-sum and product fills set every cell by
+construction and hand their finished rows to _of_exact instead.
 
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
 the earliest enumerated optimum, and the shortest-path solvers only ever
@@ -140,8 +141,9 @@ class InteractionMatrix:
     Construction does not force symmetry or a zero diagonal so that
     validate_instance can report violations; operations that rely on those
     invariants state so in their contracts.  The builders that guarantee
-    both (zero, from_entries, from_triples) record it, so checking them
-    again is O(1); ``_known_symmetric`` false means unknown, not asymmetric.
+    both (zero, from_entries, from_triples, the seeded fills) record it, so
+    checking them again is O(1); ``_known_symmetric`` false means unknown,
+    not asymmetric.
     """
 
     __slots__ = ("rows", "_known_symmetric")

@@ -8,7 +8,7 @@ from qspath import (
     make_cyclic_counterexample,
     parse_instance,
 )
-from qspath.cli import main
+from qspath.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -41,6 +41,25 @@ def test_generate_requires_seed_for_random_fills(capsys):
     code, _, err = run(capsys, "generate", "grid", "2", "2", "--fill", "random")
     assert code == 2
     assert "seed" in err
+
+
+def test_calls_in_one_process_share_the_parser_and_no_state(capsys):
+    assert build_parser() is build_parser()
+    argv = ["generate", "grid", "3", "3", "--fill", "random", "--seed", "3"]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    code, zeros, _ = run(capsys, *argv, "--max-entry", "0")
+    assert code == 0 and zeros != first[1]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--fill", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    # neither the --max-entry nor the rejected --fill carried over
+    assert run(capsys, *argv) == first
+    # nor the --seed: without one the random fill is still refused
+    code, out, err = run(capsys, *argv[:-2])
+    assert (code, out) == (2, "")
+    assert "needs a seed" in err
 
 
 def test_solve_brute_on_counterexample_file(tmp_path, capsys):

@@ -21,6 +21,7 @@ from qspath import (
     parse_instance,
 )
 from qspath.generate import filled_instance, random_qap
+from qspath.model import as_rational
 from qspath.reductions import qap_to_qspp
 
 from helpers import naive_emit, random_symmetric_interaction
@@ -276,6 +277,22 @@ def test_parse_reads_signed_fractional_and_decimal_tokens_exactly():
     assert same_instance(inst, expected)
     assert_exact(inst)
     assert type(inst.linear[2]) is int and type(inst.interaction.at(1, 0)) is int
+
+
+def test_parse_reads_values_outside_the_table_as_as_rational_does():
+    # the table holds "0".."11" here; each other spelling, in a column of
+    # table values, must read as as_rational reads it
+    spellings = ["3/2", "1.5", "-3", "007", "1_0", "-0", "+4", "12", "1e3", "6/2"]
+    g = make_grid(3, 3)
+    head = emit_instance(QsppInstance(g, 0, 8, (0,) * g.m, InteractionMatrix.zero(g.m)))
+    head = head[: head.index("Q sparse")]
+    for odd in spellings:
+        tokens = ["5", "11", odd, "0"]
+        lines = [f"{k} {k + 1} {v}" for k, v in enumerate(tokens)]
+        inst = parse_instance(head + f"Q sparse {len(lines)}\n" + "\n".join(lines) + "\n")
+        values = [inst.interaction.at(k, k + 1) for k in range(len(tokens))]
+        assert values == [as_rational(t) for t in tokens]
+        assert_exact(inst)
 
 
 def test_parse_accepts_empty_blocks():

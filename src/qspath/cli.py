@@ -231,11 +231,9 @@ def _path_limit(text: str) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and reused by every
-    main call: parsing fills a namespace of its own and leaves the parser
-    unchanged.  The handlers it dispatches to look up the layers they call
-    (parse_instance, filled_instance, ...) on this module when they run, so
-    a name replaced here after the parser was built is still the one called.
-    """
+    main call, since parsing leaves it unchanged.  The handlers look up the
+    layers they call on this module when they run, so a name replaced here
+    later is still the one called."""
     parser = argparse.ArgumentParser(
         prog="qspath",
         description="Quadratic shortest path toolkit: exact solvers and "

@@ -241,12 +241,10 @@ def _rescan_arcs(tok: _Tokens, m: int) -> None:
 def _entries(
     items: list[str], start: int, end: int, ids: dict[str, int]
 ) -> tuple[list[int], list[int], list[int | Fraction]]:
-    """Lines '<e> <f> <value>' as an e column, an f column and exact values.
-
-    The values are read through the id table too, as most are small whole
-    numbers; a column holding any value it does not hold (-3, 3/2, 1.5,
-    007, a value past the table) goes through rational_tokens as a whole.
-    """
+    """Lines '<e> <f> <value>' as an e column, an f column and exact values;
+    most values are small whole numbers, so they too are read through the
+    id table, and a column holding any other token goes through
+    rational_tokens as a whole."""
     es = _ints(items[start:end:3], ids)
     fs = _ints(items[start + 1:end:3], ids)
     values = items[start + 2:end:3]

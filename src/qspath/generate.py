@@ -8,14 +8,15 @@ cell of Q by construction, so they hand its finished rows, symmetric with a
 zero diagonal, to the matrix unchecked: a weak-sum or product row is one map
 over the per-arc vector, and a random row is its upper part, drawn in
 row-major pair order, plus the same cells read down its column.  The
-adjacent fill names only some pairs and goes through the entry checker.  They return problem-definition data
-(symmetric, zero diagonal, nonnegative).
+adjacent fill names only some pairs and goes through the entry checker.
+They return problem-definition data (symmetric, zero diagonal,
+nonnegative).
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul
 from typing import Callable, Iterator
 
@@ -63,16 +64,11 @@ def fill_random(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Uniform integer interactions on every arc pair, zero linear costs."""
     m = g.m
-    values = _draws(rng, max_entry, m * (m - 1) // 2)
     # the draws of pairs e < f in row-major order, each row padded with zeros
     # up to and including its diagonal; a row of Q is its padded row plus its
     # padded column, since one of the two is zero in every cell
-    padded = []
-    start = 0
-    for e in range(m):
-        end = start + m - 1 - e
-        padded.append([0] * (e + 1) + values[start:end])
-        start = end
+    drawn = iter(_draws(rng, max_entry, m * (m - 1) // 2))
+    padded = [[0] * (e + 1) + list(islice(drawn, m - 1 - e)) for e in range(m)]
     rows = (tuple(map(add, row, col)) for row, col in zip(padded, zip(*padded)))
     return (0,) * m, InteractionMatrix._of_exact(rows, known_symmetric=True)
 

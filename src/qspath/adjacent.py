@@ -89,9 +89,8 @@ def build_auxiliary(inst: QsppInstance) -> AuxiliaryGraph:
         arcs.append((aux_source, 1 + f))
         costs.append(inst.linear[f])
     for e in range(m):
-        tail = g.arcs[e].tail
-        for f in g.out_arcs(tail):
-            if g.arcs[f].tail == g.arcs[e].head:
+        for f in g.out_arcs(g.arcs[e].tail):
+            if not _adjacent(g, e, f):
                 continue
             arcs.append((1 + e, 1 + f))
             costs.append(inst.linear[f] + 2 * rows[e][f])

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .adjacent import _adjacent
 from .errors import FamilyError, InternalError
-from .graphs import Digraph, Path
+from .graphs import Digraph, make_complete_symmetric, path_vertices
 from .model import (
     InteractionMatrix,
     QsppInstance,
@@ -48,30 +49,23 @@ def _choose(a: int, b: int) -> int:
 
 
 def knstar_order(g: Digraph, source: int, target: int) -> int:
-    """Vertex count if ``g`` is the simplified complete shape; raises otherwise."""
-    n = g.n
-    expected = {
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and v != source and u != target and (u, v) != (source, target)
-    }
-    arcs = [tuple(a) for a in g.arcs]
-    if len(arcs) != len(set(arcs)) or set(arcs) != expected:
+    """Vertex count if ``g`` is the simplified complete shape; raises otherwise.
+
+    The shape has (n-1)(n-2) arcs; that count is checked first, so a graph
+    of many vertices and few arcs never has the shape built."""
+    arcs = set(g.arcs)
+    if len(arcs) != g.m or g.m != (g.n - 1) * (g.n - 2) or arcs != set(
+        make_complete_symmetric(g.n, simplified=True, source=source, target=target).arcs
+    ):
         raise FamilyError(
             "graph is not the complete digraph with the unusable terminal arcs removed"
         )
-    return n
+    return g.n
 
 
 def _is_terminal(g: Digraph, source: int, target: int, arc: int) -> bool:
     a = g.arcs[arc]
     return a.head == source or a.tail == target
-
-
-def _consecutive(g: Digraph, e: int, f: int) -> bool:
-    a, b = g.arcs[e], g.arcs[f]
-    return a.tail == b.head or a.head == b.tail
 
 
 def _never_together(g: Digraph, e: int, f: int) -> bool:
@@ -86,15 +80,10 @@ def _never_together(g: Digraph, e: int, f: int) -> bool:
 
 def _require_normalized(inst: QsppInstance) -> None:
     """Refuse interaction costs on pairs no path can carry (FamilyError)."""
-    g = inst.graph
-    rows = inst.interaction.rows
-    for e in range(g.m):
-        for f in range(e + 1, g.m):
-            if rows[e][f] and _never_together(g, e, f):
-                raise FamilyError(
-                    "interaction cost on a pair no path can carry; apply "
-                    "normalize_knstar first"
-                )
+    if normalize_knstar(inst).interaction != inst.interaction:
+        raise FamilyError(
+            "interaction cost on a pair no path can carry; apply normalize_knstar first"
+        )
 
 
 def normalize_knstar(inst: QsppInstance) -> QsppInstance:
@@ -110,9 +99,8 @@ def normalize_knstar(inst: QsppInstance) -> QsppInstance:
         for f in range(e + 1, m):
             if _never_together(inst.graph, e, f):
                 rows[e][f] = rows[f][e] = 0
-    return QsppInstance(
-        inst.graph, inst.source, inst.target, inst.linear, InteractionMatrix(rows)
-    )
+    interaction = InteractionMatrix._of_exact(rows, inst.interaction._known_symmetric)
+    return QsppInstance(inst.graph, inst.source, inst.target, inst.linear, interaction)
 
 
 @dataclass(frozen=True)
@@ -176,7 +164,7 @@ def path_class_costs(
             terminal = _is_terminal(g, inst.source, inst.target, e) + _is_terminal(
                 g, inst.source, inst.target, f
             )
-            consecutive = _consecutive(g, e, f)
+            consecutive = _adjacent(g, e, f)
             if terminal == 2:
                 idx = 0 if consecutive else 1
             elif terminal == 1:
@@ -239,26 +227,6 @@ def check_necessary_conditions(inst: QsppInstance) -> NecessaryConditionsReport:
     return NecessaryConditionsReport(tuple(checks), totals)
 
 
-def _k4_paths(
-    g: Digraph, source: int, target: int, x: int, y: int
-) -> tuple[list[Path], dict[tuple[int, int], int]]:
-    """The four paths of the simplified four-vertex shape with interior
-    vertices x < y: both length-2 paths first (ordered by the middle vertex),
-    then both length-3 paths."""
-    arc_of = {(a.head, a.tail): i for i, a in enumerate(g.arcs)}
-    routes = [
-        (source, x, target),
-        (source, y, target),
-        (source, x, y, target),
-        (source, y, x, target),
-    ]
-    paths = [
-        Path(tuple(arc_of[(r[i], r[i + 1])] for i in range(len(r) - 1)))
-        for r in routes
-    ]
-    return paths, arc_of
-
-
 def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     """Decide linearizability on the simplified four-vertex shape.
 
@@ -275,27 +243,30 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     _require_normalized(inst)
     source, target = inst.source, inst.target
     x, y = sorted(v for v in range(n) if v not in (source, target))
-    paths, arc_of = _k4_paths(inst.graph, source, target, x, y)
     pm = build_path_matrix(inst)
-    row_of_path = {p: i for i, p in enumerate(pm.paths)}
-    b = [pm.costs[row_of_path[p]] for p in paths]
+    # both length-2 paths (by middle vertex x, y), then s-x-y-t and s-y-x-t
+    order = sorted(
+        range(len(pm.paths)),
+        key=lambda r: (len(pm.paths[r]), path_vertices(inst.graph, pm.paths[r])),
+    )
+    b = [pm.costs[r] for r in order]
 
-    def certificate(weights: dict[Path, Fraction]) -> InfeasibilityCertificate:
-        y = [0] * len(pm.paths)
-        for path, w in weights.items():
-            y[row_of_path[path]] = w
-        _verify_certificate(pm, y)
-        return InfeasibilityCertificate(tuple(y))
+    def certificate(weights: dict[int, Fraction]) -> InfeasibilityCertificate:
+        coefficients = [0] * len(pm.paths)
+        for row, w in weights.items():
+            coefficients[row] = w
+        _verify_certificate(pm, coefficients, require_nonneg=True)
+        return InfeasibilityCertificate(tuple(coefficients))
 
     negative = next((i for i, cost in enumerate(b) if cost < 0), None)
     if negative is not None:
         return LinearizationResult(
             False,
-            witness=certificate({paths[negative]: 1}),
+            witness=certificate({order[negative]: 1}),
             note="a path has negative cost, unreachable with nonnegative entries",
         )
     if b[0] + b[1] > b[2] + b[3]:
-        weights = {paths[0]: -1, paths[1]: -1, paths[2]: 1, paths[3]: 1}
+        weights = dict(zip(order, (-1, -1, 1, 1)))
         return LinearizationResult(
             False,
             witness=certificate(weights),
@@ -324,6 +295,7 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
             (y, target): b[1] - b[3],
             (x, y): b[2] + b[3] - b[1] - b[0],
         }
+    arc_of = {arc: i for i, arc in enumerate(inst.graph.arcs)}
     vec = [0] * inst.graph.m
     for endpoints, value in entries.items():
         vec[arc_of[endpoints]] = value

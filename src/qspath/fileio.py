@@ -319,7 +319,7 @@ def parse_instance(text: str) -> QsppInstance:
         rows = [
             [tok.next_rational(f"Q[{i}][{j}]") for j in range(m)] for i in range(m)
         ]
-        matrix = InteractionMatrix(rows)
+        matrix = InteractionMatrix._of_exact(rows, known_symmetric=False)
         if not matrix.is_symmetric():
             raise FormatError("dense interaction matrix must be symmetric")
         if not matrix.has_zero_diagonal():

@@ -107,7 +107,7 @@ def fill_adjacent(
         es.extend(repeat(e, len(near)))
         fs.extend(near)
     values = _draws(rng, max_entry, len(es))
-    return (0,) * g.m, InteractionMatrix._from_columns(g.m, es, fs, values)
+    return (0,) * g.m, InteractionMatrix.from_triples(g.m, zip(es, fs, values))
 
 
 FILLS = {

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add, itemgetter, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import FamilyError, InternalError
 from .graphs import Digraph, Path, detect_grid, is_acyclic, make_grid
@@ -126,12 +126,16 @@ def _require_corner_instance(inst: QsppInstance, shape: GridShape) -> None:
 # ---- critical paths and their costs -------------------------------------
 
 
-def _support_arcs(shape: GridShape, rows: int, cols: int) -> list[int]:
-    """Reduced-form support of the rows-by-cols sub-grid, in solve order."""
-    order = [shape.right[(1, 1)]]
+def _support(
+    shape: GridShape, rows: int, cols: int
+) -> Iterator[tuple[int, int | None, int | None]]:
+    """Reduced-form support of the rows-by-cols sub-grid in solve order, as
+    (arc, i, j): the top-left right arc with i = j = None, then down(i, j)
+    row by row; _critical_path_arcs(shape, rows, cols, i, j) is its path."""
+    yield shape.right[(1, 1)], None, None
     for i in range(1, rows):
-        order.extend(shape.down[(i, j)] for j in range(1, cols))
-    return order
+        for j in range(1, cols):
+            yield shape.down[(i, j)], i, j
 
 
 def _critical_path_arcs(
@@ -157,22 +161,14 @@ def _critical_path_arcs(
     return path
 
 
-def _critical_path_table(shape: GridShape, rows: int, cols: int) -> dict[int, list[int]]:
-    """Arc sequence of every critical path of the rows-by-cols sub-grid
-    (continued to the corner when rows < p), keyed by the support arc it
-    pins down."""
-    out = {shape.right[(1, 1)]: _critical_path_arcs(shape, rows, cols, None, None)}
-    for i in range(1, rows):
-        for j in range(1, cols):
-            out[shape.down[(i, j)]] = _critical_path_arcs(shape, rows, cols, i, j)
-    return out
-
-
 def critical_paths(p: int, q: int) -> dict[int, Path]:
     """The (p-1)(q-1)+1 critical paths of the p-by-q grid, keyed by the
     support arc each one pins down (ids follow make_grid's numbering)."""
     shape = _classify(p, q, make_grid(p, q))
-    return {a: Path(tuple(arcs)) for a, arcs in _critical_path_table(shape, p, q).items()}
+    return {
+        a: Path(tuple(_critical_path_arcs(shape, p, q, i, j)))
+        for a, i, j in _support(shape, p, q)
+    }
 
 
 def _critical_costs(
@@ -246,8 +242,10 @@ def reduce_cost_vector(g: Digraph, costs: Sequence[object]) -> tuple[Fraction, .
     vec = rational_vector(costs)
     if len(vec) != g.m:
         raise ValueError("cost vector length must equal the arc count")
-    paths = _critical_path_table(shape, shape.p, shape.q)
-    gamma = {arc: sum(vec[a] for a in path) for arc, path in paths.items()}
+    gamma = {
+        arc: sum(vec[a] for a in _critical_path_arcs(shape, shape.p, shape.q, i, j))
+        for arc, i, j in _support(shape, shape.p, shape.q)
+    }
     return rational_vector(_solve_reduced(shape, gamma))
 
 
@@ -369,9 +367,9 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     for rows in range(p - 1, 1, -1):
         for cols in range(2, q):
             gaps = _critical_costs(inst, shape, rows, cols, gap_linear)
-            arc = next((a for a in _support_arcs(shape, rows, cols) if gaps[a]), None)
-            if arc is not None:
-                path = Path(tuple(_critical_path_table(shape, rows, cols)[arc]))
+            failing = next(((i, j) for a, i, j in _support(shape, rows, cols) if gaps[a]), None)
+            if failing is not None:
+                path = Path(tuple(_critical_path_arcs(shape, rows, cols, *failing)))
                 expected = cost_of_arcs(inst, path.arcs)
                 got = linear_cost(pseudo_full, path)
                 if expected == got:

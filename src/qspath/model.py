@@ -203,17 +203,6 @@ class InteractionMatrix:
             es.append(e)
             fs.append(f)
             values.append(as_rational(value))
-        return cls._from_columns(m, es, fs, values)
-
-    @classmethod
-    def _from_columns(
-        cls,
-        m: int,
-        es: Sequence[int],
-        fs: Sequence[int],
-        values: Sequence[int | Fraction],
-    ) -> "InteractionMatrix":
-        """from_triples on index columns and values that are already exact."""
         rows = _EntryRows(m)
         rows.add(es, fs, values)
         return rows.matrix()
@@ -248,10 +237,7 @@ class InteractionMatrix:
         symmetry is kept."""
         a = as_rational(alpha)
         return InteractionMatrix._of_exact(
-            (
-                [v if type(v) is int else as_rational(v) for v in map(mul, repeat(a), row)]
-                for row in self.rows
-            ),
+            (map(as_rational, map(mul, repeat(a), row)) for row in self.rows),
             self._known_symmetric,
         )
 

@@ -71,7 +71,8 @@ class CostMismatch:
 
 @dataclass(frozen=True)
 class InfeasibilityCertificate:
-    """Combination y of path rows with B^T y >= 0 but b^T y < 0."""
+    """Combination y of path rows with B^T y >= 0 but b^T y < 0; in the
+    equality sense B^T y = 0."""
 
     coefficients: tuple[int | Fraction, ...]
 
@@ -110,14 +111,6 @@ def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
     return as_rational(a / b)
 
 
-def _sub_scaled(
-    a: int | Fraction, factor: int | Fraction, b: int | Fraction
-) -> int | Fraction:
-    """a - factor * b, with a whole result brought back to int."""
-    v = a - factor * b
-    return v if type(v) is int else as_rational(v)
-
-
 def _gauss_solve(
     matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> tuple[str, list[int | Fraction]]:
@@ -153,15 +146,15 @@ def _gauss_solve(
                 continue
             factor = _div(row[col], pivot_val)
             for j, v in nonzero:
-                row[j] = _sub_scaled(row[j], factor, v)
+                row[j] = as_rational(row[j] - factor * v)
             tr = trace[i]
             for origin, t in pivot_trace:
-                v = _sub_scaled(tr.get(origin, 0), factor, t)
+                v = as_rational(tr.get(origin, 0) - factor * t)
                 if v:
                     tr[origin] = v
                 else:
                     del tr[origin]
-            rhs[i] = _sub_scaled(rhs[i], factor, pivot_rhs)
+            rhs[i] = as_rational(rhs[i] - factor * pivot_rhs)
         pivots.append((r, col))
         r += 1
         if r == k:
@@ -237,11 +230,11 @@ def _phase1_simplex(
             factor = row[entering]
             if i != leaving and factor:
                 for j, v in nonzero:
-                    row[j] = _sub_scaled(row[j], factor, v)
+                    row[j] = as_rational(row[j] - factor * v)
         factor = reduced[entering]
         for j, v in nonzero:
             if j < width:
-                reduced[j] = _sub_scaled(reduced[j], factor, v)
+                reduced[j] = as_rational(reduced[j] - factor * v)
         basis[leaving] = entering
 
     objective = sum(tableau[i][-1] for i in range(k) if basis[i] >= m)
@@ -269,11 +262,17 @@ def _verify_solution(
         raise InternalError("oracle produced a negative entry")
 
 
-def _verify_certificate(pm: PathMatrix, y: list[int | Fraction]) -> None:
-    """Raise InternalError unless B^T y >= 0 and b^T y < 0."""
+def _verify_certificate(
+    pm: PathMatrix, y: list[int | Fraction], require_nonneg: bool
+) -> None:
+    """Raise InternalError unless b^T y < 0 and B^T y >= 0, or B^T y = 0
+    when the sense is the equality one (require_nonneg false)."""
     for col in range(pm.arc_count):
-        if sum(pm.rows[i][col] * y[i] for i in range(len(y))) < 0:
+        total = sum(pm.rows[i][col] * y[i] for i in range(len(y)))
+        if total < 0:
             raise InternalError("certificate fails B^T y >= 0")
+        if total and not require_nonneg:
+            raise InternalError("certificate fails B^T y = 0")
     if sum(c * v for c, v in zip(pm.costs, y)) >= 0:
         raise InternalError("certificate fails b^T y < 0")
 
@@ -304,7 +303,7 @@ def lp_oracle(pm: PathMatrix, require_nonneg: bool = True) -> LinearizationResul
     y = vec
     if sum(c * v for c, v in zip(pm.costs, y)) > 0:
         y = [-v for v in y]
-    _verify_certificate(pm, y)
+    _verify_certificate(pm, y, require_nonneg)
     return LinearizationResult(
         False, witness=InfeasibilityCertificate(tuple(y))
     )

@@ -160,14 +160,17 @@ def vector_reproduces_costs(inst: QsppInstance, vector) -> bool:
     return True
 
 
-def assert_valid_certificate(pm, coefficients) -> None:
-    """Raise AssertionError unless y = coefficients has B^T y >= 0 and
-    b^T y < 0.  pytest does not rewrite asserts in this module and python -O
-    strips them, so the checks raise explicitly."""
+def assert_valid_certificate(pm, coefficients, require_nonneg) -> None:
+    """Raise AssertionError unless y = coefficients has b^T y < 0 and
+    B^T y >= 0, or B^T y = 0 in the equality sense (require_nonneg false).
+    pytest does not rewrite asserts in this module and python -O strips
+    them, so the checks raise explicitly."""
     for col in range(pm.arc_count):
         total = sum(pm.rows[i][col] * coefficients[i] for i in range(len(coefficients)))
         if total < 0:
             raise AssertionError(f"certificate has (B^T y)[{col}] = {total} < 0")
+        if total and not require_nonneg:
+            raise AssertionError(f"certificate has (B^T y)[{col}] = {total}, not 0")
     value = sum(c * y for c, y in zip(pm.costs, coefficients))
     if value >= 0:
         raise AssertionError(f"certificate has b^T y = {value}, not negative")

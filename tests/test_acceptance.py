@@ -223,9 +223,9 @@ def test_criterion_07_four_vertex_characterization():
     result = k4_linearize(example)
     assert not result.linearizable
     pm = build_path_matrix(example)
-    assert_valid_certificate(pm, result.witness.coefficients)
+    assert_valid_certificate(pm, result.witness.coefficients, require_nonneg=True)
     textbook = [Fraction(-1) if len(p) == 2 else Fraction(1) for p in pm.paths]
-    assert_valid_certificate(pm, textbook)
+    assert_valid_certificate(pm, textbook, require_nonneg=True)
     assert sum(c * y for c, y in zip(pm.costs, textbook)) == -4
     report(
         7,

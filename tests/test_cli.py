@@ -196,6 +196,17 @@ def test_negative_arc_count_exit_two(tmp_path, capsys):
     assert "arc count must not be negative" in err
 
 
+def test_vertex_count_past_the_bound_exit_two(tmp_path, capsys):
+    path = tmp_path / "huge.qspp"
+    text = "QSPP 1 n 999999999 m 2 s 0 t 2 arc 0 0 1 arc 1 1 2 c 0 0 Q sparse 0\n"
+    assert len(text) < 100
+    path.write_text(text)
+    code, out, err = run(capsys, "linearize", str(path), "--mode", "grid")
+    assert code == 2
+    assert out == ""
+    assert err == "error: vertex count 999999999 exceeds the bound of 1000000\n"
+
+
 def test_bench_output_and_empty_range(capsys):
     code, out, _ = run(capsys, "bench", "--max-p", "3", "--max-q", "3", "--seed", "1")
     assert code == 0

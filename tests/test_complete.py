@@ -1,9 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from qspath import (
+    Digraph,
     FamilyError,
     InteractionMatrix,
     QsppInstance,
@@ -20,7 +23,8 @@ from qspath import (
     path_cost,
     tournament4_linearize,
 )
-from qspath.complete import knstar_order, paths_of_length
+from qspath.adjacent import _adjacent
+from qspath.complete import _never_together, knstar_order, paths_of_length
 from qspath.generate import worked_example
 
 from helpers import (
@@ -50,6 +54,48 @@ def test_shape_recognition():
         knstar_order(g, 0, 3)  # wrong terminals for this arc set
     with pytest.raises(FamilyError):
         knstar_order(make_grid(2, 3), 0, 5)
+
+
+def test_shape_recognition_ignores_arc_order_and_refuses_repeats():
+    arcs = list(make_complete_symmetric(5, simplified=True, source=1, target=3).arcs)
+    random.Random(3).shuffle(arcs)
+    assert knstar_order(Digraph(5, arcs), 1, 3) == 5
+    with pytest.raises(FamilyError):
+        knstar_order(Digraph(5, arcs + arcs[:1]), 1, 3)
+    with pytest.raises(FamilyError):
+        knstar_order(Digraph(5, arcs[:-1] + arcs[:1]), 1, 3)
+
+
+def test_shape_recognition_counts_arcs_before_building_the_shape():
+    """Many vertices and one arc are refused by the arc count, before the
+    (n-1)(n-2) arcs of the shape, here 89,102, would be built."""
+    g = Digraph(300, [(0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FamilyError):
+            knstar_order(g, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_adjacent_is_the_consecutive_rule_on_co_carriable_pairs():
+    """path_class_costs sorts pairs by adjacent._adjacent.  On every pair
+    some path can carry, that is the rule "one arc ends where the other
+    starts"; the two differ only on the two orientations of one vertex pair,
+    which no path carries."""
+    checked = 0
+    for n in range(4, 8):
+        for source, target in permutations(range(n), 2):
+            g = make_complete_symmetric(n, simplified=True, source=source, target=target)
+            for e, f in combinations(range(g.m), 2):
+                if _never_together(g, e, f):
+                    continue
+                a, b = g.arcs[e], g.arcs[f]
+                assert _adjacent(g, e, f) == (a.tail == b.head or a.head == b.tail)
+                checked += 1
+    assert checked > 10_000
 
 
 def test_normalize_zeroes_unusable_pairs_only():
@@ -177,7 +223,9 @@ def test_k4_rejects_the_costly_short_paths_instance():
     inst = normalize_knstar(worked_example(4))
     result = k4_linearize(inst)
     assert not result.linearizable
-    assert_valid_certificate(build_path_matrix(inst), result.witness.coefficients)
+    assert_valid_certificate(
+        build_path_matrix(inst), result.witness.coefficients, require_nonneg=True
+    )
 
 
 def test_k4_interior_pair_gets_explicit_vector():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qspath import (
+    Digraph,
     FormatError,
     InteractionMatrix,
     QsppInstance,
@@ -21,6 +22,7 @@ from qspath import (
     parse_instance,
 )
 from qspath.generate import filled_instance, random_qap
+from qspath.graphs import MAX_VERTICES
 from qspath.model import as_rational
 from qspath.reductions import qap_to_qspp
 
@@ -162,6 +164,27 @@ def test_huge_counts_in_a_short_file_build_no_large_table(text, message):
         assert str(info.value) == message
 
     assert _traced_peak(parse) < 64 * 1024
+
+
+# a short, otherwise valid file whose vertex count would cost two lists per
+# vertex; refused by the vertex bound before any of them is built
+HUGE_VERTEX_COUNT = "QSPP 1 n 999999999 m 2 s 0 t 2 arc 0 0 1 arc 1 1 2 c 0 0 Q sparse 0"
+
+
+def test_vertex_count_past_the_bound_is_a_format_error():
+    assert len(HUGE_VERTEX_COUNT) < 100
+
+    def parse():
+        with pytest.raises(FormatError) as info:
+            parse_instance(HUGE_VERTEX_COUNT)
+        assert str(info.value) == "vertex count 999999999 exceeds the bound of 1000000"
+
+    assert _traced_peak(parse) < 64 * 1024
+
+
+def test_digraph_refuses_a_vertex_count_past_the_bound():
+    with pytest.raises(ValueError, match=f"{MAX_VERTICES + 1} exceeds the bound"):
+        Digraph(MAX_VERTICES + 1, [(0, 1)])
 
 
 def test_round_trip_negative_and_fractional_values():

@@ -32,8 +32,7 @@ from qspath.errors import InternalError
 from qspath.grid import (
     _critical_costs,
     _critical_path_arcs,
-    _critical_path_table,
-    _support_arcs,
+    _support,
     grid_shape,
 )
 
@@ -193,12 +192,8 @@ def test_critical_costs_of_every_sub_grid_match_direct_pricing():
                     Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(g.m)
                 ]
                 direct = {}
-                for arc in _support_arcs(shape, rows, cols):
-                    if arc == shape.right[(1, 1)]:
-                        arcs = _critical_path_arcs(shape, rows, cols, None, None)
-                    else:
-                        i, j = divmod(g.arcs[arc].head, q)
-                        arcs = _critical_path_arcs(shape, rows, cols, i + 1, j + 1)
+                for arc, i, j in _support(shape, rows, cols):
+                    arcs = _critical_path_arcs(shape, rows, cols, i, j)
                     if rows < p:
                         validate_path(g, Path(tuple(arcs)), 0, g.n - 1)
                     direct[arc] = sum(linear[a] for a in arcs) + sum(
@@ -219,7 +214,8 @@ def test_full_width_and_single_column_sub_grids_continue_to_full_critical_paths(
             full = set(critical_paths(p, q).values())
             for rows in range(2, p):
                 for cols in (1, q):
-                    for arcs in _critical_path_table(shape, rows, cols).values():
+                    for _, i, j in _support(shape, rows, cols):
+                        arcs = _critical_path_arcs(shape, rows, cols, i, j)
                         assert Path(tuple(arcs)) in full
                         checked += 1
     assert checked > 500
@@ -523,7 +519,7 @@ def test_linearizable_grid_runs_no_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("the sweep ran on a linearizable grid")
 
-    monkeypatch.setattr(grid, "_support_arcs", no_sweep)
+    monkeypatch.setattr(grid, "_support", no_sweep)
     result = linearize_grid(inst)
     assert result.linearizable
     assert result.vector == pseudo_linearize(inst)

@@ -23,9 +23,11 @@ from qspath import (
     lp_oracle,
     make_complete_symmetric,
     make_grid,
+    normalize_knstar,
     path_vertices,
 )
-from qspath.generate import filled_instance
+from qspath.generate import filled_instance, worked_example
+from qspath.pathmatrix import _verify_certificate
 
 from helpers import (
     arc_index,
@@ -89,11 +91,11 @@ def test_oracle_rejects_costly_short_paths_with_certificate():
     result = lp_oracle(pm, require_nonneg=True)
     assert not result.linearizable
     assert isinstance(result.witness, InfeasibilityCertificate)
-    assert_valid_certificate(pm, result.witness.coefficients)
+    assert_valid_certificate(pm, result.witness.coefficients, require_nonneg=True)
     # the textbook combination (short paths -1, long paths +1) also certifies
     weights = {2: Fraction(-1), 3: Fraction(1)}
     y = [weights[len(p)] for p in pm.paths]
-    assert_valid_certificate(pm, y)
+    assert_valid_certificate(pm, y, require_nonneg=True)
     assert sum(c * v for c, v in zip(pm.costs, y)) == -4
     # without the sign restriction the same system is solvable
     assert lp_oracle(pm, require_nonneg=False).linearizable
@@ -104,9 +106,29 @@ def test_certificate_check_raises_on_bad_certificates():
     also run under python -O, which strips bare asserts from helpers.py."""
     pm = build_path_matrix(k4_instance(SHORT_PATHS_COSTLY))
     with pytest.raises(AssertionError, match="not negative"):
-        assert_valid_certificate(pm, [0] * len(pm.paths))
+        assert_valid_certificate(pm, [0] * len(pm.paths), require_nonneg=True)
     with pytest.raises(AssertionError, match=r"\(B\^T y\)\[0\] = -"):
-        assert_valid_certificate(pm, [-1] * len(pm.paths))
+        assert_valid_certificate(pm, [-1] * len(pm.paths), require_nonneg=True)
+
+
+def test_equality_sense_certificate_needs_a_zero_combination():
+    """Short paths -1, long paths +1 give B^T y >= 0 and b^T y < 0 on the
+    worked four-vertex example, which proves it not linearizable with a
+    nonnegative vector; but B^T y is not 0 and the equality system is
+    solvable, so in the equality sense y certifies nothing."""
+    pm = build_path_matrix(normalize_knstar(worked_example(4)))
+    y = [-1 if len(p) == 2 else 1 for p in pm.paths]
+    assert [sum(row[col] * v for row, v in zip(pm.rows, y)) for col in range(6)] == [
+        0, 0, 1, 0, 1, 0
+    ]
+    assert sum(c * v for c, v in zip(pm.costs, y)) == -4
+    assert lp_oracle(pm, require_nonneg=False).linearizable
+    _verify_certificate(pm, y, require_nonneg=True)
+    assert_valid_certificate(pm, y, require_nonneg=True)
+    with pytest.raises(InternalError, match=r"B\^T y = 0"):
+        _verify_certificate(pm, y, require_nonneg=False)
+    with pytest.raises(AssertionError, match=r"\(B\^T y\)\[2\] = 1, not 0"):
+        assert_valid_certificate(pm, y, require_nonneg=False)
 
 
 def test_oracle_feasible_interior_pair():
@@ -183,7 +205,7 @@ def test_oracle_outcomes_always_verify(seed, nonneg):
         if nonneg:
             assert all(v >= 0 for v in result.vector)
     else:
-        assert_valid_certificate(pm, result.witness.coefficients)
+        assert_valid_certificate(pm, result.witness.coefficients, require_nonneg=nonneg)
 
 
 def planted_grid(p: int, q: int, rng: random.Random) -> dict[tuple[int, int], int]:
@@ -245,25 +267,30 @@ def test_oracle_scale_guard():
 OPTIMIZED_CHECK = """
 import sys
 from fractions import Fraction
-from qspath import InternalError, build_path_matrix, make_grid
-from qspath.generate import filled_instance
+from qspath import InternalError, build_path_matrix, make_grid, normalize_knstar
+from qspath.generate import filled_instance, worked_example
 from qspath.pathmatrix import _verify_certificate, _verify_solution
 
 if __debug__:
     sys.exit("expected to run under python -O")
 g = make_grid(3, 3)
 pm = build_path_matrix(filled_instance(g, 0, g.n - 1, "random", 1))
+textbook_pm = build_path_matrix(normalize_knstar(worked_example(4)))
+textbook_y = [-1 if len(p) == 2 else 1 for p in textbook_pm.paths]
 failures = 0
 for check in (
-    lambda: _verify_certificate(pm, [Fraction(0)] * len(pm.rows)),
-    lambda: _verify_certificate(pm, [Fraction(-1)] * len(pm.rows)),
+    lambda: _verify_certificate(pm, [Fraction(0)] * len(pm.rows), True),
+    lambda: _verify_certificate(pm, [Fraction(-1)] * len(pm.rows), True),
     lambda: _verify_solution(pm, [Fraction(0)] * pm.arc_count, False),
+    # B^T y >= 0 and b^T y < 0 on a solvable system: refused in the equality sense
+    lambda: _verify_certificate(textbook_pm, textbook_y, False),
 ):
     try:
         check()
     except InternalError:
         failures += 1
-sys.exit(0 if failures == 3 else 1)
+_verify_certificate(textbook_pm, textbook_y, True)
+sys.exit(0 if failures == 4 else 1)
 """
 
 

@@ -25,7 +25,6 @@ from .model import (
     QsppInstance,
     SppInstance,
     as_rational,
-    require_symmetric_interaction,
     spp_solve,
 )
 
@@ -76,7 +75,6 @@ def build_auxiliary(inst: QsppInstance) -> AuxiliaryGraph:
     interaction of the pair, the virtual-source arcs carry plain c_f, and the
     virtual-target arcs are free.
     """
-    require_symmetric_interaction(inst, "the auxiliary reduction")
     if not is_adjacent_qspp(inst):
         raise FamilyError("instance has interaction cost on a non-adjacent arc pair")
     g = inst.graph

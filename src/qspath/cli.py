@@ -20,6 +20,7 @@ from .errors import FormatError, QspathError
 from .fileio import emit_instance, parse_instance
 from .generate import FILLS, filled_instance, random_digraph, worked_example
 from .graphs import (
+    _check_vertex_count,
     count_grid_paths,
     make_complete_symmetric,
     make_directed_cycle,
@@ -119,6 +120,8 @@ def _generated_instance(args: argparse.Namespace) -> QsppInstance:
         if bits is None:
             if args.seed is None:
                 raise QspathError("tournament needs --orientation or --seed")
+            # one bit per vertex pair, drawn only for a count inside the bound
+            _check_vertex_count(n)
             bits = random.Random(args.seed).getrandbits(n * (n - 1) // 2)
         g = make_tournament(n, bits)
     return filled_instance(g, 0, g.n - 1, args.fill, args.seed, args.max_entry)

@@ -26,12 +26,7 @@ from fractions import Fraction
 from .adjacent import _adjacent
 from .errors import FamilyError, InternalError
 from .graphs import Digraph, make_complete_symmetric, path_vertices
-from .model import (
-    InteractionMatrix,
-    QsppInstance,
-    require_symmetric_interaction,
-    validate_instance,
-)
+from .model import InteractionMatrix, QsppInstance, validate_instance
 from .pathmatrix import (
     InfeasibilityCertificate,
     LinearizationResult,
@@ -99,7 +94,7 @@ def normalize_knstar(inst: QsppInstance) -> QsppInstance:
         for f in range(e + 1, m):
             if _never_together(inst.graph, e, f):
                 rows[e][f] = rows[f][e] = 0
-    interaction = InteractionMatrix._of_exact(rows, inst.interaction._known_symmetric)
+    interaction = InteractionMatrix._of_exact(rows)
     return QsppInstance(inst.graph, inst.source, inst.target, inst.linear, interaction)
 
 
@@ -146,7 +141,6 @@ def path_class_costs(
     n = knstar_order(inst.graph, inst.source, inst.target)
     if n < 4:
         raise FamilyError("the length-class formulas need at least four vertices")
-    require_symmetric_interaction(inst, "the length-class formulas")
     if any(inst.linear):
         raise FamilyError(
             "length-class costs assume a zero linear vector; shift it first"
@@ -239,7 +233,6 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     n = knstar_order(inst.graph, inst.source, inst.target)
     if n != 4:
         raise FamilyError("this characterization is specific to four vertices")
-    require_symmetric_interaction(inst, "the four-vertex characterization")
     _require_normalized(inst)
     source, target = inst.source, inst.target
     x, y = sorted(v for v in range(n) if v not in (source, target))

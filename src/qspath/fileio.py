@@ -319,11 +319,10 @@ def parse_instance(text: str) -> QsppInstance:
         rows = [
             [tok.next_rational(f"Q[{i}][{j}]") for j in range(m)] for i in range(m)
         ]
-        matrix = InteractionMatrix._of_exact(rows, known_symmetric=False)
-        if not matrix.is_symmetric():
-            raise FormatError("dense interaction matrix must be symmetric")
-        if not matrix.has_zero_diagonal():
-            raise FormatError("dense interaction matrix must have a zero diagonal")
+        try:
+            matrix = InteractionMatrix(rows)
+        except ValueError as exc:
+            raise FormatError(f"dense {exc}") from None
     else:
         raise FormatError(f"unknown matrix kind {kind!r}")
     tok.done()

@@ -21,7 +21,7 @@ from operator import add, mul
 from typing import Callable, Iterator
 
 from .adjacent import _adjacent
-from .graphs import Digraph, make_complete_symmetric
+from .graphs import Digraph, _check_vertex_count, make_complete_symmetric
 from .model import InteractionMatrix, QsppInstance
 from .reductions import QapInstance
 
@@ -70,7 +70,7 @@ def fill_random(
     drawn = iter(_draws(rng, max_entry, m * (m - 1) // 2))
     padded = [[0] * (e + 1) + list(islice(drawn, m - 1 - e)) for e in range(m)]
     rows = (tuple(map(add, row, col)) for row, col in zip(padded, zip(*padded)))
-    return (0,) * m, InteractionMatrix._of_exact(rows, known_symmetric=True)
+    return (0,) * m, InteractionMatrix._of_exact(rows)
 
 
 def fill_weak_sum(
@@ -78,7 +78,7 @@ def fill_weak_sum(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Interactions a[e] + a[f] for a random per-arc vector a, zero linear costs."""
     a = _draws(rng, max_entry, g.m)
-    return (0,) * g.m, InteractionMatrix._of_exact(_outer_rows(a, add), known_symmetric=True)
+    return (0,) * g.m, InteractionMatrix._of_exact(_outer_rows(a, add))
 
 
 def fill_product(
@@ -86,7 +86,7 @@ def fill_product(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Rank-one data: interactions a[e]*a[f], linear costs a[e] squared."""
     a = _draws(rng, max_entry, g.m)
-    matrix = InteractionMatrix._of_exact(_outer_rows(a, mul), known_symmetric=True)
+    matrix = InteractionMatrix._of_exact(_outer_rows(a, mul))
     return tuple(v * v for v in a), matrix
 
 
@@ -148,6 +148,7 @@ def filled_instance(
 def random_dag(n: int, density: float, rng: random.Random) -> Digraph:
     """Random DAG on vertices 0..n-1 with arcs i -> j, i < j, kept with the
     given probability."""
+    _check_vertex_count(n)
     arcs = [
         (i, j)
         for i in range(n)
@@ -159,6 +160,7 @@ def random_dag(n: int, density: float, rng: random.Random) -> Digraph:
 
 def random_digraph(n: int, density: float, rng: random.Random) -> Digraph:
     """Random digraph (cycles allowed) over all ordered pairs."""
+    _check_vertex_count(n)
     arcs = [
         (u, v)
         for u in range(n)

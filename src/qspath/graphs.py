@@ -27,6 +27,14 @@ DEFAULT_PATH_LIMIT = 10**6
 MAX_VERTICES = 10**6
 
 
+def _check_vertex_count(n: int, shown: str | None = None) -> None:
+    """Raise ValueError past MAX_VERTICES, naming the count as ``shown`` if
+    given.  Digraph calls it, and so does each generator before it builds
+    any arc."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {shown or n} exceeds the bound of {MAX_VERTICES}")
+
+
 class Arc(NamedTuple):
     """Directed arc from ``head`` to ``tail``."""
 
@@ -52,8 +60,7 @@ class Digraph:
     ):
         if n < 1:
             raise ValueError("a digraph needs at least one vertex")
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} exceeds the bound of {MAX_VERTICES}")
+        _check_vertex_count(n)
         arc_list = []
         for head, tail in arcs:
             if not (0 <= head < n and 0 <= tail < n):
@@ -161,6 +168,7 @@ def make_grid(p: int, q: int) -> Digraph:
     """
     if p < 2 or q < 2:
         raise ValueError("grid needs p >= 2 and q >= 2")
+    _check_vertex_count(p * q)
     arcs = []
     for i in range(1, p + 1):
         for j in range(1, q + 1):
@@ -183,6 +191,7 @@ def make_complete_symmetric(
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_vertex_count(n)
     if target is None:
         target = n - 1
     if source == target:
@@ -202,6 +211,7 @@ def make_directed_cycle(n: int) -> Digraph:
     """Directed cycle v_0 -> v_1 -> ... -> v_{n-1} -> v_0."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_vertex_count(n)
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -213,6 +223,9 @@ def make_hypercube(n: int) -> Digraph:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    # 2**n passes the bound exactly when n reaches the bound's bit length, so
+    # a huge n is refused without building the number 2**n
+    _check_vertex_count(1 << min(n, MAX_VERTICES.bit_length()), f"2**{n}")
     arcs = []
     for u in range(1 << n):
         for b in range(n):
@@ -229,6 +242,7 @@ def make_tournament(n: int, orientation_bits: int = 0) -> Digraph:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_vertex_count(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if not 0 <= orientation_bits < (1 << len(pairs)):
         raise ValueError("orientation_bits out of range for this n")

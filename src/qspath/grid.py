@@ -60,11 +60,10 @@ check no sub-grid at all; neither has an incomparable pair.
 
 Cost: consecutive critical paths differ by one unit square, so
 _critical_costs prices all of a sub-grid's in one walk over one arc list,
-O(p+q) work per continued path.  A "yes" costs the symmetry guard and the
-criterion, both linear in the size of Q, plus the pseudo-linearization,
-O(pq(p+q)).  A "no" adds the sweep up to its first failing sub-grid: at
-most p+q times the number of sub-grid critical paths, O(p^3 q^2 + p^2 q^3)
-as in the paper.
+O(p+q) work per continued path.  A "yes" costs the criterion, linear in
+the size of Q, plus the pseudo-linearization, O(pq(p+q)).  A "no" adds the
+sweep up to its first failing sub-grid: at most p+q times the number of
+sub-grid critical paths, O(p^3 q^2 + p^2 q^3) as in the paper.
 """
 from __future__ import annotations
 
@@ -76,13 +75,7 @@ from typing import Iterator, Sequence
 
 from .errors import FamilyError, InternalError
 from .graphs import Digraph, Path, detect_grid, is_acyclic, make_grid
-from .model import (
-    QsppInstance,
-    cost_of_arcs,
-    linear_cost,
-    rational_vector,
-    require_symmetric_interaction,
-)
+from .model import QsppInstance, cost_of_arcs, linear_cost, rational_vector
 from .pathmatrix import CostMismatch, LinearizationResult
 
 
@@ -265,7 +258,6 @@ def pseudo_linearize(inst: QsppInstance) -> tuple[Fraction, ...]:
     """
     shape = grid_shape(inst.graph)
     _require_corner_instance(inst, shape)
-    require_symmetric_interaction(inst, "pseudo-linearization")
     return rational_vector(_pseudo_vector(inst, shape))
 
 
@@ -320,7 +312,7 @@ def linearize_g2q(inst: QsppInstance) -> tuple[Fraction, ...]:
 def _square_pairs_vanish(inst: QsppInstance, shape: GridShape) -> bool:
     """The square-pair criterion: delta_S Q delta_S' = 0 for every unit
     square S' strictly above-left of a unit square S.  Stops at the first S
-    with a failing pair; needs the symmetric matrix."""
+    with a failing pair."""
     matrix = inst.interaction.rows
     down, right = shape.down, shape.right
     # per row of unit squares, each square's arcs in delta's sign pattern
@@ -356,7 +348,6 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     """
     shape = grid_shape(inst.graph)
     _require_corner_instance(inst, shape)
-    require_symmetric_interaction(inst, "the grid decision procedure")
     p, q = shape.p, shape.q
     pseudo_full = _pseudo_vector(inst, shape)
     if _square_pairs_vanish(inst, shape):

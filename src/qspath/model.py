@@ -7,22 +7,26 @@ never enter these code paths.  Linear cost vectors are sign-unrestricted at
 the type level (reduced forms legitimately go negative); nonnegativity is an
 opt-in check, see validate_instance(as_problem=True).
 
-The total cost of a path is the ordered double sum of interaction costs over
-its arc pairs plus the sum of its linear costs, so each unordered arc pair
-contributes twice its matrix entry and the (zero) diagonal contributes
-nothing.  cost_of_arcs prices one path this way, in O(L^2) for L arcs.
-Exact enumeration (brute_force_solve, and build_path_matrix in pathmatrix)
-prices every path once along the depth-first search instead: a path keeps
-the cost of the prefix it shares with the path before it, and each new arc
-adds its linear cost and its interactions with that prefix, read from the
-rows of Q + Q^T built once per call, O(L) per new arc, so no path is priced
-again from its first arc.
+An InteractionMatrix is symmetric with a zero diagonal by construction, as
+the problem defines Q; no operation checks it again.  The total cost of a
+path is the ordered double sum of interaction costs over its arc pairs plus
+the sum of its linear costs, so each arc a adds c_a plus twice Q[a][b] for
+every arc b before it on the path, read from Q's own row of a.
+cost_of_arcs prices one path this way, in O(L^2) for L arcs.  Exact
+enumeration (brute_force_solve, and build_path_matrix in pathmatrix) prices
+every path once along the depth-first search instead: a path keeps the cost
+of the prefix it shares with the path before it, and each new arc adds its
+linear cost and its interactions with that prefix, O(L) per new arc, so no
+path is priced again from its first arc.
 
 Every matrix built from off-diagonal entries (from_triples, from_entries,
 the adjacent fill and the parser of sparse files) is checked and written by
 one entry checker, _EntryRows, which finds a repeated pair in a bitmap of
-seen cells.  The random, weak-sum and product fills set every cell by
-construction and hand their finished rows to _of_exact instead.
+seen cells.  The random, weak-sum and product fills, scaled and
+normalize_knstar set every cell by construction and hand their finished
+rows to _of_exact instead, and tests/test_source.py keeps _of_exact to
+them; any other rows go through the coercing constructor, which checks
+them.
 
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
 the earliest enumerated optimum, and the shortest-path solvers only ever
@@ -34,7 +38,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CyclicGraphError, NoPathError
@@ -132,47 +136,48 @@ class _EntryRows:
         rows = self.rows
         for e, row in enumerate(rows):
             rows[e] = tuple(row)
-        return InteractionMatrix._of_exact(rows, known_symmetric=True)
+        return InteractionMatrix._of_exact(rows)
 
 
 class InteractionMatrix:
-    """Square matrix of pairwise arc interaction costs, exact rationals.
+    """Symmetric square matrix of pairwise arc interaction costs with a zero
+    diagonal, exact rationals.
 
-    Construction does not force symmetry or a zero diagonal so that
-    validate_instance can report violations; operations that rely on those
-    invariants state so in their contracts.  The builders that guarantee
-    both (zero, from_entries, from_triples, the seeded fills) record it, so
-    checking them again is O(1); ``_known_symmetric`` false means unknown,
-    not asymmetric.
+    The invariant holds by construction.  InteractionMatrix(rows) makes the
+    rows exact and refuses, with ValueError, rows that are not square, then
+    not symmetric, then not zero on the diagonal.  zero, from_entries,
+    from_triples, scaled and the builders elsewhere that set every cell
+    themselves produce the invariant and skip the check through _of_exact.
     """
 
-    __slots__ = ("rows", "_known_symmetric")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[object]]):
         mat = tuple(rational_vector(row) for row in rows)
         for row in mat:
             if len(row) != len(mat):
                 raise ValueError("interaction matrix must be square")
+        # each row right of the diagonal against its column below it, one
+        # C-level comparison per row; zip builds one column at a time
+        if not all(
+            row[e + 1 :] == col[e + 1 :] for e, (row, col) in enumerate(zip(mat, zip(*mat)))
+        ):
+            raise ValueError("interaction matrix must be symmetric")
+        if any(row[e] for e, row in enumerate(mat)):
+            raise ValueError("interaction matrix must have a zero diagonal")
         self.rows: tuple[tuple[Fraction, ...], ...] = mat
-        self._known_symmetric = False
 
     @classmethod
-    def _of_exact(
-        cls, rows: Iterable[Iterable[int | Fraction]], known_symmetric: bool
-    ) -> "InteractionMatrix":
-        """Wrap square rows whose values are already exact, coercing nothing.
-
-        ``known_symmetric`` is the caller's guarantee of symmetry and a zero
-        diagonal; the rows themselves are not checked.
-        """
+    def _of_exact(cls, rows: Iterable[Iterable[int | Fraction]]) -> "InteractionMatrix":
+        """Wrap square rows whose values are already exact, checking nothing:
+        the caller guarantees symmetry and a zero diagonal."""
         matrix = object.__new__(cls)
         matrix.rows = tuple(map(tuple, rows))
-        matrix._known_symmetric = known_symmetric
         return matrix
 
     @classmethod
     def zero(cls, m: int) -> "InteractionMatrix":
-        return cls._of_exact(([0] * m for _ in range(m)), known_symmetric=True)
+        return cls._of_exact([0] * m for _ in range(m))
 
     @classmethod
     def from_entries(
@@ -214,31 +219,14 @@ class InteractionMatrix:
     def at(self, e: int, f: int) -> Fraction:
         return self.rows[e][f]
 
-    def is_symmetric(self) -> bool:
-        if self._known_symmetric:
-            return True
-        # each row right of the diagonal against its column below it, one
-        # C-level comparison per row; zip builds one column at a time
-        rows = self.rows
-        return all(
-            row[e + 1 :] == col[e + 1 :] for e, (row, col) in enumerate(zip(rows, zip(*rows)))
-        )
-
-    def has_zero_diagonal(self) -> bool:
-        if self._known_symmetric:
-            return True
-        return all(self.rows[e][e] == 0 for e in range(self.m))
-
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for row in self.rows for v in row)
 
     def scaled(self, alpha: object) -> "InteractionMatrix":
-        """alpha times every entry, a whole product as an int; a recorded
-        symmetry is kept."""
+        """alpha times every entry, a whole product as an int."""
         a = as_rational(alpha)
         return InteractionMatrix._of_exact(
-            (map(as_rational, map(mul, repeat(a), row)) for row in self.rows),
-            self._known_symmetric,
+            map(as_rational, map(mul, repeat(a), row)) for row in self.rows
         )
 
     def __eq__(self, other: object) -> bool:
@@ -300,11 +288,8 @@ def cost_of_arcs(inst: QsppInstance, arcs: Sequence[int]) -> Fraction:
     rows = inst.interaction.rows
     linear = inst.linear
     total = 0
-    for idx, a in enumerate(arcs):
-        row = rows[a]
-        total += linear[a]
-        for b in arcs[idx + 1 :]:
-            total += row[b] + rows[b][a]
+    for k, a in enumerate(arcs):
+        total += linear[a] + 2 * sum(map(rows[a].__getitem__, arcs[:k]))
     return as_rational(total)
 
 
@@ -327,20 +312,17 @@ def _priced_paths(
 
     costs[k] is the cost of the current path's first k arcs; a path keeps
     costs[:shared+1] and prices only its new arcs.  A new arc a after prefix
-    P adds c_a + sum over b in P of (Q_ab + Q_ba), as cost_of_arcs does, so
-    an asymmetric Q, which the library admits, is priced the same way.  The
-    rows of Q + Q^T are built once per call.
+    P adds c_a + 2 * sum over b in P of Q[a][b], as cost_of_arcs does.
     """
     linear = inst.linear
-    rows = inst.interaction.rows
-    pair_entry = [tuple(map(add, row, col)).__getitem__ for row, col in zip(rows, zip(*rows))]
+    entry = [row.__getitem__ for row in inst.interaction.rows]
     costs: list[int | Fraction] = [0]
     for arcs, shared in _walk_st_paths(inst.graph, inst.source, inst.target, limit):
         del costs[shared + 1 :]
         total = costs[shared]
         for k in range(shared, len(arcs)):
             a = arcs[k]
-            total += linear[a] + sum(map(pair_entry[a], arcs[:k]))
+            total += linear[a] + 2 * sum(map(entry[a], arcs[:k]))
             costs.append(total)
         yield arcs, as_rational(total)
 
@@ -433,21 +415,6 @@ def spp_solve(spp: SppInstance) -> tuple[Path, Fraction]:
     return _dag_relax(spp, order)
 
 
-def require_symmetric_interaction(inst: QsppInstance, where: str) -> None:
-    """Guard for operations whose math assumes the matrix invariants.
-
-    The constructor deliberately admits malformed matrices so that
-    validate_instance can report them; anything that would silently compute
-    a wrong verdict on such input calls this first.
-    """
-    q = inst.interaction
-    if not (q.is_symmetric() and q.has_zero_diagonal()):
-        raise ValueError(
-            f"{where} needs a symmetric interaction matrix with a zero "
-            "diagonal; see validate_instance for the violations"
-        )
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -455,21 +422,15 @@ class ValidationReport:
 
 
 def validate_instance(inst: QsppInstance, as_problem: bool = False) -> ValidationReport:
-    """Structural checks on an instance; with ``as_problem`` also nonnegativity.
+    """With ``as_problem``, the nonnegativity that the problem definition
+    asks of c and Q; the structural invariants hold by construction.
 
-    Never raises; returns a report listing every violated invariant.
+    Never raises; returns a report listing every violated condition.
     """
     violations = []
-    q = inst.interaction
-    if q.m != inst.graph.m or len(inst.linear) != inst.graph.m:
-        violations.append("dimension mismatch between graph, linear costs, and interaction matrix")
-    if not q.is_symmetric():
-        violations.append("interaction matrix is not symmetric")
-    if not q.has_zero_diagonal():
-        violations.append("interaction matrix has a nonzero diagonal entry")
     if as_problem:
         if any(c < 0 for c in inst.linear):
             violations.append("negative linear cost (problem definition requires c >= 0)")
-        if not q.is_nonnegative():
+        if not inst.interaction.is_nonnegative():
             violations.append("negative interaction cost (problem definition requires Q >= 0)")
     return ValidationReport(not violations, tuple(violations))

@@ -27,12 +27,11 @@ from .model import (
 def detect_weak_sum(q: InteractionMatrix) -> tuple[Fraction, ...] | None:
     """Generator vector a with q[e][f] = a[e] + a[f] for all e != f, or None.
 
-    The matrix must be symmetric with a zero diagonal.  For orders <= 2 every
-    such matrix qualifies; the canonical witness splits the single
-    off-diagonal entry evenly.
+    Every matrix of order <= 2 qualifies; the canonical witness splits the
+    single off-diagonal entry evenly.  From order 3 on the first three
+    entries of the first row fix a, and the cells above the diagonal are
+    checked against it (the matrix is symmetric by construction).
     """
-    if not (q.is_symmetric() and q.has_zero_diagonal()):
-        return None
     m = q.m
     rows = q.rows
     if m == 0:
@@ -124,22 +123,19 @@ def _product_factor(
     m = q.m
     if len(linear) != m:
         return ("no", None)
-    if not q.is_symmetric():
-        return ("no", None)
-    diag = [q.rows[e][e] + linear[e] for e in range(m)]
-    if any(d < 0 for d in diag):
+    # Q has a zero diagonal, so the diagonal of Q + Diag(c) is c
+    if any(c < 0 for c in linear):
         return ("no", None)
     factor = []
-    for d in diag:
-        root = _rational_sqrt(d)
+    for c in linear:
+        root = _rational_sqrt(c)
         if root is None:
             return ("irrational", None)
         factor.append(root)
+    rows = q.rows
     for e in range(m):
-        for f in range(m):
-            expected = factor[e] * factor[f] if e != f else diag[e]
-            got = q.rows[e][f] + (linear[e] if e == f else 0)
-            if got != expected:
+        for f in range(e + 1, m):
+            if rows[e][f] != factor[e] * factor[f]:
                 return ("no", None)
     return ("ok", tuple(factor))
 

@@ -86,10 +86,9 @@ def priced_walk_instances(family: str, rng: random.Random) -> list[QsppInstance]
 
     grid: Fraction Q from the symmetric builder; dag and cyclic: random
     graphs (on cyclic ones the simple-path rule prunes); complete: full and
-    simplified complete symmetric digraphs; asymmetric: Q with Q_ef != Q_fe
-    built by the coercing constructor (zero diagonal).  Cyclic and complete
-    graphs also run to a target that is not the last vertex, so an arc into
-    the target is not always the last one the search tries.
+    simplified complete symmetric digraphs.  Cyclic and complete graphs also
+    run to a target that is not the last vertex, so an arc into the target
+    is not always the last one the search tries.
     """
     if family == "grid":
         shapes = ((2, 2), (3, 3), (3, 5), (4, 4), (5, 4))
@@ -105,27 +104,15 @@ def priced_walk_instances(family: str, rng: random.Random) -> list[QsppInstance]
             for n, t in ((4, 3), (5, 1), (6, 5))
             for s in (False, True)
         ]
-    elif family == "asymmetric":
-        graphs = [
-            (make_grid(3, 4), 11),
-            (random_dag(6, 0.6, rng), 5),
-            (make_complete_symmetric(4), 2),
-        ]
     else:
         raise ValueError(family)
     out = []
     for g, target in graphs:
         m = g.m
         linear = tuple(_signed_thirds(rng) for _ in range(m))
-        if family == "asymmetric":
-            matrix = InteractionMatrix(
-                [[0 if e == f else _signed_thirds(rng) for f in range(m)] for e in range(m)]
-            )
-        else:
-            matrix = InteractionMatrix.from_triples(
-                m,
-                ((e, f, _signed_thirds(rng)) for e in range(m) for f in range(e + 1, m)),
-            )
+        matrix = InteractionMatrix.from_triples(
+            m, ((e, f, _signed_thirds(rng)) for e in range(m) for f in range(e + 1, m))
+        )
         out.append(QsppInstance(g, 0, target, linear, matrix))
     return out
 

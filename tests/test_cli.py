@@ -207,6 +207,22 @@ def test_vertex_count_past_the_bound_exit_two(tmp_path, capsys):
     assert err == "error: vertex count 999999999 exceeds the bound of 1000000\n"
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["cycle", "1000000000"], "1000000000"),
+        (["hypercube", "1000000000"], "2**1000000000"),
+        (["tournament", "1000000000", "--seed", "1"], "1000000000"),
+        (["disjoint-reduce", "1000000000", "--seed", "1"], "1000000000"),
+    ],
+)
+def test_generate_past_the_vertex_bound_exit_two(capsys, argv, count):
+    code, out, err = run(capsys, "generate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: generate {argv[0]}: vertex count {count} exceeds the bound of 1000000\n"
+
+
 def test_bench_output_and_empty_range(capsys):
     code, out, _ = run(capsys, "bench", "--max-p", "3", "--max-q", "3", "--seed", "1")
     assert code == 0

@@ -343,9 +343,6 @@ def _emit_cases():
     linear = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(g.m))
     yield QsppInstance(g, 0, 8, linear, InteractionMatrix.from_entries(g.m, signed))
     yield QsppInstance(g, 0, 8, (0,) * g.m, InteractionMatrix.zero(g.m))
-    # only the upper triangle is written, whatever the lower one holds
-    rows = [[(e * 7 + f) % 5 - 2 if e != f else 0 for f in range(4)] for e in range(4)]
-    yield QsppInstance(make_grid(2, 2), 0, 3, (1, -2, Fraction(1, 2), 0), InteractionMatrix(rows))
 
 
 def test_emit_matches_the_naive_emitter():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from qspath import (
     topological_order,
     validate_path,
 )
+from qspath import graphs
+from qspath.generate import random_dag, random_digraph
 from qspath.graphs import reachable
 
 from helpers import naive_st_paths
@@ -273,3 +276,32 @@ def test_path_enumeration_rejects_endpoints_outside_the_graph():
     for source, target in [(-9, 8), (0, -1), (9, 8), (0, 9), (4, 4)]:
         with pytest.raises(ValueError):
             enumerate_st_paths(g, source, target)
+
+
+@pytest.mark.parametrize(
+    "make, args, count",
+    [
+        (make_grid, (40, 30), "1200"),
+        (make_directed_cycle, (1200,), "1200"),
+        (make_hypercube, (11,), "2**11"),
+        (make_complete_symmetric, (1200,), "1200"),
+        (make_tournament, (1200,), "1200"),
+        (random_dag, (1200, 0.5, random.Random(1)), "1200"),
+        (random_digraph, (1200, 0.5, random.Random(1)), "1200"),
+    ],
+)
+def test_generators_refuse_past_the_vertex_bound_before_building_arcs(
+    monkeypatch, make, args, count
+):
+    """With the bound lowered to 1000, a generator asked for 1200 vertices
+    refuses before it builds an arc list of up to 1.4 million arcs."""
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            make(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"vertex count {count} exceeds the bound of 1000"
+    assert peak < 64 * 1024

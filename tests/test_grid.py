@@ -589,19 +589,12 @@ def test_linearize_grid_is_deterministic():
 
 
 def test_verdict_operations_reject_malformed_matrices():
-    g = make_grid(2, 2)
-    asymmetric = InteractionMatrix(
-        [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    )
-    inst = QsppInstance(g, 0, 3, (Fraction(0),) * 4, asymmetric)
-    with pytest.raises(ValueError, match="symmetric"):
-        linearize_grid(inst)
-    with pytest.raises(ValueError, match="symmetric"):
-        pseudo_linearize(inst)
-    from qspath import build_auxiliary
-
-    with pytest.raises(ValueError, match="symmetric"):
-        build_auxiliary(inst)
+    """No malformed matrix reaches linearize_grid, pseudo_linearize or
+    build_auxiliary: the constructor refuses it first."""
+    with pytest.raises(ValueError, match="^interaction matrix must be symmetric$"):
+        InteractionMatrix([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="^interaction matrix must have a zero diagonal$"):
+        InteractionMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]])
 
 
 def test_linearize_grid_rejects_wrong_shape_or_corners():

@@ -26,7 +26,7 @@ from qspath import (
     validate_instance,
 )
 from qspath.graphs import DEFAULT_PATH_LIMIT, _walk_st_paths
-from qspath.model import as_rational, require_symmetric_interaction, zero_interaction_instance
+from qspath.model import ValidationReport, as_rational, zero_interaction_instance
 
 from helpers import (
     arc_index,
@@ -60,8 +60,7 @@ def test_as_rational_rejects_floats():
 
 def test_interaction_matrix_constructors():
     q = InteractionMatrix.from_entries(3, {(0, 2): "1/2"})
-    assert q.at(0, 2) == q.at(2, 0) == Fraction(1, 2)
-    assert q.is_symmetric() and q.has_zero_diagonal()
+    assert q.rows == ((0, 0, Fraction(1, 2)), (0, 0, 0), (Fraction(1, 2), 0, 0))
     with pytest.raises(ValueError):
         InteractionMatrix.from_entries(3, {(1, 1): 1})
     with pytest.raises(ValueError, match="listed twice"):
@@ -70,8 +69,19 @@ def test_interaction_matrix_constructors():
         InteractionMatrix.from_entries(3, {(0, 3): 1})
     with pytest.raises(ValueError, match="outside the arc range"):
         InteractionMatrix.from_entries(3, {(-1, 0): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^interaction matrix must be square$"):
         InteractionMatrix([[0, 1], [1, 0], [0, 0]])
+    with pytest.raises(ValueError, match="^interaction matrix must be symmetric$"):
+        InteractionMatrix([[0, 1], [2, 0]])
+    # symmetry is checked before the diagonal
+    with pytest.raises(ValueError, match="^interaction matrix must be symmetric$"):
+        InteractionMatrix([[5, 1], [2, 0]])
+    with pytest.raises(ValueError, match="^interaction matrix must have a zero diagonal$"):
+        InteractionMatrix([[0, 1], [1, "1/2"]])
+    assert InteractionMatrix([["0", "3/6"], [Fraction(1, 2), 0]]).rows == (
+        (0, Fraction(1, 2)),
+        (Fraction(1, 2), 0),
+    )
 
 
 # faulty entries for a 5-arc matrix whose entries start with (1, 3, 4),
@@ -113,25 +123,19 @@ def test_instance_dimension_checks():
 @pytest.mark.parametrize("e", [0, 99, 198])
 def test_symmetry_checks_find_one_asymmetric_pair_anywhere(e):
     """A 200-arc matrix of distinct Fraction objects, symmetric but for the
-    pair (e, e+1): first, middle or last in the order rows are checked."""
+    pair (e, e+1): first, middle or last in the order rows are checked.  The
+    constructor accepts the symmetric matrix and refuses the other."""
     m = 200
-    g = Digraph(m + 1, [(v, v + 1) for v in range(m)])
     rng = random.Random(e)
     rows = [[Fraction(0)] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
             num, den = rng.randint(-9, 9), rng.randint(1, 4)
             rows[a][b], rows[b][a] = Fraction(num, den), Fraction(num, den)
-    inst = QsppInstance(g, 0, m, (0,) * m, InteractionMatrix(rows))
-    assert inst.interaction.is_symmetric()
-    assert validate_instance(inst).ok
-    require_symmetric_interaction(inst, "the test")
+    assert InteractionMatrix(rows).rows == tuple(map(tuple, rows))
     rows[e][e + 1] += Fraction(1, 3)
-    inst = QsppInstance(g, 0, m, (0,) * m, InteractionMatrix(rows))
-    assert not inst.interaction.is_symmetric()
-    assert validate_instance(inst).violations == ("interaction matrix is not symmetric",)
-    with pytest.raises(ValueError, match="symmetric"):
-        require_symmetric_interaction(inst, "the test")
+    with pytest.raises(ValueError, match="^interaction matrix must be symmetric$"):
+        InteractionMatrix(rows)
 
 
 def test_path_cost_short_route_pair():
@@ -210,14 +214,11 @@ def test_brute_force_is_a_lower_bound_and_breaks_ties_first():
     assert best_path.arcs == (0, 2, 5)
 
 
-@pytest.mark.parametrize("family", ["grid", "dag", "cyclic", "complete", "asymmetric"])
+@pytest.mark.parametrize("family", ["grid", "dag", "cyclic", "complete"])
 def test_priced_enumeration_matches_the_naive_oracles(family):
     """Brute force, the path matrix and the walker's shared-prefix count
     against naive enumeration priced by both oracles."""
-    instances = priced_walk_instances(family, random.Random(family))
-    if family == "asymmetric":
-        assert not any(inst.interaction.is_symmetric() for inst in instances)
-    for inst in instances:
+    for inst in priced_walk_instances(family, random.Random(family)):
         g, s, t = inst.graph, inst.source, inst.target
         paths = naive_st_paths(g, s, t)
         costs = [double_loop_cost(inst, p) for p in paths]
@@ -262,8 +263,8 @@ def test_brute_force_and_path_matrix_keep_the_enumeration_contracts():
 
 def test_scaled_keeps_exact_forms_and_the_matrix_invariants():
     """A whole product is an int whatever the factor; symmetry and the zero
-    diagonal are kept, an asymmetric matrix stays asymmetric, and how a
-    matrix was built takes no part in equality or hashing."""
+    diagonal are kept, and how a matrix was built takes no part in equality
+    or hashing."""
 
     def forms(matrix):
         return [[type(v) for v in row] for row in matrix.rows]
@@ -278,16 +279,12 @@ def test_scaled_keeps_exact_forms_and_the_matrix_invariants():
     assert thirds.scaled(0) == InteractionMatrix.zero(3)
     assert forms(thirds.scaled(0)) == [[int] * 3] * 3
     for matrix in (thirds.scaled(3), halved, tripled.scaled(Fraction(2, 3))):
-        assert matrix.is_symmetric() and matrix.has_zero_diagonal()
-    skew = InteractionMatrix([[0, 1], [2, 5]]).scaled(3)
-    assert skew.rows == ((0, 3), (6, 15)) and forms(skew) == [[int, int], [int, int]]
-    assert not skew.is_symmetric() and not skew.has_zero_diagonal()
-    malformed = InteractionMatrix([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0]])
-    report = validate_instance(QsppInstance(make_grid(2, 2), 0, 3, (0,) * 4, malformed.scaled(2)))
-    assert report.violations == (
-        "interaction matrix is not symmetric",
-        "interaction matrix has a nonzero diagonal entry",
-    )
+        # the rows pass the constructor's own check
+        assert InteractionMatrix(matrix.rows) == matrix
+    # a skew or malformed matrix never exists to be scaled
+    for rows in ([[0, 1], [2, 5]], [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="^interaction matrix must be symmetric$"):
+            InteractionMatrix(rows)
 
 
 def test_brute_force_no_path():
@@ -352,14 +349,16 @@ def test_spp_unreachable_target():
 
 def test_validate_instance_reports():
     g = make_grid(2, 2)
-    asym = InteractionMatrix([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    report = validate_instance(QsppInstance(g, 0, 3, (0,) * 4, asym))
-    assert not report.ok and any("symmetric" in v for v in report.violations)
+    # the structural invariants are the constructor's to refuse
+    with pytest.raises(ValueError, match="^interaction matrix must be symmetric$"):
+        InteractionMatrix([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
 
     negative = InteractionMatrix.from_entries(4, {(0, 2): -1})
     inst = QsppInstance(g, 0, 3, (0,) * 4, negative)
-    assert validate_instance(inst).ok
-    assert not validate_instance(inst, as_problem=True).ok
+    assert validate_instance(inst) == ValidationReport(True, ())
+    assert validate_instance(inst, as_problem=True).violations == (
+        "negative interaction cost (problem definition requires Q >= 0)",
+    )
 
     reduced_form = QsppInstance(g, 0, 3, (1, -2, 0, 0), InteractionMatrix.zero(4))
     assert validate_instance(reduced_form).ok

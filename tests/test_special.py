@@ -245,6 +245,21 @@ def test_solve_product_case_closed_forms():
     assert cost == (3 + 4 - 2) ** 2
 
 
+def test_product_matrix_with_its_diagonal_kept_is_refused():
+    """Q = a a^T with its diagonal kept is not an interaction matrix: the
+    product solver would price the diagonal, which path costs never read.
+    With the diagonal moved into c, all three ways to price agree."""
+    a = (1, 2, 3, 1)
+    with pytest.raises(ValueError, match="^interaction matrix must have a zero diagonal$"):
+        InteractionMatrix([[x * y for y in a] for x in a])
+    q, linear = product_matrix_and_linear(a)
+    inst = QsppInstance(make_grid(2, 2), 0, 3, linear, q)
+    path, cost = solve_product_case(inst)
+    assert path.arcs == (0, 3) and cost == 4
+    assert brute_force_solve(inst) == (path, 4)
+    assert path_cost(inst, path) == 4
+
+
 def test_linearize_directed_cycle():
     rng = random.Random(6)
     g = make_directed_cycle(4)

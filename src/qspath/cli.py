@@ -15,11 +15,12 @@ import time
 from fractions import Fraction
 
 from .adjacent import solve_aqspp
-from .complete import k4_linearize, normalize_knstar, tournament4_linearize
+from .complete import k4_linearize, tournament4_linearize
 from .errors import FormatError, QspathError
 from .fileio import emit_instance, parse_instance
 from .generate import FILLS, filled_instance, random_digraph, worked_example
 from .graphs import (
+    DEFAULT_PATH_LIMIT,
     _check_vertex_count,
     count_grid_paths,
     make_complete_symmetric,
@@ -32,6 +33,7 @@ from .graphs import (
 from .grid import linearize_grid
 from .model import QsppInstance, SppInstance, brute_force_solve, spp_solve
 from .pathmatrix import (
+    MAX_ORACLE_PATHS,
     CostMismatch,
     InfeasibilityCertificate,
     LinearizationResult,
@@ -192,7 +194,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     if args.mode == "grid":
         result = linearize_grid(inst)
     elif args.mode == "k4":
-        result = k4_linearize(normalize_knstar(inst))
+        result = k4_linearize(inst)
     elif args.mode == "t4":
         result = tournament4_linearize(inst)
     else:
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("file")
     solve.add_argument("--method", choices=["brute", "aqspp", "product", "spp"], default="brute")
-    solve.add_argument("--limit", type=_path_limit, default=10**6)
+    solve.add_argument("--limit", type=_path_limit, default=DEFAULT_PATH_LIMIT)
     solve.set_defaults(func=_cmd_solve)
 
     lin = sub.add_parser("linearize", help="decide linearizability of an instance file")
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["grid", "k4", "t4", "oracle", "oracle-nonneg"],
         required=True,
     )
-    lin.add_argument("--limit", type=_path_limit, default=1000)
+    lin.add_argument("--limit", type=_path_limit, default=MAX_ORACLE_PATHS)
     lin.set_defaults(func=_cmd_linearize)
 
     bench = sub.add_parser("bench", help="time the grid decision across sizes")

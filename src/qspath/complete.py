@@ -2,13 +2,13 @@
 
 Working shape: every ordered vertex pair is an arc except those into the
 source, out of the target, and the direct source-target arc.  Standing
-assumptions for the closed-form machinery below: the linear cost vector is
-zero and interaction costs vanish on arc pairs that no source-target path
-can carry (pairs sharing a start vertex, pairs sharing an end vertex, and
-the two orientations of one vertex pair); normalize_knstar enforces the
-latter without changing any path cost.
+assumption for the closed-form machinery below: the linear cost vector is
+zero.  Interaction costs on arc pairs that no source-target path can carry
+(pairs sharing a start vertex, pairs sharing an end vertex, and the two
+orientations of one vertex pair) are ignored, as they change no path cost;
+normalize_knstar zeroes them, so normalization is optional.
 
-Under those assumptions the total cost of all length-k paths is a closed
+Under that assumption the total cost of all length-k paths is a closed
 form in six pair-class sums: split arcs into terminal arcs (leaving the
 source or entering the target) and interior arcs, split unordered arc pairs
 by consecutiveness and by how many of the two arcs are terminal, and weight
@@ -73,14 +73,6 @@ def _never_together(g: Digraph, e: int, f: int) -> bool:
     )
 
 
-def _require_normalized(inst: QsppInstance) -> None:
-    """Refuse interaction costs on pairs no path can carry (FamilyError)."""
-    if normalize_knstar(inst).interaction != inst.interaction:
-        raise FamilyError(
-            "interaction cost on a pair no path can carry; apply normalize_knstar first"
-        )
-
-
 def normalize_knstar(inst: QsppInstance) -> QsppInstance:
     """Zero the interaction cost of every pair that no path can carry.
 
@@ -105,7 +97,7 @@ class PathClassSums:
     Order: (consecutive, both terminal), (apart, both terminal),
     (consecutive, one terminal), (apart, one terminal),
     (consecutive, no terminal), (apart, no terminal).  Their sum is the
-    all-ones quadratic form of the interaction matrix.
+    all-ones quadratic form of the normalized interaction matrix.
     """
 
     sums: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
@@ -133,10 +125,9 @@ def path_class_costs(
 ) -> tuple[PathClassSums, dict[int, Fraction]]:
     """Class sums and the closed-form total cost of all length-k paths.
 
-    Requires at least four vertices, an all-zero linear vector, and a
-    normalized interaction matrix (see normalize_knstar); the formula counts
-    every pair through its class, so stray costs on unusable pairs would be
-    silently wrong rather than ignored.
+    Requires at least four vertices and an all-zero linear vector.  Costs on
+    pairs no path can carry are skipped, so a raw instance and its
+    normalize_knstar copy give the same result.
     """
     n = knstar_order(inst.graph, inst.source, inst.target)
     if n < 4:
@@ -145,7 +136,6 @@ def path_class_costs(
         raise FamilyError(
             "length-class costs assume a zero linear vector; shift it first"
         )
-    _require_normalized(inst)
     g = inst.graph
     rows = inst.interaction.rows
     m = g.m
@@ -228,12 +218,12 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     sum to at most the two length-3 path costs; the certificate in the other
     direction weights the short paths by -1 and the long ones by +1.  Path
     costs must be nonnegative (true for any problem-definition instance) for
-    the constructed vector to be nonnegative.
+    the constructed vector to be nonnegative.  Only path costs are read, so
+    normalization (normalize_knstar) is optional.
     """
     n = knstar_order(inst.graph, inst.source, inst.target)
     if n != 4:
         raise FamilyError("this characterization is specific to four vertices")
-    _require_normalized(inst)
     source, target = inst.source, inst.target
     x, y = sorted(v for v in range(n) if v not in (source, target))
     pm = build_path_matrix(inst)
@@ -316,7 +306,7 @@ def tournament4_linearize(inst: QsppInstance) -> LinearizationResult:
     the exact oracle produces one, and its success is guaranteed.
     """
     _tournament_check(inst.graph)
-    report = validate_instance(inst, as_problem=True)
+    report = validate_instance(inst)
     if not report.ok:
         raise FamilyError(
             "tournament linearization expects a problem-definition instance: "

@@ -4,8 +4,8 @@ Everything that feeds a verdict is exact: a whole number is a plain int and
 any other value a fractions.Fraction, so integer data never pays for
 Fraction arithmetic.  as_rational is where a value becomes exact; floats
 never enter these code paths.  Linear cost vectors are sign-unrestricted at
-the type level (reduced forms legitimately go negative); nonnegativity is an
-opt-in check, see validate_instance(as_problem=True).
+the type level (reduced forms legitimately go negative); validate_instance
+reports the nonnegativity that the problem definition asks for.
 
 An InteractionMatrix is symmetric with a zero diagonal by construction, as
 the problem defines Q; no operation checks it again.  The total cost of a
@@ -421,16 +421,15 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def validate_instance(inst: QsppInstance, as_problem: bool = False) -> ValidationReport:
-    """With ``as_problem``, the nonnegativity that the problem definition
-    asks of c and Q; the structural invariants hold by construction.
+def validate_instance(inst: QsppInstance) -> ValidationReport:
+    """The nonnegativity that the problem definition asks of c and Q; the
+    structural invariants hold by construction.
 
     Never raises; returns a report listing every violated condition.
     """
     violations = []
-    if as_problem:
-        if any(c < 0 for c in inst.linear):
-            violations.append("negative linear cost (problem definition requires c >= 0)")
-        if not inst.interaction.is_nonnegative():
-            violations.append("negative interaction cost (problem definition requires Q >= 0)")
+    if any(c < 0 for c in inst.linear):
+        violations.append("negative linear cost (problem definition requires c >= 0)")
+    if not inst.interaction.is_nonnegative():
+        violations.append("negative interaction cost (problem definition requires Q >= 0)")
     return ValidationReport(not violations, tuple(violations))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, ScaleError
-from .graphs import DEFAULT_PATH_LIMIT, Path
+from .graphs import Path
 from .model import QsppInstance, _priced_paths, as_rational
 
 MAX_ORACLE_PATHS = 1000
@@ -85,8 +85,11 @@ class LinearizationResult:
     note: str = ""
 
 
-def build_path_matrix(inst: QsppInstance, limit: int = DEFAULT_PATH_LIMIT) -> PathMatrix:
-    """Enumerate all source-target paths into a path matrix."""
+def build_path_matrix(inst: QsppInstance, limit: int = MAX_ORACLE_PATHS) -> PathMatrix:
+    """Enumerate all source-target paths into a path matrix.
+
+    Raises PathLimitExceeded past ``limit`` paths; the default is the most
+    that lp_oracle accepts, so no matrix is built only to be refused."""
     m = inst.graph.m
     rows = []
     costs = []
@@ -119,10 +122,10 @@ def _gauss_solve(
     Returns ('solution', x) picking zero for free variables, or
     ('inconsistent', y) where y combines the original rows to 0 = nonzero.
     Each row's trace (its combination of original rows) is kept sparse: it
-    holds at most rank + 1 entries.
+    holds at most rank + 1 entries.  The matrix is nonempty.
     """
     k = len(matrix)
-    m = len(matrix[0]) if k else 0
+    m = len(matrix[0])
     rows = [list(row) for row in matrix]
     trace = [{i: 1} for i in range(k)]
     rhs = list(rhs)
@@ -178,12 +181,10 @@ def _phase1_simplex(
 
     Returns ('feasible', x) or ('infeasible', y) with matrix^T y >= 0 and
     rhs^T y < 0.  Bland's rule keeps the pivoting finite.  A pivot updates
-    only the nonzero columns of the pivot row.
+    only the nonzero columns of the pivot row.  The matrix is nonempty.
     """
     k = len(matrix)
-    m = len(matrix[0]) if k else 0
-    if k == 0:
-        return ("feasible", [0] * m)
+    m = len(matrix[0])
     sign = [1 if rhs[i] >= 0 else -1 for i in range(k)]
     width = m + k
     tableau = []

@@ -104,9 +104,7 @@ def linearize_weak_sum(inst: QsppInstance) -> tuple[Fraction, ...]:
 
 
 def _rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact nonnegative square root, or None when irrational."""
-    if value < 0:
-        return None
+    """Exact square root of a nonnegative value, or None when irrational."""
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -171,37 +169,23 @@ def solve_product_case(inst: QsppInstance) -> tuple[Path, Fraction]:
     return path, weight * weight
 
 
-def _cycle_successors(g: Digraph) -> list[int]:
-    """Out-arc of each vertex if the graph is a single directed cycle."""
+def linearize_directed_cycle(inst: QsppInstance) -> tuple[Fraction, ...]:
+    """Concentrate the unique path's full cost on its first arc, zero elsewhere."""
+    g = inst.graph
     if g.m != g.n:
         raise FamilyError("a directed cycle has exactly as many arcs as vertices")
-    succ: list[int] = []
     for v in range(g.n):
         if len(g.out_arcs(v)) != 1 or len(g.in_arcs(v)) != 1:
             raise FamilyError("every cycle vertex needs out-degree and in-degree one")
-        succ.append(g.out_arcs(v)[0])
-    seen = 1
-    v = g.arcs[succ[0]].tail
-    while v != 0:
-        v = g.arcs[succ[v]].tail
-        seen += 1
-        if seen > g.n:
-            break
-    if seen != g.n:
+    if not all(reachable(g, 0, forward=True)):
         raise FamilyError("graph is not a single directed cycle")
-    return succ
-
-
-def linearize_directed_cycle(inst: QsppInstance) -> tuple[Fraction, ...]:
-    """Concentrate the unique path's full cost on its first arc, zero elsewhere."""
-    succ = _cycle_successors(inst.graph)
     arcs = []
     v = inst.source
     while v != inst.target:
-        a = succ[v]
+        a = g.out_arcs(v)[0]
         arcs.append(a)
-        v = inst.graph.arcs[a].tail
+        v = g.arcs[a].tail
     total = cost_of_arcs(inst, arcs)
-    result = [0] * inst.graph.m
+    result = [0] * g.m
     result[arcs[0]] = total
     return tuple(result)

@@ -6,6 +6,7 @@ import qspath.cli
 from qspath import (
     emit_instance,
     make_cyclic_counterexample,
+    normalize_knstar,
     parse_instance,
 )
 from qspath.cli import build_parser, main
@@ -125,6 +126,19 @@ def test_linearize_k4_example_exit_three(tmp_path, capsys):
     code, out, _ = run(capsys, "linearize", str(path), "--mode", "k4")
     assert code == 3
     assert "certificate" in out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_linearize_k4_reads_raw_and_normalized_files_alike(tmp_path, capsys, seed):
+    raw, normalized = tmp_path / "raw.qspp", tmp_path / "normalized.qspp"
+    run(capsys, "generate", "complete", "4", "--fill", "random", "--seed", str(seed),
+        "--output", str(raw))
+    text = raw.read_text()
+    normalized.write_text(emit_instance(normalize_knstar(parse_instance(text))))
+    assert normalized.read_text() != text
+    assert run(capsys, "linearize", str(raw), "--mode", "k4") == run(
+        capsys, "linearize", str(normalized), "--mode", "k4"
+    )
 
 
 def test_linearize_k5_example_oracle_nonneg_exit_three(tmp_path, capsys):

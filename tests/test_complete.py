@@ -190,9 +190,7 @@ def test_closed_form_matches_enumeration():
 
 
 def test_path_class_costs_preconditions():
-    raw = knstar_instance(5, seed=21)  # not normalized
-    with pytest.raises(FamilyError, match="normalize"):
-        path_class_costs(raw)
+    raw = knstar_instance(5, seed=21)
     shifted = QsppInstance(
         raw.graph,
         0,
@@ -257,12 +255,28 @@ def test_k4_cases_with_costly_short_route():
     assert vector_reproduces_costs(mirrored, result.vector)
 
 
-def test_k4_requires_normalized_input():
-    raw = knstar_instance(4, {((0, 1), (0, 2)): 3})
-    with pytest.raises(FamilyError, match="normalize"):
-        k4_linearize(raw)
+def test_k4_requires_four_vertices():
     with pytest.raises(FamilyError):
         k4_linearize(knstar_instance(5, {}))
+
+
+def test_raw_and_normalized_instances_agree():
+    """Costs on pairs no path can carry change no result: every (s, t) on
+    K4 to K7 under a random fill, K4 through k4_linearize too."""
+    rng = random.Random(17)
+    for n in range(4, 8):
+        for s, t in permutations(range(n), 2):
+            g = make_complete_symmetric(n, simplified=True, source=s, target=t)
+            q = random_symmetric_interaction(g.m, rng)
+            raw = QsppInstance(g, s, t, (0,) * g.m, q)
+            normalized = normalize_knstar(raw)
+            assert raw.interaction != normalized.interaction
+            assert path_class_costs(raw) == path_class_costs(normalized)
+            assert check_necessary_conditions(raw) == check_necessary_conditions(
+                normalized
+            )
+            if n == 4:
+                assert k4_linearize(raw) == k4_linearize(normalized)
 
 
 def biased_k4_instance(rng: random.Random) -> QsppInstance:

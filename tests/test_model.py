@@ -355,14 +355,14 @@ def test_validate_instance_reports():
 
     negative = InteractionMatrix.from_entries(4, {(0, 2): -1})
     inst = QsppInstance(g, 0, 3, (0,) * 4, negative)
-    assert validate_instance(inst) == ValidationReport(True, ())
-    assert validate_instance(inst, as_problem=True).violations == (
+    assert validate_instance(inst).violations == (
         "negative interaction cost (problem definition requires Q >= 0)",
     )
 
     reduced_form = QsppInstance(g, 0, 3, (1, -2, 0, 0), InteractionMatrix.zero(4))
-    assert validate_instance(reduced_form).ok
-    assert not validate_instance(reduced_form, as_problem=True).ok
+    assert not validate_instance(reduced_form).ok
+    problem = QsppInstance(g, 0, 3, (1, 2, 0, 0), negative.scaled(-1))
+    assert validate_instance(problem) == ValidationReport(True, ())
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +17,7 @@ from qspath import (
     InternalError,
     QspathError,
     InteractionMatrix,
+    PathLimitExceeded,
     PathMatrix,
     QsppInstance,
     ScaleError,
@@ -262,6 +265,22 @@ def test_oracle_scale_guard():
     big = PathMatrix(((),) * 1001, (Fraction(0),) * 1001, (None,) * 1001, 0)
     with pytest.raises(ScaleError):
         lp_oracle(big)
+
+
+def test_default_limit_refuses_before_building_what_the_oracle_refuses():
+    """A 10x10 grid has 48,620 paths; the default limit is the oracle's, so
+    enumeration stops at path 1001 instead of building every dense row."""
+    g = make_grid(10, 10)
+    inst = filled_instance(g, 0, g.n - 1, "weak-sum", 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(PathLimitExceeded):
+            lp_oracle(build_path_matrix(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 1024 * 1024
 
 
 OPTIMIZED_CHECK = """

@@ -36,27 +36,43 @@ OF_EXACT_BUILDERS = {
 }
 
 
-def _of_exact_uses(tree: ast.AST, scope: str = ""):
-    """(enclosing qualified name, line) of every attribute ``_of_exact``,
-    called or not, so an alias of the method is caught too."""
+def _uses(tree: ast.AST, names: set[str], scope: str = ""):
+    """(enclosing qualified name, line) of every reference to one of
+    ``names``: a bare name, an attribute or an imported name, called or not,
+    so an alias is caught too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _of_exact_uses(node, f"{scope}.{node.name}" if scope else node.name)
+            yield from _uses(node, names, f"{scope}.{node.name}" if scope else node.name)
         else:
-            if isinstance(node, ast.Attribute) and node.attr == "_of_exact":
+            if (
+                isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.alias) and node.name in names
+            ):
                 yield scope, node.lineno
-            yield from _of_exact_uses(node, scope)
+            yield from _uses(node, names, scope)
+
+
+def _library_uses(names: set[str]) -> list[tuple[str, str, int]]:
+    return [
+        (path.name, scope, line)
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, line in _uses(ast.parse(path.read_text(), str(path)), names)
+    ]
 
 
 def test_unchecked_matrix_wrapper_is_used_only_by_the_builders():
     """InteractionMatrix._of_exact skips the symmetry and diagonal check,
     so only the builders that guarantee both may call it."""
-    uses = [
-        (path.name, scope, line)
-        for path in sorted(SOURCE.glob("*.py"))
-        for scope, line in _of_exact_uses(ast.parse(path.read_text(), str(path)))
-    ]
+    uses = _library_uses({"_of_exact"})
     strays = [use for use in uses if use[:2] not in OF_EXACT_BUILDERS]
     assert strays == []
     # and the list names no builder that has stopped using it
     assert {use[:2] for use in uses} == OF_EXACT_BUILDERS
+
+
+def test_oracle_kernels_are_called_only_by_the_oracle():
+    """_gauss_solve and _phase1_simplex assume a nonempty matrix; lp_oracle
+    answers the empty one before calling them, so no other caller may."""
+    uses = _library_uses({"_gauss_solve", "_phase1_simplex"})
+    assert {use[:2] for use in uses} == {("pathmatrix.py", "lp_oracle")}

@@ -292,3 +292,21 @@ def test_linearize_directed_cycle_rejects_other_graphs():
     )
     with pytest.raises(FamilyError):
         linearize_directed_cycle(inst)
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        [(0, 1), (1, 0), (2, 3), (3, 2)],
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+    ],
+    ids=["two-2-cycles", "two-3-cycles"],
+)
+def test_linearize_directed_cycle_rejects_disjoint_cycles(arcs):
+    """Every vertex has in- and out-degree one, but the cycle is not single."""
+    n = len(arcs)
+    inst = QsppInstance(
+        Digraph(n, arcs), 0, 1, (Fraction(0),) * n, InteractionMatrix.zero(n)
+    )
+    with pytest.raises(FamilyError, match="^graph is not a single directed cycle$"):
+        linearize_directed_cycle(inst)

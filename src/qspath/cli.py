@@ -251,7 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("params", nargs="*", help="family parameters (sizes or a QAP file)")
     gen.add_argument("--fill", choices=sorted(FILLS), default="zero")
     gen.add_argument("--seed", type=int, default=None, help="64-bit seed for random fills")
-    gen.add_argument("--max-entry", type=int, default=9)
+    gen.add_argument(
+        "--max-entry",
+        type=int,
+        default=9,
+        help="largest value a seeded fill draws; the product fill draws at most 3",
+    )
     gen.add_argument("--example", action="store_true", help="built-in worked example (complete 4 or 5)")
     gen.add_argument("--full", action="store_true", help="complete graph without arc removal")
     gen.add_argument("--orientation", type=int, default=None, help="tournament orientation bits")

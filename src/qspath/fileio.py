@@ -24,7 +24,11 @@ a p-by-q grid vertex in row i, column j (1-based) is vertex (i-1)*q + (j-1).
 
 The emitter writes Q a row at a time: the nonzero cells right of the
 diagonal are picked by itertools.compress, named from a table of id strings
-built once, and each row is one join.
+built once, and each row is one join.  Values, of Q and of c, are written
+through a table from each whole number below m to its text, built once per
+file beside the id strings, so no number becomes text per cell; a row
+holding any other value (negative, a Fraction, or m and above) goes through
+str as a whole, as the parser's id columns fall back to int.
 
 The parser reads the text as a stream.  It splits one slice at a time,
 about 64 KiB cut at a newline (a text with no later newline is one slice),
@@ -50,7 +54,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress
 from operator import add
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import FormatError, InternalError
 from .graphs import Digraph
@@ -59,22 +63,36 @@ from .model import InteractionMatrix, QsppInstance, _EntryRows, as_rational, rat
 T = TypeVar("T")
 
 
+def _texts(values: Sequence[int | Fraction], texts: dict[int, str]) -> list[str]:
+    """str over a row of values, read through the table texts; a value it
+    does not hold (negative, a Fraction, or too large) sends the whole row
+    through str."""
+    try:
+        return list(map(texts.__getitem__, values))
+    except KeyError:
+        return list(map(str, values))
+
+
 def emit_instance(inst: QsppInstance) -> str:
     """Canonical text form; parse(emit(x)) reproduces x exactly."""
     g = inst.graph
     lines = ["QSPP 1", f"n {g.n}", f"m {g.m}", f"s {inst.source}", f"t {inst.target}"]
     for arc_id, arc in enumerate(g.arcs):
         lines.append(f"arc {arc_id} {arc.head} {arc.tail}")
+    # the text of each whole number below m, once per file: as a value, and
+    # with a space after it as an id
+    texts = dict(enumerate(map(str, range(g.m))))
+    named = [text + " " for text in texts.values()]
     lines.append("c")
-    lines.append(" ".join(map(str, inst.linear)))
+    lines.append(" ".join(_texts(inst.linear, texts)))
     # Q a row at a time: compress picks the nonzero cells right of the
     # diagonal, each named by "<f> " from a table, and one join writes the row
-    named = [f"{k} " for k in range(g.m)]
     count = 0
     blocks = []
     for e, row in enumerate(inst.interaction.rows):
         upper = row[e + 1 :]
-        cells = list(map(add, compress(named[e + 1 :], upper), map(str, compress(upper, upper))))
+        values = _texts(list(compress(upper, upper)), texts)
+        cells = list(map(add, compress(named[e + 1 :], upper), values))
         if cells:
             count += len(cells)
             blocks.append(named[e] + ("\n" + named[e]).join(cells))

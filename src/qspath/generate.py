@@ -6,9 +6,10 @@ of values at once (_draws takes from the stream exactly what one randint
 call per value would).  The random, weak-sum and product fills set every
 cell of Q by construction, so they hand its finished rows, symmetric with a
 zero diagonal, to the matrix unchecked: a weak-sum or product row is one map
-over the per-arc vector, and a random row is its upper part, drawn in
-row-major pair order, plus the same cells read down its column.  The
-adjacent fill names only some pairs and goes through the entry checker.
+over the per-arc vector.  A random row is built once, in one pass: the
+cells left of its diagonal are read down its column from the rows built
+before it, then comes a zero, then its own draws in row-major pair order.
+The adjacent fill names only some pairs and goes through the entry checker.
 They return problem-definition data (symmetric, zero diagonal,
 nonnegative).
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Iterator
 
 from .adjacent import _adjacent
@@ -64,12 +65,12 @@ def fill_random(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Uniform integer interactions on every arc pair, zero linear costs."""
     m = g.m
-    # the draws of pairs e < f in row-major order, each row padded with zeros
-    # up to and including its diagonal; a row of Q is its padded row plus its
-    # padded column, since one of the two is zero in every cell
+    # the draws of pairs e < f in row-major order; row e is column e of the
+    # rows above it, its zero diagonal, then its next m - 1 - e draws
     drawn = iter(_draws(rng, max_entry, m * (m - 1) // 2))
-    padded = [[0] * (e + 1) + list(islice(drawn, m - 1 - e)) for e in range(m)]
-    rows = (tuple(map(add, row, col)) for row, col in zip(padded, zip(*padded)))
+    rows: list[tuple[int, ...]] = []
+    for e in range(m):
+        rows.append(tuple(chain(map(itemgetter(e), rows), (0,), islice(drawn, m - 1 - e))))
     return (0,) * m, InteractionMatrix._of_exact(rows)
 
 
@@ -127,7 +128,11 @@ def filled_instance(
     seed: int | None = None,
     max_entry: int = 9,
 ) -> QsppInstance:
-    """Instance on ``g`` with costs from the named filler."""
+    """Instance on ``g`` with costs from the named filler.
+
+    The product fill draws its per-arc values up to min(max_entry, 3), so a
+    larger max_entry still gives it values of 3 or less.
+    """
     if max_entry < 0:
         raise ValueError(f"--max-entry must not be negative, got {max_entry}")
     if fill == "zero":

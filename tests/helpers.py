@@ -6,7 +6,9 @@ library code paths they check.
 """
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 from qspath import (
@@ -19,6 +21,17 @@ from qspath import (
     make_grid,
 )
 from qspath.generate import random_dag, random_digraph
+
+
+def traced_peak(run) -> int:
+    """The peak of memory traced while run() runs, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def arc_index(g: Digraph) -> dict[tuple[int, int], int]:

@@ -1,7 +1,5 @@
-import gc
 import random
 import re
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,7 +24,7 @@ from qspath.graphs import MAX_VERTICES
 from qspath.model import as_rational
 from qspath.reductions import qap_to_qspp
 
-from helpers import naive_emit, random_symmetric_interaction
+from helpers import naive_emit, random_symmetric_interaction, traced_peak
 
 
 def same_instance(a: QsppInstance, b: QsppInstance) -> bool:
@@ -125,20 +123,9 @@ def test_parse_finds_a_pair_repeated_in_a_later_slice(chars, monkeypatch):
     assert str(info.value) == f"pair ({f},{e}) listed twice"
 
 
-def _traced_peak(run) -> int:
-    """The peak of memory traced while run() runs, in bytes."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_parse_peaks_below_a_split_of_the_whole_text():
     text = emit_instance(filled_instance(make_grid(12, 12), 0, 143, "random", seed=1))
-    assert _traced_peak(lambda: parse_instance(text)) < _traced_peak(text.split)
+    assert traced_peak(lambda: parse_instance(text)) < traced_peak(text.split)
 
 
 # counts near 10**9 in files of a few dozen characters, with the messages
@@ -163,7 +150,7 @@ def test_huge_counts_in_a_short_file_build_no_large_table(text, message):
             parse_instance(text)
         assert str(info.value) == message
 
-    assert _traced_peak(parse) < 64 * 1024
+    assert traced_peak(parse) < 64 * 1024
 
 
 # a short, otherwise valid file whose vertex count would cost two lists per
@@ -179,7 +166,7 @@ def test_vertex_count_past_the_bound_is_a_format_error():
             parse_instance(HUGE_VERTEX_COUNT)
         assert str(info.value) == "vertex count 999999999 exceeds the bound of 1000000"
 
-    assert _traced_peak(parse) < 64 * 1024
+    assert traced_peak(parse) < 64 * 1024
 
 
 def test_digraph_refuses_a_vertex_count_past_the_bound():
@@ -343,6 +330,23 @@ def _emit_cases():
     linear = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(g.m))
     yield QsppInstance(g, 0, 8, linear, InteractionMatrix.from_entries(g.m, signed))
     yield QsppInstance(g, 0, 8, (0,) * g.m, InteractionMatrix.zero(g.m))
+    # the edges of the emitter's table of texts, which holds the whole
+    # numbers below m: each value in c, in a row beside a table value, and
+    # alone in a row
+    m = g.m
+    for value in (m - 1, m, -1, -m, 10**30):
+        entries = {(0, 1): value, (0, 2): 1, (1, 2): value}
+        linear = (value,) + (1,) * (m - 1)
+        yield QsppInstance(g, 0, 8, linear, InteractionMatrix.from_entries(m, entries))
+    # one row of table values and one Fraction, beside rows of table values
+    mixed = {(0, 1): 2, (0, 2): Fraction(7, 2), (0, 3): m - 1, (1, 2): 3, (2, 3): m - 1}
+    linear = (1, Fraction(1, 3)) + (0,) * (m - 2)
+    yield QsppInstance(g, 0, 8, linear, InteractionMatrix.from_entries(m, mixed))
+    # a fill whose entries all fall outside the table
+    k4 = make_complete_symmetric(4, simplified=True)
+    wide = filled_instance(k4, 0, 3, "random", seed=1, max_entry=100)
+    assert all(v >= k4.m for row in wide.interaction.rows for v in row if v)
+    yield wide
 
 
 def test_emit_matches_the_naive_emitter():

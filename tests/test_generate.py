@@ -6,6 +6,7 @@ takes; on a CPython whose randint draws differently these tests fail
 rather than let seeded files drift.
 """
 import random
+import sys
 
 import pytest
 
@@ -16,9 +17,9 @@ from qspath import (
     make_hypercube,
     make_tournament,
 )
-from qspath.generate import FILLS, _draws, random_digraph, random_qap
+from qspath.generate import FILLS, _draws, fill_random, random_digraph, random_qap
 
-from helpers import randint_fill
+from helpers import randint_fill, traced_peak
 
 
 @pytest.mark.parametrize("hi", [0, 1, 3, 7, 9, 15, 100, 255, 256, 2**32, 2**40])
@@ -60,6 +61,17 @@ def test_fills_draw_what_randint_draws(fill):
             assert tuple(zip(*rows)) == rows
             assert all(row[e] == 0 for e, row in enumerate(rows))
             assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+def test_random_fill_peaks_below_twice_the_rows_it_returns():
+    """Each row of a random fill is built once, so the fill holds little
+    more than its draws beside the rows it returns."""
+    g = make_grid(12, 12)
+    filled = []
+    peak = traced_peak(lambda: filled.append(fill_random(g, random.Random(1))))
+    rows = filled[0][1].rows
+    assert len(rows) == g.m == 264
+    assert peak < 2 * (sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)))
 
 
 def test_random_qap_draws_what_randint_draws():

@@ -2,23 +2,25 @@
 
 All randomness flows through an explicit random.Random instance so that a
 fixed seed reproduces an instance bit for bit.  Fillers draw a whole column
-of values at once (_draws takes from the stream exactly what one randint
-call per value would).  The random, weak-sum and product fills set every
-cell of Q by construction, so they hand its finished rows, symmetric with a
-zero diagonal, to the matrix unchecked: a weak-sum or product row is one map
-over the per-arc vector.  A random row is built once, in one pass: the
-cells left of its diagonal are read down its column from the rows built
-before it, then comes a zero, then its own draws in row-major pair order.
-The adjacent fill names only some pairs and goes through the entry checker.
-They return problem-definition data (symmetric, zero diagonal,
-nonnegative).
+of values at once, taking from the stream exactly what one randint call
+per value would; values below 255 are decoded, a whole pass at a time, from
+the top bytes of the Mersenne words one getrandbits call returns (_drawn).
+The random, weak-sum and product fills set every cell of Q by
+construction, so they hand its finished rows, symmetric with a zero
+diagonal, to the matrix unchecked: a weak-sum or product row is one map
+over the per-arc vector.  The random fill lays Q out in one flat row-major
+buffer (a bytearray when its values fit a byte) and slice-assigns each
+row's draws, in row-major pair order, right of the diagonal and down the
+column below it.  The adjacent fill names only some pairs and goes through
+the entry checker.  They return problem-definition data (symmetric, zero
+diagonal, nonnegative).
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from operator import add, itemgetter, mul
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Callable, Iterator
 
 from .adjacent import _adjacent
@@ -27,17 +29,37 @@ from .model import InteractionMatrix, QsppInstance
 from .reductions import QapInstance
 
 
-def _draws(rng: random.Random, hi: int, count: int) -> list[int]:
-    """What ``count`` calls of rng.randint(0, hi) return, value for value,
-    leaving rng in the same state, through getrandbits alone.
+# _TOP[k][b] is getrandbits(k) of a word whose top byte is b, for k <= 8
+_TOP = [bytes(b >> (8 - k) for b in range(256)) for k in range(9)]
+_BYTES = bytes(range(256))
 
-    This is randint's own rejection loop without its call layers: each draw
-    takes getrandbits(k), k = (hi + 1).bit_length(), again while the value
-    exceeds hi (so hi = 0 still takes one bit per try).
+
+def _drawn(rng: random.Random, hi: int, count: int) -> bytes | list[int]:
+    """What ``count`` calls of rng.randint(0, hi) return, value for value,
+    leaving rng in the same state, through getrandbits alone: bytes when
+    hi < 255, else a list.
+
+    Each try of randint's rejection loop takes getrandbits(k),
+    k = (hi + 1).bit_length(), again while the value exceeds hi (so hi = 0
+    still takes one bit per try).  For k <= 8 a try is the top byte of one
+    32-bit word shifted right by 8 - k.  getrandbits(32 * need) returns
+    need words, first word lowest, so a pass takes every fourth byte of its
+    little-endian bytes ([3::4]), deletes those that decode above hi (a
+    suffix of the byte range) and translates the rest through _TOP[k].
+    Each pass draws one word per value still missing, never more, so the
+    stream stops where randint's would.
     """
     n = hi + 1
     k = n.bit_length()
     getrandbits = rng.getrandbits
+    if k <= 8:
+        top, rejected = _TOP[k], _BYTES[n << (8 - k) :]
+        out = b""
+        while len(out) < count:
+            need = count - len(out)
+            words = getrandbits(32 * need).to_bytes(4 * need, "little")
+            out += words[3::4].translate(top, rejected)
+        return out
     out = []
     for _ in range(count):
         r = getrandbits(k)
@@ -45,6 +67,11 @@ def _draws(rng: random.Random, hi: int, count: int) -> list[int]:
             r = getrandbits(k)
         out.append(r)
     return out
+
+
+def _draws(rng: random.Random, hi: int, count: int) -> list[int]:
+    """The values of _drawn(rng, hi, count) as a list."""
+    return list(_drawn(rng, hi, count))
 
 
 def _outer_rows(a: list[int], op: Callable[[int, int], int]) -> Iterator[list[int]]:
@@ -65,12 +92,17 @@ def fill_random(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Uniform integer interactions on every arc pair, zero linear costs."""
     m = g.m
-    # the draws of pairs e < f in row-major order; row e is column e of the
-    # rows above it, its zero diagonal, then its next m - 1 - e draws
-    drawn = iter(_draws(rng, max_entry, m * (m - 1) // 2))
-    rows: list[tuple[int, ...]] = []
+    drawn = _drawn(rng, max_entry, m * (m - 1) // 2)
+    # Q row-major in one buffer: the draws of row e, pairs e < f in order,
+    # go right of its diagonal and down column e below it
+    flat = bytearray(m * m) if max_entry < 256 else [0] * (m * m)
+    start = 0
     for e in range(m):
-        rows.append(tuple(chain(map(itemgetter(e), rows), (0,), islice(drawn, m - 1 - e))))
+        row = drawn[start : start + m - 1 - e]
+        start += m - 1 - e
+        flat[e * m + e + 1 : (e + 1) * m] = row
+        flat[(e + 1) * m + e :: m] = row
+    rows = [tuple(flat[i : i + m]) for i in range(0, m * m, m)]
     return (0,) * m, InteractionMatrix._of_exact(rows)
 
 

@@ -37,6 +37,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .errors import InternalError, ScaleError
 from .graphs import Path
@@ -255,8 +257,7 @@ def _verify_solution(
 ) -> None:
     """Raise InternalError unless B x = b (and x >= 0 when required)."""
     if not all(
-        sum(r * v for r, v in zip(row, x)) == cost
-        for row, cost in zip(pm.rows, pm.costs)
+        sum(map(mul, row, x)) == cost for row, cost in zip(pm.rows, pm.costs)
     ):
         raise InternalError("oracle produced a vector that misses a path cost")
     if require_nonneg and not all(v >= 0 for v in x):
@@ -267,14 +268,20 @@ def _verify_certificate(
     pm: PathMatrix, y: list[int | Fraction], require_nonneg: bool
 ) -> None:
     """Raise InternalError unless b^T y < 0 and B^T y >= 0, or B^T y = 0
-    when the sense is the equality one (require_nonneg false)."""
-    for col in range(pm.arc_count):
-        total = sum(pm.rows[i][col] * y[i] for i in range(len(y)))
+    when the sense is the equality one (require_nonneg false).
+
+    B^T y sums only the rows whose y_i is nonzero; certificates are sparse.
+    """
+    bty = [0] * pm.arc_count
+    for row, v in zip(pm.rows, y):
+        if v:
+            bty = list(map(add, bty, map(mul, row, repeat(v))))
+    for total in bty:
         if total < 0:
             raise InternalError("certificate fails B^T y >= 0")
         if total and not require_nonneg:
             raise InternalError("certificate fails B^T y = 0")
-    if sum(c * v for c, v in zip(pm.costs, y)) >= 0:
+    if sum(map(mul, pm.costs, y)) >= 0:
         raise InternalError("certificate fails b^T y < 0")
 
 

@@ -20,7 +20,7 @@ from qspath import (
     make_complete_symmetric,
     make_grid,
 )
-from qspath.generate import random_dag, random_digraph
+from qspath.generate import filled_instance, random_dag, random_digraph
 
 
 def traced_peak(run) -> int:
@@ -222,6 +222,35 @@ def square_pair_linearizable(inst: QsppInstance, p: int, q: int) -> bool:
         sum(s * t * rows[a][b] for a, s in delta for b, t in other) == 0
         for _, _, delta, other in incomparable_square_pairs(inst.graph, p, q)
     )
+
+
+def late_no_grid(p: int, q: int, seed: int) -> QsppInstance:
+    """The weak-sum fill of the p-by-q grid (p >= 3, q >= 5) with +1 added
+    to Q at (right(3, 4), down(1, 1)) and -1 at (right(1, 4), down(1, 2)),
+    both orientations; right(i, j) and down(i, j) leave vertex (i, j),
+    1-based.
+
+    Weak-sum Q has every square-pair number zero, so the change alone
+    decides the verdict: "no", with every sub-grid of three or more rows
+    passing, so the sweep names its witness only at sub-target (2, 2).
+    """
+    inst = filled_instance(make_grid(p, q), 0, p * q - 1, "weak-sum", seed)
+    lookup = arc_index(inst.graph)
+
+    def vertex(i, j):
+        return (i - 1) * q + j - 1
+
+    def right(i, j):
+        return lookup[(vertex(i, j), vertex(i, j + 1))]
+
+    def down(i, j):
+        return lookup[(vertex(i, j), vertex(i + 1, j))]
+
+    rows = [list(row) for row in inst.interaction.rows]
+    for e, f, delta in ((right(3, 4), down(1, 1), 1), (right(1, 4), down(1, 2), -1)):
+        rows[e][f] += delta
+        rows[f][e] += delta
+    return QsppInstance(inst.graph, inst.source, inst.target, inst.linear, InteractionMatrix(rows))
 
 
 def naive_emit(inst: QsppInstance) -> str:

@@ -22,11 +22,24 @@ from qspath.generate import FILLS, _draws, fill_random, random_digraph, random_q
 from helpers import randint_fill, traced_peak
 
 
-@pytest.mark.parametrize("hi", [0, 1, 3, 7, 9, 15, 100, 255, 256, 2**32, 2**40])
+@pytest.mark.parametrize(
+    "hi", [0, 1, 3, 7, 9, 15, 100, 127, 128, 254, 255, 256, 2**32, 2**40]
+)
 def test_draws_match_randint_draw_for_draw(hi):
     for seed in range(50):
         ours, theirs = random.Random(seed), random.Random(seed)
         assert _draws(ours, hi, 200) == [theirs.randint(0, hi) for _ in range(200)]
+        assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+@pytest.mark.parametrize("hi", [0, 9, 127, 128, 254])
+@pytest.mark.parametrize("count", [5000, 40000])
+def test_long_draws_match_randint_over_several_passes(hi, count):
+    """A bulk pass draws one word per value still missing, so a long run
+    takes several passes and the last one is short."""
+    for seed in range(2):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _draws(ours, hi, count) == [theirs.randint(0, hi) for _ in range(count)]
         assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
@@ -51,7 +64,7 @@ def _graphs():
 @pytest.mark.parametrize("fill", ["random", "weak-sum", "product", "adjacent"])
 def test_fills_draw_what_randint_draws(fill):
     for g in _graphs():
-        for max_entry in (0, 1, 3, 9, 100):
+        for max_entry in (0, 1, 3, 9, 100, 255, 256, 1000):
             seed = 31 * g.m + max_entry
             ours, theirs = random.Random(seed), random.Random(seed)
             linear, matrix = FILLS[fill](g, ours, max_entry)

@@ -38,7 +38,9 @@ from qspath.grid import (
 
 from helpers import (
     arc_index,
+    double_loop_cost,
     incomparable_square_pairs,
+    late_no_grid,
     random_symmetric_interaction,
     square_pair_linearizable,
     vector_reproduces_costs,
@@ -548,6 +550,17 @@ def test_linearize_grid_witness_is_a_real_disagreement():
         assert witness.expected != witness.got
         assert result.note
     assert found >= 25
+
+
+@pytest.mark.parametrize("side", [8, 12])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_late_no_grid_is_rejected_at_sub_target_2_2(side, seed):
+    inst = late_no_grid(side, side, seed)
+    result = linearize_grid(inst)
+    assert not result.linearizable
+    assert result.note == "candidate disagrees below sub-target (2,2)"
+    assert result.witness.expected == double_loop_cost(inst, result.witness.path)
+    assert result.witness.expected != result.witness.got
 
 
 def test_linearize_grid_handles_nonzero_linear_costs():

@@ -285,15 +285,12 @@ def reachable(g: Digraph, start: int, forward: bool) -> list[bool]:
 
 def _walk_st_paths(
     g: Digraph, source: int, target: int, limit: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (arcs, shared) for every simple source-target path, lexicographic
-    by arc ids, where ``shared`` is the number of leading arcs the path has in
-    common with the one before it (0 for the first).
-
-    ``shared`` is the lowest stack depth the search reached since the last
-    yield: the arcs below it were never popped, and the arc at that depth was
-    replaced by a later arc out of the same vertex.  Raises PathLimitExceeded
-    as soon as a (limit+1)-th path is found.
+) -> Iterator[tuple[int, ...]]:
+    """Yield the arc ids of every simple source-target path, lexicographic by
+    arc ids, by a depth-first search that enters only vertices able to reach
+    the target.  Raises PathLimitExceeded as soon as a (limit+1)-th path is
+    found.  model prices paths in its own copy of this search, which adds
+    each arc's cost as it pushes the arc.
     """
     check_endpoints(g, source, target)
     useful = reachable(g, target, forward=False)
@@ -305,7 +302,6 @@ def _walk_st_paths(
     arc_stack: list[int] = []
     iter_stack = [iter(g.out_arcs(source))]
     found = 0
-    shared = 0
     while iter_stack:
         for a in iter_stack[-1]:
             v = tail[a]
@@ -316,9 +312,8 @@ def _walk_st_paths(
                 found += 1
                 if found > limit:
                     raise PathLimitExceeded(limit)
-                yield tuple(arc_stack), shared
+                yield tuple(arc_stack)
                 arc_stack.pop()
-                shared = len(arc_stack)
                 continue
             on_path[v] = True
             iter_stack.append(iter(g.out_arcs(v)))
@@ -327,8 +322,6 @@ def _walk_st_paths(
             iter_stack.pop()
             if arc_stack:
                 on_path[tail[arc_stack.pop()]] = False
-                if len(arc_stack) < shared:
-                    shared = len(arc_stack)
 
 
 def iter_st_paths(
@@ -339,7 +332,7 @@ def iter_st_paths(
     Raises PathLimitExceeded as soon as a (limit+1)-th path is found, so a
     caller that consumed ``limit`` paths without an exception has them all.
     """
-    for arcs, _ in _walk_st_paths(g, source, target, limit):
+    for arcs in _walk_st_paths(g, source, target, limit):
         yield Path(arcs)
 
 
@@ -377,6 +370,26 @@ def topological_order(
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
     return order if len(order) == sum(keep) else None
+
+
+def _count_st_paths(
+    g: Digraph, source: int, target: int, useful: Sequence[bool]
+) -> int | None:
+    """Number of simple source-target paths, or None when the subgraph
+    induced by the ``useful`` vertices (those that can reach the target) has
+    a cycle.  Without one every source-target walk is a simple path, so one
+    pass over the topological order adds up the walks into each vertex.
+    """
+    order = topological_order(g, useful)
+    if order is None:
+        return None
+    ways = [0] * g.n
+    ways[source] = 1
+    for v in order:
+        if ways[v]:
+            for a in g.out_arcs(v):
+                ways[g.arcs[a].tail] += ways[v]
+    return ways[target]
 
 
 def is_acyclic(g: Digraph) -> bool:

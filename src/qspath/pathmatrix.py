@@ -9,8 +9,8 @@ Bland's rule for the nonnegative one.  Infeasibility is always returned with
 a certificate vector y satisfying B^T y >= 0 and b^T y < 0 (with equality
 throughout in the unrestricted case), and certificates are re-checked before
 they are handed out.  build_path_matrix takes each row's cost from the
-priced depth-first walk in model, which pays O(L) per arc a path does not
-share with the row before it, not O(L^2) per row.
+priced depth-first search in model, unpruned, which pays O(L) per arc it
+pushes, not O(L^2) per row.
 
 Both kernels run on the same exact values as the rest of the library: an
 int when the value is whole, a Fraction otherwise.  The 0/1 path rows stay

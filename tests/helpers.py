@@ -93,15 +93,26 @@ def _signed_thirds(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice((1, 3)))
 
 
-def priced_walk_instances(family: str, rng: random.Random) -> list[QsppInstance]:
-    """Instances with signed Fraction data for checking exact enumeration
-    and pricing against the naive oracles.
+PRICED_WALK_FILLS = ("signed", "signed-c", "signed-q", "nonnegative", "zero", "constant")
+
+
+def priced_walk_instances(
+    family: str, rng: random.Random, fill: str = "signed"
+) -> list[QsppInstance]:
+    """Instances with exact data for checking exact enumeration and pricing
+    against the naive oracles.
 
     grid: Fraction Q from the symmetric builder; dag and cyclic: random
     graphs (on cyclic ones the simple-path rule prunes); complete: full and
     simplified complete symmetric digraphs.  Cyclic and complete graphs also
     run to a target that is not the last vertex, so an arc into the target
     is not always the last one the search tries.
+
+    fill "signed" draws every c and Q entry as a signed third; "nonnegative"
+    takes |v| of the same draws, where brute force prunes on acyclic graphs,
+    and "signed-c" and "signed-q" take |v| in Q or in c only.  "zero" and
+    "constant" (c = 0, Q = 1 off the diagonal) make every path, or every
+    path of one length, tie.  The graphs do not depend on the fill.
     """
     if family == "grid":
         shapes = ((2, 2), (3, 3), (3, 5), (4, 4), (5, 4))
@@ -119,12 +130,27 @@ def priced_walk_instances(family: str, rng: random.Random) -> list[QsppInstance]
         ]
     else:
         raise ValueError(family)
+
+    def signed():
+        return _signed_thirds(rng)
+
+    def unsigned():
+        return abs(_signed_thirds(rng))
+
+    draw_c, draw_q = {
+        "signed": (signed, signed),
+        "signed-c": (signed, unsigned),
+        "signed-q": (unsigned, signed),
+        "nonnegative": (unsigned, unsigned),
+        "zero": (lambda: 0, lambda: 0),
+        "constant": (lambda: 0, lambda: 1),
+    }[fill]
     out = []
     for g, target in graphs:
         m = g.m
-        linear = tuple(_signed_thirds(rng) for _ in range(m))
+        linear = tuple(draw_c() for _ in range(m))
         matrix = InteractionMatrix.from_triples(
-            m, ((e, f, _signed_thirds(rng)) for e in range(m) for f in range(e + 1, m))
+            m, ((e, f, draw_q()) for e in range(m) for f in range(e + 1, m))
         )
         out.append(QsppInstance(g, 0, target, linear, matrix))
     return out

@@ -28,7 +28,7 @@ from qspath import graphs
 from qspath.generate import random_dag, random_digraph
 from qspath.graphs import reachable
 
-from helpers import naive_st_paths
+from helpers import naive_st_paths, priced_walk_instances
 
 
 def test_digraph_rejects_bad_arcs():
@@ -198,6 +198,31 @@ def test_count_grid_paths_formula_and_enumeration_agree():
         for q in range(2, 7):
             g = make_grid(p, q)
             assert len(enumerate_st_paths(g, 0, g.n - 1)) == count_grid_paths(p, q)
+
+
+def test_path_count_matches_the_formula_and_enumeration():
+    """The up-front count that refuses an over-limit DAG before its walk."""
+
+    def count(g, target):
+        return graphs._count_st_paths(g, 0, target, reachable(g, target, forward=False))
+
+    for p in range(2, 10):
+        for q in range(2, 10):
+            g = make_grid(p, q)
+            assert count(g, g.n - 1) == count_grid_paths(p, q)
+    for inst in priced_walk_instances("dag", random.Random("dag")):
+        assert count(inst.graph, inst.target) == len(
+            enumerate_st_paths(inst.graph, 0, inst.target)
+        )
+    for n in (3, 5, 8, 10):
+        g = random_dag(n, 0.5, random.Random(n))
+        assert count(g, n - 1) == len(enumerate_st_paths(g, 0, n - 1))
+    # a cycle among the vertices that reach the target leaves the paths
+    # uncounted; one among the others does not count
+    looped = Digraph(5, [(0, 1), (1, 4), (1, 2), (2, 3), (3, 2)])
+    assert count(looped, 4) == 1
+    assert count(looped, 3) is None
+    assert count(Digraph(3, [(1, 0), (0, 2)]), 1) == 0
 
 
 def test_topological_order_on_dag_and_cycles():

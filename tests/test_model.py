@@ -17,6 +17,7 @@ from qspath import (
     SppInstance,
     brute_force_solve,
     build_path_matrix,
+    count_grid_paths,
     enumerate_st_paths,
     make_complete_symmetric,
     make_directed_cycle,
@@ -25,10 +26,11 @@ from qspath import (
     spp_solve,
     validate_instance,
 )
-from qspath.graphs import DEFAULT_PATH_LIMIT, _walk_st_paths
+from qspath.graphs import DEFAULT_PATH_LIMIT
 from qspath.model import ValidationReport, as_rational, zero_interaction_instance
 
 from helpers import (
+    PRICED_WALK_FILLS,
     arc_index,
     double_loop_cost,
     naive_st_paths,
@@ -82,6 +84,24 @@ def test_interaction_matrix_constructors():
         (0, Fraction(1, 2)),
         (Fraction(1, 2), 0),
     )
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_is_nonnegative_finds_one_negative_cell_anywhere(mixed):
+    """A single negative Fraction at the first, a middle or the last pair
+    flips the result, among int entries or int and Fraction ones."""
+    m = 6
+    pairs = [(e, f) for e in range(m) for f in range(e + 1, m)]
+    base = {
+        pair: Fraction(k, 3) if mixed and k % 3 else k for k, pair in enumerate(pairs)
+    }
+    assert {type(v) for v in base.values()} == ({int, Fraction} if mixed else {int})
+    assert InteractionMatrix.from_entries(m, base).is_nonnegative()
+    for pair in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
+        matrix = InteractionMatrix.from_entries(m, {**base, pair: Fraction(-1, 3)})
+        assert not matrix.is_nonnegative()
+    assert InteractionMatrix.zero(m).is_nonnegative()
+    assert InteractionMatrix.zero(0).is_nonnegative()
 
 
 # faulty entries for a 5-arc matrix whose entries start with (1, 3, 4),
@@ -216,31 +236,56 @@ def test_brute_force_is_a_lower_bound_and_breaks_ties_first():
 
 @pytest.mark.parametrize("family", ["grid", "dag", "cyclic", "complete"])
 def test_priced_enumeration_matches_the_naive_oracles(family):
-    """Brute force, the path matrix and the walker's shared-prefix count
-    against naive enumeration priced by both oracles."""
-    for inst in priced_walk_instances(family, random.Random(family)):
-        g, s, t = inst.graph, inst.source, inst.target
-        paths = naive_st_paths(g, s, t)
-        costs = [double_loop_cost(inst, p) for p in paths]
-        assert costs == [quadratic_form_cost(inst, p) for p in paths]
-        pm = build_path_matrix(inst)
-        assert pm.paths == tuple(paths)
-        assert pm.rows == tuple(tuple(int(a in p.arcs) for a in range(g.m)) for p in paths)
-        assert pm.costs == tuple(costs)
-        assert all(type(c) is int or c.denominator != 1 for c in pm.costs)
-        if paths:
+    """Brute force and the path matrix against naive enumeration priced by
+    both oracles, on every fill: signed data is walked in full, nonnegative
+    data is pruned on acyclic graphs, and the zero and constant fills tie.
+    Both refuse a limit one below the path count and accept the count."""
+    for fill in PRICED_WALK_FILLS:
+        for inst in priced_walk_instances(family, random.Random(family), fill):
+            g, s, t = inst.graph, inst.source, inst.target
+            paths = naive_st_paths(g, s, t)
+            costs = [double_loop_cost(inst, p) for p in paths]
+            assert costs == [quadratic_form_cost(inst, p) for p in paths]
+            pm = build_path_matrix(inst)
+            assert pm.paths == tuple(paths)
+            assert pm.rows == tuple(
+                tuple(int(a in p.arcs) for a in range(g.m)) for p in paths
+            )
+            assert pm.costs == tuple(costs)
+            assert all(type(c) is int or c.denominator != 1 for c in pm.costs)
+            if not paths:
+                with pytest.raises(NoPathError):
+                    brute_force_solve(inst)
+                continue
             best = min(costs)
-            assert brute_force_solve(inst) == (paths[costs.index(best)], best)
-        else:
-            with pytest.raises(NoPathError):
-                brute_force_solve(inst)
-        previous: tuple[int, ...] = ()
-        for arcs, shared in _walk_st_paths(g, s, t, DEFAULT_PATH_LIMIT):
-            common = 0
-            while common < min(len(arcs), len(previous)) and arcs[common] == previous[common]:
-                common += 1
-            assert shared == common
-            previous = arcs
+            optimum = (paths[costs.index(best)], best)
+            assert brute_force_solve(inst) == optimum
+            assert brute_force_solve(inst, limit=len(paths)) == optimum
+            assert build_path_matrix(inst, limit=len(paths)) == pm
+            with pytest.raises(PathLimitExceeded):
+                brute_force_solve(inst, limit=len(paths) - 1)
+            with pytest.raises(PathLimitExceeded):
+                build_path_matrix(inst, limit=len(paths) - 1)
+
+
+def test_a_dag_over_the_limit_is_refused_before_any_path_is_priced():
+    """The 13x13 grid has 2,704,156 corner paths, past the 10**6 default.
+    Its Q rows refuse every read, and pricing the second arc of any path
+    reads Q, so the refusal has to come from the count before the walk."""
+
+    class Unread(tuple):
+        def __getitem__(self, index):
+            raise AssertionError("a path was priced")
+
+    g = make_grid(13, 13)
+    assert count_grid_paths(13, 13) == 2_704_156 > DEFAULT_PATH_LIMIT
+    q = InteractionMatrix.zero(g.m)
+    q.rows = tuple(Unread(row) for row in q.rows)
+    inst = QsppInstance(g, 0, g.n - 1, (0,) * g.m, q)
+    with pytest.raises(PathLimitExceeded):
+        brute_force_solve(inst)
+    with pytest.raises(PathLimitExceeded):
+        build_path_matrix(inst)
 
 
 def test_brute_force_and_path_matrix_keep_the_enumeration_contracts():

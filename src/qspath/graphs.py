@@ -8,6 +8,16 @@ so every function here is safe to call concurrently.
 
 Grid vertices use the row-major bijection: the vertex in row i, column j
 (1-based, p rows, q columns) has index (i-1)*q + (j-1).
+
+One depth-first search walks the source-target paths, for enumeration,
+brute_force_solve and build_path_matrix alike.  Given c and the rows of Q it
+prices each path along the walk: each arc the search pushes adds its linear
+cost and twice its interactions with the arcs below it to the cost of the
+prefix under it, O(L) per push, so the search holds the cost of every prefix
+on its stack and no path is priced again from its first arc.
+brute_force_solve uses those prefix costs as a branch and bound: when c and
+Q are nonnegative and the paths can be counted before the search, it does
+not extend a prefix that already costs at least the best path found.
 """
 from __future__ import annotations
 
@@ -284,44 +294,74 @@ def reachable(g: Digraph, start: int, forward: bool) -> list[bool]:
 
 
 def _walk_st_paths(
-    g: Digraph, source: int, target: int, limit: int
-) -> Iterator[tuple[int, ...]]:
-    """Yield the arc ids of every simple source-target path, lexicographic by
-    arc ids, by a depth-first search that enters only vertices able to reach
-    the target.  Raises PathLimitExceeded as soon as a (limit+1)-th path is
-    found.  model prices paths in its own copy of this search, which adds
-    each arc's cost as it pushes the arc.
+    g: Digraph,
+    source: int,
+    target: int,
+    limit: int,
+    linear: Sequence | None = None,
+    rows: Sequence[Sequence] | None = None,
+    prune: bool = False,
+) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Yield (arcs, cost) for every simple source-target path, lexicographic
+    by arc ids, by a depth-first search that enters only vertices able to
+    reach the target.  Where that part of the graph is acyclic, more than
+    ``limit`` paths raise PathLimitExceeded before any path is walked;
+    elsewhere the (limit+1)-th path found does.  The endpoints are not
+    checked, so every caller checks them first.
+
+    Given c and Q's rows, each cost is the path's raw priced sum (see the
+    module docstring); without them every cost is 0.  ``prune``, which a
+    caller passes only when c and Q have no negative entry, skips an arc
+    whose prefix costs at least the cheapest path found so far on such an
+    acyclic part.  Only the paths cheaper than every one before them are
+    then yielded, the last the earliest optimum.
     """
-    check_endpoints(g, source, target)
     useful = reachable(g, target, forward=False)
     if not useful[source]:
         return
+    count = _count_st_paths(g, source, target, useful)
+    if count is not None and count > limit:
+        raise PathLimitExceeded(limit)
+    priced = linear is not None
+    entry = [row.__getitem__ for row in rows] if priced else None
+    prune = prune and count is not None
     tail = [arc.tail for arc in g.arcs]
     on_path = [False] * g.n
     on_path[source] = True
     arc_stack: list[int] = []
+    costs: list = [0]
     iter_stack = [iter(g.out_arcs(source))]
     found = 0
+    cost = 0
+    bound = None
     while iter_stack:
         for a in iter_stack[-1]:
             v = tail[a]
             if on_path[v] or not useful[v]:
                 continue
+            if priced:
+                cost = costs[-1] + linear[a] + 2 * sum(map(entry[a], arc_stack))
+                if bound is not None and cost >= bound:
+                    continue
             arc_stack.append(a)
             if v == target:
                 found += 1
                 if found > limit:
                     raise PathLimitExceeded(limit)
-                yield tuple(arc_stack)
+                yield tuple(arc_stack), cost
                 arc_stack.pop()
+                if prune:
+                    bound = cost
                 continue
             on_path[v] = True
+            costs.append(cost)
             iter_stack.append(iter(g.out_arcs(v)))
             break
         else:
             iter_stack.pop()
             if arc_stack:
                 on_path[tail[arc_stack.pop()]] = False
+                costs.pop()
 
 
 def iter_st_paths(
@@ -329,17 +369,22 @@ def iter_st_paths(
 ) -> Iterator[Path]:
     """Yield every simple source-target path, lexicographic by arc ids.
 
-    Raises PathLimitExceeded as soon as a (limit+1)-th path is found, so a
-    caller that consumed ``limit`` paths without an exception has them all.
+    Where the part of the graph that reaches the target is acyclic, more
+    than ``limit`` paths raise PathLimitExceeded before the first path is
+    yielded; elsewhere the (limit+1)-th path found raises, so a caller that
+    consumed ``limit`` paths without an exception has them all.
     """
-    for arcs in _walk_st_paths(g, source, target, limit):
+    check_endpoints(g, source, target)
+    for arcs, _ in _walk_st_paths(g, source, target, limit):
         yield Path(arcs)
 
 
 def enumerate_st_paths(
     g: Digraph, source: int, target: int, limit: int = DEFAULT_PATH_LIMIT
 ) -> list[Path]:
-    """All simple source-target paths in deterministic lexicographic order."""
+    """All simple source-target paths in deterministic lexicographic order.
+
+    Raises PathLimitExceeded past ``limit`` paths; see iter_st_paths."""
     return list(iter_st_paths(g, source, target, limit))
 
 

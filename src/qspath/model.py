@@ -12,15 +12,9 @@ the problem defines Q; no operation checks it again.  The total cost of a
 path is the ordered double sum of interaction costs over its arc pairs plus
 the sum of its linear costs, so each arc a adds c_a plus twice Q[a][b] for
 every arc b before it on the path, read from Q's own row of a.
-cost_of_arcs prices one path this way, in O(L^2) for L arcs.  Exact
-enumeration (brute_force_solve, and build_path_matrix in pathmatrix) prices
-along the depth-first search instead: each arc the search pushes adds its
-linear cost and its interactions with the arcs below it to the cost of the
-prefix under it, O(L) per push, so the search holds the cost of every
-prefix on its stack and no path is priced again from its first arc.
-brute_force_solve uses those prefix costs as a branch and bound: when c and
-Q are nonnegative and the paths can be counted before the search, it does
-not extend a prefix that already costs at least the best path found.
+cost_of_arcs prices one path this way, in O(L^2) for L arcs; brute_force_solve
+and build_path_matrix in pathmatrix price along the depth-first search of
+graphs instead.
 
 Every matrix built from off-diagonal entries (from_triples, from_entries,
 the adjacent fill and the parser of sparse files) is checked and written by
@@ -42,16 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import CyclicGraphError, NoPathError, PathLimitExceeded
+from .errors import CyclicGraphError, NoPathError
 from .graphs import (
     DEFAULT_PATH_LIMIT,
     Digraph,
     Path,
-    _count_st_paths,
+    _walk_st_paths,
     check_endpoints,
-    reachable,
     topological_order,
     validate_path,
 )
@@ -308,73 +301,6 @@ def linear_cost(linear: Sequence[Fraction], path: Path) -> Fraction:
     return as_rational(sum(linear[a] for a in path.arcs))
 
 
-def _priced_paths(
-    inst: QsppInstance, limit: int, prune: bool = False
-) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
-    """Yield (arcs, cost) for every simple source-target path in enumeration
-    order, priced along the search (see the module docstring): the search is
-    graphs._walk_st_paths with costs[k], the cost of the first k arcs on the
-    stack, kept beside the arcs.  Where the part of the graph that reaches
-    the target is acyclic, more than ``limit`` paths raise PathLimitExceeded
-    before any path is priced; elsewhere the (limit+1)-th path found does.
-
-    With ``prune``, on such a graph with no negative entry in c or Q, an arc
-    whose prefix costs at least the cheapest path found so far is skipped,
-    since no extension of that prefix costs less.  Only the paths cheaper
-    than every one before them are then yielded, the last the earliest optimum.
-    """
-    g, source, target = inst.graph, inst.source, inst.target
-    useful = reachable(g, target, forward=False)
-    if not useful[source]:
-        return
-    count = _count_st_paths(g, source, target, useful)
-    if count is not None and count > limit:
-        raise PathLimitExceeded(limit)
-    linear = inst.linear
-    prune = (
-        prune
-        and count is not None
-        and min(linear, default=0) >= 0
-        and inst.interaction.is_nonnegative()
-    )
-    entry = [row.__getitem__ for row in inst.interaction.rows]
-    tail = [arc.tail for arc in g.arcs]
-    on_path = [False] * g.n
-    on_path[source] = True
-    arc_stack: list[int] = []
-    costs: list[int | Fraction] = [0]
-    iter_stack = [iter(g.out_arcs(source))]
-    found = 0
-    bound = None
-    while iter_stack:
-        for a in iter_stack[-1]:
-            v = tail[a]
-            if on_path[v] or not useful[v]:
-                continue
-            cost = costs[-1] + linear[a] + 2 * sum(map(entry[a], arc_stack))
-            if bound is not None and cost >= bound:
-                continue
-            arc_stack.append(a)
-            if v == target:
-                found += 1
-                if found > limit:
-                    raise PathLimitExceeded(limit)
-                yield tuple(arc_stack), as_rational(cost)
-                arc_stack.pop()
-                if prune:
-                    bound = cost
-                continue
-            on_path[v] = True
-            costs.append(cost)
-            iter_stack.append(iter(g.out_arcs(v)))
-            break
-        else:
-            iter_stack.pop()
-            if arc_stack:
-                on_path[tail[arc_stack.pop()]] = False
-                costs.pop()
-
-
 def brute_force_solve(
     inst: QsppInstance, limit: int = DEFAULT_PATH_LIMIT
 ) -> tuple[Path, Fraction]:
@@ -387,13 +313,15 @@ def brute_force_solve(
     PathLimitExceeded past ``limit`` paths and NoPathError if the target is
     unreachable.
     """
+    g, c, q = inst.graph, inst.linear, inst.interaction
+    prune = min(c, default=0) >= 0 and q.is_nonnegative()
     best: tuple[tuple[int, ...], int | Fraction] | None = None
-    for arcs, cost in _priced_paths(inst, limit, prune=True):
+    for arcs, cost in _walk_st_paths(g, inst.source, inst.target, limit, c, q.rows, prune):
         if best is None or cost < best[1]:
             best = (arcs, cost)
     if best is None:
         raise NoPathError(f"no path from {inst.source} to {inst.target}")
-    return Path(best[0]), best[1]
+    return Path(best[0]), as_rational(best[1])
 
 
 def _reconstruct(g: Digraph, pred_arc: list[int | None], target: int) -> Path:

@@ -9,7 +9,7 @@ Bland's rule for the nonnegative one.  Infeasibility is always returned with
 a certificate vector y satisfying B^T y >= 0 and b^T y < 0 (with equality
 throughout in the unrestricted case), and certificates are re-checked before
 they are handed out.  build_path_matrix takes each row's cost from the
-priced depth-first search in model, unpruned, which pays O(L) per arc it
+priced depth-first search in graphs, unpruned, which pays O(L) per arc it
 pushes, not O(L^2) per row.
 
 Both kernels run on the same exact values as the rest of the library: an
@@ -41,8 +41,8 @@ from itertools import repeat
 from operator import add, mul
 
 from .errors import InternalError, ScaleError
-from .graphs import Path
-from .model import QsppInstance, _priced_paths, as_rational
+from .graphs import Path, _walk_st_paths
+from .model import QsppInstance, as_rational
 
 MAX_ORACLE_PATHS = 1000
 MAX_ORACLE_ARCS = 1000
@@ -96,12 +96,14 @@ def build_path_matrix(inst: QsppInstance, limit: int = MAX_ORACLE_PATHS) -> Path
     rows = []
     costs = []
     paths = []
-    for arcs, cost in _priced_paths(inst, limit):
+    for arcs, cost in _walk_st_paths(
+        inst.graph, inst.source, inst.target, limit, inst.linear, inst.interaction.rows
+    ):
         row = [0] * m
         for a in arcs:
             row[a] = 1
         rows.append(tuple(row))
-        costs.append(cost)
+        costs.append(as_rational(cost))
         paths.append(Path(arcs))
     return PathMatrix(tuple(rows), tuple(costs), tuple(paths), m)
 

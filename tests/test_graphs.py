@@ -15,6 +15,7 @@ from qspath import (
     detect_grid,
     enumerate_st_paths,
     is_acyclic,
+    iter_st_paths,
     make_complete_symmetric,
     make_directed_cycle,
     make_grid,
@@ -188,6 +189,14 @@ def test_enumerate_limit_overflow():
     with pytest.raises(PathLimitExceeded):
         enumerate_st_paths(g, 0, 8, limit=3)
     assert len(enumerate_st_paths(g, 0, 8, limit=6)) == 6
+    # a DAG is counted before the walk, so the refusal comes before any path
+    with pytest.raises(PathLimitExceeded):
+        next(iter_st_paths(make_grid(8, 8), 0, 63, limit=10))
+    # a cyclic graph is not counted: the (limit+1)-th path found raises
+    walk = iter_st_paths(make_complete_symmetric(5), 0, 4, limit=2)
+    next(walk), next(walk)
+    with pytest.raises(PathLimitExceeded):
+        next(walk)
 
 
 def test_count_grid_paths_formula_and_enumeration_agree():

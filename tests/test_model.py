@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -236,10 +237,11 @@ def test_brute_force_is_a_lower_bound_and_breaks_ties_first():
 
 @pytest.mark.parametrize("family", ["grid", "dag", "cyclic", "complete"])
 def test_priced_enumeration_matches_the_naive_oracles(family):
-    """Brute force and the path matrix against naive enumeration priced by
-    both oracles, on every fill: signed data is walked in full, nonnegative
-    data is pruned on acyclic graphs, and the zero and constant fills tie.
-    Both refuse a limit one below the path count and accept the count."""
+    """Enumeration, brute force and the path matrix, the three callers of the
+    one search, against naive enumeration priced by both oracles, on every
+    fill: signed data is walked in full, nonnegative data is pruned on
+    acyclic graphs, and the zero and constant fills tie.  Each returns exact
+    costs, refuses a limit one below the path count and accepts the count."""
     for fill in PRICED_WALK_FILLS:
         for inst in priced_walk_instances(family, random.Random(family), fill):
             g, s, t = inst.graph, inst.source, inst.target
@@ -253,25 +255,33 @@ def test_priced_enumeration_matches_the_naive_oracles(family):
             )
             assert pm.costs == tuple(costs)
             assert all(type(c) is int or c.denominator != 1 for c in pm.costs)
+            assert enumerate_st_paths(g, s, t) == paths
             if not paths:
                 with pytest.raises(NoPathError):
                     brute_force_solve(inst)
                 continue
             best = min(costs)
             optimum = (paths[costs.index(best)], best)
-            assert brute_force_solve(inst) == optimum
+            solved = brute_force_solve(inst)
+            assert solved == optimum
+            assert type(solved[1]) is int or solved[1].denominator != 1
             assert brute_force_solve(inst, limit=len(paths)) == optimum
             assert build_path_matrix(inst, limit=len(paths)) == pm
+            assert enumerate_st_paths(g, s, t, limit=len(paths)) == paths
             with pytest.raises(PathLimitExceeded):
                 brute_force_solve(inst, limit=len(paths) - 1)
             with pytest.raises(PathLimitExceeded):
                 build_path_matrix(inst, limit=len(paths) - 1)
+            with pytest.raises(PathLimitExceeded):
+                enumerate_st_paths(g, s, t, limit=len(paths) - 1)
 
 
 def test_a_dag_over_the_limit_is_refused_before_any_path_is_priced():
     """The 13x13 grid has 2,704,156 corner paths, past the 10**6 default.
     Its Q rows refuse every read, and pricing the second arc of any path
-    reads Q, so the refusal has to come from the count before the walk."""
+    reads Q, so the refusal has to come from the count before the walk.
+    Enumeration, which prices nothing, is refused by the same count before
+    it holds any path: walking to the 10**6-th took about 350 MB."""
 
     class Unread(tuple):
         def __getitem__(self, index):
@@ -286,6 +296,14 @@ def test_a_dag_over_the_limit_is_refused_before_any_path_is_priced():
         brute_force_solve(inst)
     with pytest.raises(PathLimitExceeded):
         build_path_matrix(inst)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PathLimitExceeded):
+            enumerate_st_paths(g, 0, g.n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_brute_force_and_path_matrix_keep_the_enumeration_contracts():

@@ -76,3 +76,17 @@ def test_oracle_kernels_are_called_only_by_the_oracle():
     answers the empty one before calling them, so no other caller may."""
     uses = _library_uses({"_gauss_solve", "_phase1_simplex"})
     assert {use[:2] for use in uses} == {("pathmatrix.py", "lp_oracle")}
+
+
+def test_the_path_search_is_called_only_by_its_three_callers():
+    """_walk_st_paths indexes its endpoints unchecked; iter_st_paths checks
+    them with check_endpoints and a QsppInstance checks its own, so only
+    these callers may run the search."""
+    uses = _library_uses({"_walk_st_paths"})
+    assert {use[:2] for use in uses} == {
+        ("graphs.py", "iter_st_paths"),
+        ("model.py", ""),  # the import
+        ("model.py", "brute_force_solve"),
+        ("pathmatrix.py", ""),
+        ("pathmatrix.py", "build_path_matrix"),
+    }

@@ -330,7 +330,8 @@ def _walk_st_paths(
     on_path[source] = True
     arc_stack: list[int] = []
     costs: list = [0]
-    iter_stack = [iter(g.out_arcs(source))]
+    out_arcs = g._out
+    iter_stack = [iter(out_arcs[source])]
     found = 0
     cost = 0
     bound = None
@@ -354,14 +355,16 @@ def _walk_st_paths(
                     bound = cost
                 continue
             on_path[v] = True
-            costs.append(cost)
-            iter_stack.append(iter(g.out_arcs(v)))
+            if priced:
+                costs.append(cost)
+            iter_stack.append(iter(out_arcs[v]))
             break
         else:
             iter_stack.pop()
             if arc_stack:
                 on_path[tail[arc_stack.pop()]] = False
-                costs.pop()
+                if priced:
+                    costs.pop()
 
 
 def iter_st_paths(

@@ -3,34 +3,32 @@
 An instance is linearizable exactly when the linear system B c' = b is
 solvable, where B stacks the 0/1 characteristic vectors of all source-target
 paths and b their quadratic costs; the textbook notion additionally demands
-c' >= 0.  Both variants are decided here in exact rational arithmetic:
-Gaussian elimination for the unrestricted system and a phase-1 simplex with
-Bland's rule for the nonnegative one.  Infeasibility is always returned with
-a certificate vector y satisfying B^T y >= 0 and b^T y < 0 (with equality
-throughout in the unrestricted case), and certificates are re-checked before
-they are handed out.  build_path_matrix takes each row's cost from the
-priced depth-first search in graphs, unpruned, which pays O(L) per arc it
-pushes, not O(L^2) per row.
+c' >= 0.  Both variants are decided exactly: Gauss-Jordan elimination for
+the unrestricted system and a phase-1 simplex with Bland's rule for the
+nonnegative one.  Infeasibility comes with a certificate y satisfying
+B^T y >= 0 and b^T y < 0 (with equality throughout in the unrestricted
+case), re-checked before it is handed out.  build_path_matrix takes each
+row's cost from the priced depth-first search in graphs, unpruned.
 
-Both kernels run on the same exact values as the rest of the library: an
-int when the value is whole, a Fraction otherwise.  The 0/1 path rows stay
-ints, a division that comes out whole gives an int, elimination keeps each
-row's trace sparse, and a pivot touches only the nonzero columns of the
-pivot row.  Pivot choices compare exact values, so they do not depend on
-whether a value is held as an int or a Fraction.
+Both kernels pivot on Python ints only.  lp_oracle multiplies b once by D,
+the lcm of its denominators.  A kernel holds each row as a nonzero integer
+multiple of the row that rational arithmetic would hold (a positive one in
+the simplex).  Before a pivot p eliminates an entry a that it does not
+divide, the row is multiplied by p/gcd(a, p); then the row takes (a // p)
+times the pivot row, over the pivot row's nonzero columns.  Zero tests,
+signs and the simplex's ratio test (rhs_i*c_l against rhs_l*c_i) do not see
+these scales, so the pivots, vectors and certificates are those of dense
+Fraction arithmetic.  lp_oracle reads them out exactly: an int when whole,
+a Fraction otherwise.
 
 Everything here is desk-scale by contract: at most 1000 paths and 1000 arcs.
-Measured on a 2-core host with CPython 3.11, weak-sum and random grid fills,
-three seeds each (before: the same rows lifted to dense Fraction arithmetic;
-the one 7x7 nonnegative run before was stopped after 10 minutes):
+lp_oracle on a 2-core host with CPython 3.11, weak-sum and random grid
+fills, three seeds each, int | Fraction pivots before and ints after:
 
-    grid  paths  equality sense          nonnegative sense
-    5x5      70  0.15-0.19 s -> 1 ms     0.20-0.99 s -> 1-9 ms
-    6x6     252  1.9-2.4 s -> 4-6 ms     3.6-35 s -> 14-74 ms
-    7x7     924  26-30 s -> 19-27 ms     over 10 min -> 1.2-5.4 s
-
-so a nonnegative-sense 7x7 grid, inside the 1000-path bound, still takes
-seconds.
+    grid  paths  equality sense             nonnegative sense
+    5x5      70  0.64-0.94 -> 0.51-0.67 ms  1.8-11.6 -> 1.5-2.5 ms
+    6x6     252  3.0-5.9 -> 2.2-3.9 ms      16-124 -> 15-44 ms
+    7x7     924  14-29 -> 10-22 ms          2.9-8.0 -> 0.6-4.3 s
 """
 from __future__ import annotations
 
@@ -38,6 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import gcd, lcm
 from operator import add, mul
 
 from .errors import InternalError, ScaleError
@@ -108,31 +107,27 @@ def build_path_matrix(inst: QsppInstance, limit: int = MAX_ORACLE_PATHS) -> Path
     return PathMatrix(tuple(rows), tuple(costs), tuple(paths), m)
 
 
-def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """Exact a / b: an int when it divides evenly, a Fraction otherwise."""
-    if b == 1:
-        return a
-    if type(a) is int and type(b) is int:
-        q, rem = divmod(a, b)
-        return Fraction(a, b) if rem else q
-    return as_rational(a / b)
+def _quotients(nums: list[int], dens: list[int]) -> list[int | Fraction]:
+    """Each n/d exactly: an int when d divides n, a Fraction otherwise."""
+    return [Fraction(n, d) if n % d else n // d for n, d in zip(nums, dens)]
 
 
 def _gauss_solve(
-    matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
-) -> tuple[str, list[int | Fraction]]:
-    """Solve matrix*x = rhs exactly.
+    matrix: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[bool, list[int], list[int]]:
+    """Solve matrix*x = rhs by Gauss-Jordan elimination over integers.
 
-    Returns ('solution', x) picking zero for free variables, or
-    ('inconsistent', y) where y combines the original rows to 0 = nonzero.
-    Each row's trace (its combination of original rows) is kept sparse: it
-    holds at most rank + 1 entries.  The matrix is nonempty.
+    Row i holds rhs_i in column m, and beside it its scale s_i and its trace
+    (its combination of original rows, sparse: at most rank + 1 entries).
+    Returns (True, nums, dens), x = nums/dens with zero free variables, or
+    (False, nums, dens), y = nums/dens combining the original rows to
+    0 = nonzero.  The matrix is nonempty.
     """
     k = len(matrix)
     m = len(matrix[0])
-    rows = [list(row) for row in matrix]
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]  # rhs in column m
     trace = [{i: 1} for i in range(k)]
-    rhs = list(rhs)
+    scale = [1] * k
     pivots: list[tuple[int, int]] = []
     r = 0
     for col in range(m):
@@ -141,117 +136,121 @@ def _gauss_solve(
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         trace[r], trace[pr] = trace[pr], trace[r]
-        rhs[r], rhs[pr] = rhs[pr], rhs[r]
+        scale[r], scale[pr] = scale[pr], scale[r]
         pivot_row = rows[r]
-        pivot_val = pivot_row[col]
+        p = pivot_row[col]
         nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
         pivot_trace = list(trace[r].items())
-        pivot_rhs = rhs[r]
-        for i in range(k):
-            row = rows[i]
-            if i == r or not row[col]:
+        for i, row in enumerate(rows):
+            a = row[col]
+            if not a or row is pivot_row:
                 continue
-            factor = _div(row[col], pivot_val)
-            for j, v in nonzero:
-                row[j] = as_rational(row[j] - factor * v)
             tr = trace[i]
+            if a % p:
+                f = p // gcd(a, p)
+                rows[i] = row = list(map(mul, row, repeat(f)))
+                for origin in tr:
+                    tr[origin] *= f
+                scale[i] *= f
+                a *= f
+            factor = a // p
+            for j, v in nonzero:
+                row[j] -= factor * v
             for origin, t in pivot_trace:
-                v = as_rational(tr.get(origin, 0) - factor * t)
+                v = tr.get(origin, 0) - factor * t
                 if v:
                     tr[origin] = v
                 else:
                     del tr[origin]
-            rhs[i] = as_rational(rhs[i] - factor * pivot_rhs)
         pivots.append((r, col))
         r += 1
         if r == k:
             break
-    for i in range(k):
-        if rhs[i] and not any(rows[i]):
-            y = [0] * k
+    for i, row in enumerate(rows):
+        if row[m] and not any(row[:m]):
+            nums = [0] * k
             for origin, t in trace[i].items():
-                y[origin] = t
-            return ("inconsistent", y)
-    x = [0] * m
+                nums[origin] = t
+            return False, nums, [scale[i]] * k
+    nums = [0] * m
+    dens = [1] * m
     for row_idx, col in pivots:
-        x[col] = _div(rhs[row_idx], rows[row_idx][col])
-    return ("solution", x)
+        nums[col] = rows[row_idx][m]
+        dens[col] = rows[row_idx][col]
+    return True, nums, dens
 
 
 def _phase1_simplex(
-    matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
-) -> tuple[str, list[int | Fraction]]:
-    """Feasibility of {matrix*x = rhs, x >= 0} by exact phase-1 simplex.
+    matrix: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[bool, list[int], list[int]]:
+    """Feasibility of {matrix*x = rhs, x >= 0} by phase-1 simplex over
+    integers, with Bland's rule.
 
-    Returns ('feasible', x) or ('infeasible', y) with matrix^T y >= 0 and
-    rhs^T y < 0.  Bland's rule keeps the pivoting finite.  A pivot updates
-    only the nonzero columns of the pivot row.  The matrix is nonempty.
+    The reduced-cost row is the tableau's last: its entry in the entering
+    column is negative, so the ratio test passes it over, and a pivot
+    updates it like any other row.  It holds minus the phase-1 objective in
+    the rhs column and its own scale in the column after, zero elsewhere; a
+    basic row's scale is its entry in its basic column.  Returns (True,
+    nums, dens), x = nums/dens, or (False, nums, dens), y = nums/dens with
+    matrix^T y >= 0 and rhs^T y < 0.  The matrix is nonempty.
     """
     k = len(matrix)
     m = len(matrix[0])
-    sign = [1 if rhs[i] >= 0 else -1 for i in range(k)]
+    sign = [1 if b >= 0 else -1 for b in rhs]
     width = m + k
-    tableau = []
-    for i in range(k):
-        row = [sign[i] * v for v in matrix[i]]
-        row += [0] * k
+    tableau = [[s * v for v in row] + [0] * k + [s * b, 0] for s, row, b in zip(sign, matrix, rhs)]
+    for i, row in enumerate(tableau):
         row[m + i] = 1
-        row.append(sign[i] * rhs[i])
-        tableau.append(row)
+    # structural cost 0, artificial cost 1, artificial basis
+    reduced = [-sum(column) for column in zip(*(row[:m] for row in tableau))]
+    tableau.append(reduced + [0] * k + [-sum(map(abs, rhs)), 1])
     basis = [m + i for i in range(k)]
-    # reduced costs: structural cost 0, artificial cost 1, artificial basis
-    reduced = [0] * width
-    for row in tableau:
-        for j in range(m):
-            if row[j]:
-                reduced[j] -= row[j]
-
     while True:
+        reduced = tableau[k]
         entering = next((j for j in range(width) if reduced[j] < 0), None)
         if entering is None:
             break
         leaving = None
-        best_ratio: int | Fraction | None = None
-        for i in range(k):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = _div(tableau[i][-1], coeff)
+        for i, row in enumerate(tableau):
+            c = row[entering]
+            if c > 0:
+                b = row[width]
                 if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                    leaving is None
+                    or b * best_c < best_b * c
+                    or (b * best_c == best_b * c and basis[i] < basis[leaving])
                 ):
-                    best_ratio = ratio
-                    leaving = i
+                    leaving, best_b, best_c = i, b, c
         if leaving is None:
             raise InternalError("phase-1 objective cannot be unbounded")
         pivot_row = tableau[leaving]
-        pivot_val = pivot_row[entering]
-        nonzero = [(j, _div(v, pivot_val)) for j, v in enumerate(pivot_row) if v]
-        for j, v in nonzero:
-            pivot_row[j] = v
-        for i in range(k):
-            row = tableau[i]
-            factor = row[entering]
-            if i != leaving and factor:
-                for j, v in nonzero:
-                    row[j] = as_rational(row[j] - factor * v)
-        factor = reduced[entering]
-        for j, v in nonzero:
-            if j < width:
-                reduced[j] = as_rational(reduced[j] - factor * v)
+        p = pivot_row[entering]
+        nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
+        for i, row in enumerate(tableau):
+            a = row[entering]
+            if not a or row is pivot_row:
+                continue
+            if a % p:
+                f = p // gcd(a, p)
+                tableau[i] = row = list(map(mul, row, repeat(f)))
+                a *= f
+            factor = a // p
+            for j, v in nonzero:
+                row[j] -= factor * v
         basis[leaving] = entering
 
-    objective = sum(tableau[i][-1] for i in range(k) if basis[i] >= m)
-    if objective == 0:
-        x = [0] * m
-        for i in range(k):
-            if basis[i] < m:
-                x[basis[i]] = tableau[i][-1]
-        return ("feasible", x)
-    multipliers = [1 - reduced[m + i] for i in range(k)]
-    certificate = [-sign[i] * multipliers[i] for i in range(k)]
-    return ("infeasible", certificate)
+    if not reduced[width]:
+        nums = [0] * m
+        dens = [1] * m
+        for i, j in enumerate(basis):
+            if j < m:
+                nums[j] = tableau[i][width]
+                dens[j] = tableau[i][j]
+        return True, nums, dens
+    # y_i = -sign_i * (1 - reduced[m + i]), read at the reduced row's scale
+    scale = reduced[-1]
+    nums = [sign[i] * (reduced[m + i] - scale) for i in range(k)]
+    return False, nums, [scale] * k
 
 
 def _verify_solution(
@@ -301,19 +300,17 @@ def lp_oracle(pm: PathMatrix, require_nonneg: bool = True) -> LinearizationResul
     if not pm.rows:
         # no paths means no constraints
         return LinearizationResult(True, vector=(0,) * pm.arc_count)
-    if require_nonneg:
-        status, vec = _phase1_simplex(pm.rows, pm.costs)
-        feasible = status == "feasible"
-    else:
-        status, vec = _gauss_solve(pm.rows, pm.costs)
-        feasible = status == "solution"
+    # the kernels run on integers: b times D, the lcm of its denominators
+    scale = lcm(*(c.denominator for c in pm.costs))
+    b = [c.numerator * (scale // c.denominator) for c in pm.costs]
+    kernel = _phase1_simplex if require_nonneg else _gauss_solve
+    feasible, nums, dens = kernel(pm.rows, b)
     if feasible:
+        vec = _quotients(nums, [d * scale for d in dens])
         _verify_solution(pm, vec, require_nonneg)
         return LinearizationResult(True, vector=tuple(vec))
-    y = vec
+    y = _quotients(nums, dens)
     if sum(c * v for c, v in zip(pm.costs, y)) > 0:
         y = [-v for v in y]
     _verify_certificate(pm, y, require_nonneg)
-    return LinearizationResult(
-        False, witness=InfeasibilityCertificate(tuple(y))
-    )
+    return LinearizationResult(False, witness=InfeasibilityCertificate(tuple(y)))

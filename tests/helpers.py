@@ -17,6 +17,7 @@ from qspath import (
     Path,
     QsppInstance,
     enumerate_st_paths,
+    lp_oracle,
     make_complete_symmetric,
     make_grid,
 )
@@ -200,6 +201,112 @@ def assert_valid_certificate(pm, coefficients, require_nonneg) -> None:
     value = sum(c * y for c, y in zip(pm.costs, coefficients))
     if value >= 0:
         raise AssertionError(f"certificate has b^T y = {value}, not negative")
+
+
+def _exact(v: Fraction) -> int | Fraction:
+    return v.numerator if v.denominator == 1 else v
+
+
+def reference_gauss_jordan(matrix, rhs) -> tuple[str, list]:
+    """Gauss-Jordan elimination on dense Fraction rows [A | b | I], with
+    lp_oracle's pivot rule: in column order, the first row at or below r
+    with a nonzero entry.  ('solution', x) with zero free variables, or
+    ('inconsistent', y) from the identity part of the first row that reads
+    0 = nonzero."""
+    k, m = len(matrix), len(matrix[0])
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(b)] + [Fraction(int(i == j)) for j in range(k)]
+        for i, (row, b) in enumerate(zip(matrix, rhs))
+    ]
+    pivots = []
+    for col in range(m):
+        r = len(pivots)
+        found = next((i for i in range(r, k) if rows[i][col] != 0), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        pivot = rows[r][col]
+        rows[r] = [v / pivot for v in rows[r]]
+        for i in range(k):
+            factor = rows[i][col]
+            if i != r and factor != 0:
+                rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+        if len(pivots) == k:
+            break
+    for row in rows:
+        if row[m] != 0 and not any(row[:m]):
+            return "inconsistent", [_exact(v) for v in row[m + 1 :]]
+    x = [0] * m
+    for r, col in pivots:
+        x[col] = _exact(rows[r][m])
+    return "solution", x
+
+
+def reference_phase1_simplex(matrix, rhs) -> tuple[str, list]:
+    """Phase-1 simplex on a dense Fraction tableau [A | I | b], rows signed
+    so that b >= 0, with lp_oracle's pivot rules: Bland's entering column
+    (the first negative reduced cost) and the minimum ratio, a tie going to
+    the row with the smallest basic index.  ('feasible', x), or
+    ('infeasible', y) with y_i = -sign_i * (1 - reduced cost of artificial
+    i)."""
+    k, m = len(matrix), len(matrix[0])
+    width = m + k
+    sign = [1 if b >= 0 else -1 for b in rhs]
+    tableau = [
+        [Fraction(sign[i] * v) for v in matrix[i]]
+        + [Fraction(int(i == j)) for j in range(k)]
+        + [Fraction(sign[i] * rhs[i])]
+        for i in range(k)
+    ]
+    basis = [m + i for i in range(k)]
+    reduced = [-sum(row[j] for row in tableau) for j in range(m)] + [Fraction(0)] * k
+    while True:
+        entering = next((j for j in range(width) if reduced[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        for i in range(k):
+            if tableau[i][entering] > 0:
+                ratio = tableau[i][-1] / tableau[i][entering]
+                if leaving is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    leaving, best = i, ratio
+        if leaving is None:
+            raise AssertionError("phase-1 objective unbounded")
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        for i in range(k):
+            factor = tableau[i][entering]
+            if i != leaving and factor != 0:
+                tableau[i] = [a - factor * b if b else a for a, b in zip(tableau[i], tableau[leaving])]
+        factor = reduced[entering]
+        reduced = [a - factor * b if b else a for a, b in zip(reduced, tableau[leaving])]
+        basis[leaving] = entering
+    if sum(tableau[i][-1] for i in range(k) if basis[i] >= m) == 0:
+        x = [0] * m
+        for i in range(k):
+            if basis[i] < m:
+                x[basis[i]] = _exact(tableau[i][-1])
+        return "feasible", x
+    return "infeasible", [_exact(-sign[i] * (1 - reduced[m + i])) for i in range(k)]
+
+
+def assert_oracle_matches_reference(pm, require_nonneg) -> None:
+    """Raise AssertionError unless lp_oracle returns the reference kernel's
+    verdict and the same vector or certificate, value for value and type
+    for type (an int when whole), the certificate signed so that b^T y < 0.
+    Raises explicitly, so it also checks under python -O."""
+    kernel = reference_phase1_simplex if require_nonneg else reference_gauss_jordan
+    status, values = kernel(pm.rows, pm.costs)
+    feasible = status in ("feasible", "solution")
+    if not feasible and sum(c * v for c, v in zip(pm.costs, values)) > 0:
+        values = [-v for v in values]
+    result = lp_oracle(pm, require_nonneg)
+    got = result.vector if result.linearizable else result.witness.coefficients
+    if result.linearizable != feasible:
+        raise AssertionError(f"oracle says {result.linearizable}, reference {status}")
+    if [(type(v), v) for v in got] != [(type(v), v) for v in values]:
+        raise AssertionError(f"oracle gives {list(got)}, reference {values}")
 
 
 def _square_deltas(g: Digraph, p: int, q: int) -> dict[tuple[int, int], list[tuple[int, int]]]:

@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import random
 import subprocess
@@ -26,15 +27,20 @@ from qspath import (
     lp_oracle,
     make_complete_symmetric,
     make_grid,
+    make_hypercube,
     normalize_knstar,
     path_vertices,
 )
-from qspath.generate import filled_instance, worked_example
+from qspath import pathmatrix
+from qspath.generate import FILLS, filled_instance, random_dag, random_digraph, worked_example
 from qspath.pathmatrix import _verify_certificate
 
 from helpers import (
+    PRICED_WALK_FILLS,
     arc_index,
+    assert_oracle_matches_reference,
     assert_valid_certificate,
+    priced_walk_instances,
     random_symmetric_interaction,
 )
 
@@ -325,3 +331,126 @@ def test_result_checks_survive_optimized_mode():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _filled(g, target, seeds, fills=sorted(FILLS)):
+    return [filled_instance(g, 0, target, fill, seed) for fill in fills for seed in seeds]
+
+
+def _reference_grids():
+    """Every fill on the 2..4 x 2..4 grids, and Q/3 with signed rational c."""
+    out = []
+    for p in range(2, 5):
+        for q in range(2, 5):
+            g = make_grid(p, q)
+            out += _filled(g, g.n - 1, (1, 2, 3))
+            rng = random.Random(p * 10 + q)
+            for inst in _filled(g, g.n - 1, (1, 2), ("random", "weak-sum")):
+                linear = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(g.m))
+                out.append(QsppInstance(g, 0, g.n - 1, linear, inst.interaction.scaled(Fraction(1, 3))))
+    return out
+
+
+def _reference_knstar():
+    """K4*-K6*, complete and in the simplified form with Q normalized."""
+    out = []
+    for n, seeds in ((4, (1, 2, 3)), (5, (1, 2, 3)), (6, (1,))):
+        fills = sorted(FILLS) if n < 6 else ("random", "weak-sum")
+        out += _filled(make_complete_symmetric(n, target=n - 1), n - 1, seeds, fills)
+        simplified = make_complete_symmetric(n, simplified=True, target=n - 1)
+        out += map(normalize_knstar, _filled(simplified, n - 1, seeds, fills))
+    return out
+
+
+def _reference_digraphs():
+    """Hypercubes of dimension 2-4, random DAGs and random digraphs."""
+    out = []
+    for d in (2, 3, 4):
+        g = make_hypercube(d)
+        out += _filled(g, g.n - 1, (1, 2, 3))
+    rng = random.Random(22)
+    for n in (4, 5, 6, 7):
+        for _ in range(5):
+            out += _filled(random_dag(n, 0.6, rng), n - 1, (1, 2, 3), ("random", "weak-sum"))
+    for n in (4, 5, 6):
+        for _ in range(5):
+            out += _filled(random_digraph(n, 0.5, rng), n - 1, (1, 2), ("random", "adjacent"))
+    return out
+
+
+def _reference_priced_walk():
+    """The priced-walk families on their six fills, signed thirds in c and Q;
+    complete digraphs on the signed fill only."""
+    rng = random.Random(23)
+    return [
+        inst
+        for fill in PRICED_WALK_FILLS
+        for family in ("grid", "dag", "cyclic", "complete")[: 4 if fill == "signed" else 3]
+        for inst in priced_walk_instances(family, rng, fill)
+    ]
+
+
+REFERENCE_FAMILIES = {
+    "grids": _reference_grids,
+    "knstar": _reference_knstar,
+    "digraphs": _reference_digraphs,
+    "priced-walk": _reference_priced_walk,
+}
+
+
+def _reference_matrices(family: str) -> list[PathMatrix]:
+    """The path matrices of the family's instances that have a path."""
+    matrices = map(build_path_matrix, REFERENCE_FAMILIES[family]())
+    return [pm for pm in matrices if pm.rows]
+
+
+def test_reference_families_hold_at_least_500_instances():
+    assert sum(len(_reference_matrices(family)) for family in REFERENCE_FAMILIES) >= 500
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+def test_oracle_matches_the_dense_fraction_reference(family):
+    """The integer kernels give the vectors and certificates, values and
+    types, of plain Fraction elimination and simplex with the same pivot
+    rules, in both senses."""
+    for pm in _reference_matrices(family):
+        for require_nonneg in (False, True):
+            assert_oracle_matches_reference(pm, require_nonneg)
+
+
+# 0/1 rows on which pivots of 2 and -2 meet entries of 1 and -1; on "five"
+# elimination scales the row that ends up reading 0 = nonzero
+ODD_ROWS = {
+    "three": ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
+    "four": ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (1, 0, 1, 0)),
+    "five": ((1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 1, 0), (1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, costs, require_nonneg, linearizable",
+    [
+        ("three", (1, 1, 1), False, True),
+        ("three", (Fraction(1, 3), 1, Fraction(-2, 5)), False, True),
+        ("four", (1, 2, 3, 4, 5), False, False),
+        ("five", (-3, -2, 3, 0, 3), False, False),
+        ("three", (1, 1, 1), True, True),
+        ("four", (1, 1, 1, 1, 1), True, True),
+        ("four", (-2, -2, 1, 1, 1), True, False),
+    ],
+)
+def test_a_pivot_that_does_not_divide_scales_the_row(
+    monkeypatch, rows, costs, require_nonneg, linearizable
+):
+    """Each kernel, on each outcome, meets a pivot that does not divide the
+    entry it eliminates (the only time it takes a gcd) and still returns
+    what Fraction arithmetic returns."""
+    rows = ODD_ROWS[rows]
+    pm = PathMatrix(rows, costs, (None,) * len(rows), len(rows[0]))
+    inexact = []
+    monkeypatch.setattr(
+        pathmatrix, "gcd", lambda a, p: inexact.append((a, p)) or math.gcd(a, p)
+    )
+    assert lp_oracle(pm, require_nonneg).linearizable == linearizable
+    assert inexact
+    assert_oracle_matches_reference(pm, require_nonneg)

@@ -78,6 +78,16 @@ def test_oracle_kernels_are_called_only_by_the_oracle():
     assert {use[:2] for use in uses} == {("pathmatrix.py", "lp_oracle")}
 
 
+def test_oracle_kernels_pivot_on_ints_only():
+    """The kernels hold scaled integer rows and lp_oracle reads their results
+    out, so no pivot may name Fraction, as_rational or the old _div."""
+    kernels = {("pathmatrix.py", "_gauss_solve"), ("pathmatrix.py", "_phase1_simplex")}
+    uses = _library_uses({"Fraction", "as_rational", "_div"})
+    assert [use for use in uses if use[:2] in kernels] == []
+    # the scopes are named as the check expects: both kernels take a gcd
+    assert {use[:2] for use in _library_uses({"gcd"})} >= kernels
+
+
 def test_the_path_search_is_called_only_by_its_three_callers():
     """_walk_st_paths indexes its endpoints unchecked; iter_st_paths checks
     them with check_endpoints and a QsppInstance checks its own, so only

@@ -47,9 +47,19 @@ so it reads as those read it.  When a block or a slice does not
 convert cleanly, it is read again one token at a time, its pairs going to
 the same checker, so a malformed file always gets the FormatError for its
 first fault in file order.
+
+A row of Q listed in full in canonical order, as about nine rows in ten of
+a weak-sum file are, is written at once: a run (e, f), (e, f + 1), ... of a
+converted slice that reaches the end of row e or of the slice, with
+0 <= e < f, at least 32 entries and no cell seen yet, is written by the
+checker's add_run in a few slice assignments.  Every other entry (gapped
+rows, other orders, flipped pairs, odd spellings) and every run that would
+fault goes through the checker's add in file order, so add remains the
+only source of errors.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import compress
@@ -283,10 +293,54 @@ def _rescan_entries(tok: _Tokens, rows: _EntryRows, count: int) -> None:
             raise FormatError(str(exc)) from None
 
 
+# entries a run must hold to be written at once: its checks and slices cost
+# about what add takes for 20 entries
+_RUN_MIN = 32
+
+
+def _add_rows(
+    rows: _EntryRows, es: list[int], fs: list[int], values: list, columns: list[int]
+) -> None:
+    """rows.add(es, fs, values), but each run (e, f), (e, f + 1), ... of
+    _RUN_MIN or more entries to the end of row e or of the slice goes to
+    rows.add_run; columns is list(range(m)).  A gapped row fails at the
+    run's last entry, and the search goes on at the next row; it stops once
+    the gapped or short rows outnumber the runs by two, as at the second
+    row of a random fill.  The entries between runs go to add in file
+    order, each stretch in one call."""
+    k, m = len(es), rows.m
+    i = start = runs = gaps = 0
+    while i < k and gaps <= runs + 1:
+        e, f = es[i], fs[i]
+        n = min(k - i, m - f)
+        j = i + n
+        if (
+            n >= _RUN_MIN
+            and es[j - 1] == e
+            and fs[j - 1] == f + n - 1
+            and fs[i:j] == columns[f : f + n]
+            and es[i:j].count(e) == n
+        ):
+            if start < i:
+                rows.add(es[start:i], fs[start:i], values[start:i])
+            rows.add_run(e, f, values[i:j])
+            start = j
+            runs += 1
+        else:
+            # the first later entry of another row, when the rows are in order
+            j = bisect_right(es, e, i + 1, k)
+            gaps += 1
+        i = j
+    if start:
+        es, fs, values = es[start:], fs[start:], values[start:]
+    rows.add(es, fs, values)
+
+
 def _sparse(tok: _Tokens, m: int, count: int, ids: dict[str, int]) -> InteractionMatrix:
     """The count entry lines of a sparse Q, converted and written one slice
     of whole records at a time."""
     rows = _EntryRows(m)
+    columns = list(range(m))
     while count:
         # with no whole record left, the rescan of the rest meets the end
         k = tok.records(count, 3) or count
@@ -294,7 +348,7 @@ def _sparse(tok: _Tokens, m: int, count: int, ids: dict[str, int]) -> Interactio
             3 * k, partial(_entries, ids=ids), lambda: _rescan_entries(tok, rows, k)
         )
         try:
-            rows.add(es, fs, values)
+            _add_rows(rows, es, fs, values, columns)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
         count -= k

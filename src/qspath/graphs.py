@@ -452,10 +452,14 @@ def count_grid_paths(p: int, q: int) -> int:
 
 
 def detect_grid(g: Digraph) -> tuple[int, int] | None:
-    """Recover (p, q) if ``g`` is a row-major directed grid, else None."""
+    """Recover (p, q) if ``g`` is a row-major directed grid, else None.
+
+    m = 2pq - p - q distinct arcs, each a grid arc (h, h + q) down or
+    (h, h + 1) right within a row, are exactly the p-by-q grid's arcs.
+    """
     n, m = g.n, g.m
-    arc_set = set(g.arcs)
-    if len(arc_set) != m:
+    arcs = g.arcs
+    if len(set(arcs)) != m:
         return None
     for p in range(2, n + 1):
         if n % p:
@@ -463,6 +467,6 @@ def detect_grid(g: Digraph) -> tuple[int, int] | None:
         q = n // p
         if q < 2 or m != 2 * p * q - p - q:
             continue
-        if arc_set == set(make_grid(p, q).arcs):
+        if all(tail == head + q or tail == head + 1 and tail % q for head, tail in arcs):
             return (p, q)
     return None

@@ -96,7 +96,8 @@ class _EntryRows:
     bytearray of m*m cells that marks each pair written at its cell above
     the diagonal.  The first fault raises ValueError and nothing after it is
     written.  seen lives across add calls, so entries may arrive in pieces
-    and a pair repeated in a later piece is still found.
+    and a pair repeated in a later piece is still found.  add_run writes a
+    run of one row in one step, or hands it to add, which raises every fault.
     """
 
     __slots__ = ("m", "rows", "seen")
@@ -126,6 +127,23 @@ class _EntryRows:
                 raise ValueError(f"pair ({e},{f}) listed twice")
             seen[cell] = 1
             rows[e][f] = rows[f][e] = value
+
+    def add_run(self, e: int, f: int, values: list[int | Fraction]) -> None:
+        """add(repeat(e, n), range(f, f + n), values), n = len(values).  A
+        run with 0 <= e < f, f + n <= m and no cell seen cannot fault: one
+        find checks its cells, one slice assignment marks them, another
+        writes row e, and a short loop the mirror cells down column e.  Any
+        other run goes through add."""
+        m, n, seen = self.m, len(values), self.seen
+        start = e * m + f
+        if not 0 <= e < f <= m - n or seen.find(1, start, start + n) >= 0:
+            self.add(repeat(e, n), range(f, f + n), values)
+            return
+        seen[start : start + n] = b"\x01" * n
+        rows = self.rows
+        rows[e][f : f + n] = values
+        for row, value in zip(rows[f : f + n], values):
+            row[e] = value
 
     def matrix(self) -> "InteractionMatrix":
         """The matrix of the entries added so far; each row becomes a tuple

@@ -423,3 +423,211 @@ def test_parse_keeps_the_messages_for_bad_ids(old, new, message):
     with pytest.raises(FormatError) as info:
         parse_instance(text.replace(old, new))
     assert str(info.value) == message
+
+
+# Rows written a run at a time: a run (e, f), (e, f + 1), ... that lists the
+# rest of row e, or of a slice, is written by _EntryRows.add_run in one
+# step.  The reference reads the same text with every entry handed to
+# _EntryRows.add, as the parser did before runs were written at once.
+
+
+def _per_entry(rows, es, fs, values, columns):
+    rows.add(es, fs, values)
+
+
+def _outcome(text: str):
+    """What parse_instance makes of text: the instance's parts, or the
+    FormatError message."""
+    try:
+        inst = parse_instance(text)
+    except FormatError as exc:
+        return str(exc)
+    return inst.graph.n, inst.graph.arcs, inst.source, inst.target, inst.linear, inst.interaction.rows
+
+
+def _signed(inst: QsppInstance, rng: random.Random) -> QsppInstance:
+    """inst with signed c and a dense Q of values -9..9."""
+    m = inst.graph.m
+    linear = tuple(rng.randint(-9, 9) for _ in range(m))
+    matrix = random_symmetric_interaction(m, rng, lo=-9, hi=9)
+    return QsppInstance(inst.graph, inst.source, inst.target, linear, matrix)
+
+
+def _canonical(name: str) -> tuple[str, int]:
+    """The canonical text of a named seeded instance, and its m."""
+    fill, shape, *rest = name.split()
+    p, q = map(int, shape.split("x"))
+    inst = filled_instance(
+        make_grid(p, q), 0, p * q - 1, fill, seed=p * q, max_entry=999 if "999" in rest else 9
+    )
+    if "Q/3" in rest:
+        inst = QsppInstance(
+            inst.graph, inst.source, inst.target, inst.linear, inst.interaction.scaled(Fraction(1, 3))
+        )
+    if "signed" in rest:
+        inst = _signed(inst, random.Random(p * q))
+    return emit_instance(inst), inst.graph.m
+
+
+CANONICAL = [
+    "weak-sum 4x5",
+    "weak-sum 6x7",
+    "random 5x4",
+    "random 4x6 999",
+    "product 4x4",
+    "adjacent 5x5",
+    "weak-sum 5x5 Q/3",
+    "weak-sum 4x5 signed",
+]
+
+
+def _rows_of_q(text: str) -> dict[int, list[int]]:
+    """The f ids listed in each row e of the entry lines, in file order."""
+    listed: dict[int, list[int]] = {}
+    for line in text.partition("Q sparse ")[2].splitlines()[1:]:
+        e, f, _ = line.split()
+        listed.setdefault(int(e), []).append(int(f))
+    return listed
+
+
+def _rows_to_mutate(text: str, m: int, rng: random.Random) -> list[int]:
+    """Two rows listed in full and one gapped row of Q, those there are,
+    each of two or more entries."""
+    full, gapped = [], []
+    for e, fs in _rows_of_q(text).items():
+        if len(fs) >= 2:
+            (full if fs == list(range(e + 1, m)) else gapped).append(e)
+    return rng.sample(full, min(2, len(full))) + rng.sample(gapped, min(1, len(gapped)))
+
+
+# a mutation that reads as the canonical text it came from
+SAME = object()
+
+
+def _mutations(text: str, m: int, rng: random.Random, rows: list[int]):
+    """(name, mutated text, what it reads as) for faults and reorderings
+    placed in the given rows of Q, rows of canonical entry lines with two
+    or more entries each.  What it reads as is the FormatError message,
+    SAME, or None where only the per-entry reference says."""
+    head, _, entries = text.partition("Q sparse ")
+    lines = entries.partition("\n")[2].splitlines()
+    span: dict[int, list[int]] = {}
+    for k, line in enumerate(lines):
+        span.setdefault(int(line.split()[0]), [k, k])[1] = k + 1
+
+    def text_of(new_lines: list[str]) -> str:
+        return f"{head}Q sparse {len(new_lines)}\n" + "".join(x + "\n" for x in new_lines)
+
+    for e in rows:
+        start, end = span[e]
+        k = rng.randrange(start, end)
+        _, f, value = lines[k].split()
+        twice = f"pair ({e},{f}) listed twice"
+        # the pair listed earlier the other way round: the run meets its cell seen
+        before = rng.randint(0, start)
+        yield "flipped-repeat", text_of(lines[:before] + [f"{f} {e} {value}"] + lines[before:]), twice
+        later = rng.randint(k + 1, len(lines))
+        yield "repeat", text_of(lines[:later] + [lines[k]] + lines[later:]), twice
+        yield "past-the-end", text_of(
+            lines[:end] + [f"{e} {m} 1"] + lines[end:]
+        ), f"entry ({e},{m}) outside the arc range"
+        if lines[end - 1].split()[1] == str(m - 1):
+            shifted = [f"{e} {int(f) + 1} {value}" for _, f, value in map(str.split, lines[start:end])]
+            yield "run-ending-at-m", text_of(
+                lines[:start] + shifted + lines[end:]
+            ), f"entry ({e},{m}) outside the arc range"
+        yield "diagonal", text_of(
+            lines[:k] + [f"{e} {e} 1"] + lines[k:]
+        ), "diagonal interaction entries must stay zero"
+        yield "out-of-range", text_of(
+            lines[:k] + [f"{e} {m + 2} {value}"] + lines[k + 1 :]
+        ), f"entry ({e},{m + 2}) outside the arc range"
+        j = rng.randrange(start, end)
+        swapped = lines[:]
+        swapped[k], swapped[j] = swapped[j], swapped[k]
+        yield "reordered", text_of(swapped), SAME
+        yield "flipped", text_of(lines[:k] + [f"{f} {e} {value}"] + lines[k + 1 :]), SAME
+        yield "respelled", text_of(lines[:k] + [f"00{e} {f} {value}"] + lines[k + 1 :]), SAME
+        # another row's id inside the run, whose ends still match
+        inner = rng.randrange(start, end - 1)
+        f = lines[inner].split()[1]
+        other = rng.choice([x for x in range(m) if x not in (e, int(f))])
+        yield "other-row-inside", text_of(
+            lines[:inner] + [f"{other} {f} 1"] + lines[inner + 1 :]
+        ), None
+
+
+def _assert_same_as_per_entry(text: str, expected, monkeypatch) -> None:
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "_add_rows", _per_entry)
+        reference = _outcome(text)
+    assert _outcome(text) == reference
+    if expected is not None:
+        assert reference == expected
+
+
+# slice lengths and shortest runs written at once: runs of two entries, at
+# short slices too, put the run path into the small files as well
+@pytest.mark.parametrize("chars,run_min", [(64, 2), (1 << 16, 2), (1 << 16, fileio._RUN_MIN)])
+@pytest.mark.parametrize("name", CANONICAL)
+def test_rows_written_at_once_read_as_entry_by_entry(name, chars, run_min, monkeypatch):
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
+    monkeypatch.setattr(fileio, "_RUN_MIN", run_min)
+    text, m = _canonical(name)
+    original = _outcome(text)
+    assert isinstance(original, tuple)
+    _assert_same_as_per_entry(text, original, monkeypatch)
+    rng = random.Random(f"{name} {chars} {run_min}")
+    rows = _rows_to_mutate(text, m, rng)
+    assert rows
+    for kind, mutated, expected in _mutations(text, m, rng, rows):
+        _assert_same_as_per_entry(mutated, original if expected is SAME else expected, monkeypatch)
+
+
+def test_rows_crossing_a_slice_boundary_read_as_entry_by_entry(monkeypatch):
+    """A 16x16 weak-sum file spans many 64 KiB slices, and some of its rows
+    are cut by a slice's end."""
+    text, m = _canonical("weak-sum 16x16")
+    original = _outcome(text)
+    _assert_same_as_per_entry(text, original, monkeypatch)
+    # the row whose entries are cut by the first slice's end
+    cut = text.find("\n", fileio._SLICE_CHARS) + 1
+    row = int(text[text.rfind("\n", 0, cut - 1) + 1 :].split()[0])
+    assert text[cut:].split()[0] == str(row)
+    assert _rows_of_q(text)[row] == list(range(row + 1, m))
+    for kind, mutated, expected in _mutations(text, m, random.Random(16), [row]):
+        _assert_same_as_per_entry(mutated, original if expected is SAME else expected, monkeypatch)
+
+
+def test_fully_listed_rows_bypass_the_per_entry_checker(monkeypatch):
+    """In a weak-sum 8x8 file (one slice) whose rows are all listed in full,
+    every row of _RUN_MIN or more entries is written by add_run, so add gets
+    only the short rows at the end of Q, and no entry at all when every run
+    may be written at once."""
+    g = make_grid(8, 8)
+    rng = random.Random(8)
+    a = [rng.randint(1, 9) for _ in range(g.m)]
+    rows = [[0 if e == f else x + y for f, y in enumerate(a)] for e, x in enumerate(a)]
+    inst = QsppInstance(g, 0, 63, (0,) * g.m, InteractionMatrix(rows))
+    text = emit_instance(inst)
+    assert len(text) < fileio._SLICE_CHARS
+    handed = []
+    add = fileio._EntryRows.add
+
+    def counting(self, es, fs, values):
+        es = list(es)
+        handed.extend(es)
+        add(self, es, fs, values)
+
+    monkeypatch.setattr(fileio._EntryRows, "add", counting)
+    short = [e for e in range(g.m) for _ in range(e + 1, g.m) if g.m - 1 - e < fileio._RUN_MIN]
+    assert same_instance(parse_instance(text), inst)
+    assert handed == short
+    handed.clear()
+    monkeypatch.setattr(fileio, "_RUN_MIN", 1)
+    assert same_instance(parse_instance(text), inst)
+    assert handed == []
+    # the per-entry reference hands add every entry of the same file
+    monkeypatch.setattr(fileio, "_add_rows", _per_entry)
+    assert same_instance(parse_instance(text), inst)
+    assert len(handed) == g.m * (g.m - 1) // 2

@@ -93,6 +93,27 @@ def test_detect_grid_roundtrip():
     for p, q in [(2, 2), (2, 3), (3, 2), (4, 5), (5, 4)]:
         assert detect_grid(make_grid(p, q)) == (p, q)
     assert detect_grid(make_directed_cycle(6)) is None
+    rng = random.Random(7)
+    for p, q in [(3, 4), (4, 3), (2, 6), (6, 2), (8, 13), (13, 8)]:
+        arcs = list(make_grid(p, q).arcs)
+        # any arc ids: the arcs are a set
+        rng.shuffle(arcs)
+        assert detect_grid(Digraph(p * q, arcs)) == (p, q)
+        # the q-by-p grid has the same n and m but other arcs
+        assert detect_grid(make_grid(q, p)) == (q, p)
+        # one grid arc swapped for a diagonal arc, not a p-by-q grid arc, m kept
+        for k in rng.sample([k for k, arc in enumerate(arcs) if arc.head < p * q - q - 1], 3):
+            head = arcs[k].head
+            swapped = arcs[:k] + [(head, head + q + 1)] + arcs[k + 1 :]
+            assert detect_grid(Digraph(p * q, swapped)) is None
+        # or for an arc from the end of a row to the start of the next
+        wrapped = [(q - 1, q)] + [arc for arc in arcs if arc != (0, 1)]
+        assert detect_grid(Digraph(p * q, wrapped)) is None
+        # one arc repeated in place of another, m kept
+        assert detect_grid(Digraph(p * q, arcs[:-1] + arcs[:1])) is None
+    # a prime n has no p-by-q shape with p, q >= 2
+    assert detect_grid(Digraph(7, [(v, v + 1) for v in range(6)])) is None
+    assert detect_grid(Digraph(5, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4)])) is None
 
 
 def test_complete_full_counts():

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from qspath import (
     validate_instance,
 )
 from qspath.graphs import DEFAULT_PATH_LIMIT
-from qspath.model import ValidationReport, as_rational, zero_interaction_instance
+from qspath.model import ValidationReport, _EntryRows, as_rational, zero_interaction_instance
 
 from helpers import (
     PRICED_WALK_FILLS,
@@ -129,6 +130,39 @@ def test_from_triples_names_the_first_fault(seed):
     with pytest.raises(ValueError) as info:
         InteractionMatrix.from_triples(5, triples)
     assert str(info.value) == FAULTS[first][1]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_add_run_is_add_over_the_run(seed):
+    """_EntryRows.add_run(e, f, values) writes and raises exactly what add
+    does over the entries (e, f), (e, f + 1), ...: runs inside a row, runs
+    whose cells were seen, flipped, diagonal, negative and past-the-end
+    runs."""
+    rng = random.Random(seed)
+    m = 7
+    fast, slow = _EntryRows(m), _EntryRows(m)
+    for _ in range(8):
+        if rng.random() < 0.75:
+            e = rng.randint(0, m - 2)
+            f = rng.randint(e + 1, m - 1)
+            n = rng.randint(1, m - f)
+        else:
+            e, f, n = rng.randint(-1, m), rng.randint(-1, m), rng.randint(1, m)
+        values = [rng.randint(1, 9) for _ in range(n)]
+        outcomes = []
+        for add in (
+            lambda: fast.add_run(e, f, values),
+            lambda: slow.add(repeat(e), range(f, f + n), values),
+        ):
+            try:
+                add()
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert fast.rows == slow.rows and fast.seen == slow.seen
+        if outcomes[0]:
+            break
 
 
 def test_instance_dimension_checks():

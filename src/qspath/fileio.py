@@ -48,14 +48,20 @@ convert cleanly, it is read again one token at a time, its pairs going to
 the same checker, so a malformed file always gets the FormatError for its
 first fault in file order.
 
-A row of Q listed in full in canonical order, as about nine rows in ten of
-a weak-sum file are, is written at once: a run (e, f), (e, f + 1), ... of a
-converted slice that reaches the end of row e or of the slice, with
-0 <= e < f, at least 32 entries and no cell seen yet, is written by the
-checker's add_run in a few slice assignments.  Every other entry (gapped
-rows, other orders, flipped pairs, odd spellings) and every run that would
-fault goes through the checker's add in file order, so add remains the
-only source of errors.
+A row of Q is written at once when a converted slice lists 32 or more of
+its entries together, as a random or weak-sum file lists every row but the
+last few: the parser walks the rows of the slice with bisect_right and
+hands each such row to the checker's add_row.  A row listed in full, as
+about nine rows in ten of a weak-sum file are, is written in a few slice
+assignments; a gapped row, with its f's ascending, as nearly every row of
+a random fill is, in one loop of three stores per entry.  The walk ends at
+the first row after a slice's first that is short or has its e's out of
+order, since rows shorten as e grows; in a generated file that is near the
+end of Q, and with 32 arcs or fewer the walk does not start.  The entries
+it does not write go through the checker's add in file order, and so does
+every row that add_row cannot prove clean (an f out of order, out of
+range, on or left of the diagonal, or listed twice, or a cell seen
+before).  So add remains the only source of errors.
 """
 from __future__ import annotations
 
@@ -293,45 +299,44 @@ def _rescan_entries(tok: _Tokens, rows: _EntryRows, count: int) -> None:
             raise FormatError(str(exc)) from None
 
 
-# entries a run must hold to be written at once: its checks and slices cost
-# about what add takes for 20 entries
+# entries a row must hold to go to add_row: its walk, checks and slices cost
+# about what add takes for 20 entries of a row listed in full, and for 30
+# of a gapped one
 _RUN_MIN = 32
 
 
-def _add_rows(
-    rows: _EntryRows, es: list[int], fs: list[int], values: list, columns: list[int]
-) -> None:
-    """rows.add(es, fs, values), but each run (e, f), (e, f + 1), ... of
-    _RUN_MIN or more entries to the end of row e or of the slice goes to
-    rows.add_run; columns is list(range(m)).  A gapped row fails at the
-    run's last entry, and the search goes on at the next row; it stops once
-    the gapped or short rows outnumber the runs by two, as at the second
-    row of a random fill.  The entries between runs go to add in file
-    order, each stretch in one call."""
-    k, m = len(es), rows.m
-    i = start = runs = gaps = 0
-    while i < k and gaps <= runs + 1:
-        e, f = es[i], fs[i]
-        n = min(k - i, m - f)
-        j = i + n
-        if (
-            n >= _RUN_MIN
-            and es[j - 1] == e
-            and fs[j - 1] == f + n - 1
-            and fs[i:j] == columns[f : f + n]
-            and es[i:j].count(e) == n
-        ):
+def _add_rows(rows: _EntryRows, es: list[int], fs: list[int], values: list) -> None:
+    """rows.add(es, fs, values), but each row of _RUN_MIN or more entries,
+    the entries of one e between two others, goes to rows.add_row.
+
+    The rows are walked with bisect_right, and the walk ends at the first
+    row after the slice's first that is short or whose e's are not all
+    equal: rows shorten as e grows, and the first may be the cut end of a
+    row.  It also stops, at no cost per row, once fewer than _RUN_MIN
+    entries are left or at row m - _RUN_MIN, past which no row holds
+    _RUN_MIN pairs (e, f) with e < f < m.  The entries not written go to add
+    in file order, the ones before the first row written in one call and
+    the rest of the slice in another; es, fs and values may be cut in place.
+    """
+    k, last = len(es), rows.m - _RUN_MIN
+    i = start = 0
+    while i <= k - _RUN_MIN and es[i] < last:
+        e = es[i]
+        j = bisect_right(es, e, i + 1, k)
+        if j - i >= _RUN_MIN and es[i:j].count(e) == j - i:
             if start < i:
                 rows.add(es[start:i], fs[start:i], values[start:i])
-            rows.add_run(e, f, values[i:j])
+            rows.add_row(e, fs[i:j], values[i:j])
             start = j
-            runs += 1
-        else:
-            # the first later entry of another row, when the rows are in order
-            j = bisect_right(es, e, i + 1, k)
-            gaps += 1
+        elif i:
+            break
         i = j
-    if start:
+    # drop the entries written, or copy the rest where it is the smaller
+    # part: deleting most of a long list, as at a slice's end, slowed the
+    # commands run after a parse in the same process by 4-9 % (benchmark)
+    if 2 * start <= k:
+        del es[:start], fs[:start], values[:start]
+    else:
         es, fs, values = es[start:], fs[start:], values[start:]
     rows.add(es, fs, values)
 
@@ -340,7 +345,6 @@ def _sparse(tok: _Tokens, m: int, count: int, ids: dict[str, int]) -> Interactio
     """The count entry lines of a sparse Q, converted and written one slice
     of whole records at a time."""
     rows = _EntryRows(m)
-    columns = list(range(m))
     while count:
         # with no whole record left, the rescan of the rest meets the end
         k = tok.records(count, 3) or count
@@ -348,7 +352,7 @@ def _sparse(tok: _Tokens, m: int, count: int, ids: dict[str, int]) -> Interactio
             3 * k, partial(_entries, ids=ids), lambda: _rescan_entries(tok, rows, k)
         )
         try:
-            _add_rows(rows, es, fs, values, columns)
+            _add_rows(rows, es, fs, values)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
         count -= k

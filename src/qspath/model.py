@@ -96,14 +96,22 @@ class _EntryRows:
     bytearray of m*m cells that marks each pair written at its cell above
     the diagonal.  The first fault raises ValueError and nothing after it is
     written.  seen lives across add calls, so entries may arrive in pieces
-    and a pair repeated in a later piece is still found.  add_run writes a
-    run of one row in one step, or hands it to add, which raises every fault.
+    and a pair repeated in a later piece is still found.
+
+    add_row takes the entries of one row e at once and writes them without
+    a check per entry when none can fault: f's in ascending order, all
+    right of the diagonal and below m, none of their cells seen and no f
+    listed twice.  A row of consecutive f's is written in slices, any other
+    in one loop.  A row that could fault goes to add, so add is the only
+    source of errors and a faulty file still meets its first fault in order.
+    columns is list(range(m)), against which a row is found consecutive.
     """
 
-    __slots__ = ("m", "rows", "seen")
+    __slots__ = ("m", "rows", "seen", "columns")
 
     def __init__(self, m: int):
         self.m = m
+        self.columns = list(range(m))
         self.rows: list = [[0] * m for _ in range(m)]
         self.seen = bytearray(m * m)
 
@@ -128,22 +136,41 @@ class _EntryRows:
             seen[cell] = 1
             rows[e][f] = rows[f][e] = value
 
-    def add_run(self, e: int, f: int, values: list[int | Fraction]) -> None:
-        """add(repeat(e, n), range(f, f + n), values), n = len(values).  A
-        run with 0 <= e < f, f + n <= m and no cell seen cannot fault: one
-        find checks its cells, one slice assignment marks them, another
-        writes row e, and a short loop the mirror cells down column e.  Any
-        other run goes through add."""
-        m, n, seen = self.m, len(values), self.seen
-        start = e * m + f
-        if not 0 <= e < f <= m - n or seen.find(1, start, start + n) >= 0:
-            self.add(repeat(e, n), range(f, f + n), values)
-            return
-        seen[start : start + n] = b"\x01" * n
-        rows = self.rows
-        rows[e][f : f + n] = values
-        for row, value in zip(rows[f : f + n], values):
-            row[e] = value
+    def add_row(self, e: int, fs: list[int], values: list[int | Fraction]) -> None:
+        """add(repeat(e, n), fs, values), n = len(fs) > 0, with no check per
+        entry where none can fault.
+
+        Consecutive f's with 0 <= e < fs[0] and no cell seen are written in
+        slice assignments and a short loop down column e.  Other f's in
+        ascending order, in (e, m) and with no cell of their span seen, are
+        written in one loop of three stores per entry: row e, the mirror
+        cell and the mark.  A count of the marks in the span then proves
+        the f's distinct; if they are not, the span, all zero and unseen
+        before, is reset.  A row not written goes through add.
+        """
+        m, n, seen, rows = self.m, len(fs), self.seen, self.rows
+        lo, hi = fs[0], fs[-1]
+        base = e * m
+        start, end = base + lo, base + hi + 1
+        if hi - lo + 1 == n and fs == self.columns[lo : hi + 1]:
+            if 0 <= e < lo and seen.find(1, start, end) < 0:
+                seen[start:end] = b"\x01" * n
+                rows[e][lo : hi + 1] = values
+                for row, value in zip(rows[lo : hi + 1], values):
+                    row[e] = value
+                return
+        elif 0 <= e < lo and hi < m and fs == sorted(fs) and seen.find(1, start, end) < 0:
+            row = rows[e]
+            for f, value in zip(fs, values):
+                row[f] = rows[f][e] = value
+                seen[base + f] = 1
+            if seen.count(1, start, end) == n:
+                return
+            seen[start:end] = bytes(end - start)
+            row[lo : hi + 1] = [0] * (end - start)
+            for f in fs:
+                rows[f][e] = 0
+        self.add(repeat(e, n), fs, values)
 
     def matrix(self) -> "InteractionMatrix":
         """The matrix of the entries added so far; each row becomes a tuple

@@ -425,13 +425,14 @@ def test_parse_keeps_the_messages_for_bad_ids(old, new, message):
     assert str(info.value) == message
 
 
-# Rows written a run at a time: a run (e, f), (e, f + 1), ... that lists the
-# rest of row e, or of a slice, is written by _EntryRows.add_run in one
-# step.  The reference reads the same text with every entry handed to
-# _EntryRows.add, as the parser did before runs were written at once.
+# Rows written at once: the entries of a row e that a slice lists together,
+# _RUN_MIN or more of them, are written by _EntryRows.add_row, in slices when
+# they list the row in full and in one loop when it is gapped.  The reference
+# reads the same text with every entry handed to _EntryRows.add, as the
+# parser did before rows were written at once.
 
 
-def _per_entry(rows, es, fs, values, columns):
+def _per_entry(rows, es, fs, values):
     rows.add(es, fs, values)
 
 
@@ -536,6 +537,21 @@ def _mutations(text: str, m: int, rng: random.Random, rows: list[int]):
             yield "run-ending-at-m", text_of(
                 lines[:start] + shifted + lines[end:]
             ), f"entry ({e},{m}) outside the arc range"
+        # a repeated f next to its first listing: the row is written, undone
+        # and read again by add
+        yield "repeat-inside", text_of(lines[: k + 1] + [lines[k]] + lines[k + 1 :]), twice
+        if k + 1 < end:
+            swapped = lines[:]
+            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+            yield "swapped-neighbours", text_of(swapped), SAME
+        middle = (start + end) // 2
+        if e > 0:
+            yield "below-e-inside", text_of(
+                lines[:middle] + [f"{e} {rng.randrange(e)} 1"] + lines[middle:]
+            ), None
+        yield "past-m-inside", text_of(
+            lines[:middle] + [f"{e} {m} 1"] + lines[middle + 1 :]
+        ), f"entry ({e},{m}) outside the arc range"
         yield "diagonal", text_of(
             lines[:k] + [f"{e} {e} 1"] + lines[k:]
         ), "diagonal interaction entries must stay zero"
@@ -585,25 +601,41 @@ def test_rows_written_at_once_read_as_entry_by_entry(name, chars, run_min, monke
 
 
 def test_rows_crossing_a_slice_boundary_read_as_entry_by_entry(monkeypatch):
-    """A 16x16 weak-sum file spans many 64 KiB slices, and some of its rows
-    are cut by a slice's end."""
-    text, m = _canonical("weak-sum 16x16")
-    original = _outcome(text)
-    _assert_same_as_per_entry(text, original, monkeypatch)
-    # the row whose entries are cut by the first slice's end
-    cut = text.find("\n", fileio._SLICE_CHARS) + 1
-    row = int(text[text.rfind("\n", 0, cut - 1) + 1 :].split()[0])
-    assert text[cut:].split()[0] == str(row)
-    assert _rows_of_q(text)[row] == list(range(row + 1, m))
-    for kind, mutated, expected in _mutations(text, m, random.Random(16), [row]):
-        _assert_same_as_per_entry(mutated, original if expected is SAME else expected, monkeypatch)
+    """A 16x16 weak-sum file and a 12x12 random file span several 64 KiB
+    slices, and some of their rows are cut by a slice's end: rows listed in
+    full in the first, gapped rows in the second.  The mutated rows are the
+    first one cut and the first one cut with _RUN_MIN or more entries on
+    each side, which add_row writes in two pieces."""
+    for name, listed_in_full in (("weak-sum 16x16", True), ("random 12x12", False)):
+        text, m = _canonical(name)
+        original = _outcome(text)
+        _assert_same_as_per_entry(text, original, monkeypatch)
+        rows_of_q = _rows_of_q(text)
+        entries = text.index("Q sparse")
+        cut_rows = []
+        cut = 0
+        while len(cut_rows) < 2:
+            cut = text.find("\n", cut + fileio._SLICE_CHARS) + 1
+            assert cut > 0
+            row = int(text[text.rfind("\n", 0, cut - 1) + 1 :].split()[0])
+            if text[cut:].split()[0] != str(row):
+                continue
+            before = text[entries:cut].count(f"\n{row} ")
+            if not cut_rows or min(before, len(rows_of_q[row]) - before) >= fileio._RUN_MIN:
+                cut_rows.append(row)
+        for row in cut_rows:
+            assert (rows_of_q[row] == list(range(row + 1, m))) == listed_in_full
+        for kind, mutated, expected in _mutations(text, m, random.Random(16), cut_rows):
+            _assert_same_as_per_entry(mutated, original if expected is SAME else expected, monkeypatch)
 
 
 def test_fully_listed_rows_bypass_the_per_entry_checker(monkeypatch):
     """In a weak-sum 8x8 file (one slice) whose rows are all listed in full,
-    every row of _RUN_MIN or more entries is written by add_run, so add gets
-    only the short rows at the end of Q, and no entry at all when every run
-    may be written at once."""
+    every row of _RUN_MIN or more entries is written by add_row, so add gets
+    only the short rows at the end of Q, and no entry at all when every row
+    may be written at once.  So is every row of a random 8x8 file, whose
+    rows are gapped, up to its first row shorter than _RUN_MIN, where the
+    walk over the rows ends."""
     g = make_grid(8, 8)
     rng = random.Random(8)
     a = [rng.randint(1, 9) for _ in range(g.m)]
@@ -623,6 +655,18 @@ def test_fully_listed_rows_bypass_the_per_entry_checker(monkeypatch):
     short = [e for e in range(g.m) for _ in range(e + 1, g.m) if g.m - 1 - e < fileio._RUN_MIN]
     assert same_instance(parse_instance(text), inst)
     assert handed == short
+    gapped = filled_instance(g, 0, 63, "random", seed=8, max_entry=9)
+    gapped_text = emit_instance(gapped)
+    assert len(gapped_text) < fileio._SLICE_CHARS
+    listed = _rows_of_q(gapped_text)
+    long_rows = [e for e, fs in listed.items() if len(fs) >= fileio._RUN_MIN]
+    full = [e for e in long_rows if listed[e] == list(range(e + 1, g.m))]
+    assert len(full) < len(long_rows) // 10
+    handed.clear()
+    assert same_instance(parse_instance(gapped_text), gapped)
+    first_short = min(e for e, fs in listed.items() if len(fs) < fileio._RUN_MIN)
+    assert first_short >= g.m - fileio._RUN_MIN - 8
+    assert handed == [e for e, fs in listed.items() for _ in fs if e >= first_short]
     handed.clear()
     monkeypatch.setattr(fileio, "_RUN_MIN", 1)
     assert same_instance(parse_instance(text), inst)

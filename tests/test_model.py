@@ -132,35 +132,86 @@ def test_from_triples_names_the_first_fault(seed):
     assert str(info.value) == FAULTS[first][1]
 
 
+# the rows handed to _EntryRows.add_row, by what add makes of them: the
+# first two are clean, "repeat" is written and then undone, "unsorted" is
+# clean but goes to add, and the rest fault
+ROW_KINDS = (
+    "consecutive",
+    "gapped",
+    "consecutive-faulty",
+    "repeat",
+    "unsorted",
+    "contains-e",
+    "below-e",
+    "negative",
+    "reaches-m",
+    "past-m",
+    "seen",
+    "row-out-of-range",
+)
+
+
+def _row_of_kind(kind: str, rng: random.Random, m: int) -> tuple[int, list[int]]:
+    """(e, fs) of the named kind for an m-arc matrix."""
+    e = rng.randint(1, m - 4)
+    if kind == "consecutive" or kind == "seen" and rng.random() < 0.5:
+        f = rng.randint(e + 1, m - 1)
+        return e, list(range(f, rng.randint(f + 1, m)))
+    if kind == "consecutive-faulty":
+        # across the diagonal, below 0 or past m
+        return e, list(range(*rng.choice([(e - 1, e + 3), (-2, 3), (m - 3, m + 2)])))
+    fs = sorted(rng.sample(range(e + 1, m), rng.randint(2, m - 1 - e)))
+    if kind == "repeat":
+        k = rng.randrange(len(fs))
+        fs.insert(k, fs[k])
+    elif kind == "unsorted":
+        fs[0], fs[-1] = fs[-1], fs[0]
+    elif kind == "contains-e":
+        fs.insert(0, e)
+    elif kind == "below-e":
+        fs.insert(0, rng.randrange(e))
+    elif kind == "negative":
+        fs.insert(0, -rng.randint(1, m))
+    elif kind == "reaches-m":
+        fs.append(m)
+    elif kind == "past-m":
+        fs.append(m + rng.randint(1, m))
+    elif kind == "row-out-of-range":
+        e = rng.choice([-1, m, m + 1])
+    return e, fs
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_add_run_is_add_over_the_run(seed):
-    """_EntryRows.add_run(e, f, values) writes and raises exactly what add
-    does over the entries (e, f), (e, f + 1), ...: runs inside a row, runs
-    whose cells were seen, flipped, diagonal, negative and past-the-end
-    runs."""
+def test_add_row_is_add_over_the_row(seed):
+    """_EntryRows.add_row(e, fs, values) writes and raises exactly what add
+    does over the entries (e, f) for f in fs: consecutive and gapped rows,
+    a repeated f (written, then undone), unsorted rows, f's on, left of or
+    below the diagonal and at or past m, cells seen before, and rows out of
+    range.  Each kind comes first, on a fresh matrix, at some seed."""
     rng = random.Random(seed)
-    m = 7
+    m = 12
     fast, slow = _EntryRows(m), _EntryRows(m)
-    for _ in range(8):
-        if rng.random() < 0.75:
-            e = rng.randint(0, m - 2)
-            f = rng.randint(e + 1, m - 1)
-            n = rng.randint(1, m - f)
-        else:
-            e, f, n = rng.randint(-1, m), rng.randint(-1, m), rng.randint(1, m)
-        values = [rng.randint(1, 9) for _ in range(n)]
+    for step in range(6):
+        kind = ROW_KINDS[(seed + step) % len(ROW_KINDS)] if step == 0 else rng.choice(ROW_KINDS)
+        e, fs = _row_of_kind(kind, rng, m)
+        if kind == "seen":
+            # a cell of the row, seen through the mirror pair
+            f = rng.choice(fs)
+            for rows in (fast, slow):
+                rows.add((f,), (e,), (7,))
+        values = [rng.choice([0, 1, 5, 9, Fraction(-2, 3)]) for _ in fs]
         outcomes = []
         for add in (
-            lambda: fast.add_run(e, f, values),
-            lambda: slow.add(repeat(e), range(f, f + n), values),
+            lambda: fast.add_row(e, fs, values),
+            lambda: slow.add(repeat(e), fs, values),
         ):
             try:
                 add()
                 outcomes.append(None)
             except ValueError as exc:
                 outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        assert fast.rows == slow.rows and fast.seen == slow.seen
+        assert outcomes[0] == outcomes[1], kind
+        assert fast.rows == slow.rows and fast.seen == slow.seen, kind
         if outcomes[0]:
             break
 

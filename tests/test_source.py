@@ -100,3 +100,37 @@ def test_the_path_search_is_called_only_by_its_three_callers():
         ("pathmatrix.py", ""),
         ("pathmatrix.py", "build_path_matrix"),
     }
+
+
+# the faults an entry of a sparse Q can have, by a fragment of each message
+ENTRY_FAULTS = ("outside the arc range", "diagonal interaction entries", "listed twice")
+
+
+def _raises(tree: ast.AST, scope: str = ""):
+    """(enclosing qualified name, source of the raised expression) of every
+    raise statement, in the manner of _uses."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(node, f"{scope}.{node.name}" if scope else node.name)
+        else:
+            if isinstance(node, ast.Raise):
+                yield scope, ast.unparse(node.exc) if node.exc else ""
+            yield from _raises(node, scope)
+
+
+def test_entry_faults_are_raised_only_by_the_entry_checker():
+    """_EntryRows.add_row writes a row with no check per entry and hands
+    any row that could fault to _EntryRows.add, so add alone raises the
+    faults of an entry, at the first one in file order, and add_row raises
+    nothing itself."""
+    faults = {
+        (name, scope)
+        for name in ("model.py", "fileio.py")
+        for scope, exc in _raises(ast.parse((SOURCE / name).read_text(), name))
+        if any(fault in exc for fault in ENTRY_FAULTS)
+    }
+    assert faults == {("model.py", "_EntryRows.add")}
+    model = ast.parse((SOURCE / "model.py").read_text())
+    entry_rows = next(n for n in model.body if isinstance(n, ast.ClassDef) and n.name == "_EntryRows")
+    add_row = next(n for n in entry_rows.body if isinstance(n, ast.FunctionDef) and n.name == "add_row")
+    assert [node.lineno for node in ast.walk(add_row) if isinstance(node, ast.Raise)] == []

@@ -182,6 +182,40 @@ def _row_of_kind(kind: str, rng: random.Random, m: int) -> tuple[int, list[int]]
 
 
 @pytest.mark.parametrize("seed", range(40))
+def test_add_run_is_add_over_the_run(seed):
+    """_EntryRows.add_row(e, fs, values) over a run fs = [f, f + 1, ...]
+    writes and raises exactly what add does over the entries (e, f),
+    (e, f + 1), ...: runs inside a row, runs whose cells were seen,
+    flipped, diagonal, negative and past-the-end runs."""
+    rng = random.Random(seed)
+    m = 7
+    fast, slow = _EntryRows(m), _EntryRows(m)
+    for _ in range(8):
+        if rng.random() < 0.75:
+            e = rng.randint(0, m - 2)
+            f = rng.randint(e + 1, m - 1)
+            n = rng.randint(1, m - f)
+        else:
+            e, f, n = rng.randint(-1, m), rng.randint(-1, m), rng.randint(1, m)
+        fs = list(range(f, f + n))
+        values = [rng.randint(1, 9) for _ in range(n)]
+        outcomes = []
+        for add in (
+            lambda: fast.add_row(e, fs, values),
+            lambda: slow.add(repeat(e), fs, values),
+        ):
+            try:
+                add()
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert fast.rows == slow.rows and fast.seen == slow.seen
+        if outcomes[0]:
+            break
+
+
+@pytest.mark.parametrize("seed", range(40))
 def test_add_row_is_add_over_the_row(seed):
     """_EntryRows.add_row(e, fs, values) writes and raises exactly what add
     does over the entries (e, f) for f in fs: consecutive and gapped rows,

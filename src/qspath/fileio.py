@@ -48,24 +48,11 @@ convert cleanly, it is read again one token at a time, its pairs going to
 the same checker, so a malformed file always gets the FormatError for its
 first fault in file order.
 
-A row of Q is written at once when a converted slice lists 32 or more of
-its entries together, as a random or weak-sum file lists every row but the
-last few: the parser walks the rows of the slice with bisect_right and
-hands each such row to the checker's add_row.  A row listed in full, as
-about nine rows in ten of a weak-sum file are, is written in a few slice
-assignments; a gapped row, with its f's ascending, as nearly every row of
-a random fill is, in one loop of three stores per entry.  The walk ends at
-the first row after a slice's first that is short or has its e's out of
-order, since rows shorten as e grows; in a generated file that is near the
-end of Q, and with 32 arcs or fewer the walk does not start.  The entries
-it does not write go through the checker's add in file order, and so does
-every row that add_row cannot prove clean (an f out of order, out of
-range, on or left of the diagonal, or listed twice, or a cell seen
-before).  So add remains the only source of errors.
+How the checker writes a slice's entries, its long rows at once, is told in
+model._EntryRows.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import compress
@@ -294,51 +281,9 @@ def _rescan_entries(tok: _Tokens, rows: _EntryRows, count: int) -> None:
         f = tok.next_int("entry column")
         value = tok.next_rational("entry value")
         try:
-            rows.add((e,), (f,), (value,))
+            rows._add_each((e,), (f,), (value,))
         except ValueError as exc:
             raise FormatError(str(exc)) from None
-
-
-# entries a row must hold to go to add_row: its walk, checks and slices cost
-# about what add takes for 20 entries of a row listed in full, and for 30
-# of a gapped one
-_RUN_MIN = 32
-
-
-def _add_rows(rows: _EntryRows, es: list[int], fs: list[int], values: list) -> None:
-    """rows.add(es, fs, values), but each row of _RUN_MIN or more entries,
-    the entries of one e between two others, goes to rows.add_row.
-
-    The rows are walked with bisect_right, and the walk ends at the first
-    row after the slice's first that is short or whose e's are not all
-    equal: rows shorten as e grows, and the first may be the cut end of a
-    row.  It also stops, at no cost per row, once fewer than _RUN_MIN
-    entries are left or at row m - _RUN_MIN, past which no row holds
-    _RUN_MIN pairs (e, f) with e < f < m.  The entries not written go to add
-    in file order, the ones before the first row written in one call and
-    the rest of the slice in another; es, fs and values may be cut in place.
-    """
-    k, last = len(es), rows.m - _RUN_MIN
-    i = start = 0
-    while i <= k - _RUN_MIN and es[i] < last:
-        e = es[i]
-        j = bisect_right(es, e, i + 1, k)
-        if j - i >= _RUN_MIN and es[i:j].count(e) == j - i:
-            if start < i:
-                rows.add(es[start:i], fs[start:i], values[start:i])
-            rows.add_row(e, fs[i:j], values[i:j])
-            start = j
-        elif i:
-            break
-        i = j
-    # drop the entries written, or copy the rest where it is the smaller
-    # part: deleting most of a long list, as at a slice's end, slowed the
-    # commands run after a parse in the same process by 4-9 % (benchmark)
-    if 2 * start <= k:
-        del es[:start], fs[:start], values[:start]
-    else:
-        es, fs, values = es[start:], fs[start:], values[start:]
-    rows.add(es, fs, values)
 
 
 def _sparse(tok: _Tokens, m: int, count: int, ids: dict[str, int]) -> InteractionMatrix:
@@ -352,7 +297,7 @@ def _sparse(tok: _Tokens, m: int, count: int, ids: dict[str, int]) -> Interactio
             3 * k, partial(_entries, ids=ids), lambda: _rescan_entries(tok, rows, k)
         )
         try:
-            _add_rows(rows, es, fs, values)
+            rows.add(es, fs, values)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
         count -= k

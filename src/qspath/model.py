@@ -32,6 +32,7 @@ replace a label on strict improvement.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -86,25 +87,43 @@ def rational_tokens(tokens: Sequence[str]) -> list[int | Fraction]:
         return list(map(as_rational, tokens))
 
 
+# entries a row must hold to be written at once by _EntryRows._add_row: the
+# walk's bisect_right, its checks and slices cost about what _add_each takes
+# for 20 entries of a row listed in full, and for 30 of a gapped one
+_RUN_MIN = 32
+
+
 class _EntryRows:
     """The rows of a symmetric zero-diagonal matrix, written entry by entry
     from (e, f, value) columns as each entry passes its checks.
 
-    add reads the entries in order and checks each one for the arc range,
-    then the diagonal, then a repeat of an earlier unordered pair (in either
-    orientation, whatever the values).  A repeat is looked up in seen, a
-    bytearray of m*m cells that marks each pair written at its cell above
-    the diagonal.  The first fault raises ValueError and nothing after it is
-    written.  seen lives across add calls, so entries may arrive in pieces
+    add is the one way in.  It walks the rows of its columns with
+    bisect_right and hands each row of _RUN_MIN or more entries, the
+    entries of one e between two others, to _add_row, and every other entry
+    to _add_each, in order.  The walk ends at the first row after the first
+    that is short or whose e's are not all equal: rows shorten as e grows,
+    as a generated file lists them, and the first may be the cut end of a
+    row.  It also stops, at no cost per row, once fewer than _RUN_MIN
+    entries are left or at row m - _RUN_MIN, past which no row holds
+    _RUN_MIN pairs (e, f) with e < f < m; so fewer than _RUN_MIN entries,
+    or the entries of a matrix of _RUN_MIN arcs or fewer, are never walked.
+
+    _add_each reads the entries in order and checks each one for the arc
+    range, then the diagonal, then a repeat of an earlier unordered pair (in
+    either orientation, whatever the values).  A repeat is looked up in
+    seen, a bytearray of m*m cells that marks each pair written at its cell
+    above the diagonal.  The first fault raises ValueError and nothing after
+    it is written.  seen lives across calls, so entries may arrive in pieces
     and a pair repeated in a later piece is still found.
 
-    add_row takes the entries of one row e at once and writes them without
+    _add_row takes the entries of one row e at once and writes them without
     a check per entry when none can fault: f's in ascending order, all
     right of the diagonal and below m, none of their cells seen and no f
     listed twice.  A row of consecutive f's is written in slices, any other
-    in one loop.  A row that could fault goes to add, so add is the only
-    source of errors and a faulty file still meets its first fault in order.
-    columns is list(range(m)), against which a row is found consecutive.
+    in one loop.  A row that could fault goes to _add_each, so _add_each is
+    the only source of errors and faulty columns still meet their first
+    fault in order.  columns is list(range(m)), against which a row is found
+    consecutive.
     """
 
     __slots__ = ("m", "rows", "seen", "columns")
@@ -115,7 +134,29 @@ class _EntryRows:
         self.rows: list = [[0] * m for _ in range(m)]
         self.seen = bytearray(m * m)
 
-    def add(
+    def add(self, es: list[int], fs: list[int], values: list[int | Fraction]) -> None:
+        """Check and write the entries (es[k], fs[k], values[k]) in order,
+        each long row at once; raises ValueError at the first fault."""
+        k, last = len(es), self.m - _RUN_MIN
+        i = start = 0
+        while i <= k - _RUN_MIN and es[i] < last:
+            e = es[i]
+            j = bisect_right(es, e, i + 1, k)
+            if j - i >= _RUN_MIN and es[i:j].count(e) == j - i:
+                if start < i:
+                    self._add_each(es[start:i], fs[start:i], values[start:i])
+                self._add_row(e, fs[i:j], values[i:j])
+                start = j
+            elif i:
+                break
+            i = j
+        # copied, not cut in place: deleting the head of a long list slowed
+        # the commands run after a parse in the same process by 4-9 %
+        if start:
+            es, fs, values = es[start:], fs[start:], values[start:]
+        self._add_each(es, fs, values)
+
+    def _add_each(
         self, es: Iterable[int], fs: Iterable[int], values: Iterable[int | Fraction]
     ) -> None:
         m = self.m
@@ -136,9 +177,9 @@ class _EntryRows:
             seen[cell] = 1
             rows[e][f] = rows[f][e] = value
 
-    def add_row(self, e: int, fs: list[int], values: list[int | Fraction]) -> None:
-        """add(repeat(e, n), fs, values), n = len(fs) > 0, with no check per
-        entry where none can fault.
+    def _add_row(self, e: int, fs: list[int], values: list[int | Fraction]) -> None:
+        """_add_each(repeat(e, n), fs, values), n = len(fs) > 0, with no
+        check per entry where none can fault.
 
         Consecutive f's with 0 <= e < fs[0] and no cell seen are written in
         slice assignments and a short loop down column e.  Other f's in
@@ -146,7 +187,7 @@ class _EntryRows:
         written in one loop of three stores per entry: row e, the mirror
         cell and the mark.  A count of the marks in the span then proves
         the f's distinct; if they are not, the span, all zero and unseen
-        before, is reset.  A row not written goes through add.
+        before, is reset.  A row not written goes through _add_each.
         """
         m, n, seen, rows = self.m, len(fs), self.seen, self.rows
         lo, hi = fs[0], fs[-1]
@@ -170,7 +211,7 @@ class _EntryRows:
             row[lo : hi + 1] = [0] * (end - start)
             for f in fs:
                 rows[f][e] = 0
-        self.add(repeat(e, n), fs, values)
+        self._add_each(repeat(e, n), fs, values)
 
     def matrix(self) -> "InteractionMatrix":
         """The matrix of the entries added so far; each row becomes a tuple
@@ -316,13 +357,6 @@ class SppInstance:
         object.__setattr__(self, "linear", rational_vector(self.linear))
         if len(self.linear) != self.graph.m:
             raise ValueError("linear cost vector length must equal the arc count")
-
-
-def zero_interaction_instance(spp: SppInstance) -> QsppInstance:
-    """Lift an SPP instance to a QSPP instance with an all-zero interaction matrix."""
-    return QsppInstance(
-        spp.graph, spp.source, spp.target, spp.linear, InteractionMatrix.zero(spp.graph.m)
-    )
 
 
 def cost_of_arcs(inst: QsppInstance, arcs: Sequence[int]) -> Fraction:

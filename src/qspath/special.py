@@ -17,6 +17,7 @@ from .model import (
     InteractionMatrix,
     QsppInstance,
     SppInstance,
+    _dag_relax,
     as_rational,
     cost_of_arcs,
     rational_vector,
@@ -70,21 +71,9 @@ def all_paths_equal_length(g: Digraph, source: int, target: int) -> int | None:
             "equal-length detection needs the set of vertices on source-target "
             "routes to induce an acyclic subgraph"
         )
-    shortest: list[int | None] = [None] * g.n
-    longest: list[int | None] = [None] * g.n
-    shortest[source] = longest[source] = 0
-    for v in order:
-        if shortest[v] is None:
-            continue
-        for a in g.out_arcs(v):
-            w = g.arcs[a].tail
-            if not on_route[w]:
-                continue
-            if shortest[w] is None or shortest[v] + 1 < shortest[w]:
-                shortest[w] = shortest[v] + 1
-            if longest[w] is None or longest[v] + 1 > longest[w]:
-                longest[w] = longest[v] + 1
-    return shortest[target] if shortest[target] == longest[target] else None
+    _, shortest = _dag_relax(SppInstance(g, source, target, (1,) * g.m), order)
+    _, longest = _dag_relax(SppInstance(g, source, target, (-1,) * g.m), order)
+    return shortest if shortest == -longest else None
 
 
 def linearize_weak_sum(inst: QsppInstance) -> tuple[Fraction, ...]:
@@ -114,28 +103,23 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
 
 def _product_factor(
     q: InteractionMatrix, linear: Sequence[Fraction]
-) -> tuple[str, tuple[Fraction, ...] | None]:
-    """Classify Q + Diag(c): ('ok', a) when equal to a*a^T with rational a >= 0,
-    ('irrational', None) when the diagonal forces irrational factors,
-    ('no', None) otherwise."""
+) -> tuple[Fraction, ...]:
+    """The rational a >= 0 with Q + Diag(c) = a*a^T; raises FamilyError when
+    there is none, with its own message when the diagonal forces irrational
+    factors."""
     m = q.m
-    if len(linear) != m:
-        return ("no", None)
     # Q has a zero diagonal, so the diagonal of Q + Diag(c) is c
-    if any(c < 0 for c in linear):
-        return ("no", None)
-    factor = []
-    for c in linear:
-        root = _rational_sqrt(c)
-        if root is None:
-            return ("irrational", None)
-        factor.append(root)
-    rows = q.rows
-    for e in range(m):
-        for f in range(e + 1, m):
-            if rows[e][f] != factor[e] * factor[f]:
-                return ("no", None)
-    return ("ok", tuple(factor))
+    if len(linear) == m and all(c >= 0 for c in linear):
+        factor = tuple(map(_rational_sqrt, linear))
+        if None in factor:
+            raise FamilyError(
+                "interaction-plus-diagonal matrix is a rank-one product whose factor "
+                "is irrational; no exact factorization exists"
+            )
+        rows = q.rows
+        if all(rows[e][f] == factor[e] * factor[f] for e in range(m) for f in range(e + 1, m)):
+            return factor
+    raise FamilyError("interaction-plus-diagonal matrix is not a rank-one product")
 
 
 def detect_product(
@@ -146,8 +130,10 @@ def detect_product(
     Only rational factorizations are accepted: every diagonal entry of
     Q + Diag(c) must be the square of a rational.
     """
-    status, factor = _product_factor(q, linear)
-    return factor if status == "ok" else None
+    try:
+        return _product_factor(q, linear)
+    except FamilyError:
+        return None
 
 
 def solve_product_case(inst: QsppInstance) -> tuple[Path, Fraction]:
@@ -155,14 +141,7 @@ def solve_product_case(inst: QsppInstance) -> tuple[Path, Fraction]:
 
     The optimal path cost is the square of its factor-weight sum.
     """
-    status, factor = _product_factor(inst.interaction, inst.linear)
-    if status == "irrational":
-        raise FamilyError(
-            "interaction-plus-diagonal matrix is a rank-one product whose factor "
-            "is irrational; no exact factorization exists"
-        )
-    if status != "ok":
-        raise FamilyError("interaction-plus-diagonal matrix is not a rank-one product")
+    factor = _product_factor(inst.interaction, inst.linear)
     path, weight = spp_solve(
         SppInstance(inst.graph, inst.source, inst.target, factor)
     )

@@ -21,6 +21,7 @@ from qspath import (
 )
 from qspath.generate import filled_instance, random_qap
 from qspath.graphs import MAX_VERTICES
+from qspath import model
 from qspath.model import as_rational
 from qspath.reductions import qap_to_qspp
 
@@ -426,14 +427,14 @@ def test_parse_keeps_the_messages_for_bad_ids(old, new, message):
 
 
 # Rows written at once: the entries of a row e that a slice lists together,
-# _RUN_MIN or more of them, are written by _EntryRows.add_row, in slices when
-# they list the row in full and in one loop when it is gapped.  The reference
-# reads the same text with every entry handed to _EntryRows.add, as the
-# parser did before rows were written at once.
+# _RUN_MIN or more of them, are written by _EntryRows._add_row, in slices
+# when they list the row in full and in one loop when it is gapped.  The
+# reference reads the same text with every entry of a slice handed to
+# _EntryRows._add_each, as the parser did before rows were written at once.
 
 
 def _per_entry(rows, es, fs, values):
-    rows.add(es, fs, values)
+    rows._add_each(es, fs, values)
 
 
 def _outcome(text: str):
@@ -538,7 +539,7 @@ def _mutations(text: str, m: int, rng: random.Random, rows: list[int]):
                 lines[:start] + shifted + lines[end:]
             ), f"entry ({e},{m}) outside the arc range"
         # a repeated f next to its first listing: the row is written, undone
-        # and read again by add
+        # and read again by _add_each
         yield "repeat-inside", text_of(lines[: k + 1] + [lines[k]] + lines[k + 1 :]), twice
         if k + 1 < end:
             swapped = lines[:]
@@ -575,7 +576,7 @@ def _mutations(text: str, m: int, rng: random.Random, rows: list[int]):
 
 def _assert_same_as_per_entry(text: str, expected, monkeypatch) -> None:
     with monkeypatch.context() as patch:
-        patch.setattr(fileio, "_add_rows", _per_entry)
+        patch.setattr(model._EntryRows, "add", _per_entry)
         reference = _outcome(text)
     assert _outcome(text) == reference
     if expected is not None:
@@ -584,11 +585,11 @@ def _assert_same_as_per_entry(text: str, expected, monkeypatch) -> None:
 
 # slice lengths and shortest runs written at once: runs of two entries, at
 # short slices too, put the run path into the small files as well
-@pytest.mark.parametrize("chars,run_min", [(64, 2), (1 << 16, 2), (1 << 16, fileio._RUN_MIN)])
+@pytest.mark.parametrize("chars,run_min", [(64, 2), (1 << 16, 2), (1 << 16, model._RUN_MIN)])
 @pytest.mark.parametrize("name", CANONICAL)
 def test_rows_written_at_once_read_as_entry_by_entry(name, chars, run_min, monkeypatch):
     monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
-    monkeypatch.setattr(fileio, "_RUN_MIN", run_min)
+    monkeypatch.setattr(model, "_RUN_MIN", run_min)
     text, m = _canonical(name)
     original = _outcome(text)
     assert isinstance(original, tuple)
@@ -605,7 +606,7 @@ def test_rows_crossing_a_slice_boundary_read_as_entry_by_entry(monkeypatch):
     slices, and some of their rows are cut by a slice's end: rows listed in
     full in the first, gapped rows in the second.  The mutated rows are the
     first one cut and the first one cut with _RUN_MIN or more entries on
-    each side, which add_row writes in two pieces."""
+    each side, which _add_row writes in two pieces."""
     for name, listed_in_full in (("weak-sum 16x16", True), ("random 12x12", False)):
         text, m = _canonical(name)
         original = _outcome(text)
@@ -621,7 +622,7 @@ def test_rows_crossing_a_slice_boundary_read_as_entry_by_entry(monkeypatch):
             if text[cut:].split()[0] != str(row):
                 continue
             before = text[entries:cut].count(f"\n{row} ")
-            if not cut_rows or min(before, len(rows_of_q[row]) - before) >= fileio._RUN_MIN:
+            if not cut_rows or min(before, len(rows_of_q[row]) - before) >= model._RUN_MIN:
                 cut_rows.append(row)
         for row in cut_rows:
             assert (rows_of_q[row] == list(range(row + 1, m))) == listed_in_full
@@ -631,11 +632,11 @@ def test_rows_crossing_a_slice_boundary_read_as_entry_by_entry(monkeypatch):
 
 def test_fully_listed_rows_bypass_the_per_entry_checker(monkeypatch):
     """In a weak-sum 8x8 file (one slice) whose rows are all listed in full,
-    every row of _RUN_MIN or more entries is written by add_row, so add gets
-    only the short rows at the end of Q, and no entry at all when every row
-    may be written at once.  So is every row of a random 8x8 file, whose
-    rows are gapped, up to its first row shorter than _RUN_MIN, where the
-    walk over the rows ends."""
+    every row of _RUN_MIN or more entries is written by _add_row, so
+    _add_each gets only the short rows at the end of Q, and no entry at all
+    when every row may be written at once.  So is every row of a random 8x8
+    file, whose rows are gapped, up to its first row shorter than _RUN_MIN,
+    where the walk over the rows ends."""
     g = make_grid(8, 8)
     rng = random.Random(8)
     a = [rng.randint(1, 9) for _ in range(g.m)]
@@ -644,34 +645,34 @@ def test_fully_listed_rows_bypass_the_per_entry_checker(monkeypatch):
     text = emit_instance(inst)
     assert len(text) < fileio._SLICE_CHARS
     handed = []
-    add = fileio._EntryRows.add
+    add_each = model._EntryRows._add_each
 
     def counting(self, es, fs, values):
         es = list(es)
         handed.extend(es)
-        add(self, es, fs, values)
+        add_each(self, es, fs, values)
 
-    monkeypatch.setattr(fileio._EntryRows, "add", counting)
-    short = [e for e in range(g.m) for _ in range(e + 1, g.m) if g.m - 1 - e < fileio._RUN_MIN]
+    monkeypatch.setattr(model._EntryRows, "_add_each", counting)
+    short = [e for e in range(g.m) for _ in range(e + 1, g.m) if g.m - 1 - e < model._RUN_MIN]
     assert same_instance(parse_instance(text), inst)
     assert handed == short
     gapped = filled_instance(g, 0, 63, "random", seed=8, max_entry=9)
     gapped_text = emit_instance(gapped)
     assert len(gapped_text) < fileio._SLICE_CHARS
     listed = _rows_of_q(gapped_text)
-    long_rows = [e for e, fs in listed.items() if len(fs) >= fileio._RUN_MIN]
+    long_rows = [e for e, fs in listed.items() if len(fs) >= model._RUN_MIN]
     full = [e for e in long_rows if listed[e] == list(range(e + 1, g.m))]
     assert len(full) < len(long_rows) // 10
     handed.clear()
     assert same_instance(parse_instance(gapped_text), gapped)
-    first_short = min(e for e, fs in listed.items() if len(fs) < fileio._RUN_MIN)
-    assert first_short >= g.m - fileio._RUN_MIN - 8
+    first_short = min(e for e, fs in listed.items() if len(fs) < model._RUN_MIN)
+    assert first_short >= g.m - model._RUN_MIN - 8
     assert handed == [e for e, fs in listed.items() for _ in fs if e >= first_short]
     handed.clear()
-    monkeypatch.setattr(fileio, "_RUN_MIN", 1)
+    monkeypatch.setattr(model, "_RUN_MIN", 1)
     assert same_instance(parse_instance(text), inst)
     assert handed == []
-    # the per-entry reference hands add every entry of the same file
-    monkeypatch.setattr(fileio, "_add_rows", _per_entry)
+    # the per-entry reference hands _add_each every entry of the same file
+    monkeypatch.setattr(model._EntryRows, "add", _per_entry)
     assert same_instance(parse_instance(text), inst)
     assert len(handed) == g.m * (g.m - 1) // 2

@@ -29,7 +29,7 @@ from qspath import (
     validate_instance,
 )
 from qspath.graphs import DEFAULT_PATH_LIMIT
-from qspath.model import ValidationReport, _EntryRows, as_rational, zero_interaction_instance
+from qspath.model import _RUN_MIN, ValidationReport, _EntryRows, as_rational
 
 from helpers import (
     PRICED_WALK_FILLS,
@@ -132,9 +132,66 @@ def test_from_triples_names_the_first_fault(seed):
     assert str(info.value) == FAULTS[first][1]
 
 
-# the rows handed to _EntryRows.add_row, by what add makes of them: the
-# first two are clean, "repeat" is written and then undone, "unsorted" is
-# clean but goes to add, and the rest fault
+@pytest.mark.parametrize("seed", range(24))
+def test_from_triples_on_long_rows_is_the_per_entry_path(seed, monkeypatch):
+    """from_triples hands long ascending rows, listed in full or gapped, to
+    _EntryRows._add_row; with repeats, out-of-range and diagonal entries
+    planted in them it builds the matrix _add_each builds over the same
+    triples, or raises the same first ValueError."""
+    rng = random.Random(seed)
+    m = 48
+    rows = []
+    for e in range(m - 1):
+        fs = list(range(e + 1, m))
+        if rng.random() < 0.5:
+            for _ in range(rng.randrange(len(fs) // 4 + 1)):
+                fs.pop(rng.randrange(len(fs)))
+        rows.append([(e, f, rng.randint(1, 9)) for f in fs])
+    for _ in range(rng.randint(0, 3)):
+        # a fault inside a row long enough to be written at once, or a
+        # repeat next to its first listing, which is written and undone;
+        # rows 0 and 1 stay clean, so the walk always writes one of them
+        e = rng.randrange(2, m - _RUN_MIN)
+        row = rows[e]
+        k = rng.randrange(len(row))
+        _, f, value = row[k]
+        planted = [(e, f, value), (f, e, value), (e, e, 1), (e, m, 1), (e, -1, 1), (m, f, 1)]
+        if rng.random() < 0.25:
+            row.insert(k + 1, row[k])
+        else:
+            row.insert(rng.randint(0, len(row)), rng.choice(planted))
+    if rng.random() < 0.5:
+        # the cut end of a row first, as a slice of a file may start, before
+        # the walk's first long row
+        del rows[0][: -rng.randint(1, _RUN_MIN - 1)]
+    triples = [triple for row in rows for triple in row]
+    written = []
+    add_row = _EntryRows._add_row
+
+    def spying(self, e, fs, values):
+        written.append(e)
+        add_row(self, e, fs, values)
+
+    def per_entry():
+        rows = _EntryRows(m)
+        rows._add_each(*zip(*triples))
+        return rows.matrix()
+
+    def outcome(build):
+        try:
+            return build().rows
+        except ValueError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(_EntryRows, "_add_row", spying)
+    built = outcome(lambda: InteractionMatrix.from_triples(m, triples))
+    assert written
+    assert built == outcome(per_entry)
+
+
+# the rows handed to _EntryRows._add_row, by what _add_each makes of them:
+# the first two are clean, "repeat" is written and then undone, "unsorted"
+# is clean but goes to _add_each, and the rest fault
 ROW_KINDS = (
     "consecutive",
     "gapped",
@@ -183,8 +240,8 @@ def _row_of_kind(kind: str, rng: random.Random, m: int) -> tuple[int, list[int]]
 
 @pytest.mark.parametrize("seed", range(40))
 def test_add_run_is_add_over_the_run(seed):
-    """_EntryRows.add_row(e, fs, values) over a run fs = [f, f + 1, ...]
-    writes and raises exactly what add does over the entries (e, f),
+    """_EntryRows._add_row(e, fs, values) over a run fs = [f, f + 1, ...]
+    writes and raises exactly what _add_each does over the entries (e, f),
     (e, f + 1), ...: runs inside a row, runs whose cells were seen,
     flipped, diagonal, negative and past-the-end runs."""
     rng = random.Random(seed)
@@ -201,8 +258,8 @@ def test_add_run_is_add_over_the_run(seed):
         values = [rng.randint(1, 9) for _ in range(n)]
         outcomes = []
         for add in (
-            lambda: fast.add_row(e, fs, values),
-            lambda: slow.add(repeat(e), fs, values),
+            lambda: fast._add_row(e, fs, values),
+            lambda: slow._add_each(repeat(e), fs, values),
         ):
             try:
                 add()
@@ -217,11 +274,11 @@ def test_add_run_is_add_over_the_run(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_add_row_is_add_over_the_row(seed):
-    """_EntryRows.add_row(e, fs, values) writes and raises exactly what add
-    does over the entries (e, f) for f in fs: consecutive and gapped rows,
-    a repeated f (written, then undone), unsorted rows, f's on, left of or
-    below the diagonal and at or past m, cells seen before, and rows out of
-    range.  Each kind comes first, on a fresh matrix, at some seed."""
+    """_EntryRows._add_row(e, fs, values) writes and raises exactly what
+    _add_each does over the entries (e, f) for f in fs: consecutive and
+    gapped rows, a repeated f (written, then undone), unsorted rows, f's on,
+    left of or below the diagonal and at or past m, cells seen before, and
+    rows out of range.  Each kind comes first, on a fresh matrix, at some seed."""
     rng = random.Random(seed)
     m = 12
     fast, slow = _EntryRows(m), _EntryRows(m)
@@ -232,12 +289,12 @@ def test_add_row_is_add_over_the_row(seed):
             # a cell of the row, seen through the mirror pair
             f = rng.choice(fs)
             for rows in (fast, slow):
-                rows.add((f,), (e,), (7,))
+                rows._add_each((f,), (e,), (7,))
         values = [rng.choice([0, 1, 5, 9, Fraction(-2, 3)]) for _ in fs]
         outcomes = []
         for add in (
-            lambda: fast.add_row(e, fs, values),
-            lambda: slow.add(repeat(e), fs, values),
+            lambda: fast._add_row(e, fs, values),
+            lambda: slow._add_each(repeat(e), fs, values),
         ):
             try:
                 add()
@@ -502,7 +559,9 @@ def test_spp_agrees_with_brute_force_without_interaction():
         linear = tuple(Fraction(rng.randint(-4, 9)) for _ in range(g.m))
         spp = SppInstance(g, 0, n - 1, linear)
         _, cost = spp_solve(spp)
-        _, expected = brute_force_solve(zero_interaction_instance(spp))
+        _, expected = brute_force_solve(
+            QsppInstance(g, 0, n - 1, linear, InteractionMatrix.zero(g.m))
+        )
         assert cost == expected
 
 

@@ -119,18 +119,26 @@ def _raises(tree: ast.AST, scope: str = ""):
 
 
 def test_entry_faults_are_raised_only_by_the_entry_checker():
-    """_EntryRows.add_row writes a row with no check per entry and hands
-    any row that could fault to _EntryRows.add, so add alone raises the
-    faults of an entry, at the first one in file order, and add_row raises
-    nothing itself."""
+    """_EntryRows._add_row writes a row with no check per entry and hands
+    any row that could fault to _EntryRows._add_each, so _add_each alone
+    raises the faults of an entry, at the first one in file order, and
+    _add_row raises nothing itself."""
     faults = {
         (name, scope)
         for name in ("model.py", "fileio.py")
         for scope, exc in _raises(ast.parse((SOURCE / name).read_text(), name))
         if any(fault in exc for fault in ENTRY_FAULTS)
     }
-    assert faults == {("model.py", "_EntryRows.add")}
+    assert faults == {("model.py", "_EntryRows._add_each")}
     model = ast.parse((SOURCE / "model.py").read_text())
     entry_rows = next(n for n in model.body if isinstance(n, ast.ClassDef) and n.name == "_EntryRows")
-    add_row = next(n for n in entry_rows.body if isinstance(n, ast.FunctionDef) and n.name == "add_row")
+    add_row = next(n for n in entry_rows.body if isinstance(n, ast.FunctionDef) and n.name == "_add_row")
     assert [node.lineno for node in ast.walk(add_row) if isinstance(node, ast.Raise)] == []
+
+
+def test_rows_are_walked_only_by_the_entry_checker():
+    """_EntryRows.add alone decides which entries are written as whole rows,
+    so no module but model.py names the row writer, its threshold or the
+    walk's bisect_right."""
+    uses = _library_uses({"_add_row", "_RUN_MIN", "bisect_right"})
+    assert {use[0] for use in uses} == {"model.py"}

@@ -22,13 +22,19 @@ them exactly, as Fraction does (1.5 is 3/2, 1e3 is the int 1000); no value
 ever becomes a float.  Grid instances use the row-major vertex numbering, so
 a p-by-q grid vertex in row i, column j (1-based) is vertex (i-1)*q + (j-1).
 
-The emitter writes Q a row at a time: the nonzero cells right of the
-diagonal are picked by itertools.compress, named from a table of id strings
-built once, and each row is one join.  Values, of Q and of c, are written
-through a table from each whole number below m to its text, built once per
-file beside the id strings, so no number becomes text per cell; a row
-holding any other value (negative, a Fraction, or m and above) goes through
-str as a whole, as the parser's id columns fall back to int.
+The emitter writes Q a row at a time, right of the diagonal, each row one
+join.  A matrix from a seeded fill hands over its upper triangle with the
+fill's top, one more than the largest value it can draw (_triangle), and
+its cells are read from a table of the texts "f v" for every arc id f and
+every whole 0 < v < top, built once per file when it holds no more texts
+than Q has cells right of the diagonal; filter drops the zero cells, so no
+text is built per cell.  Every other matrix, and a row holding a value the
+table lacks (negative, a Fraction, top or above), goes the way the rows of
+any matrix go: itertools.compress picks the nonzero cells, named from a
+table of id strings, and their values, like the linear costs, are written
+through a table from each whole number below m to its text, or through str
+as a whole row when one misses it, as the parser's id columns fall back to
+int.
 
 The parser reads the text as a stream.  It splits one slice at a time,
 about 64 KiB cut at a newline (a text with no later newline is one slice),
@@ -55,8 +61,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import compress
-from operator import add
+from itertools import compress, repeat
+from operator import add, getitem
 from typing import Callable, Sequence, TypeVar
 
 from .errors import FormatError, InternalError
@@ -76,29 +82,55 @@ def _texts(values: Sequence[int | Fraction], texts: dict[int, str]) -> list[str]
         return list(map(str, values))
 
 
+def _cell_table(named: list[str], top: int) -> list[dict[int, str | None]]:
+    """table[f][v] is the text "f v" of a cell in column f holding the whole
+    number v, 0 < v < top, and None for v = 0, so that filter(None, ...)
+    drops the zero cells.  A dict, not a list, so that a negative value
+    misses the table rather than wrapping round to the end of it."""
+    values = list(map(str, range(1, top)))
+    return [dict(zip(range(top), [None, *map(add, repeat(name), values)])) for name in named]
+
+
 def emit_instance(inst: QsppInstance) -> str:
     """Canonical text form; parse(emit(x)) reproduces x exactly."""
     g = inst.graph
-    lines = ["QSPP 1", f"n {g.n}", f"m {g.m}", f"s {inst.source}", f"t {inst.target}"]
+    m = g.m
+    lines = ["QSPP 1", f"n {g.n}", f"m {m}", f"s {inst.source}", f"t {inst.target}"]
     for arc_id, arc in enumerate(g.arcs):
         lines.append(f"arc {arc_id} {arc.head} {arc.tail}")
     # the text of each whole number below m, once per file: as a value, and
     # with a space after it as an id
-    texts = dict(enumerate(map(str, range(g.m))))
+    texts = dict(enumerate(map(str, range(m))))
     named = [text + " " for text in texts.values()]
     lines.append("c")
     lines.append(" ".join(_texts(inst.linear, texts)))
-    # Q a row at a time: compress picks the nonzero cells right of the
-    # diagonal, each named by "<f> " from a table, and one join writes the row
+    # Q a row at a time, right of the diagonal, each row one join: from a
+    # seeded fill's triangle through the cell table, when that holds at most
+    # as many texts as there are such cells, and otherwise by compress
+    triangle = inst.interaction._triangle()
+    if triangle is None:
+        uppers = (row[e + 1 :] for e, row in enumerate(inst.interaction.rows))
+        cells = None
+    else:
+        uppers, top = triangle
+        cells = _cell_table(named, top) if m * top <= m * (m - 1) // 2 else None
     count = 0
     blocks = []
-    for e, row in enumerate(inst.interaction.rows):
-        upper = row[e + 1 :]
-        values = _texts(list(compress(upper, upper)), texts)
-        cells = list(map(add, compress(named[e + 1 :], upper), values))
-        if cells:
-            count += len(cells)
-            blocks.append(named[e] + ("\n" + named[e]).join(cells))
+    for e, upper in enumerate(uppers):
+        row = None
+        if cells is not None:
+            try:
+                row = list(filter(None, map(getitem, cells[e + 1 :], upper)))
+            except KeyError:
+                pass
+        if row is None:
+            # compress picks the nonzero cells, each named by "<f> " from a
+            # table and given its value's text
+            values = _texts(list(compress(upper, upper)), texts)
+            row = list(map(add, compress(named[e + 1 :], upper), values))
+        if row:
+            count += len(row)
+            blocks.append(named[e] + ("\n" + named[e]).join(row))
     lines.append(f"Q sparse {count}")
     lines.extend(blocks)
     return "\n".join(lines) + "\n"

@@ -5,15 +5,16 @@ fixed seed reproduces an instance bit for bit.  Fillers draw a whole column
 of values at once, taking from the stream exactly what one randint call
 per value would; values below 255 are decoded, a whole pass at a time, from
 the top bytes of the Mersenne words one getrandbits call returns (_drawn).
+
 The random, weak-sum and product fills set every cell of Q by
-construction, so they hand its finished rows, symmetric with a zero
-diagonal, to the matrix unchecked: a weak-sum or product row is one map
-over the per-arc vector.  The random fill lays Q out in one flat row-major
-buffer (a bytearray when its values fit a byte) and slice-assigns each
-row's draws, in row-major pair order, right of the diagonal and down the
-column below it.  The adjacent fill names only some pairs and goes through
-the entry checker.  They return problem-definition data (symmetric, zero
-diagonal, nonnegative).
+construction, so they compute only its upper triangle, row e being its
+m - 1 - e cells right of the diagonal, and hand it unchecked to
+InteractionMatrix._of_upper with top, one more than the largest value the
+fill can draw: the random fill cuts its draws, already in row-major pair
+order, into consecutive slices, and a weak-sum or product row is one map
+over the per-arc vector (_outer_upper).  The adjacent fill names only some
+pairs and goes through the entry checker.  The fills return
+problem-definition data (symmetric, zero diagonal, nonnegative).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import random
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Callable, Iterator
+from typing import Callable
 
 from .adjacent import _adjacent
 from .graphs import Digraph, _check_vertex_count, make_complete_symmetric
@@ -37,7 +38,8 @@ _BYTES = bytes(range(256))
 def _drawn(rng: random.Random, hi: int, count: int) -> bytes | list[int]:
     """What ``count`` calls of rng.randint(0, hi) return, value for value,
     leaving rng in the same state, through getrandbits alone: bytes when
-    hi < 255, else a list.
+    hi < 255, else a list.  Like randint, it raises ValueError for hi < 0,
+    unless count is 0.
 
     Each try of randint's rejection loop takes getrandbits(k),
     k = (hi + 1).bit_length(), again while the value exceeds hi (so hi = 0
@@ -49,6 +51,8 @@ def _drawn(rng: random.Random, hi: int, count: int) -> bytes | list[int]:
     Each pass draws one word per value still missing, never more, so the
     stream stops where randint's would.
     """
+    if hi < 0 < count:
+        raise ValueError(f"empty range for randint(0, {hi})")
     n = hi + 1
     k = n.bit_length()
     getrandbits = rng.getrandbits
@@ -74,13 +78,13 @@ def _draws(rng: random.Random, hi: int, count: int) -> list[int]:
     return list(_drawn(rng, hi, count))
 
 
-def _outer_rows(a: list[int], op: Callable[[int, int], int]) -> Iterator[list[int]]:
-    """Row e of the matrix op(a[e], a[f]) with a zero diagonal, one row at a
-    time."""
-    for e, x in enumerate(a):
-        row = list(map(op, repeat(x), a))
-        row[e] = 0
-        yield row
+def _outer_upper(a: list[int], op: Callable[[int, int], int], top: int) -> InteractionMatrix:
+    """The matrix op(a[e], a[f]) off the diagonal, its values below top;
+    row e of its upper triangle is one map over a[e+1:], into bytes when
+    top <= 256, as the random fill's draws are, else into a list."""
+    row = bytes if top <= 256 else list
+    uppers = [row(map(op, repeat(x), a[e + 1 :])) for e, x in enumerate(a)]
+    return InteractionMatrix._of_upper(uppers, top)
 
 
 def fill_zero(g: Digraph) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
@@ -93,17 +97,13 @@ def fill_random(
     """Uniform integer interactions on every arc pair, zero linear costs."""
     m = g.m
     drawn = _drawn(rng, max_entry, m * (m - 1) // 2)
-    # Q row-major in one buffer: the draws of row e, pairs e < f in order,
-    # go right of its diagonal and down column e below it
-    flat = bytearray(m * m) if max_entry < 256 else [0] * (m * m)
+    # the draws are in row-major pair order: row e takes the next m - 1 - e
+    uppers = []
     start = 0
     for e in range(m):
-        row = drawn[start : start + m - 1 - e]
+        uppers.append(drawn[start : start + m - 1 - e])
         start += m - 1 - e
-        flat[e * m + e + 1 : (e + 1) * m] = row
-        flat[(e + 1) * m + e :: m] = row
-    rows = [tuple(flat[i : i + m]) for i in range(0, m * m, m)]
-    return (0,) * m, InteractionMatrix._of_exact(rows)
+    return (0,) * m, InteractionMatrix._of_upper(uppers, max_entry + 1)
 
 
 def fill_weak_sum(
@@ -111,7 +111,7 @@ def fill_weak_sum(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Interactions a[e] + a[f] for a random per-arc vector a, zero linear costs."""
     a = _draws(rng, max_entry, g.m)
-    return (0,) * g.m, InteractionMatrix._of_exact(_outer_rows(a, add))
+    return (0,) * g.m, _outer_upper(a, add, 2 * max_entry + 1)
 
 
 def fill_product(
@@ -119,8 +119,7 @@ def fill_product(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Rank-one data: interactions a[e]*a[f], linear costs a[e] squared."""
     a = _draws(rng, max_entry, g.m)
-    matrix = InteractionMatrix._of_exact(_outer_rows(a, mul))
-    return tuple(v * v for v in a), matrix
+    return tuple(v * v for v in a), _outer_upper(a, mul, max_entry**2 + 1)
 
 
 def fill_adjacent(

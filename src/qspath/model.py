@@ -19,11 +19,11 @@ graphs instead.
 Every matrix built from off-diagonal entries (from_triples, from_entries,
 the adjacent fill and the parser of sparse files) is checked and written by
 one entry checker, _EntryRows, which finds a repeated pair in a bitmap of
-seen cells.  The random, weak-sum and product fills, scaled and
-normalize_knstar set every cell by construction and hand their finished
-rows to _of_exact instead, and tests/test_source.py keeps _of_exact to
-them; any other rows go through the coercing constructor, which checks
-them.
+seen cells.  zero, scaled and normalize_knstar set every cell by
+construction and hand their finished rows to _of_exact instead; the random,
+weak-sum and product fills hand the upper triangle of Q to _of_upper, which
+alone mirrors one, and tests/test_source.py keeps both to these builders.
+Any other rows go through the coercing constructor, which checks them.
 
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
 the earliest enumerated optimum, and the shortest-path solvers only ever
@@ -231,9 +231,12 @@ class InteractionMatrix:
     not symmetric, then not zero on the diagonal.  zero, from_entries,
     from_triples, scaled and the builders elsewhere that set every cell
     themselves produce the invariant and skip the check through _of_exact.
+    The seeded fills that set every cell give only the upper triangle, to
+    _of_upper, which keeps it until the rows are first read and then drops
+    it.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_upper")
 
     def __init__(self, rows: Iterable[Iterable[object]]):
         mat = tuple(rational_vector(row) for row in rows)
@@ -249,6 +252,7 @@ class InteractionMatrix:
         if any(row[e] for e, row in enumerate(mat)):
             raise ValueError("interaction matrix must have a zero diagonal")
         self.rows: tuple[tuple[Fraction, ...], ...] = mat
+        self._upper = None
 
     @classmethod
     def _of_exact(cls, rows: Iterable[Iterable[int | Fraction]]) -> "InteractionMatrix":
@@ -256,7 +260,45 @@ class InteractionMatrix:
         the caller guarantees symmetry and a zero diagonal."""
         matrix = object.__new__(cls)
         matrix.rows = tuple(map(tuple, rows))
+        matrix._upper = None
         return matrix
+
+    @classmethod
+    def _of_upper(cls, uppers: Sequence[Sequence[int]], top: int) -> "InteractionMatrix":
+        """The matrix whose row e holds uppers[e], its m - 1 - e cells right
+        of the diagonal, checking nothing: the caller guarantees that every
+        value is a whole number in range(top).  The rows are mirrored from
+        the triangle on their first read, so a matrix only written to a file
+        never builds its m*m cells."""
+        matrix = object.__new__(cls)
+        matrix._upper = (uppers, top)
+        return matrix
+
+    def __getattr__(self, name: str):
+        # called only for an unset slot: rows, on a matrix from _of_upper
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.rows = rows = self._mirrored()
+        self._upper = None
+        return rows
+
+    def _triangle(self) -> tuple[Sequence[Sequence[int]], int] | None:
+        """(uppers, top) as given to _of_upper, while the rows are not yet
+        built; None for every other matrix."""
+        return self._upper
+
+    def _mirrored(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of the upper triangle kept by _of_upper.  Q is laid out
+        row-major in one flat buffer, a bytearray when top <= 256 and a list
+        otherwise; row e's cells go right of its diagonal in one slice and
+        down column e below it in one strided slice."""
+        uppers, top = self._upper
+        m = len(uppers)
+        flat = bytearray(m * m) if top <= 256 else [0] * (m * m)
+        for e, upper in enumerate(uppers):
+            flat[e * m + e + 1 : (e + 1) * m] = upper
+            flat[(e + 1) * m + e :: m] = upper
+        return tuple(tuple(flat[e * m : (e + 1) * m]) for e in range(m))
 
     @classmethod
     def zero(cls, m: int) -> "InteractionMatrix":
@@ -297,7 +339,7 @@ class InteractionMatrix:
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return len(self.rows if self._upper is None else self._upper[0])
 
     def at(self, e: int, f: int) -> Fraction:
         return self.rows[e][f]

@@ -2,14 +2,26 @@ from fractions import Fraction
 
 import pytest
 
+import random
+
 import qspath.cli
 from qspath import (
+    InteractionMatrix,
+    QsppInstance,
     emit_instance,
+    make_complete_symmetric,
     make_cyclic_counterexample,
+    make_directed_cycle,
+    make_grid,
+    make_hypercube,
+    make_tournament,
     normalize_knstar,
     parse_instance,
 )
 from qspath.cli import build_parser, main
+from qspath.generate import filled_instance
+
+from helpers import naive_emit, randint_fill
 
 
 def run(capsys, *argv):
@@ -42,6 +54,79 @@ def test_generate_requires_seed_for_random_fills(capsys):
     code, _, err = run(capsys, "generate", "grid", "2", "2", "--fill", "random")
     assert code == 2
     assert "seed" in err
+
+
+# generate families with the graph each builds, and the seeds each runs
+GENERATED = [
+    (["grid", "3", "4"], make_grid(3, 4), (1, 2, 3)),
+    (["grid", "9", "9"], make_grid(9, 9), (1,)),
+    (["complete", "5"], make_complete_symmetric(5, simplified=True, source=0, target=4), (1, 2)),
+    (["complete", "4", "--full"], make_complete_symmetric(4, simplified=False, source=0, target=3), (1,)),
+    (["cycle", "6"], make_directed_cycle(6), (1, 2)),
+    (["hypercube", "3"], make_hypercube(3), (1, 2)),
+    (["tournament", "5", "--orientation", "619"], make_tournament(5, 619), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("fill", ["zero", "random", "weak-sum", "product", "adjacent"])
+def test_generate_writes_the_naive_text_of_the_randint_fill(capsys, fill):
+    """generate's file is emit_instance's of filled_instance, and it is also
+    naive_emit's of the instance whose Q randint draws one pair at a time,
+    on every family with a fill, every container the draws and the rows
+    use (bytes below 255, lists above; a byte buffer up to 256) and tops on
+    both sides of the cell table's bound."""
+    for params, g, seeds in GENERATED:
+        for max_entry in (0, 1, 9, 127, 128, 254, 255, 256, 1000):
+            for seed in seeds:
+                code, out, err = run(capsys, "generate", *params, "--fill", fill,
+                                     "--seed", str(seed), "--max-entry", str(max_entry))
+                assert (code, err) == (0, "")
+                inst = filled_instance(g, 0, g.n - 1, fill, seed, max_entry)
+                assert out == emit_instance(inst)
+                if fill == "zero":
+                    linear, rows = (0,) * g.m, ((0,) * g.m,) * g.m
+                else:
+                    hi = min(max_entry, 3) if fill == "product" else max_entry
+                    linear, rows = randint_fill(g, fill, random.Random(seed), hi)
+                drawn = QsppInstance(g, 0, g.n - 1, linear, InteractionMatrix(rows))
+                assert out == naive_emit(drawn) == naive_emit(inst)
+
+
+def test_generate_builds_no_rows_of_a_dense_fill(capsys, monkeypatch):
+    monkeypatch.setattr(InteractionMatrix, "_mirrored", None)
+    for fill in ("random", "weak-sum", "product"):
+        code, out, err = run(capsys, "generate", "grid", "4", "4", "--fill", fill, "--seed", "1")
+        assert (code, err) == (0, "")
+    monkeypatch.undo()
+    assert parse_instance(out) == filled_instance(make_grid(4, 4), 0, 15, "product", 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grid", "3", "3", "--fill", "zero", "--max-entry", "-1"],
+         "generate grid: --max-entry must not be negative, got -1"),
+        (["cycle", "5", "--fill", "random", "--seed", "1", "--max-entry", "-7"],
+         "generate cycle: --max-entry must not be negative, got -7"),
+        (["hypercube", "3", "--fill", "adjacent", "--max-entry", "-1"],
+         "generate hypercube: --max-entry must not be negative, got -1"),
+        (["grid", "3", "3", "--fill", "random"], "generate grid: fill 'random' needs a seed"),
+        (["complete", "5", "--fill", "weak-sum"], "generate complete: fill 'weak-sum' needs a seed"),
+        (["tournament", "4", "--orientation", "5", "--fill", "product"],
+         "generate tournament: fill 'product' needs a seed"),
+        (["grid", "1", "4", "--fill", "random", "--seed", "1"],
+         "generate grid: grid needs p >= 2 and q >= 2"),
+        (["grid", "3", "0", "--fill", "random", "--max-entry", "-1"],
+         "generate grid: grid needs p >= 2 and q >= 2"),
+        (["complete", "1", "--fill", "random", "--seed", "1"], "generate complete: need n >= 2"),
+        (["cycle", "1", "--fill", "zero"], "generate cycle: need n >= 2"),
+        (["hypercube", "0", "--fill", "zero"], "generate hypercube: need n >= 1"),
+        (["tournament", "4", "--fill", "random"], "tournament needs --orientation or --seed"),
+    ],
+)
+def test_generate_refuses_bad_fill_arguments_with_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, "generate", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_calls_in_one_process_share_the_parser_and_no_state(capsys):

@@ -357,6 +357,121 @@ def test_emit_matches_the_naive_emitter():
     assert any(re.search(r"\n\d+ \d+ -\d+/\d+\n", text) for text in texts)
 
 
+def _emit_from_upper(g, uppers, top, linear=None):
+    """emit_instance's text of the matrix that keeps this upper triangle and
+    top, whether or not its values keep _of_upper's promise (the cell table
+    trusts no top), of the same matrix from its rows, and naive_emit's."""
+    m = g.m
+    rows = [[0] * m for _ in range(m)]
+    for e, upper in enumerate(uppers):
+        for f, value in enumerate(upper, e + 1):
+            rows[e][f] = rows[f][e] = value
+    linear = (0,) * m if linear is None else linear
+    inst = QsppInstance(g, 0, g.n - 1, linear, InteractionMatrix(rows))
+    kept = QsppInstance(g, 0, g.n - 1, linear, InteractionMatrix._of_upper(uppers, top))
+    return emit_instance(kept), emit_instance(inst), naive_emit(inst)
+
+
+def test_cell_table_writes_what_the_naive_emitter_writes():
+    """The table of "f v" texts holds the whole numbers 0 <= v < top; every
+    other value sends its row, and only its row, through str."""
+    g = make_grid(3, 4)  # m = 17, so the table is built for top <= 8
+    m = g.m
+    assert m * 8 <= m * (m - 1) // 2 < m * 9
+    rng = random.Random(4)
+
+    def upper(values):
+        return [[rng.choice(values) for _ in range(m - 1 - e)] for e in range(m)]
+
+    cases = [
+        # negative values, where an index into a list would wrap round
+        (upper([0, 1, 2, -1]), 3),
+        (upper([0, -1, -7, -8]), 8),
+        # Fractions, whole or not
+        (upper([0, 1, Fraction(1, 2), Fraction(-7, 3)]), 4),
+        (upper([0, 2, Fraction(4, 2)]), 4),
+        # the values top - 1 and top
+        (upper([0, 7]), 8),
+        (upper([0, 1, 8]), 8),
+        # all zero, with a table and without one
+        ([[0] * (m - 1 - e) for e in range(m)], 1),
+        ([bytes(m - 1 - e) for e in range(m)], 0),
+        # bytes rows, as the random fill cuts them
+        ([bytes(rng.randrange(8) for _ in range(m - 1 - e)) for e in range(m)], 8),
+        # values far past the cell count, and a top whose table would hold
+        # more texts than Q has cells, so none is built
+        (upper([0, 10**30, 3]), 10**30 + 1),
+        (upper([0, 1, 2]), 9),
+        (upper([0, 250, 255]), 256),
+    ]
+    # only some rows fall back: rows 3 and 11 hold values the table lacks
+    mixed = upper([0, 1, 2, 3])
+    mixed[3][0], mixed[11][4] = -2, Fraction(5, 3)
+    cases.append((mixed, 4))
+    for uppers, top in cases:
+        ours, adapted, naive = _emit_from_upper(g, uppers, top)
+        assert ours == adapted == naive
+    # a linear cost vector off the value table, beside a Q on the cell table
+    linear = (Fraction(-1, 2), m, -3) + (1,) * (m - 3)
+    ours, adapted, naive = _emit_from_upper(g, upper([0, 1, 5]), 6, linear)
+    assert ours == adapted == naive
+    # a small m with large values: no table at all
+    k = make_complete_symmetric(3, simplified=True)
+    uppers = [[rng.randrange(1000) for _ in range(k.m - 1 - e)] for e in range(k.m)]
+    ours, adapted, naive = _emit_from_upper(k, uppers, 1000)
+    assert ours == adapted == naive
+
+
+def test_cell_table_is_built_only_up_to_the_cell_count(monkeypatch):
+    built = []
+    real = fileio._cell_table
+
+    def counted(named, top):
+        built.append((len(named), top))
+        return real(named, top)
+
+    monkeypatch.setattr(fileio, "_cell_table", counted)
+    g = make_grid(3, 4)
+    for top in (0, 1, 8, 9, 10**6):
+        _emit_from_upper(g, [[0] * (g.m - 1 - e) for e in range(g.m)], top)
+    # only the kept triangles with m * top <= m(m - 1)/2 = 136 get one; the
+    # same matrices built from rows get none
+    assert built == [(g.m, 0), (g.m, 1), (g.m, 8)]
+
+
+def test_cell_table_serves_only_a_kept_triangle(monkeypatch):
+    """A matrix that has only rows (the zero and adjacent fills, a parsed
+    file, a scaled Q, a filled Q whose rows were read) is written by
+    compress, with no table and no scan for its largest value."""
+    monkeypatch.setattr(fileio, "_cell_table", None)
+    g = make_grid(4, 4)
+    filled = filled_instance(g, 0, g.n - 1, "weak-sum", seed=2)
+    filled.interaction.rows
+    instances = [
+        filled,
+        filled_instance(g, 0, g.n - 1, "zero"),
+        filled_instance(g, 0, g.n - 1, "adjacent", seed=2),
+        parse_instance(naive_emit(filled)),
+        QsppInstance(g, 0, g.n - 1, filled.linear, filled.interaction.scaled(Fraction(1, 3))),
+    ]
+    for inst in instances:
+        assert inst.interaction._triangle() is None
+        assert emit_instance(inst) == naive_emit(inst)
+
+
+def test_emit_writes_a_filled_instance_without_building_its_rows(monkeypatch):
+    """An instance from a random, weak-sum or product fill is written from
+    the fill's upper triangle; its m*m rows are built only when something
+    reads them."""
+    g = make_grid(4, 5)
+    for fill in ("random", "weak-sum", "product"):
+        inst = filled_instance(g, 0, g.n - 1, fill, seed=3)
+        monkeypatch.setattr(InteractionMatrix, "_mirrored", None)
+        text = emit_instance(inst)
+        monkeypatch.undo()
+        assert text == naive_emit(inst)
+
+
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 

@@ -17,7 +17,16 @@ from qspath import (
     make_hypercube,
     make_tournament,
 )
-from qspath.generate import FILLS, _draws, fill_random, random_digraph, random_qap
+from qspath.generate import (
+    FILLS,
+    _drawn,
+    _draws,
+    fill_random,
+    fill_weak_sum,
+    random_digraph,
+    random_qap,
+)
+from qspath.model import InteractionMatrix
 
 from helpers import randint_fill, traced_peak
 
@@ -47,6 +56,95 @@ def test_no_draws_leave_the_generator_untouched():
     ours, theirs = random.Random(5), random.Random(5)
     assert _draws(ours, 9, 0) == []
     assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+@pytest.mark.parametrize("hi", [-1, -2, -255, -256, -(2**40)])
+def test_an_empty_range_raises_as_randint_does(hi):
+    """randint(0, hi) raises ValueError for hi < 0, so the draws do too
+    rather than loop for ever; no draws at all still return empty."""
+    with pytest.raises(ValueError):
+        random.Random(1).randint(0, hi)
+    for count in (1, 5, 300):
+        with pytest.raises(ValueError, match="empty range"):
+            _drawn(random.Random(1), hi, count)
+    rng, theirs = random.Random(1), random.Random(1)
+    assert list(_drawn(rng, hi, 0)) == []
+    assert rng.getrandbits(64) == theirs.getrandbits(64)
+
+
+def test_fills_and_qap_data_refuse_a_negative_max_entry():
+    g = make_grid(2, 2)
+    for fill in ("random", "weak-sum", "product", "adjacent"):
+        with pytest.raises(ValueError, match="empty range"):
+            FILLS[fill](g, random.Random(1), -1)
+    with pytest.raises(ValueError, match="empty range"):
+        random_qap(3, random.Random(1), -1)
+
+
+def _mirror(uppers):
+    """The rows of a symmetric zero-diagonal matrix, one cell at a time."""
+    m = len(uppers)
+    rows = [[0] * m for _ in range(m)]
+    for e, upper in enumerate(uppers):
+        for f, value in enumerate(upper, e + 1):
+            rows[e][f] = rows[f][e] = value
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("top", [1, 2, 10, 255, 256, 257, 1000])
+def test_of_upper_mirrors_bytes_and_lists_like_a_naive_mirror(top):
+    rng = random.Random(top)
+    for m in (0, 1, 2, 3, 7, 40):
+        lists = [[rng.randrange(top) for _ in range(m - 1 - e)] for e in range(m)]
+        forms = [lists, [tuple(row) for row in lists]]
+        if top <= 256:
+            forms.append([bytes(row) for row in lists])
+        for uppers in forms:
+            matrix = InteractionMatrix._of_upper(uppers, top)
+            assert matrix.m == m
+            assert matrix._triangle() == (uppers, top)
+            # the rows are built on their first read, not before, and the
+            # triangle is dropped once they are
+            with pytest.raises(AttributeError):
+                object.__getattribute__(matrix, "rows")
+            assert matrix.rows == _mirror(lists)
+            assert matrix.rows is matrix.rows
+            assert matrix._triangle() is None
+            assert matrix.m == m
+            assert matrix == InteractionMatrix(_mirror(lists))
+
+
+def _old_outer_rows(a, op):
+    """The weak-sum and product rows built whole: op(a[e], a[f]) in every
+    cell, then a zero diagonal."""
+    rows = []
+    for e, x in enumerate(a):
+        row = [op(x, y) for y in a]
+        row[e] = 0
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("fill", ["random", "weak-sum", "product"])
+def test_fill_triangles_mirror_into_the_rows_the_fills_built(fill):
+    """Each dense fill's upper triangle stays below its top (the mirror
+    lays out a byte buffer on that promise) and mirrors into the rows
+    randint draws."""
+    for g in _graphs():
+        for max_entry in (0, 1, 9, 127, 128, 255, 256):
+            seed = 7 * g.m + max_entry
+            linear, matrix = FILLS[fill](g, random.Random(seed), max_entry)
+            uppers, top = matrix._triangle()
+            assert [len(upper) for upper in uppers] == list(range(g.m - 1, -1, -1))
+            if fill != "random":
+                # a byte per cell while the values fit one
+                assert {type(upper) for upper in uppers} == {bytes if top <= 256 else list}
+            assert all(0 <= v < top for upper in uppers for v in upper)
+            assert matrix.rows == _mirror(uppers)
+            assert (linear, matrix.rows) == randint_fill(g, fill, random.Random(seed), max_entry)
+    g = make_grid(3, 4)
+    a = _draws(random.Random(5), 9, g.m)
+    assert fill_weak_sum(g, random.Random(5))[1].rows == _old_outer_rows(a, int.__add__)
 
 
 def _graphs():

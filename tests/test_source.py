@@ -29,9 +29,6 @@ OF_EXACT_BUILDERS = {
     ("model.py", "InteractionMatrix.zero"),
     ("model.py", "InteractionMatrix.scaled"),
     ("model.py", "_EntryRows.matrix"),
-    ("generate.py", "fill_random"),
-    ("generate.py", "fill_weak_sum"),
-    ("generate.py", "fill_product"),
     ("complete.py", "normalize_knstar"),
 }
 
@@ -69,6 +66,42 @@ def test_unchecked_matrix_wrapper_is_used_only_by_the_builders():
     assert strays == []
     # and the list names no builder that has stopped using it
     assert {use[:2] for use in uses} == OF_EXACT_BUILDERS
+
+
+def _strided_stores(tree: ast.AST, scope: str = ""):
+    """(enclosing qualified name, line) of every store into a slice with a
+    step, such as flat[start::m] = row, in the manner of _uses."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _strided_stores(node, f"{scope}.{node.name}" if scope else node.name)
+        else:
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.slice, ast.Slice)
+                and node.slice.step is not None
+            ):
+                yield scope, node.lineno
+            yield from _strided_stores(node, scope)
+
+
+def test_the_upper_triangle_is_mirrored_in_one_place():
+    """The random fill, and the weak-sum and product fills through
+    _outer_upper, hand the upper triangle of Q, unchecked, to
+    InteractionMatrix._of_upper, and its _mirrored alone lays out its rows,
+    down each column in a strided slice; no other code in generate.py or
+    model.py writes a strided slice."""
+    stores = {
+        (name, scope)
+        for name in ("generate.py", "model.py")
+        for scope, _ in _strided_stores(ast.parse((SOURCE / name).read_text(), name))
+    }
+    assert stores == {("model.py", "InteractionMatrix._mirrored")}
+    uses = _library_uses({"_of_upper"})
+    assert {use[:2] for use in uses} == {
+        ("generate.py", "fill_random"),
+        ("generate.py", "_outer_upper"),
+    }
 
 
 def test_oracle_kernels_are_called_only_by_the_oracle():

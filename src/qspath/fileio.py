@@ -24,17 +24,16 @@ a p-by-q grid vertex in row i, column j (1-based) is vertex (i-1)*q + (j-1).
 
 The emitter writes Q a row at a time, right of the diagonal, each row one
 join.  A matrix from a seeded fill hands over its upper triangle with the
-fill's top, one more than the largest value it can draw (_triangle), and
-its cells are read from a table of the texts "f v" for every arc id f and
-every whole 0 < v < top, built once per file when it holds no more texts
-than Q has cells right of the diagonal; filter drops the zero cells, so no
-text is built per cell.  Every other matrix, and a row holding a value the
-table lacks (negative, a Fraction, top or above), goes the way the rows of
-any matrix go: itertools.compress picks the nonzero cells, named from a
-table of id strings, and their values, like the linear costs, are written
-through a table from each whole number below m to its text, or through str
-as a whole row when one misses it, as the parser's id columns fall back to
-int.
+fill's top (_triangle); _of_upper's promise puts every value in range(top),
+so its cells are read from a table of the texts "f v" for every arc id f
+and every whole 0 < v < top, built once per file when it holds no more
+texts than Q has cells right of the diagonal; filter drops the zero cells,
+so no text is built per cell.  Every other matrix, and a triangle too
+large for the table, goes the way the rows of any matrix go:
+itertools.compress picks the nonzero cells, named from a table of id
+strings, and their values, like the linear costs, are written through a
+table from each whole number below m to its text, or through str as a
+whole row when one misses it, as the parser's id columns fall back to int.
 
 The parser reads the text as a stream.  It splits one slice at a time,
 about 64 KiB cut at a newline (a text with no later newline is one slice),
@@ -85,8 +84,8 @@ def _texts(values: Sequence[int | Fraction], texts: dict[int, str]) -> list[str]
 def _cell_table(named: list[str], top: int) -> list[dict[int, str | None]]:
     """table[f][v] is the text "f v" of a cell in column f holding the whole
     number v, 0 < v < top, and None for v = 0, so that filter(None, ...)
-    drops the zero cells.  A dict, not a list, so that a negative value
-    misses the table rather than wrapping round to the end of it."""
+    drops the zero cells.  A dict, not a list, so that any value outside
+    range(top) raises KeyError; a list would wrap a negative one round."""
     values = list(map(str, range(1, top)))
     return [dict(zip(range(top), [None, *map(add, repeat(name), values)])) for name in named]
 
@@ -117,13 +116,9 @@ def emit_instance(inst: QsppInstance) -> str:
     count = 0
     blocks = []
     for e, upper in enumerate(uppers):
-        row = None
         if cells is not None:
-            try:
-                row = list(filter(None, map(getitem, cells[e + 1 :], upper)))
-            except KeyError:
-                pass
-        if row is None:
+            row = list(filter(None, map(getitem, cells[e + 1 :], upper)))
+        else:
             # compress picks the nonzero cells, each named by "<f> " from a
             # table and given its value's text
             values = _texts(list(compress(upper, upper)), texts)

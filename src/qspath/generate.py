@@ -4,7 +4,8 @@ All randomness flows through an explicit random.Random instance so that a
 fixed seed reproduces an instance bit for bit.  Fillers draw a whole column
 of values at once, taking from the stream exactly what one randint call
 per value would; values below 255 are decoded, a whole pass at a time, from
-the top bytes of the Mersenne words one getrandbits call returns (_drawn).
+the top bytes of the Mersenne words one getrandbits call returns (_drawn),
+and the fills use the bytes or list it returns as they are.
 
 The random, weak-sum and product fills set every cell of Q by
 construction, so they compute only its upper triangle, row e being its
@@ -22,7 +23,7 @@ import random
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Callable
+from typing import Callable, Sequence
 
 from .adjacent import _adjacent
 from .graphs import Digraph, _check_vertex_count, make_complete_symmetric
@@ -73,12 +74,7 @@ def _drawn(rng: random.Random, hi: int, count: int) -> bytes | list[int]:
     return out
 
 
-def _draws(rng: random.Random, hi: int, count: int) -> list[int]:
-    """The values of _drawn(rng, hi, count) as a list."""
-    return list(_drawn(rng, hi, count))
-
-
-def _outer_upper(a: list[int], op: Callable[[int, int], int], top: int) -> InteractionMatrix:
+def _outer_upper(a: Sequence[int], op: Callable[[int, int], int], top: int) -> InteractionMatrix:
     """The matrix op(a[e], a[f]) off the diagonal, its values below top;
     row e of its upper triangle is one map over a[e+1:], into bytes when
     top <= 256, as the random fill's draws are, else into a list."""
@@ -110,7 +106,7 @@ def fill_weak_sum(
     g: Digraph, rng: random.Random, max_entry: int = 9
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Interactions a[e] + a[f] for a random per-arc vector a, zero linear costs."""
-    a = _draws(rng, max_entry, g.m)
+    a = _drawn(rng, max_entry, g.m)
     return (0,) * g.m, _outer_upper(a, add, 2 * max_entry + 1)
 
 
@@ -118,7 +114,7 @@ def fill_product(
     g: Digraph, rng: random.Random, max_entry: int = 3
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Rank-one data: interactions a[e]*a[f], linear costs a[e] squared."""
-    a = _draws(rng, max_entry, g.m)
+    a = _drawn(rng, max_entry, g.m)
     return tuple(v * v for v in a), _outer_upper(a, mul, max_entry**2 + 1)
 
 
@@ -138,7 +134,7 @@ def fill_adjacent(
         )
         es.extend(repeat(e, len(near)))
         fs.extend(near)
-    values = _draws(rng, max_entry, len(es))
+    values = _drawn(rng, max_entry, len(es))
     return (0,) * g.m, InteractionMatrix.from_triples(g.m, zip(es, fs, values))
 
 
@@ -181,10 +177,17 @@ def filled_instance(
     return QsppInstance(g, source, target, linear, matrix)
 
 
+def _check_density(density: float) -> None:
+    # the negated test also refuses NaN, which every comparison fails
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must be in [0, 1], got {density}")
+
+
 def random_dag(n: int, density: float, rng: random.Random) -> Digraph:
     """Random DAG on vertices 0..n-1 with arcs i -> j, i < j, kept with the
     given probability."""
     _check_vertex_count(n)
+    _check_density(density)
     arcs = [
         (i, j)
         for i in range(n)
@@ -197,6 +200,7 @@ def random_dag(n: int, density: float, rng: random.Random) -> Digraph:
 def random_digraph(n: int, density: float, rng: random.Random) -> Digraph:
     """Random digraph (cycles allowed) over all ordered pairs."""
     _check_vertex_count(n)
+    _check_density(density)
     arcs = [
         (u, v)
         for u in range(n)
@@ -234,13 +238,13 @@ def random_qap(n: int, rng: random.Random, max_entry: int = 9) -> QapInstance:
 
     def symmetric() -> list[list[Fraction]]:
         rows = [[0] * n for _ in range(n)]
-        values = iter(_draws(rng, max_entry, n * (n + 1) // 2))
+        values = iter(_drawn(rng, max_entry, n * (n + 1) // 2))
         for i in range(n):
             for j, v in zip(range(i, n), values):
                 rows[i][j] = v
                 rows[j][i] = v
         return rows
 
-    drawn = _draws(rng, max_entry, n * n)
+    drawn = _drawn(rng, max_entry, n * n)
     square = [drawn[i : i + n] for i in range(0, n * n, n)]
     return QapInstance(n, symmetric(), symmetric(), square)

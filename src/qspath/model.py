@@ -80,11 +80,16 @@ def rational_vector(values: Iterable[object]) -> tuple[int | Fraction, ...]:
 
 def rational_tokens(tokens: Sequence[str]) -> list[int | Fraction]:
     """as_rational over string tokens, with a column of whole numbers read
-    in one int pass; raises what as_rational raises on a bad token."""
+    in one int pass; raises what as_rational raises on the first bad token.
+
+    Any other column reads each distinct token once, in the order it first
+    appears, and looks the rest up: a file's Q holds few distinct values,
+    and one Fraction costs microseconds."""
     try:
         return list(map(int, tokens))
     except ValueError:
-        return list(map(as_rational, tokens))
+        values = {token: as_rational(token) for token in dict.fromkeys(tokens)}
+        return list(map(values.__getitem__, tokens))
 
 
 # entries a row must hold to be written at once by _EntryRows._add_row: the

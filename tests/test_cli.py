@@ -378,6 +378,12 @@ def test_generate_with_missing_parameters_names_the_family(capsys, argv):
         (["generate", "grid", "1", "5"], "grid needs p >= 2 and q >= 2"),
         (["generate", "grid", "a", "5"], "generate grid needs integer parameters"),
         (["generate", "complete", "6", "--example"], "worked examples exist for sizes 4 and 5"),
+        (["generate", "disjoint-reduce", "6", "--seed", "1", "--density", "nan"],
+         "generate disjoint-reduce: density must be in [0, 1], got nan"),
+        (["generate", "disjoint-reduce", "6", "--seed", "1", "--density", "-1"],
+         "generate disjoint-reduce: density must be in [0, 1], got -1.0"),
+        (["generate", "disjoint-reduce", "6", "--seed", "1", "--density", "1.5"],
+         "generate disjoint-reduce: density must be in [0, 1], got 1.5"),
     ],
 )
 def test_generate_rejects_bad_values_with_exit_two(capsys, argv, message):

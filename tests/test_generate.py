@@ -20,7 +20,6 @@ from qspath import (
 from qspath.generate import (
     FILLS,
     _drawn,
-    _draws,
     fill_random,
     fill_weak_sum,
     random_digraph,
@@ -37,7 +36,7 @@ from helpers import randint_fill, traced_peak
 def test_draws_match_randint_draw_for_draw(hi):
     for seed in range(50):
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert _draws(ours, hi, 200) == [theirs.randint(0, hi) for _ in range(200)]
+        assert list(_drawn(ours, hi, 200)) == [theirs.randint(0, hi) for _ in range(200)]
         assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
@@ -48,13 +47,13 @@ def test_long_draws_match_randint_over_several_passes(hi, count):
     takes several passes and the last one is short."""
     for seed in range(2):
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert _draws(ours, hi, count) == [theirs.randint(0, hi) for _ in range(count)]
+        assert list(_drawn(ours, hi, count)) == [theirs.randint(0, hi) for _ in range(count)]
         assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
 def test_no_draws_leave_the_generator_untouched():
     ours, theirs = random.Random(5), random.Random(5)
-    assert _draws(ours, 9, 0) == []
+    assert list(_drawn(ours, 9, 0)) == []
     assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
@@ -143,7 +142,7 @@ def test_fill_triangles_mirror_into_the_rows_the_fills_built(fill):
             assert matrix.rows == _mirror(uppers)
             assert (linear, matrix.rows) == randint_fill(g, fill, random.Random(seed), max_entry)
     g = make_grid(3, 4)
-    a = _draws(random.Random(5), 9, g.m)
+    a = _drawn(random.Random(5), 9, g.m)
     assert fill_weak_sum(g, random.Random(5))[1].rows == _old_outer_rows(a, int.__add__)
 
 

@@ -29,7 +29,8 @@ from qspath import (
     validate_instance,
 )
 from qspath.graphs import DEFAULT_PATH_LIMIT
-from qspath.model import _RUN_MIN, ValidationReport, _EntryRows, as_rational
+from qspath import model
+from qspath.model import _RUN_MIN, ValidationReport, _EntryRows, as_rational, rational_tokens
 
 from helpers import (
     PRICED_WALK_FILLS,
@@ -60,6 +61,35 @@ def test_as_rational_rejects_floats():
     assert as_rational(7) == 7
     exact = Fraction(5, 3)
     assert as_rational(exact) is exact
+
+
+def test_rational_tokens_read_each_distinct_token_once(monkeypatch):
+    """A column that is not all integers goes through as_rational once per
+    distinct token, and gives the values, types and errors that as_rational
+    over every token gives."""
+    rng = random.Random(3)
+    pool = ["7/3", "1", "-2", "1.5", "1e3", "14/6", "4/2", "0", "-5/7", str(10**30)]
+    columns = [[rng.choice(pool) for _ in range(300)] for _ in range(5)] + [["2/3"], pool]
+    calls = []
+
+    def counted(token):
+        calls.append(token)
+        return as_rational(token)
+
+    monkeypatch.setattr(model, "as_rational", counted)
+    for tokens in columns:
+        calls.clear()
+        values = rational_tokens(tokens)
+        assert sorted(calls) == sorted(set(tokens))
+        expected = list(map(as_rational, tokens))
+        assert values == expected
+        assert list(map(type, values)) == list(map(type, expected))
+    for bad in (["1", "1/2", "x", "1/2"], ["1/2", "1/0", "x"], ["3", "0.5/2"], ["1", "1/2", "1/x"]):
+        with pytest.raises(Exception) as ours:
+            rational_tokens(bad)
+        with pytest.raises(Exception) as theirs:
+            list(map(as_rational, bad))
+        assert type(ours.value) is type(theirs.value)
 
 
 def test_interaction_matrix_constructors():

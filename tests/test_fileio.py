@@ -718,11 +718,11 @@ def test_rows_written_at_once_read_as_entry_by_entry(name, chars, run_min, monke
 
 
 def test_rows_crossing_a_slice_boundary_read_as_entry_by_entry(monkeypatch):
-    """A 16x16 weak-sum file and a 12x12 random file span several 64 KiB
-    slices, and some of their rows are cut by a slice's end: rows listed in
-    full in the first, gapped rows in the second.  The mutated rows are the
-    first one cut and the first one cut with _RUN_MIN or more entries on
-    each side, which _add_row writes in two pieces."""
+    """A 16x16 weak-sum file and a 12x12 random file span several slices
+    of _SLICE_CHARS, and some of their rows are cut by a slice's end: rows
+    listed in full in the first, gapped rows in the second.  The mutated
+    rows are the first one cut and the first one cut with _RUN_MIN or more
+    entries on each side, which _add_row writes in two pieces."""
     for name, listed_in_full in (("weak-sum 16x16", True), ("random 12x12", False)):
         text, m = _canonical(name)
         original = _outcome(text)
@@ -746,13 +746,51 @@ def test_rows_crossing_a_slice_boundary_read_as_entry_by_entry(monkeypatch):
             _assert_same_as_per_entry(mutated, original if expected is SAME else expected, monkeypatch)
 
 
+def test_a_refill_inside_q_holds_one_slice_of_tokens(monkeypatch):
+    """Once the entries of Q have begun, each refill leaves unread only the
+    part of a record carried over, fewer than three tokens, and one slice's
+    tokens.  A slice ends at the first newline _SLICE_CHARS past its start,
+    so it holds at most _SLICE_CHARS characters and one line, and L
+    characters hold at most L//2 + 1 tokens.  The parse's transient memory
+    rests on this bound: a parser that split the entries of Q whole would
+    break it."""
+    more = fileio._Tokens._more
+    for name in ("random 12x12", "weak-sum 16x16"):
+        text, _ = _canonical(name)
+        # the tokens up to and including "Q sparse <count>"
+        first_entry = len(text.partition("Q sparse ")[0].split()) + 3
+        longest = max(map(len, text.splitlines(keepends=True)))
+        bound = (fileio._SLICE_CHARS + longest) // 2 + 1
+        refills = []
+
+        def spy(self):
+            carried = len(self.items) - self.at
+            added = more(self)
+            if added and self.pos >= first_entry:
+                refills.append((carried, len(self.items) - self.at))
+            return added
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio._Tokens, "_more", spy)
+            parse_instance(text)
+        # Q was read in slices: all but the one holding "Q sparse" came
+        # after its entries had begun
+        entries = len(text) - text.index("Q sparse")
+        assert len(refills) >= entries // (fileio._SLICE_CHARS + longest) - 1
+        for carried, unread in refills:
+            assert carried < 3
+            assert unread <= carried + bound
+
+
 def test_fully_listed_rows_bypass_the_per_entry_checker(monkeypatch):
-    """In a weak-sum 8x8 file (one slice) whose rows are all listed in full,
-    every row of _RUN_MIN or more entries is written by _add_row, so
-    _add_each gets only the short rows at the end of Q, and no entry at all
-    when every row may be written at once.  So is every row of a random 8x8
-    file, whose rows are gapped, up to its first row shorter than _RUN_MIN,
-    where the walk over the rows ends."""
+    """In a weak-sum 8x8 file (one 64 KiB slice) whose rows are all listed
+    in full, every row of _RUN_MIN or more entries is written by _add_row,
+    so _add_each gets only the short rows at the end of Q, and no entry at
+    all when every row may be written at once.  So is every row of a random
+    8x8 file, whose rows are gapped, up to its first row shorter than
+    _RUN_MIN, where the walk over the rows ends."""
+    # what one slice's row walk hands on, so the whole file is one slice
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", 1 << 16)
     g = make_grid(8, 8)
     rng = random.Random(8)
     a = [rng.randint(1, 9) for _ in range(g.m)]

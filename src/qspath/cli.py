@@ -12,6 +12,7 @@ import functools
 import random
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .adjacent import solve_aqspp
@@ -44,12 +45,17 @@ from .reductions import DisjointPathsInstance, disjoint_to_aqspp, parse_qaplib, 
 from .special import solve_product_case
 
 
+# characters handed to one write: the stream encodes each slice on its own,
+# so it never holds an encoded copy of a whole instance text
+_WRITE_CHARS = 1 << 20
+
+
 def _write(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    with nullcontext(sys.stdout) if output is None else open(
+        output, "w", encoding="utf-8"
+    ) as handle:
+        for start in range(0, len(text), _WRITE_CHARS):
+            handle.write(text[start : start + _WRITE_CHARS])
 
 
 # Parameters each generate family takes, in order.

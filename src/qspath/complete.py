@@ -26,7 +26,7 @@ from fractions import Fraction
 from .adjacent import _adjacent
 from .errors import FamilyError, InternalError
 from .graphs import Digraph, make_complete_symmetric, path_vertices
-from .model import InteractionMatrix, QsppInstance, validate_instance
+from .model import InteractionMatrix, QsppInstance, as_rational, rational_vector, validate_instance
 from .pathmatrix import (
     InfeasibilityCertificate,
     LinearizationResult,
@@ -104,15 +104,14 @@ class PathClassSums:
 
 
 def _paths_per_pair(n: int, class_index: int, k: int) -> int:
-    """How many length-k source-target paths contain one co-carriable pair
-    of the given class (1-based class index)."""
+    """How many length-k source-target paths hold one co-carriable pair of
+    the given class (1-based).  Past class 1 the pair pins 2, 2, 3, 3 or 4
+    interior vertices; a path picks k-1-pinned of the n-2-pinned others and
+    orders them with the pair's blocks off s and t, k-3 items in all."""
     if class_index == 1:
-        return 1 if k == 2 else 0
-    if class_index in (2, 3):
-        return _choose(n - 4, k - 3) * math.factorial(k - 3) if k >= 3 else 0
-    if class_index in (4, 5):
-        return _choose(n - 5, k - 4) * math.factorial(k - 3) if k >= 4 else 0
-    return _choose(n - 6, k - 5) * math.factorial(k - 3) if k >= 5 else 0
+        return int(k == 2)
+    pinned = (2, 2, 3, 3, 4)[class_index - 2]
+    return _choose(n - 2 - pinned, k - 1 - pinned) * math.factorial(k - 3) if k > pinned else 0
 
 
 def paths_of_length(n: int, k: int) -> int:
@@ -148,19 +147,12 @@ def path_class_costs(
             terminal = _is_terminal(g, inst.source, inst.target, e) + _is_terminal(
                 g, inst.source, inst.target, f
             )
-            consecutive = _adjacent(g, e, f)
-            if terminal == 2:
-                idx = 0 if consecutive else 1
-            elif terminal == 1:
-                idx = 2 if consecutive else 3
-            else:
-                idx = 4 if consecutive else 5
-            sums[idx] += 2 * value
+            sums[2 * (2 - terminal) + (not _adjacent(g, e, f))] += 2 * value
     totals = {
-        k: sum(_paths_per_pair(n, idx + 1, k) * sums[idx] for idx in range(6))
+        k: as_rational(sum(_paths_per_pair(n, idx + 1, k) * sums[idx] for idx in range(6)))
         for k in range(2, n)
     }
-    return PathClassSums(tuple(sums)), totals
+    return PathClassSums(rational_vector(sums)), totals
 
 
 @dataclass(frozen=True)
@@ -200,13 +192,13 @@ def check_necessary_conditions(inst: QsppInstance) -> NecessaryConditionsReport:
     n = inst.graph.n  # path_class_costs checked the shape
     checks = []
     for k in range(2, n - 1):
-        lhs = totals[k] * (n - k - 1)
+        lhs = as_rational(totals[k] * (n - k - 1))
         rhs = totals[k + 1]
         checks.append(ConditionCheck("vs-longer", k, lhs, rhs, lhs <= rhs))
     if n >= 5:
         for k in range(4, n):
-            lhs = totals[k] * (k - 3)
-            rhs = totals[k - 1] * (n - k) * (k - 2)
+            lhs = as_rational(totals[k] * (k - 3))
+            rhs = as_rational(totals[k - 1] * (n - k) * (k - 2))
             checks.append(ConditionCheck("vs-shorter", k, lhs, rhs, lhs <= rhs))
     return NecessaryConditionsReport(tuple(checks), totals)
 
@@ -214,11 +206,14 @@ def check_necessary_conditions(inst: QsppInstance) -> NecessaryConditionsReport:
 def k4_linearize(inst: QsppInstance) -> LinearizationResult:
     """Decide linearizability on the simplified four-vertex shape.
 
-    The instance is linearizable exactly when the two length-2 path costs
-    sum to at most the two length-3 path costs; the certificate in the other
-    direction weights the short paths by -1 and the long ones by +1.  Path
-    costs must be nonnegative (true for any problem-definition instance) for
-    the constructed vector to be nonnegative.  Only path costs are read, so
+    With b0..b3 the costs of s-x-t, s-y-t, s-x-y-t and s-y-x-t, the instance
+    is linearizable exactly when b0+b1 <= b2+b3 and no b is negative; a
+    negative path is its own certificate, and the other one weights the short
+    paths by -1 and the long ones by +1.  On a yes the vector is
+    xt = max(0, b0-b2), yt = max(0, b1-b3), sx = b0-xt, sy = b1-yt,
+    xy = b2-sx-yt and yx = b3-sy-xt.  Its four path sums are the b's;
+    xt, yt >= 0 by the max, and sx = min(b0, b2) >= 0 (sy likewise);
+    xy, yx >= 0 follow from b0+b1 <= b2+b3.  Only path costs are read, so
     normalization (normalize_knstar) is optional.
     """
     n = knstar_order(inst.graph, inst.source, inst.target)
@@ -255,35 +250,19 @@ def k4_linearize(inst: QsppInstance) -> LinearizationResult:
             witness=certificate(weights),
             note="length-2 path costs exceed length-3 path costs",
         )
-
-    entries: dict[tuple[int, int], Fraction]
-    if b[0] <= b[2] and b[1] <= b[3]:
-        entries = {
-            (source, x): b[0],
-            (source, y): b[1],
-            (x, y): b[2] - b[0],
-            (y, x): b[3] - b[1],
-        }
-    elif b[0] > b[2]:
-        entries = {
-            (source, x): b[2],
-            (source, y): b[1],
-            (x, target): b[0] - b[2],
-            (y, x): b[3] + b[2] - b[0] - b[1],
-        }
-    else:
-        entries = {
-            (source, y): b[3],
-            (source, x): b[0],
-            (y, target): b[1] - b[3],
-            (x, y): b[2] + b[3] - b[1] - b[0],
-        }
-    arc_of = {arc: i for i, arc in enumerate(inst.graph.arcs)}
-    vec = [0] * inst.graph.m
-    for endpoints, value in entries.items():
-        vec[arc_of[endpoints]] = value
+    xt, yt = max(0, b[0] - b[2]), max(0, b[1] - b[3])
+    sx, sy = b[0] - xt, b[1] - yt
+    value = {
+        (source, x): sx,
+        (source, y): sy,
+        (x, target): xt,
+        (y, target): yt,
+        (x, y): b[2] - sx - yt,
+        (y, x): b[3] - sy - xt,
+    }
+    vec = rational_vector(value[arc] for arc in inst.graph.arcs)
     _verify_solution(pm, vec, require_nonneg=True)
-    return LinearizationResult(True, vector=tuple(vec))
+    return LinearizationResult(True, vector=vec)
 
 
 def _tournament_check(g: Digraph) -> None:

@@ -119,34 +119,28 @@ def _require_corner_instance(inst: QsppInstance, shape: GridShape) -> None:
 # ---- critical paths and their costs -------------------------------------
 
 
-def _support(
-    shape: GridShape, rows: int, cols: int
-) -> Iterator[tuple[int, int | None, int | None]]:
+def _support(shape: GridShape, rows: int, cols: int) -> Iterator[tuple[int, int, int]]:
     """Reduced-form support of the rows-by-cols sub-grid in solve order, as
-    (arc, i, j): the top-left right arc with i = j = None, then down(i, j)
-    row by row; _critical_path_arcs(shape, rows, cols, i, j) is its path."""
-    yield shape.right[(1, 1)], None, None
+    (arc, i, j): the top-left right arc as (1, cols), then down(i, j) row by
+    row; _critical_path_arcs(shape, rows, cols, i, j) is its path."""
+    yield shape.right[(1, 1)], 1, cols
     for i in range(1, rows):
         for j in range(1, cols):
             yield shape.down[(i, j)], i, j
 
 
-def _critical_path_arcs(
-    shape: GridShape, rows: int, cols: int, i: int | None, j: int | None
-) -> list[int]:
-    """Arc sequence of the critical path for support arc down(i, j) of the
-    rows-by-cols sub-grid (pass i = j = None for the top-left right arc's
-    path).  When rows < p the path goes on to the corner: down(rows, cols),
-    along row rows+1, down the last column."""
-    if i is None:
-        path = [shape.right[(1, b)] for b in range(1, cols)]
-        path.extend(shape.down[(k, cols)] for k in range(1, rows))
-    else:
-        path = [shape.down[(k, 1)] for k in range(1, i)]
-        path.extend(shape.right[(i, b)] for b in range(1, j))
-        path.append(shape.down[(i, j)])
-        path.extend(shape.right[(i + 1, b)] for b in range(j, cols))
-        path.extend(shape.down[(k, cols)] for k in range(i + 1, rows))
+def _critical_path_arcs(shape: GridShape, rows: int, cols: int, i: int, j: int) -> list[int]:
+    """Arc sequence of the rows-by-cols sub-grid's critical path through
+    down(i, j): down column 1 to row i, along row i to column j, down one
+    arc, along row i+1 to column cols, down column cols.  With (i, j) =
+    (1, cols) it is the top path, the top-left right arc's.  When rows < p
+    the path goes on to the corner: down(rows, cols), along row rows+1,
+    down the last column."""
+    path = [shape.down[(k, 1)] for k in range(1, i)]
+    path.extend(shape.right[(i, b)] for b in range(1, j))
+    path.append(shape.down[(i, j)])
+    path.extend(shape.right[(i + 1, b)] for b in range(j, cols))
+    path.extend(shape.down[(k, cols)] for k in range(i + 1, rows))
     if rows < shape.p:
         path.append(shape.down[(rows, cols)])
         path.extend(shape.right[(rows + 1, b)] for b in range(cols, shape.q))
@@ -183,7 +177,7 @@ def _critical_costs(
     what the old pair did.  The continuation past the sub-grid never flips.
     """
     matrix = inst.interaction.rows
-    arcs = _critical_path_arcs(shape, rows, cols, None, None)
+    arcs = _critical_path_arcs(shape, rows, cols, 1, cols)
     cost = sum(linear[a] + sum(matrix[a][k] for k in arcs) for a in arcs)
     costs = {shape.right[(1, 1)]: cost}
     for i in range(1, rows):
@@ -207,18 +201,18 @@ def _critical_costs(
 
 def _solve_reduced(shape: GridShape, gamma: dict[int, Fraction]) -> list[Fraction]:
     """Unique reduced-form vector whose critical-path costs are ``gamma``
-    (keyed by support arc): a unit lower-triangular solve in support order."""
+    (keyed by support arc): a unit lower-triangular solve in support order.
+    The top path carries only the top-left right arc; the path through
+    down(i, j) carries down(1..i-1, 1), whose sum is ``prefix``, and the
+    top-left right arc too when i == 1 < j."""
     vec = [0] * (len(shape.down) + len(shape.right))
     top = shape.right[(1, 1)]
     vec[top] = gamma[top]
-    for j in range(1, shape.q):
-        e = shape.down[(1, j)]
-        vec[e] = gamma[e] - (vec[top] if j >= 2 else 0)
-    prefix = vec[shape.down[(1, 1)]]
-    for i in range(2, shape.p):
+    prefix = 0
+    for i in range(1, shape.p):
         for j in range(1, shape.q):
             e = shape.down[(i, j)]
-            vec[e] = gamma[e] - prefix
+            vec[e] = gamma[e] - prefix - (vec[top] if i == 1 < j else 0)
         prefix += vec[shape.down[(i, 1)]]
     return vec
 

@@ -482,7 +482,7 @@ def _dijkstra(spp: SppInstance) -> tuple[Path, Fraction]:
                 dist[v] = nd
                 pred[v] = a
                 heapq.heappush(heap, (nd, v))
-    if dist[spp.target] is None or not done[spp.target]:
+    if dist[spp.target] is None:
         raise NoPathError(f"no path from {spp.source} to {spp.target}")
     return _reconstruct(g, pred, spp.target), as_rational(dist[spp.target])
 

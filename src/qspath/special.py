@@ -43,12 +43,12 @@ def detect_weak_sum(q: InteractionMatrix) -> tuple[Fraction, ...] | None:
         half = as_rational(Fraction(rows[0][1], 2))
         return (half, half)
     a0 = as_rational(Fraction(rows[0][1] + rows[0][2] - rows[1][2], 2))
-    witness = [a0] + [rows[0][f] - a0 for f in range(1, m)]
+    witness = rational_vector([a0] + [rows[0][f] - a0 for f in range(1, m)])
     for e in range(m):
         for f in range(e + 1, m):
             if rows[e][f] != witness[e] + witness[f]:
                 return None
-    return tuple(witness)
+    return witness
 
 
 def all_paths_equal_length(g: Digraph, source: int, target: int) -> int | None:
@@ -92,13 +92,13 @@ def linearize_weak_sum(inst: QsppInstance) -> tuple[Fraction, ...]:
     return rational_vector(factor * a + c for a, c in zip(witness, inst.linear))
 
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
+def _rational_sqrt(value: Fraction) -> int | Fraction | None:
     """Exact square root of a nonnegative value, or None when irrational."""
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    return Fraction(rn, rd)
+    return as_rational(Fraction(rn, rd))
 
 
 def _product_factor(

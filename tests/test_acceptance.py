@@ -287,5 +287,5 @@ def test_criterion_10_complexity_smoke(capsys):
     assert len(out.splitlines()) == 1 + 11 + 10
     report(
         10,
-        f"incremental path costs exact up to 6x6; 12x12 sweep in {elapsed:.1f}s",
+        f"incremental path costs exact up to 6x6; 12x12 decisions in {elapsed:.1f}s",
     )

@@ -21,7 +21,7 @@ from qspath import (
 from qspath.cli import build_parser, main
 from qspath.generate import filled_instance
 
-from helpers import naive_emit, randint_fill
+from helpers import naive_emit, randint_fill, traced_peak
 
 
 def run(capsys, *argv):
@@ -446,3 +446,15 @@ def test_limit_below_one_is_a_usage_error(tmp_path, capsys, argv):
     bad = argv[-1]
     expected = "expected an integer" if bad == "zz" else f"must be at least 1, got {bad}"
     assert f"error: argument --limit: {expected}" in captured.err
+
+
+def test_write_encodes_a_long_text_in_slices(tmp_path, capsys):
+    """An 8.4 MB text is written without an encoded copy of all of it, to a
+    file and to stdout alike."""
+    text = "0 1 2 3 4 5 6\n" * 600_000
+    target = tmp_path / "long.qspp"
+    peak = traced_peak(lambda: qspath.cli._write(text, str(target)))
+    assert target.read_text(encoding="utf-8") == text
+    assert peak < len(text) // 2
+    qspath.cli._write(text, None)
+    assert capsys.readouterr().out == text

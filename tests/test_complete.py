@@ -255,6 +255,48 @@ def test_k4_cases_with_costly_short_route():
     assert vector_reproduces_costs(mirrored, result.vector)
 
 
+def k4_with_path_costs(b):
+    """K4* (s, x, y, t) = (0, 1, 2, 3) whose paths s-x-t, s-y-t, s-x-y-t and
+    s-y-x-t cost b[0..3]: each path holds one pair no other path holds."""
+    h = Fraction(1, 2)
+    return knstar_instance(4, {
+        ((0, 1), (1, 3)): h * b[0],
+        ((0, 2), (2, 3)): h * b[1],
+        ((1, 2), (2, 3)): h * b[2],
+        ((2, 1), (1, 3)): h * b[3],
+    })
+
+
+@pytest.mark.parametrize("b, expected", [
+    # b0 <= b2 and b1 <= b3: sx = b0, sy = b1, the rest on xy and yx
+    ((Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)),
+     {(0, 1): Fraction(1, 2), (0, 2): Fraction(3, 2), (1, 2): 2, (2, 1): 2}),
+    # b0 > b2: the excess goes on xt, xy stays empty
+    ((Fraction(7, 2), Fraction(1, 2), Fraction(3, 2), Fraction(9, 2)),
+     {(0, 1): Fraction(3, 2), (0, 2): Fraction(1, 2), (1, 3): 2, (2, 1): 2}),
+    # b1 > b3: the excess goes on yt, yx stays empty
+    ((Fraction(1, 2), Fraction(7, 2), Fraction(9, 2), Fraction(3, 2)),
+     {(0, 1): Fraction(1, 2), (0, 2): Fraction(3, 2), (2, 3): 2, (1, 2): 2}),
+    # tie b0 = b2
+    ((Fraction(5, 2), Fraction(1, 2), Fraction(5, 2), Fraction(3, 2)),
+     {(0, 1): Fraction(5, 2), (0, 2): Fraction(1, 2), (2, 1): 1}),
+    # tie b0 + b1 = b2 + b3, with b0 > b2
+    ((Fraction(7, 2), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)),
+     {(0, 1): Fraction(3, 2), (0, 2): Fraction(1, 2), (1, 3): 2}),
+])
+def test_k4_vector_in_each_regime(b, expected):
+    inst = k4_with_path_costs(b)
+    result = k4_linearize(inst)
+    assert result.linearizable
+    idx = arc_index(inst.graph)
+    vector = [0] * 6
+    for arc, value in expected.items():
+        vector[idx[arc]] = value
+    assert result.vector == tuple(vector)
+    assert all(type(v) is int for v in result.vector if v == int(v))
+    assert vector_reproduces_costs(inst, result.vector)
+
+
 def test_k4_requires_four_vertices():
     with pytest.raises(FamilyError):
         k4_linearize(knstar_instance(5, {}))

@@ -16,6 +16,9 @@ from qspath import (
     QsppInstance,
     brute_force_solve,
     build_path_matrix,
+    check_necessary_conditions,
+    detect_product,
+    detect_weak_sum,
     emit_instance,
     k4_linearize,
     linearize_g2q,
@@ -27,6 +30,7 @@ from qspath import (
     normalize_knstar,
     parse_instance,
     parse_qaplib,
+    path_class_costs,
     path_cost,
     pseudo_linearize,
     reduce_cost_vector,
@@ -210,6 +214,32 @@ def test_whole_values_of_rational_data_come_back_as_int():
     values = list(numbers(results))
     assert any(type(v) is int and v for v in values)
     assert any(type(v) is Fraction for v in values)
+    assert all(type(v) is int or v.denominator != 1 for v in values)
+
+
+@pytest.mark.parametrize("unit", [1, Fraction(1, 2)])
+def test_whole_values_of_special_and_class_results_are_int(unit):
+    """The product factor, the weak-sum witness and the length-class sums,
+    totals and conditions, on integer data and on the same data halved."""
+    # a = (unit, 2 unit): Q = a a^T off the diagonal, c its diagonal
+    product = detect_product(
+        InteractionMatrix([[0, 2 * unit * unit], [2 * unit * unit, 0]]),
+        (unit * unit, 4 * unit * unit),
+    )
+    assert product == (unit, 2 * unit)
+    # a = (unit, 2 unit, 2 unit)
+    weak_sum = detect_weak_sum(InteractionMatrix(
+        [[0, 3 * unit, 3 * unit], [3 * unit, 0, 4 * unit], [3 * unit, 4 * unit, 0]]
+    ))
+    assert weak_sum == (unit, 2 * unit, 2 * unit)
+    g = make_complete_symmetric(5, simplified=True, source=0, target=4)
+    every = InteractionMatrix([[0 if e == f else unit for f in range(g.m)] for e in range(g.m)])
+    inst = QsppInstance(g, 0, 4, (0,) * g.m, every)
+    sums, totals = path_class_costs(inst)
+    report = check_necessary_conditions(inst)
+    values = [*product, *weak_sum, *sums.sums, *totals.values(), *report.totals.values()]
+    values += [side for c in report.conditions for side in (c.lhs, c.rhs)]
+    assert any(v for v in values if type(v) is int)
     assert all(type(v) is int or v.denominator != 1 for v in values)
 
 

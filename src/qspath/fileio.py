@@ -322,7 +322,10 @@ def _rescan_entries(tok: _Tokens, rows: _EntryRows, count: int) -> None:
 def _sparse(tok: _Tokens, m: int, count: int, ids: dict[str, int]) -> InteractionMatrix:
     """The count entry lines of a sparse Q, converted and written one slice
     of whole records at a time."""
-    rows = _EntryRows(m)
+    try:
+        rows = _EntryRows(m)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     while count:
         # with no whole record left, the rescan of the rest meets the end
         k = tok.records(count, 3) or count

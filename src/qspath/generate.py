@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from .adjacent import _adjacent
 from .graphs import Digraph, _check_vertex_count, make_complete_symmetric
-from .model import InteractionMatrix, QsppInstance
+from .model import InteractionMatrix, QsppInstance, _check_arc_count
 from .reductions import QapInstance
 
 
@@ -162,6 +162,7 @@ def filled_instance(
     """
     if max_entry < 0:
         raise ValueError(f"--max-entry must not be negative, got {max_entry}")
+    _check_arc_count(g.m)
     if fill == "zero":
         linear, matrix = fill_zero(g)
     else:

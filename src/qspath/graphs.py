@@ -55,19 +55,15 @@ class Arc(NamedTuple):
 class Digraph:
     """Immutable directed multigraph with dense integer vertex and arc ids.
 
-    ``labels`` is an optional per-arc payload (same length as ``arcs``);
-    generators that need to tag parallel arcs use it, everything else leaves
-    it ``None``.  At most MAX_VERTICES vertices; more raise ValueError.
+    A graph is its vertex count and its arc list, nothing more, so an
+    instance file holds all of it.  A construction that tags parallel arcs
+    numbers them by a formula and reads the tag back from the arc id.  At
+    most MAX_VERTICES vertices; more raise ValueError.
     """
 
-    __slots__ = ("n", "arcs", "labels", "_out", "_in")
+    __slots__ = ("n", "arcs", "_out", "_in")
 
-    def __init__(
-        self,
-        n: int,
-        arcs: Iterable[tuple[int, int]],
-        labels: Sequence[object] | None = None,
-    ):
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValueError("a digraph needs at least one vertex")
         _check_vertex_count(n)
@@ -80,9 +76,6 @@ class Digraph:
             arc_list.append(Arc(head, tail))
         self.n = n
         self.arcs: tuple[Arc, ...] = tuple(arc_list)
-        if labels is not None and len(labels) != len(arc_list):
-            raise ValueError("labels must have one entry per arc")
-        self.labels = tuple(labels) if labels is not None else None
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
         for a, arc in enumerate(self.arcs):
@@ -106,10 +99,10 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return (self.n, self.arcs, self.labels) == (other.n, other.arcs, other.labels)
+        return (self.n, self.arcs) == (other.n, other.arcs)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs, self.labels))
+        return hash((self.n, self.arcs))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -163,31 +156,24 @@ def validate_path(
 # ---- generators --------------------------------------------------------
 
 
-def grid_vertex(p: int, q: int, i: int, j: int) -> int:
-    """Row-major index of the grid vertex in row i, column j (1-based)."""
-    if not (1 <= i <= p and 1 <= j <= q):
-        raise ValueError(f"grid coordinate ({i},{j}) outside {p}x{q}")
-    return (i - 1) * q + (j - 1)
-
-
 def make_grid(p: int, q: int) -> Digraph:
     """Directed p-by-q grid: every vertex points down and right where possible.
 
     p*q vertices, 2pq-p-q arcs, acyclic.  Arcs are emitted per vertex in
-    row-major order, the down arc before the right arc.
+    row-major order, the down arc u -> u+q before the right arc u -> u+1,
+    the numbering detect_grid reads back.
     """
     if p < 2 or q < 2:
         raise ValueError("grid needs p >= 2 and q >= 2")
-    _check_vertex_count(p * q)
+    n = p * q
+    _check_vertex_count(n)
     arcs = []
-    for i in range(1, p + 1):
-        for j in range(1, q + 1):
-            u = grid_vertex(p, q, i, j)
-            if i < p:
-                arcs.append((u, grid_vertex(p, q, i + 1, j)))
-            if j < q:
-                arcs.append((u, grid_vertex(p, q, i, j + 1)))
-    return Digraph(p * q, arcs)
+    for u in range(n):
+        if u + q < n:
+            arcs.append((u, u + q))
+        if (u + 1) % q:
+            arcs.append((u, u + 1))
+    return Digraph(n, arcs)
 
 
 def make_complete_symmetric(

@@ -131,20 +131,19 @@ def _support(shape: GridShape, rows: int, cols: int) -> Iterator[tuple[int, int,
 
 def _critical_path_arcs(shape: GridShape, rows: int, cols: int, i: int, j: int) -> list[int]:
     """Arc sequence of the rows-by-cols sub-grid's critical path through
-    down(i, j): down column 1 to row i, along row i to column j, down one
-    arc, along row i+1 to column cols, down column cols.  With (i, j) =
-    (1, cols) it is the top path, the top-left right arc's.  When rows < p
-    the path goes on to the corner: down(rows, cols), along row rows+1,
-    down the last column."""
+    down(i, j), continued to the corner: down column 1 to row i, along row
+    i to column j, down one arc, along row i+1 to column cols, down column
+    cols to row R = min(rows+1, p), along row R to column q, down column q.
+    With (i, j) = (1, cols) it is the top path, the top-left right arc's.
+    On the full grid (rows = p, cols = q) the last two legs are empty."""
+    last = min(rows + 1, shape.p)
     path = [shape.down[(k, 1)] for k in range(1, i)]
     path.extend(shape.right[(i, b)] for b in range(1, j))
     path.append(shape.down[(i, j)])
     path.extend(shape.right[(i + 1, b)] for b in range(j, cols))
-    path.extend(shape.down[(k, cols)] for k in range(i + 1, rows))
-    if rows < shape.p:
-        path.append(shape.down[(rows, cols)])
-        path.extend(shape.right[(rows + 1, b)] for b in range(cols, shape.q))
-        path.extend(shape.down[(k, shape.q)] for k in range(rows + 1, shape.p))
+    path.extend(shape.down[(k, cols)] for k in range(i + 1, last))
+    path.extend(shape.right[(last, b)] for b in range(cols, shape.q))
+    path.extend(shape.down[(k, shape.q)] for k in range(last, shape.p))
     return path
 
 
@@ -266,8 +265,9 @@ def shrink_target(
     ``v`` must be a vertex of the graph and a predecessor of the current
     target, and the graph must be acyclic.
     Every arc loses twice its interaction with the dropped bridge arc
-    (v, target), and arcs leaving the source absorb the bridge's own cost.
-    The instance's linear costs are assumed to be zero (shift them first).
+    (v, target), and arcs leaving the source absorb the bridge's entry in
+    the vector less its linear cost: a path to v, extended by the bridge,
+    costs the bridge's linear cost and twice its interactions more.
     """
     g = inst.graph
     if not 0 <= v < g.n:
@@ -283,7 +283,7 @@ def shrink_target(
     bridge = bridges[0]
     out = [v - 2 * w for v, w in zip(vec, inst.interaction.rows[bridge])]
     for e in g.out_arcs(inst.source):
-        out[e] += vec[bridge]
+        out[e] += vec[bridge] - inst.linear[bridge]
     return rational_vector(out)
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import FormatError
 from .graphs import Digraph
-from .model import InteractionMatrix, QsppInstance, as_rational
+from .model import InteractionMatrix, QsppInstance, _check_arc_count, as_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -73,15 +73,18 @@ def qap_brute_force(qap: QapInstance) -> tuple[tuple[int, ...], Fraction]:
 def qap_to_qspp(qap: QapInstance) -> QsppInstance:
     """Layered-multigraph encoding with n+1 vertices and n*n arcs.
 
-    Layer j (locations, 0-based) holds n parallel arcs w_j -> w_{j+1}, one
-    per facility; each arc is labelled (facility, location).  Nonzero flow or
-    distance diagonals are first shifted into the linear costs.  Interaction
-    between arcs in different layers is flow*distance for distinct
-    facilities and M for a repeated facility, where M exceeds every
-    assignment's absolute objective, so any path with value below M decodes
-    to a placement of the same value.
+    Layer loc (locations, 0-based) holds n parallel arcs w_loc -> w_loc+1,
+    one per facility: the arc for facility fac at location loc has id
+    loc*n + fac, so divmod(a, n) is (loc, fac).  Nonzero flow or distance
+    diagonals are first shifted into the linear costs.  Interaction between
+    arcs in different layers is flow*distance for distinct facilities and M
+    for a repeated facility, where M exceeds every assignment's absolute
+    objective, so any path with value below M decodes to a placement of the
+    same value.
     """
     n = qap.n
+    m = n * n
+    _check_arc_count(m)
     a = [list(row) for row in qap.a]
     b = [list(row) for row in qap.b]
     c = [list(row) for row in qap.c]
@@ -99,24 +102,15 @@ def qap_to_qspp(qap: QapInstance) -> QsppInstance:
         for l in range(n)
     ) + sum(abs(c[i][j]) for i in range(n) for j in range(n))
 
-    arcs = []
-    labels = []
-    linear = []
-    for loc in range(n):
-        for fac in range(n):
-            arcs.append((loc, loc + 1))
-            labels.append((fac, loc))
-            linear.append(c[fac][loc])
-    graph = Digraph(n + 1, arcs, labels)
-
-    m = n * n
+    graph = Digraph(n + 1, [(loc, loc + 1) for loc in range(n) for _ in range(n)])
+    linear = [c[fac][loc] for loc in range(n) for fac in range(n)]
     rows = [[0] * m for _ in range(m)]
     for e in range(m):
-        fac_e, loc_e = labels[e]
+        loc_e, fac_e = divmod(e, n)
         for f in range(m):
             if e == f:
                 continue
-            fac_f, loc_f = labels[f]
+            loc_f, fac_f = divmod(f, n)
             if fac_e == fac_f or loc_e == loc_f:
                 rows[e][f] = big_m
             else:
@@ -127,20 +121,28 @@ def qap_to_qspp(qap: QapInstance) -> QsppInstance:
 def decode_qap_path(inst: QsppInstance, path_arcs: Sequence[int]) -> tuple[int, ...]:
     """Placement (facility i -> location) encoded by a reduced-instance path.
 
-    Raises ValueError when the graph carries no (facility, location) labels,
-    or when the path repeats a facility, i.e. its cost is in the big-M regime
-    and does not encode an assignment.
+    The placement is read from the arc ids, arc a carrying facility a % n
+    at location a // n, so an instance parsed from its file decodes too.
+    Raises ValueError when the graph is not qap_to_qspp's layered multigraph
+    (n+1 vertices, n*n arcs, arc a from a // n to a // n + 1), when the arcs
+    are not a source-target path (n ids, the k-th in layer k, so none out of
+    range), or when the path repeats a facility, i.e. its cost is in the
+    big-M regime and does not encode an assignment.
     """
-    labels = inst.graph.labels
-    if labels is None:
-        raise ValueError("decode needs the labelled reduction graph")
+    g = inst.graph
+    n = g.n - 1
+    if g.m != n * n or any(arc != (a // n, a // n + 1) for a, arc in enumerate(g.arcs)):
+        raise ValueError("decode needs the layered graph of qap_to_qspp")
+    if len(path_arcs) != n:
+        raise ValueError(f"a source-target path has {n} arcs, got {len(path_arcs)}")
     placement: dict[int, int] = {}
-    for arc in path_arcs:
-        fac, loc = labels[arc]
+    for layer, arc in enumerate(path_arcs):
+        loc, fac = divmod(arc, n)
+        if loc != layer:
+            raise ValueError(f"arc id {arc} lies outside layer {layer}")
         if fac in placement:
             raise ValueError("path repeats a facility and encodes no assignment")
         placement[fac] = loc
-    n = len(path_arcs)
     return tuple(placement[i] for i in range(n))
 
 

@@ -35,6 +35,12 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def parallel_arcs_text(m: int) -> str:
+    """An instance file of m parallel arcs 0 -> 1 and an empty sparse Q."""
+    arcs = "".join(f"arc {a} 0 1\n" for a in range(m))
+    return f"QSPP 1\nn 2\nm {m}\ns 0\nt 1\n{arcs}c\n{'0 ' * m}\nQ sparse 0\n"
+
+
 def arc_index(g: Digraph) -> dict[tuple[int, int], int]:
     return {(a.head, a.tail): i for i, a in enumerate(g.arcs)}
 

@@ -8,6 +8,7 @@ import qspath.cli
 from qspath import (
     InteractionMatrix,
     QsppInstance,
+    brute_force_solve,
     emit_instance,
     make_complete_symmetric,
     make_cyclic_counterexample,
@@ -18,10 +19,19 @@ from qspath import (
     normalize_knstar,
     parse_instance,
 )
+from qspath import model
 from qspath.cli import build_parser, main
-from qspath.generate import filled_instance
+from qspath.generate import filled_instance, random_digraph, random_qap
+from qspath.reductions import (
+    DisjointPathsInstance,
+    decode_qap_path,
+    disjoint_to_aqspp,
+    qap_brute_force,
+    qap_objective,
+    qap_to_qspp,
+)
 
-from helpers import naive_emit, randint_fill, traced_peak
+from helpers import naive_emit, parallel_arcs_text, randint_fill, traced_peak
 
 
 def run(capsys, *argv):
@@ -83,6 +93,7 @@ def test_generate_writes_the_naive_text_of_the_randint_fill(capsys, fill):
                 assert (code, err) == (0, "")
                 inst = filled_instance(g, 0, g.n - 1, fill, seed, max_entry)
                 assert out == emit_instance(inst)
+                assert parse_instance(out) == inst
                 if fill == "zero":
                     linear, rows = (0,) * g.m, ((0,) * g.m,) * g.m
                 else:
@@ -268,6 +279,28 @@ def test_generate_qap_reduce(tmp_path, capsys):
     assert "cost 4" in out
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generate_qap_reduce_round_trips_and_decodes(tmp_path, capsys, n):
+    """The written file parses to the instance built in-process, and the
+    path solve finds on it decodes, from the parsed file, to a placement of
+    the QAP's optimal value."""
+    qap = random_qap(n, random.Random(n))
+    qap_file = tmp_path / "qap.dat"
+    values = [v for mat in (qap.a, qap.b, qap.c) for row in mat for v in row]
+    qap_file.write_text(" ".join(map(str, [n, *values])))
+    code, text, err = run(capsys, "generate", "qap-reduce", str(qap_file))
+    assert (code, err) == (0, "")
+    inst = parse_instance(text)
+    assert inst == qap_to_qspp(qap)
+    value = qap_brute_force(qap)[1]
+    qspp_file = tmp_path / "reduced.qspp"
+    qspp_file.write_text(text)
+    code, out, _ = run(capsys, "solve", str(qspp_file), "--method", "brute")
+    assert code == 0 and out.splitlines()[-1] == f"cost {value}"
+    placement = decode_qap_path(inst, brute_force_solve(inst)[0].arcs)
+    assert qap_objective(qap, placement) == value
+
+
 def test_generate_disjoint_reduce(tmp_path, capsys):
     out_file = tmp_path / "dp.qspp"
     code, _, _ = run(capsys, "generate", "disjoint-reduce", "6", "--seed", "11",
@@ -277,6 +310,10 @@ def test_generate_disjoint_reduce(tmp_path, capsys):
     from qspath import is_adjacent_qspp
 
     assert is_adjacent_qspp(inst)
+    # the reduction the command draws, built in-process
+    rng = random.Random(11)
+    g = random_digraph(6, 0.4, rng)
+    assert inst == disjoint_to_aqspp(DisjointPathsInstance(g, *rng.sample(range(6), 4)))
 
 
 def test_generate_disjoint_reduce_needs_four_vertices(capsys):
@@ -320,6 +357,18 @@ def test_generate_past_the_vertex_bound_exit_two(capsys, argv, count):
     assert code == 2
     assert out == ""
     assert err == f"error: generate {argv[0]}: vertex count {count} exceeds the bound of 1000000\n"
+
+
+def test_arc_count_past_the_bound_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(model, "MAX_ARCS", 100)
+    path = tmp_path / "parallel.qspp"
+    path.write_text(parallel_arcs_text(101))
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out, err) == (2, "", "error: arc count 101 exceeds the bound of 100\n")
+    for argv, count in ((["grid", "8", "8"], 112), (["hypercube", "6"], 192)):
+        code, out, err = run(capsys, "generate", *argv, "--fill", "random", "--seed", "1")
+        message = f"error: generate {argv[0]}: arc count {count} exceeds the bound of 100\n"
+        assert (code, out, err) == (2, "", message)
 
 
 def test_bench_output_and_empty_range(capsys):

@@ -25,17 +25,7 @@ from qspath import model
 from qspath.model import as_rational
 from qspath.reductions import qap_to_qspp
 
-from helpers import naive_emit, random_symmetric_interaction, traced_peak
-
-
-def same_instance(a: QsppInstance, b: QsppInstance) -> bool:
-    return (
-        a.graph.n == b.graph.n
-        and a.graph.arcs == b.graph.arcs
-        and (a.source, a.target) == (b.source, b.target)
-        and a.linear == b.linear
-        and a.interaction.rows == b.interaction.rows
-    )
+from helpers import naive_emit, parallel_arcs_text, random_symmetric_interaction, traced_peak
 
 
 def _every_family():
@@ -63,7 +53,7 @@ def _every_family():
 
 def test_round_trip_every_family():
     for inst in _every_family():
-        assert same_instance(inst, parse_instance(emit_instance(inst)))
+        assert inst == parse_instance(emit_instance(inst))
 
 
 # slice lengths, in characters, short enough that every test file is cut
@@ -77,7 +67,7 @@ def test_round_trip_every_family_at_short_slices(chars, monkeypatch):
     for inst in _every_family():
         text = emit_instance(inst)
         assert text.find("\n", chars) < len(text) - 1  # two slices at least
-        assert same_instance(inst, parse_instance(text))
+        assert inst == parse_instance(text)
 
 
 def _entry_lines_split(text: str) -> str:
@@ -100,7 +90,7 @@ def test_parse_reads_any_line_layout_at_any_slice_length(layout, chars, monkeypa
     monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
     inst = filled_instance(make_grid(3, 4), 0, 11, "random", seed=6)
     text = layout(emit_instance(inst))
-    assert same_instance(parse_instance(text), inst)
+    assert parse_instance(text) == inst
     # a fault in the last record keeps its token number
     tokens = text.split()
     bad = text[: text.rindex(tokens[-1])] + "zz" + text[text.rindex(tokens[-1]) + len(tokens[-1]) :]
@@ -170,6 +160,20 @@ def test_vertex_count_past_the_bound_is_a_format_error():
     assert traced_peak(parse) < 64 * 1024
 
 
+def test_arc_count_past_the_bound_is_a_format_error(monkeypatch):
+    """Refused before the entry checker builds its rows and bitmap."""
+    monkeypatch.setattr(model, "MAX_ARCS", 100)
+    assert parse_instance(parallel_arcs_text(100)).graph.m == 100
+    text = parallel_arcs_text(101)
+
+    def parse():
+        with pytest.raises(FormatError) as info:
+            parse_instance(text)
+        assert str(info.value) == "arc count 101 exceeds the bound of 100"
+
+    assert traced_peak(parse) < 64 * 1024
+
+
 def test_digraph_refuses_a_vertex_count_past_the_bound():
     with pytest.raises(ValueError, match=f"{MAX_VERTICES + 1} exceeds the bound"):
         Digraph(MAX_VERTICES + 1, [(0, 1)])
@@ -186,7 +190,7 @@ def test_round_trip_negative_and_fractional_values():
     )
     text = emit_instance(inst)
     assert "-3/2" in text and "-5/4" in text
-    assert same_instance(inst, parse_instance(text))
+    assert inst == parse_instance(text)
 
 
 def test_parse_dense_matrix():
@@ -270,7 +274,7 @@ def test_parse_accepts_shuffled_reversed_and_zero_entries():
         InteractionMatrix([[0, 7, 0, 0], [7, 0, 0, 4], [0, 0, 0, -2], [0, 4, -2, 0]]),
     )
     inst = parse_instance(text)
-    assert same_instance(inst, expected)
+    assert inst == expected
     assert_exact(inst)
 
 
@@ -285,7 +289,7 @@ def test_parse_reads_signed_fractional_and_decimal_tokens_exactly():
             4, {(0, 3): Fraction(-5, 4), (1, 2): Fraction(3, 2), (0, 1): 1000}
         ),
     )
-    assert same_instance(inst, expected)
+    assert inst == expected
     assert_exact(inst)
     assert type(inst.linear[2]) is int and type(inst.interaction.at(1, 0)) is int
 
@@ -310,7 +314,7 @@ def test_parse_accepts_empty_blocks():
     g = make_grid(2, 2)
     head = "QSPP 1 n 4 m 4 s 0 t 3 arc 0 0 2 arc 1 0 1 arc 2 1 3 arc 3 2 3 c 1 2 3 4 "
     inst = parse_instance(head + "Q sparse 0")
-    assert same_instance(inst, QsppInstance(g, 0, 3, (1, 2, 3, 4), InteractionMatrix.zero(4)))
+    assert inst == QsppInstance(g, 0, 3, (1, 2, 3, 4), InteractionMatrix.zero(4))
     assert_exact(inst)
     bare = parse_instance("QSPP 1 n 2 m 0 s 0 t 1 c Q sparse 0")
     assert (bare.graph.n, bare.graph.m, bare.linear, bare.interaction.rows) == (2, 0, (), ())
@@ -506,7 +510,7 @@ def test_parse_reads_ids_outside_the_table_through_int(every):
     if every == 1:
         tokens = odd.split()
         assert {"007", "+3", "-0", "\u0666"} <= set(tokens)
-    assert same_instance(parse_instance(odd), inst)
+    assert parse_instance(odd) == inst
 
 
 # Messages a file with an id out of range, negative or huge gets, pinned as
@@ -808,7 +812,7 @@ def test_fully_listed_rows_bypass_the_per_entry_checker(monkeypatch):
 
     monkeypatch.setattr(model._EntryRows, "_add_each", counting)
     short = [e for e in range(g.m) for _ in range(e + 1, g.m) if g.m - 1 - e < model._RUN_MIN]
-    assert same_instance(parse_instance(text), inst)
+    assert parse_instance(text) == inst
     assert handed == short
     gapped = filled_instance(g, 0, 63, "random", seed=8, max_entry=9)
     gapped_text = emit_instance(gapped)
@@ -818,15 +822,15 @@ def test_fully_listed_rows_bypass_the_per_entry_checker(monkeypatch):
     full = [e for e in long_rows if listed[e] == list(range(e + 1, g.m))]
     assert len(full) < len(long_rows) // 10
     handed.clear()
-    assert same_instance(parse_instance(gapped_text), gapped)
+    assert parse_instance(gapped_text) == gapped
     first_short = min(e for e, fs in listed.items() if len(fs) < model._RUN_MIN)
     assert first_short >= g.m - model._RUN_MIN - 8
     assert handed == [e for e, fs in listed.items() for _ in fs if e >= first_short]
     handed.clear()
     monkeypatch.setattr(model, "_RUN_MIN", 1)
-    assert same_instance(parse_instance(text), inst)
+    assert parse_instance(text) == inst
     assert handed == []
     # the per-entry reference hands _add_each every entry of the same file
     monkeypatch.setattr(model._EntryRows, "add", _per_entry)
-    assert same_instance(parse_instance(text), inst)
+    assert parse_instance(text) == inst
     assert len(handed) == g.m * (g.m - 1) // 2

@@ -274,6 +274,27 @@ def test_shrink_moves_linearizations_to_the_new_target():
         assert vector_reproduces_costs(moved, shrunk)
 
 
+def test_shrink_keeps_path_costs_under_signed_linear_costs():
+    """On weak-sum grids with signed linear costs in thirds, the shrunk
+    pseudo-linearization prices every path to either predecessor of the
+    corner at its cost."""
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(40):
+        p, q = rng.randint(2, 5), rng.randint(2, 5)
+        base = weak_sum_grid(p, q, seed=rng.randint(0, 10**6))
+        linear = tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(base.graph.m))
+        inst = QsppInstance(base.graph, 0, base.target, linear, base.interaction)
+        vector = pseudo_linearize(inst)
+        for v in (base.target - 1, base.target - q):
+            shrunk = shrink_target(vector, inst, v)
+            moved = QsppInstance(inst.graph, 0, v, linear, inst.interaction)
+            for path in enumerate_st_paths(inst.graph, 0, v):
+                assert sum(shrunk[a] for a in path.arcs) == path_cost(moved, path)
+                checked += 1
+    assert checked > 400
+
+
 def test_shrinking_down_the_last_column_keeps_critical_path_costs():
     """shrink_target keeps path costs on the paths to the new target: the
     pseudo-linearization minus the linear costs, shrunk down the last column

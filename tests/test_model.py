@@ -25,9 +25,11 @@ from qspath import (
     make_directed_cycle,
     make_grid,
     path_cost,
+    qap_to_qspp,
     spp_solve,
     validate_instance,
 )
+from qspath.generate import filled_instance, random_qap
 from qspath.graphs import DEFAULT_PATH_LIMIT
 from qspath import model
 from qspath.model import _RUN_MIN, ValidationReport, _EntryRows, as_rational, rational_tokens
@@ -41,6 +43,7 @@ from helpers import (
     priced_walk_instances,
     quadratic_form_cost,
     random_symmetric_interaction,
+    traced_peak,
 )
 
 
@@ -648,3 +651,38 @@ def test_brute_force_scaling_invariance(seed, alpha):
     scaled = QsppInstance(g, 0, 5, inst.linear, inst.interaction.scaled(alpha))
     _, scaled_cost = brute_force_solve(scaled)
     assert scaled_cost == alpha * cost
+
+
+GRID_8X8 = make_grid(8, 8)  # 112 arcs
+QAP_11 = random_qap(11, random.Random(1))  # 121 arcs
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        (lambda: _EntryRows(101), 101),
+        (lambda: InteractionMatrix.zero(101), 101),
+        (lambda: InteractionMatrix.from_entries(101, {(0, 1): 1}), 101),
+        *(
+            (lambda fill=fill: filled_instance(GRID_8X8, 0, 63, fill, seed=1), 112)
+            for fill in ("zero", "random", "weak-sum", "product", "adjacent")
+        ),
+        (lambda: qap_to_qspp(QAP_11), 121),
+    ],
+)
+def test_q_builders_refuse_past_the_arc_bound_before_allocating(monkeypatch, build, count):
+    """With the bound lowered to 100, every builder of Q's m*m cells refuses
+    a larger arc count before it builds a row or draws a value."""
+    monkeypatch.setattr(model, "MAX_ARCS", 100)
+
+    def refuse():
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"arc count {count} exceeds the bound of 100"
+
+    assert traced_peak(refuse) < 16 * 1024
+
+
+def test_arc_bound_is_above_every_shape_in_use():
+    # the largest grid the README, the benchmark and the suite run is 32x32
+    assert make_grid(32, 32).m == 1984 < model.MAX_ARCS

@@ -13,8 +13,10 @@ from qspath import (
     QsppInstance,
     brute_force_solve,
     disjoint_to_aqspp,
+    emit_instance,
     enumerate_st_paths,
     is_adjacent_qspp,
+    parse_instance,
     parse_qaplib,
     qap_brute_force,
     qap_to_qspp,
@@ -48,8 +50,7 @@ def test_zero_qap_reduces_to_zero_optimum():
 
 def test_repeated_facility_paths_cost_at_least_big_m():
     inst = qap_to_qspp(TINY_QAP)
-    labels = inst.graph.labels
-    by_layer_fac = {(loc, fac): a for a, (fac, loc) in enumerate(labels)}
+    by_layer_fac = {divmod(a, 2): a for a in range(inst.graph.m)}
     from qspath import Path, path_cost
 
     repeat = Path((by_layer_fac[(0, 0)], by_layer_fac[(1, 0)]))
@@ -76,15 +77,46 @@ def test_optimal_path_decodes_to_optimal_placement():
 
 def test_decode_rejects_facility_repeats():
     inst = qap_to_qspp(TINY_QAP)
-    labels = inst.graph.labels
-    by_layer_fac = {(loc, fac): a for a, (fac, loc) in enumerate(labels)}
-    with pytest.raises(ValueError):
+    by_layer_fac = {divmod(a, 2): a for a in range(inst.graph.m)}
+    with pytest.raises(ValueError, match="repeats a facility"):
         decode_qap_path(inst, (by_layer_fac[(0, 1)], by_layer_fac[(1, 1)]))
-    unlabelled = QsppInstance(
-        Digraph(inst.graph.n, inst.graph.arcs), 0, inst.target, inst.linear, inst.interaction
+    # the same arcs with the two layers swapped: arc 0 runs from 1 to 2
+    arcs = inst.graph.arcs
+    not_layered = QsppInstance(
+        Digraph(inst.graph.n, arcs[2:] + arcs[:2]), 0, inst.target, inst.linear, inst.interaction
     )
-    with pytest.raises(ValueError, match="labelled"):
-        decode_qap_path(unlabelled, (0,))
+    with pytest.raises(ValueError, match="layered graph"):
+        decode_qap_path(not_layered, (0, 2))
+    # the layered arcs on one vertex too many
+    extra = QsppInstance(Digraph(4, arcs), 0, inst.target, inst.linear, inst.interaction)
+    with pytest.raises(ValueError, match="layered graph"):
+        decode_qap_path(extra, (0, 2))
+
+
+@pytest.mark.parametrize(
+    "arcs, message",
+    [
+        ((0, 4), "arc id 4 lies outside layer 1"),
+        ((-1, 2), "arc id -1 lies outside layer 0"),
+        ((0, 1), "arc id 1 lies outside layer 1"),
+        ((2, 0), "arc id 2 lies outside layer 0"),
+        ((0,), "has 2 arcs, got 1"),
+        ((0, 3, 3), "has 2 arcs, got 3"),
+    ],
+)
+def test_decode_rejects_arcs_that_form_no_path(arcs, message):
+    with pytest.raises(ValueError, match=message):
+        decode_qap_path(qap_to_qspp(TINY_QAP), arcs)
+
+
+def test_parsed_reduction_decodes_to_an_optimal_placement():
+    rng = random.Random(31)
+    for n in (2, 3, 4, 5):
+        qap = random_qap(n, rng)
+        inst = parse_instance(emit_instance(qap_to_qspp(qap)))
+        path, cost = brute_force_solve(inst)
+        placement = decode_qap_path(inst, path.arcs)
+        assert qap_objective(qap, placement) == cost == qap_brute_force(qap)[1]
 
 
 def test_every_cheap_path_decodes_and_every_repeat_is_penalized():
@@ -98,7 +130,7 @@ def test_every_cheap_path_decodes_and_every_repeat_is_penalized():
 
     for path in enumerate_st_paths(inst.graph, 0, 3):
         cost = path_cost(inst, path)
-        facilities = [inst.graph.labels[a][0] for a in path.arcs]
+        facilities = [a % 3 for a in path.arcs]
         if len(set(facilities)) == len(facilities):
             placement = decode_qap_path(inst, path.arcs)
             assert qap_objective(qap, placement) == cost

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CyclicGraphError, FamilyError
-from .graphs import Digraph, Path, is_acyclic
+from .graphs import Digraph, Path, _adjacent, is_acyclic
 from .model import (
     InteractionMatrix,
     QsppInstance,
@@ -27,14 +27,6 @@ from .model import (
     as_rational,
     spp_solve,
 )
-
-
-def _adjacent(g: Digraph, e: int, f: int) -> bool:
-    """Whether arcs e and f can sit next to each other on a walk."""
-    a, b = g.arcs[e], g.arcs[f]
-    return (a.tail == b.head and a.head != b.tail) or (
-        a.head == b.tail and a.tail != b.head
-    )
 
 
 def is_adjacent_qspp(inst: QsppInstance) -> bool:

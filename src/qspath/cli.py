@@ -4,6 +4,15 @@ Exit codes are a stable contract: 0 for success (and for the linearizable
 verdict), 3 for a not-linearizable verdict, 2 for usage errors and violated
 preconditions.  All output values are exact rationals; wall-clock timings in
 ``bench`` are the only floats anywhere.
+
+Each process runs one command, so the module loads at import only the
+layers of the common commands: ``generate``, ``linearize --mode
+grid|oracle|oracle-nonneg`` and ``solve --method brute|spp``.  Their
+handlers look those layers up on this module when they run, so a name
+replaced here (the benchmark's span wrappers and the tests patch them) is
+the one called.  The other handlers import their layer where they call it:
+the adjacent and product solvers, the K4 and tournament closed forms and
+the two reductions.
 """
 from __future__ import annotations
 
@@ -15,13 +24,12 @@ import time
 from contextlib import nullcontext
 from fractions import Fraction
 
-from .adjacent import solve_aqspp
-from .complete import k4_linearize, tournament4_linearize
 from .errors import FormatError, QspathError
 from .fileio import emit_instance, parse_instance
 from .generate import FILLS, filled_instance, random_digraph, worked_example
 from .graphs import (
     DEFAULT_PATH_LIMIT,
+    MAX_VERTICES,
     _check_vertex_count,
     count_grid_paths,
     make_complete_symmetric,
@@ -32,7 +40,7 @@ from .graphs import (
     path_vertices,
 )
 from .grid import linearize_grid
-from .model import QsppInstance, SppInstance, brute_force_solve, spp_solve
+from .model import QsppInstance, SppInstance, _check_arc_count, brute_force_solve, spp_solve
 from .pathmatrix import (
     MAX_ORACLE_PATHS,
     CostMismatch,
@@ -41,8 +49,6 @@ from .pathmatrix import (
     build_path_matrix,
     lp_oracle,
 )
-from .reductions import DisjointPathsInstance, disjoint_to_aqspp, parse_qaplib, qap_to_qspp
-from .special import solve_product_case
 
 
 # characters handed to one write: the stream encodes each slice on its own,
@@ -92,6 +98,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _generated_instance(args: argparse.Namespace) -> QsppInstance:
     family = args.family
     if family == "qap-reduce":
+        from .reductions import parse_qaplib, qap_to_qspp
+
         return qap_to_qspp(parse_qaplib(_read_text(args.params[0])))
     try:
         sizes = [int(v) for v in args.params]
@@ -111,13 +119,20 @@ def _generated_instance(args: argparse.Namespace) -> QsppInstance:
         rng = random.Random(args.seed)
         g = random_digraph(n, args.density, rng)
         s1, t1, s2, t2 = rng.sample(range(n), 4)
+        # the reduction has four arcs per arc of g and the bridge
+        _check_arc_count(4 * g.m + 1)
+        from .reductions import DisjointPathsInstance, disjoint_to_aqspp
+
         return disjoint_to_aqspp(DisjointPathsInstance(g, s1, t1, s2, t2))
 
+    if family == "complete" and args.example:
+        return worked_example(n)
+    if family == "tournament" and args.orientation is None and args.seed is None:
+        raise QspathError("tournament needs --orientation or --seed")
+    _check_arc_count(_family_arcs(family, sizes, args.full))
     if family == "grid":
         g = make_grid(*sizes)
     elif family == "complete":
-        if args.example:
-            return worked_example(n)
         g = make_complete_symmetric(n, simplified=not args.full, source=0, target=n - 1)
     elif family == "cycle":
         g = make_directed_cycle(n)
@@ -126,13 +141,32 @@ def _generated_instance(args: argparse.Namespace) -> QsppInstance:
     else:  # tournament
         bits = args.orientation
         if bits is None:
-            if args.seed is None:
-                raise QspathError("tournament needs --orientation or --seed")
-            # one bit per vertex pair, drawn only for a count inside the bound
+            # one bit per vertex pair, drawn only for a count inside the bounds
             _check_vertex_count(n)
             bits = random.Random(args.seed).getrandbits(n * (n - 1) // 2)
         g = make_tournament(n, bits)
     return filled_instance(g, 0, g.n - 1, args.fill, args.seed, args.max_entry)
+
+
+def _family_arcs(family: str, sizes: list[int], full: bool) -> int:
+    """Arcs of the graph the family's builder makes from ``sizes``, known
+    before it builds one, or 0 for sizes the builder refuses on its own
+    before any arc: too small, or past MAX_VERTICES, so that its message
+    stands."""
+    if family == "grid":
+        p, q = sizes
+        return 2 * p * q - p - q if min(p, q) >= 2 and p * q <= MAX_VERTICES else 0
+    (n,) = sizes
+    if family == "hypercube":
+        # 2**n is within the bound exactly when n is below its bit length
+        return n << (n - 1) if 1 <= n < MAX_VERTICES.bit_length() else 0
+    if not 2 <= n <= MAX_VERTICES:
+        return 0
+    if family == "complete":
+        # the simplified graph drops the n - 1 arcs into the source, the
+        # n - 1 out of the target (one of them shared) and source -> target
+        return n * (n - 1) if full else (n - 1) * (n - 2)
+    return n if family == "cycle" else n * (n - 1) // 2
 
 
 def _read_text(path: str) -> str:
@@ -159,8 +193,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "brute":
         path, cost = brute_force_solve(inst, args.limit)
     elif args.method == "aqspp":
+        from .adjacent import solve_aqspp
+
         path, cost = solve_aqspp(inst)
     elif args.method == "product":
+        from .special import solve_product_case
+
         path, cost = solve_product_case(inst)
     else:
         if any(v for row in inst.interaction.rows for v in row):
@@ -200,8 +238,12 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     if args.mode == "grid":
         result = linearize_grid(inst)
     elif args.mode == "k4":
+        from .complete import k4_linearize
+
         result = k4_linearize(inst)
     elif args.mode == "t4":
+        from .complete import tournament4_linearize
+
         result = tournament4_linearize(inst)
     else:
         pm = build_path_matrix(inst, args.limit)
@@ -242,9 +284,7 @@ def _path_limit(text: str) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and reused by every
-    main call, since parsing leaves it unchanged.  The handlers look up the
-    layers they call on this module when they run, so a name replaced here
-    later is still the one called."""
+    main call, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qspath",
         description="Quadratic shortest path toolkit: exact solvers and "

@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adjacent import _adjacent
 from .errors import FamilyError, InternalError
-from .graphs import Digraph, make_complete_symmetric, path_vertices
+from .graphs import Digraph, _adjacent, make_complete_symmetric, path_vertices
 from .model import InteractionMatrix, QsppInstance, as_rational, rational_vector, validate_instance
 from .pathmatrix import (
     InfeasibilityCertificate,

@@ -23,12 +23,13 @@ import random
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .adjacent import _adjacent
-from .graphs import Digraph, _check_vertex_count, make_complete_symmetric
+from .graphs import Digraph, _adjacent, _check_vertex_count, make_complete_symmetric
 from .model import InteractionMatrix, QsppInstance, _check_arc_count
-from .reductions import QapInstance
+
+if TYPE_CHECKING:
+    from .reductions import QapInstance
 
 
 # _TOP[k][b] is getrandbits(k) of a word whose top byte is b, for k <= 8
@@ -236,6 +237,7 @@ def worked_example(n: int) -> QsppInstance:
 
 def random_qap(n: int, rng: random.Random, max_entry: int = 9) -> QapInstance:
     """Random symmetric assignment data with integer entries in 0..max_entry."""
+    from .reductions import QapInstance
 
     def symmetric() -> list[list[Fraction]]:
         rows = [[0] * n for _ in range(n)]

@@ -136,6 +136,14 @@ def path_vertices(g: Digraph, path: Path) -> tuple[int, ...]:
     return tuple(verts)
 
 
+def _adjacent(g: Digraph, e: int, f: int) -> bool:
+    """Whether arcs e and f can sit next to each other on a walk."""
+    a, b = g.arcs[e], g.arcs[f]
+    return (a.tail == b.head and a.head != b.tail) or (
+        a.head == b.tail and a.tail != b.head
+    )
+
+
 def validate_path(
     g: Digraph, path: Path, source: int | None = None, target: int | None = None
 ) -> tuple[int, ...]:

@@ -365,10 +365,75 @@ def test_arc_count_past_the_bound_exit_two(tmp_path, capsys, monkeypatch):
     path.write_text(parallel_arcs_text(101))
     code, out, err = run(capsys, "solve", str(path))
     assert (code, out, err) == (2, "", "error: arc count 101 exceeds the bound of 100\n")
-    for argv, count in ((["grid", "8", "8"], 112), (["hypercube", "6"], 192)):
-        code, out, err = run(capsys, "generate", *argv, "--fill", "random", "--seed", "1")
-        message = f"error: generate {argv[0]}: arc count {count} exceeds the bound of 100\n"
-        assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, builder, count",
+    [
+        (["grid", "8", "8", "--fill", "random", "--seed", "1"], "make_grid", 112),
+        (["complete", "12"], "make_complete_symmetric", 110),
+        (["complete", "11", "--full"], "make_complete_symmetric", 110),
+        (["cycle", "101"], "make_directed_cycle", 101),
+        (["hypercube", "6", "--fill", "random", "--seed", "1"], "make_hypercube", 192),
+        (["tournament", "15", "--seed", "1"], "make_tournament", 105),
+        (["tournament", "15", "--orientation", "0"], "make_tournament", 105),
+    ],
+)
+def test_generate_refuses_an_arc_count_past_the_bound_before_building(
+    capsys, monkeypatch, argv, builder, count
+):
+    monkeypatch.setattr(model, "MAX_ARCS", 100)
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{builder} was called")
+
+    monkeypatch.setattr(qspath.cli, builder, never)
+    code, out, err = run(capsys, "generate", *argv)
+    message = f"error: generate {argv[0]}: arc count {count} exceeds the bound of 100\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_family_arc_counts_are_the_builders():
+    for n in range(2, 9):
+        simplified = make_complete_symmetric(n, simplified=True, source=0, target=n - 1)
+        assert qspath.cli._family_arcs("complete", [n], False) == simplified.m
+        assert qspath.cli._family_arcs("complete", [n], True) == make_complete_symmetric(n).m
+        assert qspath.cli._family_arcs("cycle", [n], False) == make_directed_cycle(n).m
+        assert qspath.cli._family_arcs("tournament", [n], False) == make_tournament(n).m
+    for n in range(1, 9):
+        assert qspath.cli._family_arcs("hypercube", [n], False) == make_hypercube(n).m
+    for p in range(2, 6):
+        for q in range(2, 6):
+            assert qspath.cli._family_arcs("grid", [p, q], False) == make_grid(p, q).m
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grid", "1", "5000"], "generate grid: grid needs p >= 2 and q >= 2"),
+        (["complete", "-5000"], "generate complete: need n >= 2"),
+        (["hypercube", "20"], "generate hypercube: vertex count 2**20 exceeds the bound of 1000000"),
+        (["tournament", "5000"], "tournament needs --orientation or --seed"),
+    ],
+)
+def test_the_arc_bound_leaves_a_builders_own_refusal_standing(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(model, "MAX_ARCS", 100)
+    code, out, err = run(capsys, "generate", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_disjoint_reduce_refuses_its_arc_count_before_reducing(capsys, monkeypatch):
+    monkeypatch.setattr(model, "MAX_ARCS", 100)
+
+    def never(*args, **kwargs):
+        raise AssertionError("disjoint_to_aqspp was called")
+
+    monkeypatch.setattr(qspath.reductions, "disjoint_to_aqspp", never)
+    count = 4 * random_digraph(12, 0.4, random.Random(1)).m + 1
+    assert count > 100
+    code, out, err = run(capsys, "generate", "disjoint-reduce", "12", "--seed", "1")
+    message = f"error: generate disjoint-reduce: arc count {count} exceeds the bound of 100\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_bench_output_and_empty_range(capsys):

@@ -23,9 +23,9 @@ from qspath import (
     path_cost,
     tournament4_linearize,
 )
-from qspath.adjacent import _adjacent
 from qspath.complete import _never_together, knstar_order, paths_of_length
 from qspath.generate import worked_example
+from qspath.graphs import _adjacent
 
 from helpers import (
     arc_index,
@@ -81,7 +81,7 @@ def test_shape_recognition_counts_arcs_before_building_the_shape():
 
 
 def test_adjacent_is_the_consecutive_rule_on_co_carriable_pairs():
-    """path_class_costs sorts pairs by adjacent._adjacent.  On every pair
+    """path_class_costs sorts pairs by graphs._adjacent.  On every pair
     some path can carry, that is the rule "one arc ends where the other
     starts"; the two differ only on the two orientations of one vertex pair,
     which no path carries."""

@@ -30,14 +30,10 @@ from .model import (
 
 
 def is_adjacent_qspp(inst: QsppInstance) -> bool:
-    """True iff every nonzero interaction entry sits on an adjacent arc pair."""
-    rows = inst.interaction.rows
-    m = inst.graph.m
-    for e in range(m):
-        for f in range(m):
-            if rows[e][f] and not _adjacent(inst.graph, e, f):
-                return False
-    return True
+    """True iff every nonzero interaction entry sits on an adjacent arc pair;
+    adjacency is symmetric, so each pair is tested once, as e < f."""
+    g = inst.graph
+    return all(_adjacent(g, e, f) for e, f, _ in inst.interaction.pairs())
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ def build_auxiliary(inst: QsppInstance) -> AuxiliaryGraph:
         raise FamilyError("instance has interaction cost on a non-adjacent arc pair")
     g = inst.graph
     m = g.m
-    rows = inst.interaction.rows
+    row = inst.interaction.row
     aux_source, aux_target = 0, m + 1
     arcs: list[tuple[int, int]] = []
     costs: list[Fraction] = []
@@ -83,7 +79,7 @@ def build_auxiliary(inst: QsppInstance) -> AuxiliaryGraph:
             if not _adjacent(g, e, f):
                 continue
             arcs.append((1 + e, 1 + f))
-            costs.append(inst.linear[f] + 2 * rows[e][f])
+            costs.append(inst.linear[f] + 2 * row(e)[f])
     for e in g.in_arcs(inst.target):
         arcs.append((1 + e, aux_target))
         costs.append(0)

@@ -201,7 +201,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
         path, cost = solve_product_case(inst)
     else:
-        if any(v for row in inst.interaction.rows for v in row):
+        if not inst.interaction.is_zero():
             raise QspathError(
                 "method spp needs a zero interaction matrix; use brute or aqspp"
             )

@@ -20,7 +20,7 @@ surviving inequality is also sufficient and the witness vector is explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import FamilyError, InternalError
@@ -79,14 +79,9 @@ def normalize_knstar(inst: QsppInstance) -> QsppInstance:
     survive normalization.
     """
     knstar_order(inst.graph, inst.source, inst.target)
-    m = inst.graph.m
-    rows = [list(row) for row in inst.interaction.rows]
-    for e in range(m):
-        for f in range(e + 1, m):
-            if _never_together(inst.graph, e, f):
-                rows[e][f] = rows[f][e] = 0
-    interaction = InteractionMatrix._of_exact(rows)
-    return QsppInstance(inst.graph, inst.source, inst.target, inst.linear, interaction)
+    g = inst.graph
+    kept = ((e, f, v) for e, f, v in inst.interaction.pairs() if not _never_together(g, e, f))
+    return replace(inst, interaction=InteractionMatrix.from_triples(g.m, kept))
 
 
 @dataclass(frozen=True)
@@ -134,18 +129,11 @@ def path_class_costs(
         raise FamilyError(
             "length-class costs assume a zero linear vector; shift it first"
         )
-    g = inst.graph
-    rows = inst.interaction.rows
-    m = g.m
+    g, s, t = inst.graph, inst.source, inst.target
     sums = [0] * 6
-    for e in range(m):
-        for f in range(e + 1, m):
-            value = rows[e][f]
-            if not value or _never_together(g, e, f):
-                continue
-            terminal = _is_terminal(g, inst.source, inst.target, e) + _is_terminal(
-                g, inst.source, inst.target, f
-            )
+    for e, f, value in inst.interaction.pairs():
+        if not _never_together(g, e, f):
+            terminal = _is_terminal(g, s, t, e) + _is_terminal(g, s, t, f)
             sums[2 * (2 - terminal) + (not _adjacent(g, e, f))] += 2 * value
     totals = {
         k: as_rational(sum(_paths_per_pair(n, idx + 1, k) * sums[idx] for idx in range(6)))
@@ -290,7 +278,7 @@ def tournament4_linearize(inst: QsppInstance) -> LinearizationResult:
             "tournament linearization expects a problem-definition instance: "
             + "; ".join(report.violations)
         )
-    if all(not v for row in inst.interaction.rows for v in row):
+    if inst.interaction.is_zero():
         return LinearizationResult(True, vector=inst.linear)
     result = lp_oracle(build_path_matrix(inst), require_nonneg=True)
     if not result.linearizable:

@@ -24,7 +24,7 @@ a p-by-q grid vertex in row i, column j (1-based) is vertex (i-1)*q + (j-1).
 
 The emitter writes Q a row at a time, right of the diagonal, each row one
 join.  A matrix from a seeded fill hands over its upper triangle with the
-fill's top (_triangle); _of_upper's promise puts every value in range(top),
+fill's top (_uppers); _of_upper's promise puts every value in range(top),
 so its cells are read from a table of the texts "f v" for every arc id f
 and every whole 0 < v < top, built once per file when it holds no more
 texts than Q has cells right of the diagonal; filter drops the zero cells,
@@ -106,13 +106,8 @@ def emit_instance(inst: QsppInstance) -> str:
     # Q a row at a time, right of the diagonal, each row one join: from a
     # seeded fill's triangle through the cell table, when that holds at most
     # as many texts as there are such cells, and otherwise by compress
-    triangle = inst.interaction._triangle()
-    if triangle is None:
-        uppers = (row[e + 1 :] for e, row in enumerate(inst.interaction.rows))
-        cells = None
-    else:
-        uppers, top = triangle
-        cells = _cell_table(named, top) if m * top <= m * (m - 1) // 2 else None
+    uppers, top = inst.interaction._uppers()
+    cells = _cell_table(named, top) if top is not None and m * top <= m * (m - 1) // 2 else None
     count = 0
     blocks = []
     for e, upper in enumerate(uppers):

@@ -293,7 +293,7 @@ def _walk_st_paths(
     target: int,
     limit: int,
     linear: Sequence | None = None,
-    rows: Sequence[Sequence] | None = None,
+    rows: Iterable[Sequence] | None = None,
     prune: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], object]]:
     """Yield (arcs, cost) for every simple source-target path, lexicographic

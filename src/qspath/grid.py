@@ -175,16 +175,16 @@ def _critical_costs(
     what the new pair adds to the rest of the path (and to each other) minus
     what the old pair did.  The continuation past the sub-grid never flips.
     """
-    matrix = inst.interaction.rows
+    row = inst.interaction.row
     arcs = _critical_path_arcs(shape, rows, cols, 1, cols)
-    cost = sum(linear[a] + sum(matrix[a][k] for k in arcs) for a in arcs)
+    cost = sum(linear[a] + sum(map(row(a).__getitem__, arcs)) for a in arcs)
     costs = {shape.right[(1, 1)]: cost}
     for i in range(1, rows):
         for j in range(cols - 1, 0, -1):
             s = i + j - 2
             a1, a2 = arcs[s], arcs[s + 1]
             b1, b2 = shape.down[(i, j)], shape.right[(i + 1, j)]
-            old1, old2, new1, new2 = matrix[a1], matrix[a2], matrix[b1], matrix[b2]
+            old1, old2, new1, new2 = map(row, (a1, a2, b1, b2))
             shared = sum(
                 new1[k] + new2[k] - old1[k] - old2[k] for k in arcs[:s] + arcs[s + 2 :]
             )
@@ -281,7 +281,7 @@ def shrink_target(
     if len(vec) != g.m:
         raise ValueError("vector length must equal the arc count")
     bridge = bridges[0]
-    out = [v - 2 * w for v, w in zip(vec, inst.interaction.rows[bridge])]
+    out = [v - 2 * w for v, w in zip(vec, inst.interaction.row(bridge))]
     for e in g.out_arcs(inst.source):
         out[e] += vec[bridge] - inst.linear[bridge]
     return rational_vector(out)
@@ -307,7 +307,7 @@ def _square_pairs_vanish(inst: QsppInstance, shape: GridShape) -> bool:
     """The square-pair criterion: delta_S Q delta_S' = 0 for every unit
     square S' strictly above-left of a unit square S.  Stops at the first S
     with a failing pair."""
-    matrix = inst.interaction.rows
+    row = inst.interaction.row
     down, right = shape.down, shape.right
     # per row of unit squares, each square's arcs in delta's sign pattern
     # + + - -: down(i, j), right(i+1, j), right(i, j), down(i, j+1)
@@ -323,7 +323,7 @@ def _square_pairs_vanish(inst: QsppInstance, shape: GridShape) -> bool:
         for j in range(1, shape.q - 1):
             # (delta_S Q)[b] for the arcs b of the squares above-left of S
             above_left = itemgetter(*chain.from_iterable(r[: 4 * j] for r in squares[:i]))
-            a1, a2, b1, b2 = (above_left(matrix[a]) for a in squares[i][4 * j : 4 * j + 4])
+            a1, a2, b1, b2 = (above_left(row(a)) for a in squares[i][4 * j : 4 * j + 4])
             w = list(map(sub, map(add, a1, a2), map(add, b1, b2)))
             if any(map(sub, map(add, w[0::4], w[1::4]), map(add, w[2::4], w[3::4]))):
                 return False

@@ -19,11 +19,18 @@ graphs instead.
 Every matrix built from off-diagonal entries (from_triples, from_entries,
 the adjacent fill and the parser of sparse files) is checked and written by
 one entry checker, _EntryRows, which finds a repeated pair in a bitmap of
-seen cells.  zero, scaled and normalize_knstar set every cell by
-construction and hand their finished rows to _of_exact instead; the random,
-weak-sum and product fills hand the upper triangle of Q to _of_upper, which
-alone mirrors one, and tests/test_source.py keeps both to these builders.
-Any other rows go through the coercing constructor, which checks them.
+seen cells.  zero, scaled and qap_to_qspp on integer data set every cell
+by construction and hand their finished rows to _of_exact instead; the
+random, weak-sum and product fills hand the upper triangle of Q to
+_of_upper, which alone mirrors one, and tests/test_source.py keeps both to
+these builders.  Any other rows go through the coercing constructor, which
+checks them.
+
+Only this module knows how Q is stored.  Every other module reads it via
+three readers of InteractionMatrix: row(e), the exact row; pairs(), each
+nonzero cell right of the diagonal once as (e, f, value), row-major; and
+is_zero().  pairs and is_zero read a seeded fill's kept triangle without
+building the m*m cells, and tests/test_source.py pins the rule.
 
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
 the earliest enumerated optimum, and the shortest-path solvers only ever
@@ -35,9 +42,9 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CyclicGraphError, NoPathError
 from .graphs import (
@@ -251,10 +258,8 @@ class InteractionMatrix:
     rows exact and refuses, with ValueError, rows that are not square, then
     not symmetric, then not zero on the diagonal.  zero, from_entries,
     from_triples, scaled and the builders elsewhere that set every cell
-    themselves produce the invariant and skip the check through _of_exact.
-    The seeded fills that set every cell give only the upper triangle, to
-    _of_upper, which keeps it until the rows are first read and then drops
-    it.
+    themselves produce the invariant and skip the check through _of_exact,
+    or through _of_upper with only the upper triangle.
     """
 
     __slots__ = ("rows", "_upper")
@@ -303,10 +308,12 @@ class InteractionMatrix:
         self._upper = None
         return rows
 
-    def _triangle(self) -> tuple[Sequence[Sequence[int]], int] | None:
-        """(uppers, top) as given to _of_upper, while the rows are not yet
-        built; None for every other matrix."""
-        return self._upper
+    def _uppers(self) -> tuple[Iterable[Sequence[int | Fraction]], int | None]:
+        """(uppers, top): each row's cells right of the diagonal, with top as
+        given to _of_upper while its triangle is kept and None otherwise."""
+        if self._upper is not None:
+            return self._upper
+        return (row[e + 1 :] for e, row in enumerate(self.rows)), None
 
     def _mirrored(self) -> tuple[tuple[int, ...], ...]:
         """The rows of the upper triangle kept by _of_upper.  Q is laid out
@@ -363,8 +370,21 @@ class InteractionMatrix:
     def m(self) -> int:
         return len(self.rows if self._upper is None else self._upper[0])
 
-    def at(self, e: int, f: int) -> Fraction:
-        return self.rows[e][f]
+    def row(self, e: int) -> tuple[int | Fraction, ...]:
+        """Row e, exact: the same object as rows[e]."""
+        return self.rows[e]
+
+    def pairs(self) -> Iterator[tuple[int, int, int | Fraction]]:
+        """(e, f, value) for each nonzero cell right of the diagonal, e < f,
+        in row-major order; a kept triangle is read without building rows."""
+        # ids in a tuple, not a range, so compress makes no int per cell
+        columns = tuple(range(self.m))
+        for e, upper in enumerate(self._uppers()[0]):
+            yield from zip(repeat(e), compress(columns[e + 1 :], upper), compress(upper, upper))
+
+    def is_zero(self) -> bool:
+        """Whether no cell of Q is nonzero."""
+        return next(self.pairs(), None) is None
 
     def is_nonnegative(self) -> bool:
         return min(map(min, self.rows), default=0) >= 0

@@ -95,8 +95,9 @@ def build_path_matrix(inst: QsppInstance, limit: int = MAX_ORACLE_PATHS) -> Path
     rows = []
     costs = []
     paths = []
+    q_rows = map(inst.interaction.row, range(m))
     for arcs, cost in _walk_st_paths(
-        inst.graph, inst.source, inst.target, limit, inst.linear, inst.interaction.rows
+        inst.graph, inst.source, inst.target, limit, inst.linear, q_rows
     ):
         row = [0] * m
         for a in arcs:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, repeat
+from operator import mul
 from typing import Sequence
 
 from .errors import FormatError
@@ -87,35 +88,33 @@ def qap_to_qspp(qap: QapInstance) -> QsppInstance:
     _check_arc_count(m)
     a = [list(row) for row in qap.a]
     b = [list(row) for row in qap.b]
-    c = [list(row) for row in qap.c]
-    for i in range(n):
-        for j in range(n):
-            c[i][j] += a[i][i] * b[j][j]
+    c = [[v + a[i][i] * b[j][j] for j, v in enumerate(row)] for i, row in enumerate(qap.c)]
     for i in range(n):
         a[i][i] = b[i][i] = 0
 
-    big_m = 1 + sum(
-        abs(a[i][k] * b[j][l])
-        for i in range(n)
-        for k in range(n)
-        for j in range(n)
-        for l in range(n)
-    ) + sum(abs(c[i][j]) for i in range(n) for j in range(n))
+    # the sum of |a[i][k] * b[j][l]| over all i, k, j, l is (sum |a|)(sum |b|)
+    sum_a, sum_b, sum_c = (sum(map(abs, chain.from_iterable(mat))) for mat in (a, b, c))
+    big_m = as_rational(1 + sum_a * sum_b + sum_c)
 
     graph = Digraph(n + 1, [(loc, loc + 1) for loc in range(n) for _ in range(n)])
     linear = [c[fac][loc] for loc in range(n) for fac in range(n)]
-    rows = [[0] * m for _ in range(m)]
-    for e in range(m):
-        loc_e, fac_e = divmod(e, n)
-        for f in range(m):
-            if e == f:
-                continue
-            loc_f, fac_f = divmod(f, n)
-            if fac_e == fac_f or loc_e == loc_f:
-                rows[e][f] = big_m
-            else:
-                rows[e][f] = a[fac_e][fac_f] * b[loc_e][loc_f]
-    return QsppInstance(graph, 0, n, tuple(linear), InteractionMatrix(rows))
+    # row (loc_e, fac_e) is a[fac_e][fac_f] * b[loc_e][loc_f] at (loc_f, fac_f) in
+    # one map, then big M at e's facility and across e's location, 0 at e
+    flows = [row * n for row in a]
+    distances = [[v for v in row for _ in range(n)] for row in b]
+    rows = []
+    for loc_e in range(n):
+        for fac_e in range(n):
+            row = list(map(mul, flows[fac_e], distances[loc_e]))
+            row[fac_e::n] = repeat(big_m, n)
+            row[loc_e * n : loc_e * n + n] = repeat(big_m, n)
+            row[loc_e * n + fac_e] = 0
+            rows.append(row)
+    # whole a and b make whole products, set symmetric with a zero diagonal
+    # above; products of Fractions go through the coercing constructor
+    whole = all(type(v) is int for v in chain(*a, *b))
+    interaction = (InteractionMatrix._of_exact if whole else InteractionMatrix)(rows)
+    return QsppInstance(graph, 0, n, tuple(linear), interaction)
 
 
 def decode_qap_path(inst: QsppInstance, path_arcs: Sequence[int]) -> tuple[int, ...]:

@@ -34,20 +34,19 @@ def detect_weak_sum(q: InteractionMatrix) -> tuple[Fraction, ...] | None:
     checked against it (the matrix is symmetric by construction).
     """
     m = q.m
-    rows = q.rows
     if m == 0:
         return ()
     if m == 1:
         return (0,)
+    first = q.row(0)
     if m == 2:
-        half = as_rational(Fraction(rows[0][1], 2))
+        half = as_rational(Fraction(first[1], 2))
         return (half, half)
-    a0 = as_rational(Fraction(rows[0][1] + rows[0][2] - rows[1][2], 2))
-    witness = rational_vector([a0] + [rows[0][f] - a0 for f in range(1, m)])
-    for e in range(m):
-        for f in range(e + 1, m):
-            if rows[e][f] != witness[e] + witness[f]:
-                return None
+    a0 = as_rational(Fraction(first[1] + first[2] - q.row(1)[2], 2))
+    witness = rational_vector([a0] + [first[f] - a0 for f in range(1, m)])
+    for e, w in enumerate(witness):
+        if q.row(e)[e + 1 :] != tuple(w + v for v in witness[e + 1 :]):
+            return None
     return witness
 
 
@@ -116,8 +115,10 @@ def _product_factor(
                 "interaction-plus-diagonal matrix is a rank-one product whose factor "
                 "is irrational; no exact factorization exists"
             )
-        rows = q.rows
-        if all(rows[e][f] == factor[e] * factor[f] for e in range(m) for f in range(e + 1, m)):
+        if all(
+            q.row(e)[e + 1 :] == tuple(a * b for b in factor[e + 1 :])
+            for e, a in enumerate(factor)
+        ):
             return factor
     raise FamilyError("interaction-plus-diagonal matrix is not a rank-one product")
 

@@ -20,7 +20,9 @@ from qspath import (
     solve_aqspp,
     spp_solve,
 )
-from qspath.generate import fill_adjacent, random_dag
+from qspath import adjacent
+from qspath.generate import fill_adjacent, filled_instance, random_dag
+from qspath.graphs import make_grid
 
 from helpers import arc_index
 
@@ -34,6 +36,29 @@ def test_is_adjacent_recognition():
     assert not is_adjacent_qspp(QsppInstance(g, 0, 3, (0, 0, 0), far_apart))
     zero = QsppInstance(g, 0, 3, (0, 0, 0), InteractionMatrix.zero(3))
     assert is_adjacent_qspp(zero)
+
+
+def test_adjacency_is_tested_once_per_nonzero_pair(monkeypatch):
+    """is_adjacent_qspp tests only the nonzero pairs of Q, each once as
+    e < f, and stops at the first that is not adjacent."""
+    calls = []
+
+    def counted(g, e, f):
+        calls.append((e, f))
+        return real(g, e, f)
+
+    real = adjacent._adjacent
+    monkeypatch.setattr(adjacent, "_adjacent", counted)
+    g = make_grid(5, 6)
+    inst = filled_instance(g, 0, g.n - 1, "adjacent", seed=3)
+    pairs = [(e, f) for e, f, _ in inst.interaction.pairs()]
+    assert is_adjacent_qspp(inst)
+    assert calls == pairs and 0 < len(pairs) < g.m * (g.m - 1) // 4
+    calls.clear()
+    rows = [list(row) for row in inst.interaction.rows]
+    rows[0][g.m - 1] = rows[g.m - 1][0] = 1
+    assert not is_adjacent_qspp(QsppInstance(g, 0, g.n - 1, inst.linear, InteractionMatrix(rows)))
+    assert calls[-1] == (0, g.m - 1) and calls == sorted(set(calls))
 
 
 def test_parallel_arcs_are_not_adjacent():

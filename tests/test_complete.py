@@ -102,8 +102,8 @@ def test_normalize_zeroes_unusable_pairs_only():
     inst = knstar_instance(4, {((0, 1), (2, 1)): 5, ((0, 1), (1, 3)): 7})
     idx = arc_index(inst.graph)
     normalized = normalize_knstar(inst)
-    assert normalized.interaction.at(idx[(0, 1)], idx[(2, 1)]) == 0
-    assert normalized.interaction.at(idx[(0, 1)], idx[(1, 3)]) == 7
+    assert normalized.interaction.row(idx[(0, 1)])[idx[(2, 1)]] == 0
+    assert normalized.interaction.row(idx[(0, 1)])[idx[(1, 3)]] == 7
 
 
 def test_normalize_preserves_every_path_cost():

@@ -204,7 +204,7 @@ def test_parse_dense_matrix():
     3/2 0
     """
     inst = parse_instance(text)
-    assert inst.interaction.at(0, 1) == Fraction(3, 2)
+    assert inst.interaction.row(0)[1] == Fraction(3, 2)
     assert inst.linear == (1, 2)
 
 
@@ -291,7 +291,7 @@ def test_parse_reads_signed_fractional_and_decimal_tokens_exactly():
     )
     assert inst == expected
     assert_exact(inst)
-    assert type(inst.linear[2]) is int and type(inst.interaction.at(1, 0)) is int
+    assert type(inst.linear[2]) is int and type(inst.interaction.row(1)[0]) is int
 
 
 def test_parse_reads_values_outside_the_table_as_as_rational_does():
@@ -305,7 +305,7 @@ def test_parse_reads_values_outside_the_table_as_as_rational_does():
         tokens = ["5", "11", odd, "0"]
         lines = [f"{k} {k + 1} {v}" for k, v in enumerate(tokens)]
         inst = parse_instance(head + f"Q sparse {len(lines)}\n" + "\n".join(lines) + "\n")
-        values = [inst.interaction.at(k, k + 1) for k in range(len(tokens))]
+        values = [inst.interaction.row(k)[k + 1] for k in range(len(tokens))]
         assert values == [as_rational(t) for t in tokens]
         assert_exact(inst)
 
@@ -460,7 +460,7 @@ def test_cell_table_serves_only_a_kept_triangle(monkeypatch):
         QsppInstance(g, 0, g.n - 1, filled.linear, filled.interaction.scaled(Fraction(1, 3))),
     ]
     for inst in instances:
-        assert inst.interaction._triangle() is None
+        assert inst.interaction._uppers()[1] is None
         assert emit_instance(inst) == naive_emit(inst)
 
 

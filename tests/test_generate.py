@@ -101,14 +101,14 @@ def test_of_upper_mirrors_bytes_and_lists_like_a_naive_mirror(top):
         for uppers in forms:
             matrix = InteractionMatrix._of_upper(uppers, top)
             assert matrix.m == m
-            assert matrix._triangle() == (uppers, top)
+            assert matrix._uppers() == (uppers, top)
             # the rows are built on their first read, not before, and the
             # triangle is dropped once they are
             with pytest.raises(AttributeError):
                 object.__getattribute__(matrix, "rows")
             assert matrix.rows == _mirror(lists)
             assert matrix.rows is matrix.rows
-            assert matrix._triangle() is None
+            assert matrix._uppers()[1] is None
             assert matrix.m == m
             assert matrix == InteractionMatrix(_mirror(lists))
 
@@ -133,7 +133,7 @@ def test_fill_triangles_mirror_into_the_rows_the_fills_built(fill):
         for max_entry in (0, 1, 9, 127, 128, 255, 256):
             seed = 7 * g.m + max_entry
             linear, matrix = FILLS[fill](g, random.Random(seed), max_entry)
-            uppers, top = matrix._triangle()
+            uppers, top = matrix._uppers()
             assert [len(upper) for upper in uppers] == list(range(g.m - 1, -1, -1))
             if fill != "random":
                 # a byte per cell while the values fit one

@@ -686,3 +686,66 @@ def test_q_builders_refuse_past_the_arc_bound_before_allocating(monkeypatch, bui
 def test_arc_bound_is_above_every_shape_in_use():
     # the largest grid the README, the benchmark and the suite run is 32x32
     assert make_grid(32, 32).m == 1984 < model.MAX_ARCS
+
+
+def _reader_builders():
+    """Builders of fresh matrices for the readers: every seeded fill (the
+    random, weak-sum and product ones keep their triangle), Q/3, signed
+    thirds from from_triples, and rows through the coercing constructor."""
+    rng = random.Random(13)
+    builds = []
+    for g in (make_grid(2, 2), make_grid(3, 4), make_complete_symmetric(5)):
+        for fill in ("zero", "random", "weak-sum", "product", "adjacent"):
+            for seed, max_entry in ((1, 0), (2, 1), (3, 9), (4, 300)):
+
+                def filled(g=g, fill=fill, seed=seed, max_entry=max_entry):
+                    return filled_instance(g, 0, g.n - 1, fill, seed, max_entry).interaction
+
+                builds.append(filled)
+                builds.append(lambda filled=filled: filled().scaled(Fraction(1, 3)))
+    for inst in priced_walk_instances("dag", rng) + priced_walk_instances("grid", rng, "zero"):
+        builds.append(lambda q=inst.interaction: q)
+        builds.append(lambda rows=inst.interaction.rows: InteractionMatrix(rows))
+        builds.append(lambda m=inst.graph.m: InteractionMatrix.from_triples(m, []))
+    for m in (0, 1, 2, 9):
+        builds.append(lambda m=m: random_symmetric_interaction(m, random.Random(m), -3, 3))
+        builds.append(lambda m=m: InteractionMatrix.zero(m))
+    return builds
+
+
+def test_readers_answer_what_the_rows_hold():
+    """row(e) is rows[e] itself; pairs() is each nonzero cell right of the
+    diagonal, row-major; is_zero() is whether no cell is nonzero.  The
+    readers run first, while a fill's triangle is still kept."""
+    builds = _reader_builders()
+    kept = 0
+    for build in builds:
+        q = build()
+        kept += q._uppers()[1] is not None
+        pairs, zero = list(q.pairs()), q.is_zero()
+        rows = q.rows
+        m = len(rows)
+        assert pairs == [(e, f, rows[e][f]) for e in range(m) for f in range(e + 1, m) if rows[e][f]]
+        assert all(type(v) is type(rows[e][f]) for e, f, v in pairs)
+        assert zero == (not any(map(any, rows)))
+        assert all(q.row(e) is rows[e] for e in range(m))
+    # the kept triangles, the nonzero Q and the zero ones were all reached
+    assert kept >= 9 * 4
+    assert {build().is_zero() for build in builds} == {False, True}
+
+
+@pytest.mark.parametrize("fill", ["random", "weak-sum", "product"])
+def test_pairs_and_is_zero_read_a_kept_triangle_without_building_rows(fill):
+    g = make_grid(4, 5)
+    for max_entry in (0, 1, 9, 300):
+        q = filled_instance(g, 0, g.n - 1, fill, seed=max_entry, max_entry=max_entry).interaction
+        uppers, top = q._uppers()
+        pairs = list(q.pairs())
+        assert q.is_zero() == (pairs == [])
+        # the slot is still unset and the triangle still kept
+        with pytest.raises(AttributeError):
+            object.__getattribute__(q, "rows")
+        assert q._uppers() == (uppers, top)
+        assert pairs == [
+            (e, f, v) for e, upper in enumerate(uppers) for f, v in enumerate(upper, e + 1) if v
+        ]

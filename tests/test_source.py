@@ -25,11 +25,15 @@ def test_library_has_no_assert_statements():
 # Where the unchecked InteractionMatrix._of_exact may be named: the builders
 # that set every cell of Q themselves, symmetric with a zero diagonal.  Any
 # other rows go through the coercing constructor, which checks them.
+# complete.normalize_knstar is not one: it hands Q's nonzero pairs, less
+# those no path carries, to from_triples.  reductions.qap_to_qspp is one on
+# integer a and b, whose products are whole and which QapInstance holds
+# symmetric, so every row it sets mirrors its column with 0 on the diagonal.
 OF_EXACT_BUILDERS = {
     ("model.py", "InteractionMatrix.zero"),
     ("model.py", "InteractionMatrix.scaled"),
     ("model.py", "_EntryRows.matrix"),
-    ("complete.py", "normalize_knstar"),
+    ("reductions.py", "qap_to_qspp"),
 }
 
 
@@ -66,6 +70,41 @@ def test_unchecked_matrix_wrapper_is_used_only_by_the_builders():
     assert strays == []
     # and the list names no builder that has stopped using it
     assert {use[:2] for use in uses} == OF_EXACT_BUILDERS
+
+
+def _attributes(tree: ast.AST, names: set[str], scope: str = ""):
+    """(enclosing qualified name, source of the object) of every attribute
+    named in ``names``, such as ("f", "inst.interaction") for
+    inst.interaction.rows in f, in the manner of _uses."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _attributes(node, names, f"{scope}.{node.name}" if scope else node.name)
+        else:
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                yield scope, ast.unparse(node.value)
+            yield from _attributes(node, names, scope)
+
+
+def test_only_the_model_reads_how_q_is_stored():
+    """Outside model.py, code asks an InteractionMatrix for row, pairs or
+    is_zero and reads neither its rows nor its kept triangle, so a change of
+    Q's storage stays inside model.py.  The other reads of a .rows are a
+    PathMatrix's, pm.rows in pathmatrix.py, and the emitter alone asks for
+    the upper rows, with a seeded fill's top, through _uppers."""
+    reads = {
+        (path.name, scope, obj)
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "model.py"
+        for scope, obj in _attributes(
+            ast.parse(path.read_text(), str(path)), {"rows", "_upper", "_uppers"}
+        )
+    }
+    assert reads == {
+        ("fileio.py", "emit_instance", "inst.interaction"),
+        ("pathmatrix.py", "_verify_solution", "pm"),
+        ("pathmatrix.py", "_verify_certificate", "pm"),
+        ("pathmatrix.py", "lp_oracle", "pm"),
+    }
 
 
 def _strided_stores(tree: ast.AST, scope: str = ""):

@@ -25,6 +25,7 @@ from itertools import chain, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from . import model
 from .graphs import Digraph, _adjacent, _check_vertex_count, make_complete_symmetric
 from .model import InteractionMatrix, QsppInstance, _check_arc_count
 
@@ -200,15 +201,22 @@ def random_dag(n: int, density: float, rng: random.Random) -> Digraph:
 
 
 def random_digraph(n: int, density: float, rng: random.Random) -> Digraph:
-    """Random digraph (cycles allowed) over all ordered pairs."""
+    """Random digraph (cycles allowed) over all ordered pairs.
+
+    No instance holds more than MAX_ARCS arcs, so the draw stops with
+    ValueError at the first arc past it rather than drawing all n(n-1)
+    coins; a digraph within it draws one coin per ordered pair, in order.
+    """
     _check_vertex_count(n)
     _check_density(density)
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.random() < density
-    ]
+    most = model.MAX_ARCS
+    arcs = []
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < density:
+                if len(arcs) == most:
+                    raise ValueError(f"the digraph's arc count exceeds the bound of {most}")
+                arcs.append((u, v))
     return Digraph(n, arcs)
 
 

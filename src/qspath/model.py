@@ -14,7 +14,8 @@ the sum of its linear costs, so each arc a adds c_a plus twice Q[a][b] for
 every arc b before it on the path, read from Q's own row of a.
 cost_of_arcs prices one path this way, in O(L^2) for L arcs; brute_force_solve
 and build_path_matrix in pathmatrix price along the depth-first search of
-graphs instead.
+graphs instead, and brute_force_solve prunes that search on the completion
+bound that graphs describes, on signed and rational data alike.
 
 Every matrix built from off-diagonal entries (from_triples, from_entries,
 the adjacent fill and the parser of sparse files) is checked and written by
@@ -470,16 +471,15 @@ def brute_force_solve(
     """Exact optimum by depth-first branch and bound; ties keep the earliest
     path.
 
-    Where c and Q are nonnegative and the part of the graph that reaches the
-    target is acyclic, a prefix that already costs at least the best path
-    found is not extended; elsewhere every path is priced.  Raises
-    PathLimitExceeded past ``limit`` paths and NoPathError if the target is
-    unreachable.
+    Where the part of the graph that reaches the target is acyclic, a
+    prefix whose completion bound (see graphs) reaches the best path found
+    is not extended, whatever the signs of c and Q; elsewhere every path is
+    priced.  Raises PathLimitExceeded past ``limit`` paths and NoPathError
+    if the target is unreachable.
     """
     g, c, q = inst.graph, inst.linear, inst.interaction
-    prune = min(c, default=0) >= 0 and q.is_nonnegative()
     best: tuple[tuple[int, ...], int | Fraction] | None = None
-    for arcs, cost in _walk_st_paths(g, inst.source, inst.target, limit, c, q.rows, prune):
+    for arcs, cost in _walk_st_paths(g, inst.source, inst.target, limit, c, q.rows, bounded=True):
         if best is None or cost < best[1]:
             best = (arcs, cost)
     if best is None:

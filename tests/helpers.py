@@ -96,6 +96,29 @@ def naive_st_paths(g: Digraph, source: int, target: int) -> list[Path]:
     return found
 
 
+def plain_cost(inst: QsppInstance, arcs) -> int | Fraction:
+    """c summed over the arcs plus Q over their ordered pairs, in the
+    data's own arithmetic (ints stay ints), one cell read at a time."""
+    rows = inst.interaction.rows
+    return sum(inst.linear[e] for e in arcs) + sum(
+        rows[e][f] for e in arcs for f in arcs if e != f
+    )
+
+
+def first_cheapest(inst: QsppInstance) -> tuple[Path, int | Fraction] | None:
+    """The first path of least cost in enumeration order with its cost,
+    priced by plain_cost, or None without a path: what brute force returned
+    when it priced every path.  The paths come from enumerate_st_paths,
+    which prices nothing and which the suite checks against
+    naive_st_paths; naive_st_paths itself is too slow at 46,656 paths."""
+    best = None
+    for path in enumerate_st_paths(inst.graph, inst.source, inst.target):
+        cost = plain_cost(inst, path.arcs)
+        if best is None or cost < best[1]:
+            best = (path, cost)
+    return best
+
+
 def _signed_thirds(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice((1, 3)))
 

@@ -436,6 +436,38 @@ def test_disjoint_reduce_refuses_its_arc_count_before_reducing(capsys, monkeypat
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("bound, code", [(30, 2), (100, 2), (2000, 0)])
+def test_disjoint_reduce_stops_drawing_at_the_first_arc_past_the_bound(
+    capsys, monkeypatch, bound, code
+):
+    """Each ordered vertex pair draws one coin.  A digraph past MAX_ARCS
+    stops its draw at the coin of its first arc past it; one within it
+    draws all n(n - 1) coins, and is refused only if its reduction's
+    4m + 1 arcs pass the bound."""
+    monkeypatch.setattr(model, "MAX_ARCS", bound)
+    n = 12
+    coins, arcs = 0, 0
+    replay = random.Random(1)
+    while coins < n * (n - 1) and arcs <= bound:
+        coins += 1
+        arcs += replay.random() < 0.4
+    assert (coins < n * (n - 1)) == (bound == 30)
+    draws = []
+    drawn = random.Random.random
+
+    def counted(rng):
+        draws.append(1)
+        return drawn(rng)
+
+    monkeypatch.setattr(random.Random, "random", counted)
+    result = run(capsys, "generate", "disjoint-reduce", str(n), "--seed", "1")
+    assert result[0] == code
+    assert len(draws) == coins
+    if bound == 30:
+        refusal = "the digraph's arc count exceeds the bound of 30"
+        assert result[1:] == ("", f"error: generate disjoint-reduce: {refusal}\n")
+
+
 def test_bench_output_and_empty_range(capsys):
     code, out, _ = run(capsys, "bench", "--max-p", "3", "--max-q", "3", "--seed", "1")
     assert code == 0

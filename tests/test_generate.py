@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from qspath import (
+    Digraph,
     make_complete_symmetric,
     make_directed_cycle,
     make_grid,
@@ -25,6 +26,7 @@ from qspath.generate import (
     random_digraph,
     random_qap,
 )
+from qspath import model
 from qspath.model import InteractionMatrix
 
 from helpers import randint_fill, traced_peak
@@ -156,6 +158,24 @@ def _graphs():
     yield make_tournament(5, 0b1011001101)
     for seed in range(3):
         yield random_digraph(7, 0.4, random.Random(seed))
+
+
+def test_random_digraph_within_the_arc_bound_draws_one_coin_per_pair(monkeypatch):
+    """Under the arc bound the digraph and the stream after it are those of
+    one coin per ordered pair, in order; one arc less refuses it."""
+    for seed in range(1, 51):
+        for n in range(4, 13):
+            rng, replay = random.Random(seed), random.Random(seed)
+            g = random_digraph(n, 0.4, rng)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            assert g == Digraph(n, [p for p in pairs if replay.random() < 0.4])
+            assert rng.getrandbits(64) == replay.getrandbits(64)
+            monkeypatch.setattr(model, "MAX_ARCS", g.m)
+            assert random_digraph(n, 0.4, random.Random(seed)) == g
+            monkeypatch.setattr(model, "MAX_ARCS", g.m - 1)
+            with pytest.raises(ValueError, match=f"exceeds the bound of {g.m - 1}$"):
+                random_digraph(n, 0.4, random.Random(seed))
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fill", ["random", "weak-sum", "product", "adjacent"])

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from qspath import (
     Digraph,
+    InteractionMatrix,
     InvalidPathError,
     Path,
     PathLimitExceeded,
+    QsppInstance,
     count_grid_paths,
     detect_grid,
     enumerate_st_paths,
@@ -29,7 +32,7 @@ from qspath import graphs
 from qspath.generate import random_dag, random_digraph
 from qspath.graphs import reachable
 
-from helpers import naive_st_paths, priced_walk_instances
+from helpers import double_loop_cost, naive_st_paths, priced_walk_instances
 
 
 def test_digraph_rejects_bad_arcs():
@@ -234,7 +237,11 @@ def test_path_count_matches_the_formula_and_enumeration():
     """The up-front count that refuses an over-limit DAG before its walk."""
 
     def count(g, target):
-        return graphs._count_st_paths(g, 0, target, reachable(g, target, forward=False))
+        # the walk orders the vertices that reach the target once, for the
+        # count and the completion bound alike; a cycle among them leaves
+        # no order and so no count
+        order = topological_order(g, reachable(g, target, forward=False))
+        return None if order is None else graphs._count_st_paths(g, 0, target, order)
 
     for p in range(2, 10):
         for q in range(2, 10):
@@ -360,3 +367,89 @@ def test_generators_refuse_past_the_vertex_bound_before_building_arcs(
         tracemalloc.stop()
     assert str(info.value) == f"vertex count {count} exceeds the bound of 1000"
     assert peak < 64 * 1024
+
+
+def _bound_instances():
+    """Signed instances on the grids 2..5 x 2..5 and on random DAGs with
+    n = 3..9, corner to corner, and on random DAGs with n = 6..9 from a
+    middle vertex; every third one has c and Q in thirds."""
+    rng = random.Random("completion bound")
+    shapes = [(make_grid(p, q), 0) for p in range(2, 6) for q in range(2, 6)]
+    shapes += [(random_dag(n, 0.6, rng), 0) for n in range(3, 10) for _ in range(3)]
+    shapes += [(random_dag(n, 0.6, rng), n // 3) for n in range(6, 10) for _ in range(3)]
+    for k, (g, source) in enumerate(shapes):
+        den = 3 if k % 3 == 2 else 1
+
+        def draw():
+            return Fraction(rng.randint(-9, 9), den)
+
+        m = g.m
+        matrix = InteractionMatrix.from_triples(
+            m, ((e, f, draw()) for e in range(m) for f in range(e + 1, m))
+        )
+        yield QsppInstance(g, source, g.n - 1, tuple(draw() for _ in range(m)), matrix)
+
+
+def _cheapest_through(inst):
+    """{prefix: the least cost of a path that starts with it}, over every
+    prefix of every path, by naive enumeration and the double loop."""
+    cheapest = {}
+    for path in naive_st_paths(inst.graph, inst.source, inst.target):
+        cost = double_loop_cost(inst, path)
+        for k in range(1, len(path.arcs) + 1):
+            prefix = path.arcs[:k]
+            cheapest[prefix] = min(cheapest.get(prefix, cost), cost)
+    return cheapest
+
+
+def _bound_excesses(inst, cheapest, dist, least):
+    """(prefix, bound, cheapest) for each prefix whose completion bound
+    from the tables D = dist and h = least exceeds the least cost of a path
+    through it."""
+    excesses = []
+    for prefix, best in cheapest.items():
+        v = inst.graph.arcs[prefix[-1]].tail
+        bound = (
+            double_loop_cost(inst, Path(prefix))
+            + least[v]
+            + 2 * sum(dist[v][f] for f in prefix)
+        )
+        if bound > best:
+            excesses.append((prefix, bound, best))
+    return excesses
+
+
+def test_the_completion_bound_is_at_most_every_completion():
+    """For every prefix of every path the bound the search prunes on,
+    k(A) + h[v] + 2 * sum of D[v][f] over the prefix, is at most the
+    cheapest path through the prefix, on signed data in ints and in
+    thirds.  Raising one entry of h, or of D, past that cost is caught,
+    so the check sees a table that bounds too high."""
+    checked = mutated = 0
+    for inst in _bound_instances():
+        g, t = inst.graph, inst.target
+        useful = reachable(g, t, forward=False)
+        if not useful[inst.source]:
+            continue
+        order = topological_order(g, useful)
+        dist, least = graphs._completion_tables(
+            g, inst.source, t, order, inst.linear, inst.interaction.rows
+        )
+        cheapest = _cheapest_through(inst)
+        assert _bound_excesses(inst, cheapest, dist, least) == []
+        checked += len(cheapest)
+        # the first prefix that stops short of the target, and its slack
+        prefix = next((p for p in cheapest if g.arcs[p[-1]].tail != t), None)
+        if prefix is None:
+            continue
+        mutated += 1
+        v = g.arcs[prefix[-1]].tail
+        slack = cheapest[prefix] - (
+            double_loop_cost(inst, Path(prefix)) + least[v] + 2 * sum(dist[v][f] for f in prefix)
+        )
+        least[v] += slack + 1
+        assert [e[0] for e in _bound_excesses(inst, cheapest, dist, least)].count(prefix) == 1
+        least[v] -= slack + 1
+        dist[v][prefix[0]] += Fraction(slack) / 2 + 1
+        assert [e[0] for e in _bound_excesses(inst, cheapest, dist, least)].count(prefix) == 1
+    assert checked > 1000 and mutated > 25

@@ -29,7 +29,7 @@ from qspath import (
     spp_solve,
     validate_instance,
 )
-from qspath.generate import filled_instance, random_qap
+from qspath.generate import FILLS, filled_instance, random_dag, random_qap
 from qspath.graphs import DEFAULT_PATH_LIMIT
 from qspath import model
 from qspath.model import _RUN_MIN, ValidationReport, _EntryRows, as_rational, rational_tokens
@@ -38,6 +38,7 @@ from helpers import (
     PRICED_WALK_FILLS,
     arc_index,
     double_loop_cost,
+    first_cheapest,
     naive_st_paths,
     path_by_vertices,
     priced_walk_instances,
@@ -531,6 +532,110 @@ def test_brute_force_and_path_matrix_keep_the_enumeration_contracts():
     k5 = make_complete_symmetric(5)
     cyclic_zero = QsppInstance(k5, 0, 4, (0,) * k5.m, InteractionMatrix.zero(k5.m))
     assert brute_force_solve(cyclic_zero) == (enumerate_st_paths(k5, 0, 4)[0], 0)
+
+
+AGREEMENT_GRIDS = ((2, 2), (2, 5), (3, 3), (3, 4), (4, 3), (4, 4), (3, 6), (5, 5))
+
+
+def _signed(inst: QsppInstance, rng: random.Random) -> QsppInstance:
+    """The instance with a draw of 0..9 taken off each c entry and each
+    pair of Q, so both go negative."""
+    m = inst.graph.m
+    rows = inst.interaction.rows
+    return QsppInstance(
+        inst.graph,
+        inst.source,
+        inst.target,
+        tuple(v - rng.randint(0, 9) for v in inst.linear),
+        InteractionMatrix.from_triples(
+            m,
+            ((e, f, rows[e][f] - rng.randint(0, 9)) for e in range(m) for f in range(e + 1, m)),
+        ),
+    )
+
+
+def _repeated(g: Digraph, target: int, rng: random.Random) -> QsppInstance:
+    """c in 0..1 and Q in 0..2, so many paths tie."""
+    m = g.m
+    return QsppInstance(
+        g,
+        0,
+        target,
+        tuple(rng.randint(0, 1) for _ in range(m)),
+        InteractionMatrix.from_triples(
+            m, ((e, f, rng.randint(0, 2)) for e in range(m) for f in range(e + 1, m))
+        ),
+    )
+
+
+def _agreement_instances():
+    """(family, instance) pairs for checking the bounded search against
+    pricing every path: grids on every fill as drawn, with Q/3 and signed;
+    grids with repeated values; the priced-walk families on every fill;
+    K4*-K6*, full and simplified, which are cyclic and walked unbounded;
+    QAP reductions with n = 4..6; and signed random DAGs searched from a
+    middle vertex, which leaves vertices that reach the target unreached."""
+    for p, q in AGREEMENT_GRIDS:
+        g = make_grid(p, q)
+        for fill in FILLS:
+            for seed in (1, 2):
+                inst = filled_instance(g, 0, g.n - 1, fill, seed)
+                yield "grid", inst
+                third = inst.interaction.scaled(Fraction(1, 3))
+                yield "grid", QsppInstance(g, 0, g.n - 1, inst.linear, third)
+                yield "grid", _signed(inst, random.Random(f"{p}x{q}/{fill}/{seed}"))
+        for seed in (1, 2):
+            yield "grid", _repeated(g, g.n - 1, random.Random(f"{p}x{q}/{seed}"))
+    for family in ("grid", "dag", "cyclic", "complete"):
+        for fill in PRICED_WALK_FILLS:
+            for inst in priced_walk_instances(family, random.Random(f"agree/{family}"), fill):
+                yield "priced-walk", inst
+    for n in (4, 5, 6):
+        for simplified in (False, True):
+            g = make_complete_symmetric(n, simplified=simplified)
+            zero = QsppInstance(g, 0, n - 1, (0,) * g.m, InteractionMatrix.zero(g.m))
+            yield "complete", zero
+            yield "complete", _signed(zero, random.Random(f"K{n}/{simplified}"))
+            yield "complete", _repeated(g, n - 1, random.Random(f"K{n}/{simplified}"))
+    for n, seeds in ((4, (1, 2)), (5, (1, 2)), (6, (1,))):
+        for seed in seeds:
+            yield "qap", qap_to_qspp(random_qap(n, random.Random(seed)))
+    rng = random.Random("middle source")
+    for n in (6, 7, 8, 9):
+        for _ in range(3):
+            g = random_dag(n, 0.6, rng)
+            zero = QsppInstance(g, n // 3, n - 1, (0,) * g.m, InteractionMatrix.zero(g.m))
+            yield "middle-source", _signed(zero, rng)
+
+
+def test_brute_force_returns_the_first_cheapest_path_of_every_path_priced():
+    """Old against new: on every instance the bounded search returns the
+    (path, cost) that pricing every path in enumeration order and keeping
+    the first minimum returns, and PathLimitExceeded is raised exactly when
+    the limit is below the path count, so at the same (instance, limit)
+    pairs as when every path was priced; grids and K_n* also run one over
+    the count."""
+    seen = {}
+    for family, inst in _agreement_instances():
+        seen[family] = seen.get(family, 0) + 1
+        expected = first_cheapest(inst)
+        if expected is None:
+            with pytest.raises(NoPathError):
+                brute_force_solve(inst)
+            continue
+        paths = len(enumerate_st_paths(inst.graph, inst.source, inst.target))
+        solved = brute_force_solve(inst)
+        assert solved == expected
+        assert type(solved[1]) is int or solved[1].denominator != 1
+        assert brute_force_solve(inst, limit=paths) == expected
+        if family in ("grid", "complete"):
+            assert brute_force_solve(inst, limit=paths + 1) == expected
+        with pytest.raises(PathLimitExceeded):
+            brute_force_solve(inst, limit=paths - 1)
+    assert sum(seen.values()) >= 300
+    assert seen == {
+        "grid": 256, "priced-walk": 120, "complete": 18, "qap": 5, "middle-source": 12
+    }
 
 
 def test_scaled_keeps_exact_forms_and_the_matrix_invariants():

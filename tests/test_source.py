@@ -174,6 +174,18 @@ def test_the_path_search_is_called_only_by_its_three_callers():
     }
 
 
+def test_the_completion_bound_lives_in_the_search_alone():
+    """The completion bound prunes on any sign of c and Q, so brute force
+    no longer asks whether Q is nonnegative: validate_instance alone does.
+    Only the one search builds the bound's tables."""
+    assert {use[:2] for use in _library_uses({"is_nonnegative"})} == {
+        ("model.py", "validate_instance"),
+    }
+    assert {use[:2] for use in _library_uses({"_completion_tables"})} == {
+        ("graphs.py", "_walk_st_paths"),
+    }
+
+
 # the faults an entry of a sparse Q can have, by a fragment of each message
 ENTRY_FAULTS = ("outside the arc range", "diagonal interaction entries", "listed twice")
 

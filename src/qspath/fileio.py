@@ -26,9 +26,12 @@ The emitter writes Q a row at a time, right of the diagonal, each row one
 join.  A matrix from a seeded fill hands over its upper triangle with the
 fill's top (_uppers); _of_upper's promise puts every value in range(top),
 so its cells are read from a table of the texts "f v" for every arc id f
-and every whole 0 < v < top, built once per file when it holds no more
-texts than Q has cells right of the diagonal; filter drops the zero cells,
-so no text is built per cell.  Every other matrix, and a triangle too
+and every whole 0 < v < top, one list of length top per column, built once
+per file when it holds no more texts than Q has cells right of the
+diagonal; filter drops the zero cells, so no text is built per cell.  A
+value at or past top raises IndexError from the table, and a negative one,
+which a list would wrap round, is refused by one min over each row that is
+not bytes (a bytes row holds none).  Every other matrix, and a triangle too
 large for the table, goes the way the rows of any matrix go:
 itertools.compress picks the nonzero cells, named from a table of id
 strings, and their values, like the linear costs, are written through a
@@ -81,13 +84,15 @@ def _texts(values: Sequence[int | Fraction], texts: dict[int, str]) -> list[str]
         return list(map(str, values))
 
 
-def _cell_table(named: list[str], top: int) -> list[dict[int, str | None]]:
+def _cell_table(named: list[str], top: int) -> list[list[str | None]]:
     """table[f][v] is the text "f v" of a cell in column f holding the whole
     number v, 0 < v < top, and None for v = 0, so that filter(None, ...)
-    drops the zero cells.  A dict, not a list, so that any value outside
-    range(top) raises KeyError; a list would wrap a negative one round."""
+    drops the zero cells.  Each column is a list of length top, so a value
+    v >= top raises IndexError; a bytes row holds no negative value, and
+    the emitter refuses one in any other row before it reads the table,
+    where a list would wrap it round."""
     values = list(map(str, range(1, top)))
-    return [dict(zip(range(top), [None, *map(add, repeat(name), values)])) for name in named]
+    return [[None, *map(add, repeat(name), values)] for name in named]
 
 
 def emit_instance(inst: QsppInstance) -> str:
@@ -112,6 +117,8 @@ def emit_instance(inst: QsppInstance) -> str:
     blocks = []
     for e, upper in enumerate(uppers):
         if cells is not None:
+            if type(upper) is not bytes and min(upper, default=0) < 0:
+                raise IndexError(f"row {e} of a kept triangle holds a negative value")
             row = list(filter(None, map(getitem, cells[e + 1 :], upper)))
         else:
             # compress picks the nonzero cells, each named by "<f> " from a

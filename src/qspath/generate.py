@@ -12,10 +12,12 @@ construction, so they compute only its upper triangle, row e being its
 m - 1 - e cells right of the diagonal, and hand it unchecked to
 InteractionMatrix._of_upper with top, one more than the largest value the
 fill can draw: the random fill cuts its draws, already in row-major pair
-order, into consecutive slices, and a weak-sum or product row is one map
-over the per-arc vector (_outer_upper).  The adjacent fill names only some
-pairs and goes through the entry checker.  The fills return
-problem-definition data (symmetric, zero diagonal, nonnegative).
+order, into consecutive slices; a weak-sum or product row e is the
+per-arc bytes a[e+1:] put through one bytes.translate, by a 256-byte table
+of op(a[e], v) built once per distinct value, or one map into a list when
+top > 256 (_outer_upper).  The adjacent fill names only some pairs and goes
+through the entry checker.  The fills return problem-definition data
+(symmetric, zero diagonal, nonnegative).
 """
 from __future__ import annotations
 
@@ -77,11 +79,21 @@ def _drawn(rng: random.Random, hi: int, count: int) -> bytes | list[int]:
 
 
 def _outer_upper(a: Sequence[int], op: Callable[[int, int], int], top: int) -> InteractionMatrix:
-    """The matrix op(a[e], a[f]) off the diagonal, its values below top;
-    row e of its upper triangle is one map over a[e+1:], into bytes when
-    top <= 256, as the random fill's draws are, else into a list."""
-    row = bytes if top <= 256 else list
-    uppers = [row(map(op, repeat(x), a[e + 1 :])) for e, x in enumerate(a)]
+    """The matrix op(a[e], a[f]) off the diagonal, its values below top.
+
+    When top <= 256, the fill drew its values up to 127 (weak-sum) or 15
+    (product), so a is the bytes _drawn returns, and row e of the upper
+    triangle is a[e+1:].translate(tables[a[e]]), one C-level pass:
+    tables[x] maps each v <= max(a) to op(x, v), which is below top for x
+    and v in a, and is padded to the 256 bytes translate takes.  There is one
+    table per distinct value of a.  Otherwise row e is one map over
+    a[e+1:] into a list."""
+    if top <= 256:
+        span = range(max(a, default=0) + 1)
+        tables = {x: bytes(map(op, repeat(x), span)).ljust(256, b"\0") for x in set(a)}
+        uppers = [a[e + 1 :].translate(tables[x]) for e, x in enumerate(a)]
+    else:
+        uppers = [list(map(op, repeat(x), a[e + 1 :])) for e, x in enumerate(a)]
     return InteractionMatrix._of_upper(uppers, top)
 
 

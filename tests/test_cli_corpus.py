@@ -4,10 +4,14 @@ Each case runs ``qspath.cli.main`` in-process and compares the SHA-256 of
 its stdout and its exit code with values recorded before any refactoring of
 the library, so a change that alters one byte of CLI output fails here.
 The ``solve`` and ``linearize`` cases read files written by the ``generate``
-cases.  Grids are at most 5x5, except for the path-matrix oracle cases,
-which reach 5x6 and 6x5 in the equality sense and 5x5 in the nonnegative
-sense so that both senses print a vector and a certificate at benchmark
-sizes.
+cases.  The grids that commands read are at most 5x5, except for the
+path-matrix oracle cases, which reach 5x6 and 6x5 in the equality sense and
+5x5 in the nonnegative sense so that both senses print a vector and a
+certificate at benchmark sizes.  A few ``generate`` cases pin files only:
+weak-sum, product and random grids at the benchmark's sizes (up to 13x8 and
+12x12), and 4x4 fills whose --max-entry puts the rows of Q's triangle just
+inside and just past bytes.  Their digests were recorded from the tree
+before the weak-sum and product rows became bytes.translate passes.
 """
 from __future__ import annotations
 
@@ -99,6 +103,42 @@ GENERATE = {
     "grid-5x4-product": (
         ["grid", "5", "4", "--fill", "product", "--seed", "27"], 0,
         "c93a4d933aa7be16ed8b0e04c113fae036df18c43068ded37142bb2e1fe36bd3",
+    ),
+    # benchmark sizes, and the fills either side of the byte/list boundary
+    # of the triangle's rows: a weak-sum top of 255 against 257, a random
+    # top of 256 against 257 (the two weak-sum files draw the same values,
+    # so their digests agree)
+    "grid-10x11-weak-sum": (
+        ["grid", "10", "11", "--fill", "weak-sum", "--seed", "1"], 0,
+        "8dab1cfc5402570dce04b9cc2ccefac6c414c7130b615ba411891879b37560b2",
+    ),
+    "grid-13x8-weak-sum": (
+        ["grid", "13", "8", "--fill", "weak-sum", "--seed", "2"], 0,
+        "1caa93aa4f833d4c67b3b7d2250d76ec18b34ca6900227c4cc5dfdfcbb59690a",
+    ),
+    "grid-8x8-product": (
+        ["grid", "8", "8", "--fill", "product", "--seed", "3"], 0,
+        "d212e3f0d022024797c15e6f1dfff0deb53fbfca13b64ab40d5a78e44eaa9882",
+    ),
+    "grid-12x12-random": (
+        ["grid", "12", "12", "--fill", "random", "--seed", "4"], 0,
+        "dc9c31e833ad976591fc8b3434cf4f0bc7b5c95207b4d18a78b780a7b237140e",
+    ),
+    "grid-weak-sum-top-255": (
+        ["grid", "4", "4", "--fill", "weak-sum", "--seed", "5", "--max-entry", "127"], 0,
+        "d8499929497483ba3ea2d27c25f8cc1b53f1db73ea28f52af25ef74b7da357de",
+    ),
+    "grid-weak-sum-top-257": (
+        ["grid", "4", "4", "--fill", "weak-sum", "--seed", "5", "--max-entry", "128"], 0,
+        "d8499929497483ba3ea2d27c25f8cc1b53f1db73ea28f52af25ef74b7da357de",
+    ),
+    "grid-random-top-256": (
+        ["grid", "4", "4", "--fill", "random", "--seed", "6", "--max-entry", "255"], 0,
+        "83972526f7fcd44ec44caecf776a0dc54e85148c3b071dc45b27cd6228b92288",
+    ),
+    "grid-random-top-257": (
+        ["grid", "4", "4", "--fill", "random", "--seed", "6", "--max-entry", "256"], 0,
+        "39ed5367c65090a58a7247ded266f3a85109f18d89233974cd7ff54e0b0a0a12",
     ),
 }
 

@@ -19,7 +19,7 @@ from qspath import (
     make_tournament,
     parse_instance,
 )
-from qspath.generate import filled_instance, random_qap
+from qspath.generate import fill_product, filled_instance, random_qap
 from qspath.graphs import MAX_VERTICES
 from qspath import model
 from qspath.model import as_rational
@@ -375,6 +375,41 @@ def _emit_from_upper(g, uppers, top, linear=None):
     return emit_instance(kept), emit_instance(inst), naive_emit(inst)
 
 
+def test_emit_matches_the_naive_emitter_at_every_table_edge(monkeypatch):
+    """Every seeded fill on either side of each edge of the emitter's cell
+    table and of the fills' byte rows: tops of 1 (all zero) up to 2 * 256 + 1,
+    tables built (top <= (m - 1) / 2) and not built, bytes rows (top <= 256)
+    and list rows.  The product fill caps its values at 3 through
+    filled_instance, so its list rows are drawn by fill_product directly."""
+    built = []
+    real = fileio._cell_table
+
+    def counted(named, top):
+        built.append(top)
+        return real(named, top)
+
+    monkeypatch.setattr(fileio, "_cell_table", counted)
+    graphs = (make_grid(3, 4), make_grid(6, 6), make_complete_symmetric(5), make_hypercube(3))
+    seen = set()
+    for g in graphs:
+        instances = [
+            filled_instance(g, 0, g.n - 1, fill, seed=max_entry + 1, max_entry=max_entry)
+            for fill in ("random", "weak-sum", "product")
+            for max_entry in (0, 1, 3, 9, 127, 128, 255, 256)
+        ]
+        for max_entry in (15, 16):
+            linear, matrix = fill_product(g, random.Random(max_entry), max_entry)
+            instances.append(QsppInstance(g, 0, g.n - 1, linear, matrix))
+        for inst in instances:
+            uppers, top = inst.interaction._uppers()
+            del built[:]
+            text = emit_instance(inst)
+            seen.add((type(uppers[0]), bool(built)))
+            assert built in ([], [top])
+            assert text == naive_emit(inst)
+    assert seen == {(bytes, True), (bytes, False), (list, False)}
+
+
 def test_cell_table_writes_what_the_naive_emitter_writes():
     """The table of "f v" texts holds the whole numbers 0 <= v < top, every
     value _of_upper's promise allows; a top whose table would hold more
@@ -431,17 +466,23 @@ def test_cell_table_is_built_only_up_to_the_cell_count(monkeypatch):
     assert built == [(g.m, 1), (g.m, 8)]
 
 
-@pytest.mark.parametrize("value", [8, 10**30, -1])
+@pytest.mark.parametrize("value", [8, 255, 10**30, -1])
 def test_cell_table_refuses_a_value_outside_the_promise(value):
     """A kept triangle holding a value outside range(top) breaks _of_upper's
-    promise; the table is a dict, so the emitter raises KeyError rather than
-    write a wrong text (a list would wrap a negative value round)."""
+    promise; the emitter raises IndexError rather than write a wrong text.
+    A value at or past top falls off the end of its column's list, in a list
+    row or a bytes row alike; a negative one, which a list would wrap round,
+    is refused in a row that is not bytes, and a bytes row cannot hold one."""
     g = make_grid(3, 4)  # m = 17, so top 8 gets a table
-    uppers = [[1] * (g.m - 1 - e) for e in range(g.m)]
-    uppers[5][2] = value
-    inst = QsppInstance(g, 0, g.n - 1, (0,) * g.m, InteractionMatrix._of_upper(uppers, 8))
-    with pytest.raises(KeyError):
-        emit_instance(inst)
+    rows = (list, bytes) if 0 <= value < 256 else (list,)
+    for row in rows:
+        uppers = [[1] * (g.m - 1 - e) for e in range(g.m)]
+        uppers[5][2] = value
+        uppers = list(map(row, uppers))
+        matrix = InteractionMatrix._of_upper(uppers, 8)
+        inst = QsppInstance(g, 0, g.n - 1, (0,) * g.m, matrix)
+        with pytest.raises(IndexError):
+            emit_instance(inst)
 
 
 def test_cell_table_serves_only_a_kept_triangle(monkeypatch):

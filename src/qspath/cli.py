@@ -1,9 +1,9 @@
-"""Command-line front end: instance generation, solving, linearization, benchmarks.
+"""Command-line front end: instance generation, solving and linearization.
 
 Exit codes are a stable contract: 0 for success (and for the linearizable
 verdict), 3 for a not-linearizable verdict, 2 for usage errors and violated
-preconditions.  All output values are exact rationals; wall-clock timings in
-``bench`` are the only floats anywhere.
+preconditions.  Every value printed is exact, a whole number or a rational,
+never a float, and no module of the library reads a clock.
 
 Each process runs one command, so the module loads at import only the
 layers of the common commands: ``generate``, ``linearize --mode
@@ -20,7 +20,6 @@ import argparse
 import functools
 import random
 import sys
-import time
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ from .graphs import (
     DEFAULT_PATH_LIMIT,
     MAX_VERTICES,
     _check_vertex_count,
-    count_grid_paths,
     make_complete_symmetric,
     make_directed_cycle,
     make_grid,
@@ -251,26 +249,6 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     return _print_result(inst, result)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes: list[tuple[int, int]] = []
-    if args.max_p >= 2 and args.max_q >= 2:
-        for p in range(2, args.max_p + 1):
-            sizes.append((p, args.max_q))
-        for q in range(2, args.max_q):
-            sizes.append((args.max_p, q))
-    sizes.sort()
-    print("p q arcs paths seconds verdict")
-    for p, q in sizes:
-        g = make_grid(p, q)
-        inst = filled_instance(g, 0, g.n - 1, "weak-sum", args.seed + p * 1000 + q)
-        start = time.perf_counter()
-        result = linearize_grid(inst)
-        elapsed = time.perf_counter() - start
-        verdict = "linearizable" if result.linearizable else "not-linearizable"
-        print(f"{p} {q} {g.m} {count_grid_paths(p, q)} {elapsed:.4f} {verdict}")
-    return 0
-
-
 def _path_limit(text: str) -> int:
     try:
         limit = int(text)
@@ -295,7 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write an instance file")
     gen.add_argument("family", choices=list(FAMILY_PARAMS))
     gen.add_argument("params", nargs="*", help="family parameters (sizes or a QAP file)")
-    gen.add_argument("--fill", choices=sorted(FILLS), default="zero")
+    gen.add_argument(
+        "--fill",
+        choices=sorted(FILLS),
+        default="zero",
+        help="how c and Q are filled (default zero); every other fill needs --seed",
+    )
     gen.add_argument("--seed", type=int, default=None, help="64-bit seed for random fills")
     gen.add_argument(
         "--max-entry",
@@ -307,13 +290,25 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--full", action="store_true", help="complete graph without arc removal")
     gen.add_argument("--orientation", type=int, default=None, help="tournament orientation bits")
     gen.add_argument("--density", type=float, default=0.4, help="arc probability for disjoint-reduce")
-    gen.add_argument("--output", default=None)
+    gen.add_argument("--output", default=None, help="file to write (default stdout)")
     gen.set_defaults(func=_cmd_generate)
 
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("file")
-    solve.add_argument("--method", choices=["brute", "aqspp", "product", "spp"], default="brute")
-    solve.add_argument("--limit", type=_path_limit, default=DEFAULT_PATH_LIMIT)
+    solve.add_argument(
+        "--method",
+        choices=["brute", "aqspp", "product", "spp"],
+        default="brute",
+        help="brute: branch and bound on any instance (default); aqspp: "
+        "adjacent-only Q on a DAG; product: rank-one Q + Diag(c); spp: zero Q",
+    )
+    solve.add_argument(
+        "--limit",
+        type=_path_limit,
+        default=DEFAULT_PATH_LIMIT,
+        help="most source-target paths --method brute accepts, exit 2 past it "
+        "(default %(default)s); the other methods ignore it",
+    )
     solve.set_defaults(func=_cmd_solve)
 
     lin = sub.add_parser("linearize", help="decide linearizability of an instance file")
@@ -322,15 +317,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["grid", "k4", "t4", "oracle", "oracle-nonneg"],
         required=True,
+        help="grid: the grid decision; k4, t4: the four-vertex complete and "
+        "tournament forms; oracle: the path-matrix LP, B c' = b; "
+        "oracle-nonneg: the same with c' >= 0",
     )
-    lin.add_argument("--limit", type=_path_limit, default=MAX_ORACLE_PATHS)
+    lin.add_argument(
+        "--limit",
+        type=_path_limit,
+        default=MAX_ORACLE_PATHS,
+        help="most source-target paths the oracle modes enumerate, exit 2 past "
+        "it (default %(default)s, the oracle's cap: a larger limit only delays "
+        "its refusal); the other modes ignore it",
+    )
     lin.set_defaults(func=_cmd_linearize)
 
-    bench = sub.add_parser("bench", help="time the grid decision across sizes")
-    bench.add_argument("--max-p", type=int, required=True)
-    bench.add_argument("--max-q", type=int, required=True)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

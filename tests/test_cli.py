@@ -1,3 +1,4 @@
+import argparse
 from fractions import Fraction
 
 import pytest
@@ -468,15 +469,29 @@ def test_disjoint_reduce_stops_drawing_at_the_first_arc_past_the_bound(
         assert result[1:] == ("", f"error: generate disjoint-reduce: {refusal}\n")
 
 
-def test_bench_output_and_empty_range(capsys):
-    code, out, _ = run(capsys, "bench", "--max-p", "3", "--max-q", "3", "--seed", "1")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "p q arcs paths seconds verdict"
-    assert len(lines) == 4  # (2,3), (3,2), (3,3)
-    code, out, _ = run(capsys, "bench", "--max-p", "1", "--max-q", "1")
-    assert code == 0
-    assert out.splitlines() == ["p q arcs paths seconds verdict"]
+def test_bench_is_no_longer_a_command(capsys):
+    """Timings are the benchmark's alone, so the CLI has no bench command and
+    argparse refuses it as any unknown command."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--max-p", "3", "--max-q", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice: 'bench'" in captured.err
+
+
+def test_every_option_says_what_it_does():
+    """Each option of each command has a help text in --help."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    silent = [
+        (name, action.option_strings[0])
+        for name, command in commands.choices.items()
+        for action in command._actions
+        if action.option_strings and not action.help
+    ]
+    assert silent == []
+    assert set(commands.choices) >= {"generate", "linearize", "solve"}
 
 
 def test_solve_brute_respects_path_limit(tmp_path, capsys):

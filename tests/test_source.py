@@ -226,3 +226,31 @@ def test_rows_are_walked_only_by_the_entry_checker():
     walk's bisect_right."""
     uses = _library_uses({"_add_row", "_RUN_MIN", "bisect_right"})
     assert {use[0] for use in uses} == {"model.py"}
+
+
+CLOCK_MODULES = {"time", "datetime"}
+
+
+def _clock_imports(tree: ast.AST):
+    """Line of every import of a clock module: import time, import
+    datetime as dt, from time import perf_counter, and the like."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in CLOCK_MODULES for name in names):
+            yield node.lineno
+
+
+def test_the_library_reads_no_clock():
+    """Every value the library returns and the CLI prints is exact, so no
+    module imports a clock; timings are the benchmark's alone."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in _clock_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []

@@ -1,8 +1,9 @@
-"""Shared builders and independent oracles for the test suite.
+"""Independent oracles and checks for the test suite.
 
 Oracles here deliberately recompute things by the most naive route available
 (explicit double loops, full enumeration) so they stay independent of the
-library code paths they check.
+library code paths they check.  The seeded instances the tests share are
+drawn in zoo.py.
 """
 from __future__ import annotations
 
@@ -11,17 +12,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-from qspath import (
-    Digraph,
-    InteractionMatrix,
-    Path,
-    QsppInstance,
-    enumerate_st_paths,
-    lp_oracle,
-    make_complete_symmetric,
-    make_grid,
-)
-from qspath.generate import filled_instance, random_dag, random_digraph
+from qspath import Digraph, Path, QsppInstance, enumerate_st_paths, lp_oracle, path_cost
 
 
 def traced_peak(run) -> int:
@@ -119,88 +110,7 @@ def first_cheapest(inst: QsppInstance) -> tuple[Path, int | Fraction] | None:
     return best
 
 
-def _signed_thirds(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.choice((1, 3)))
-
-
-PRICED_WALK_FILLS = ("signed", "signed-c", "signed-q", "nonnegative", "zero", "constant")
-
-
-def priced_walk_instances(
-    family: str, rng: random.Random, fill: str = "signed"
-) -> list[QsppInstance]:
-    """Instances with exact data for checking exact enumeration and pricing
-    against the naive oracles.
-
-    grid: Fraction Q from the symmetric builder; dag and cyclic: random
-    graphs (on cyclic ones the simple-path rule prunes); complete: full and
-    simplified complete symmetric digraphs.  Cyclic and complete graphs also
-    run to a target that is not the last vertex, so an arc into the target
-    is not always the last one the search tries.
-
-    fill "signed" draws every c and Q entry as a signed third; "nonnegative"
-    takes |v| of the same draws, where brute force prunes on acyclic graphs,
-    and "signed-c" and "signed-q" take |v| in Q or in c only.  "zero" and
-    "constant" (c = 0, Q = 1 off the diagonal) make every path, or every
-    path of one length, tie.  The graphs do not depend on the fill.
-    """
-    if family == "grid":
-        shapes = ((2, 2), (3, 3), (3, 5), (4, 4), (5, 4))
-        graphs = [(make_grid(p, q), p * q - 1) for p, q in shapes]
-    elif family == "dag":
-        graphs = [(random_dag(n, 0.6, rng), n - 1) for n in (3, 5, 7, 8)]
-    elif family == "cyclic":
-        ends = ((4, 3), (5, 1), (6, 2), (7, 6), (7, 1))
-        graphs = [(random_digraph(n, 0.6, rng), t) for n, t in ends]
-    elif family == "complete":
-        graphs = [
-            (make_complete_symmetric(n, simplified=s, target=t), t)
-            for n, t in ((4, 3), (5, 1), (6, 5))
-            for s in (False, True)
-        ]
-    else:
-        raise ValueError(family)
-
-    def signed():
-        return _signed_thirds(rng)
-
-    def unsigned():
-        return abs(_signed_thirds(rng))
-
-    draw_c, draw_q = {
-        "signed": (signed, signed),
-        "signed-c": (signed, unsigned),
-        "signed-q": (unsigned, signed),
-        "nonnegative": (unsigned, unsigned),
-        "zero": (lambda: 0, lambda: 0),
-        "constant": (lambda: 0, lambda: 1),
-    }[fill]
-    out = []
-    for g, target in graphs:
-        m = g.m
-        linear = tuple(draw_c() for _ in range(m))
-        matrix = InteractionMatrix.from_triples(
-            m, ((e, f, draw_q()) for e in range(m) for f in range(e + 1, m))
-        )
-        out.append(QsppInstance(g, 0, target, linear, matrix))
-    return out
-
-
-def random_symmetric_interaction(
-    m: int, rng: random.Random, lo: int = 0, hi: int = 9
-) -> InteractionMatrix:
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for e in range(m):
-        for f in range(e + 1, m):
-            v = Fraction(rng.randint(lo, hi))
-            rows[e][f] = v
-            rows[f][e] = v
-    return InteractionMatrix(rows)
-
-
 def costs_by_enumeration(inst: QsppInstance) -> dict[Path, Fraction]:
-    from qspath import path_cost
-
     return {
         p: path_cost(inst, p)
         for p in enumerate_st_paths(inst.graph, inst.source, inst.target)
@@ -208,8 +118,6 @@ def costs_by_enumeration(inst: QsppInstance) -> dict[Path, Fraction]:
 
 
 def vector_reproduces_costs(inst: QsppInstance, vector) -> bool:
-    from qspath import path_cost
-
     for p in enumerate_st_paths(inst.graph, inst.source, inst.target):
         if sum(vector[a] for a in p.arcs) != path_cost(inst, p):
             return False
@@ -384,35 +292,6 @@ def square_pair_linearizable(inst: QsppInstance, p: int, q: int) -> bool:
         sum(s * t * rows[a][b] for a, s in delta for b, t in other) == 0
         for _, _, delta, other in incomparable_square_pairs(inst.graph, p, q)
     )
-
-
-def late_no_grid(p: int, q: int, seed: int) -> QsppInstance:
-    """The weak-sum fill of the p-by-q grid (p >= 3, q >= 5) with +1 added
-    to Q at (right(3, 4), down(1, 1)) and -1 at (right(1, 4), down(1, 2)),
-    both orientations; right(i, j) and down(i, j) leave vertex (i, j),
-    1-based.
-
-    Weak-sum Q has every square-pair number zero, so the change alone
-    decides the verdict: "no", with every sub-grid of three or more rows
-    passing, so the sweep names its witness only at sub-target (2, 2).
-    """
-    inst = filled_instance(make_grid(p, q), 0, p * q - 1, "weak-sum", seed)
-    lookup = arc_index(inst.graph)
-
-    def vertex(i, j):
-        return (i - 1) * q + j - 1
-
-    def right(i, j):
-        return lookup[(vertex(i, j), vertex(i, j + 1))]
-
-    def down(i, j):
-        return lookup[(vertex(i, j), vertex(i + 1, j))]
-
-    rows = [list(row) for row in inst.interaction.rows]
-    for e, f, delta in ((right(3, 4), down(1, 1), 1), (right(1, 4), down(1, 2), -1)):
-        rows[e][f] += delta
-        rows[f][e] += delta
-    return QsppInstance(inst.graph, inst.source, inst.target, inst.linear, InteractionMatrix(rows))
 
 
 def naive_emit(inst: QsppInstance) -> str:

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from qspath import (
     CyclicGraphError,
-    InteractionMatrix,
     QsppInstance,
     SppInstance,
     brute_force_solve,
@@ -38,19 +37,14 @@ from qspath import (
 )
 from qspath.generate import (
     fill_adjacent,
-    filled_instance,
     random_dag,
     random_qap,
     worked_example,
 )
 from qspath.grid import _critical_costs, grid_shape
 
-from helpers import (
-    arc_index,
-    assert_valid_certificate,
-    random_symmetric_interaction,
-    vector_reproduces_costs,
-)
+from helpers import assert_valid_certificate, vector_reproduces_costs
+from zoo import biased_k4, filled_grid, mixed_grid_instance, potential_shift, random_costs, random_q
 
 
 def report(number: int, text: str) -> None:
@@ -112,12 +106,6 @@ def test_criterion_03_cyclic_counterexample_reproduced():
     report(3, "auxiliary value 1/2 vs true optimum 2; cyclic input refused")
 
 
-def _mixed_grid_instance(rng: random.Random, p: int, q: int) -> tuple[str, QsppInstance]:
-    g = make_grid(p, q)
-    kind = ("weak-sum", "product", "random")[rng.randrange(3)]
-    return kind, filled_instance(g, 0, g.n - 1, kind, seed=rng.randint(0, 10**9))
-
-
 def test_criterion_04_grid_soundness_and_weak_sum_completeness():
     start = time.perf_counter()
     rng = random.Random(404)
@@ -125,7 +113,7 @@ def test_criterion_04_grid_soundness_and_weak_sum_completeness():
     weak_sum_count = accepted = 0
     for trial in range(200):
         p, q = sizes[trial % len(sizes)]
-        kind, inst = _mixed_grid_instance(rng, p, q)
+        kind, inst = mixed_grid_instance(rng, p, q)
         result = linearize_grid(inst)
         if kind == "weak-sum":
             weak_sum_count += 1
@@ -152,9 +140,7 @@ def test_criterion_05_grid_verdict_matches_unrestricted_oracle():
     agreements = {True: 0, False: 0}
     for trial in range(200):
         p, q = sizes[trial % len(sizes)]
-        inst = filled_instance(
-            make_grid(p, q), 0, p * q - 1, "random", seed=rng.randint(0, 10**9)
-        )
+        inst = filled_grid(p, q, "random", rng.randint(0, 10**9))
         verdict = linearize_grid(inst).linearizable
         oracle = lp_oracle(build_path_matrix(inst), require_nonneg=False).linearizable
         assert verdict == oracle
@@ -171,15 +157,7 @@ def test_criterion_06_length_class_closed_forms():
     for trial in range(50):
         n = 5 + trial % 3
         g = make_complete_symmetric(n, simplified=True, source=0, target=n - 1)
-        inst = normalize_knstar(
-            QsppInstance(
-                g,
-                0,
-                n - 1,
-                (Fraction(0),) * g.m,
-                random_symmetric_interaction(g.m, rng),
-            )
-        )
+        inst = normalize_knstar(random_q(g, 0, n - 1, rng))
         _, totals = path_class_costs(inst)
         observed = {k: Fraction(0) for k in range(2, n)}
         for path in enumerate_st_paths(g, 0, n - 1):
@@ -202,18 +180,7 @@ def test_criterion_07_four_vertex_characterization():
     rng = random.Random(707)
     agree = {True: 0, False: 0}
     for _ in range(500):
-        g = make_complete_symmetric(4, simplified=True, source=0, target=3)
-        idx = arc_index(g)
-        q = random_symmetric_interaction(g.m, rng, 0, 4)
-        rows = [list(r) for r in q.rows]
-        if rng.random() < 0.5:
-            boost = Fraction(rng.randint(4, 25))
-            e, f = rng.choice([(idx[(0, 1)], idx[(1, 3)]), (idx[(0, 2)], idx[(2, 3)])])
-            rows[e][f] += boost
-            rows[f][e] += boost
-        inst = normalize_knstar(
-            QsppInstance(g, 0, 3, (Fraction(0),) * g.m, InteractionMatrix(rows))
-        )
+        inst = normalize_knstar(biased_k4(rng, 4, 25))
         mine = k4_linearize(inst)
         oracle = lp_oracle(build_path_matrix(inst), require_nonneg=True)
         assert mine.linearizable == oracle.linearizable
@@ -238,13 +205,7 @@ def test_criterion_08_four_vertex_tournaments_always_linearizable():
     for _ in range(100):
         g = make_tournament(4, rng.getrandbits(6))
         s, t = rng.sample(range(4), 2)
-        inst = QsppInstance(
-            g,
-            s,
-            t,
-            tuple(Fraction(rng.randint(0, 9)) for _ in range(6)),
-            random_symmetric_interaction(6, rng),
-        )
+        inst = random_costs(g, s, t, rng)
         result = tournament4_linearize(inst)
         assert result.linearizable
         assert vector_reproduces_costs(inst, result.vector)
@@ -257,22 +218,15 @@ def test_criterion_09_reduced_form_uniqueness():
     for trial in range(100):
         p, q = sizes[trial % len(sizes)]
         g = make_grid(p, q)
-        costs = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.m))
-        phi = [Fraction(rng.randint(-9, 9)) for _ in range(g.n)]
-        phi[0] = phi[g.n - 1] = Fraction(0)
-        kernel = tuple(phi[a.head] - phi[a.tail] for a in g.arcs)
-        shifted = tuple(c + z for c, z in zip(costs, kernel))
-        reduced = reduce_cost_vector(g, costs)
-        assert reduced == reduce_cost_vector(g, shifted)
+        costs, shifted = potential_shift(g, rng)
+        assert reduce_cost_vector(g, costs) == reduce_cost_vector(g, shifted)
     report(9, "100 potential-kernel shifts reduce identically")
 
 
 def test_criterion_10_complexity_smoke():
     rng = random.Random(1010)
     for p, q in [(2, 2), (3, 4), (4, 6), (5, 5), (6, 6)]:
-        inst = filled_instance(
-            make_grid(p, q), 0, p * q - 1, "random", seed=rng.randint(0, 10**9)
-        )
+        inst = filled_grid(p, q, "random", rng.randint(0, 10**9))
         shape = grid_shape(inst.graph)
         fast = _critical_costs(inst, shape, p, q, inst.linear)
         for arc, path in critical_paths(p, q).items():
@@ -280,7 +234,7 @@ def test_criterion_10_complexity_smoke():
     # every p x 12 and 12 x q weak-sum grid, each drawn outside the timing
     shapes = [(p, 12) for p in range(2, 13)] + [(12, q) for q in range(2, 12)]
     instances = [
-        filled_instance(make_grid(p, q), 0, p * q - 1, "weak-sum", 3 + 1000 * p + q)
+        filled_grid(p, q, "weak-sum", 3 + 1000 * p + q)
         for p, q in shapes
     ]
     start = time.perf_counter()

@@ -33,6 +33,7 @@ from qspath.reductions import (
 )
 
 from helpers import naive_emit, parallel_arcs_text, randint_fill, traced_peak
+from zoo import filled_grid
 
 
 def run(capsys, *argv):
@@ -110,7 +111,7 @@ def test_generate_builds_no_rows_of_a_dense_fill(capsys, monkeypatch):
         code, out, err = run(capsys, "generate", "grid", "4", "4", "--fill", fill, "--seed", "1")
         assert (code, err) == (0, "")
     monkeypatch.undo()
-    assert parse_instance(out) == filled_instance(make_grid(4, 4), 0, 15, "product", 1)
+    assert parse_instance(out) == filled_grid(4, 4, "product", 1)
 
 
 @pytest.mark.parametrize(

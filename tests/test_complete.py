@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -27,24 +26,9 @@ from qspath.complete import _never_together, knstar_order, paths_of_length
 from qspath.generate import worked_example
 from qspath.graphs import _adjacent
 
-from helpers import (
-    arc_index,
-    assert_valid_certificate,
-    costs_by_enumeration,
-    random_symmetric_interaction,
-    vector_reproduces_costs,
-)
-
-
-def knstar_instance(n, entries=None, seed=None):
-    g = make_complete_symmetric(n, simplified=True, source=0, target=n - 1)
-    if entries is not None:
-        idx = arc_index(g)
-        mapped = {(idx[e], idx[f]): v for (e, f), v in entries.items()}
-        q = InteractionMatrix.from_entries(g.m, mapped)
-    else:
-        q = random_symmetric_interaction(g.m, random.Random(seed))
-    return QsppInstance(g, 0, n - 1, (Fraction(0),) * g.m, q)
+from helpers import arc_index, assert_valid_certificate, costs_by_enumeration, traced_peak
+from helpers import vector_reproduces_costs
+from zoo import biased_k4, knstar_instance, random_costs, random_knstar, random_q
 
 
 def test_shape_recognition():
@@ -70,14 +54,12 @@ def test_shape_recognition_counts_arcs_before_building_the_shape():
     """Many vertices and one arc are refused by the arc count, before the
     (n-1)(n-2) arcs of the shape, here 89,102, would be built."""
     g = Digraph(300, [(0, 1)])
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(FamilyError):
             knstar_order(g, 0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+
+    assert traced_peak(refuse) < 64 * 1024
 
 
 def test_adjacent_is_the_consecutive_rule_on_co_carriable_pairs():
@@ -107,7 +89,7 @@ def test_normalize_zeroes_unusable_pairs_only():
 
 
 def test_normalize_preserves_every_path_cost():
-    inst = knstar_instance(5, seed=2)
+    inst = random_knstar(5, 2)
     normalized = normalize_knstar(inst)
     assert costs_by_enumeration(inst) == costs_by_enumeration(normalized)
 
@@ -172,7 +154,7 @@ def test_zero_interaction_passes_everything():
 
 def test_class_sums_total_matches_quadratic_form():
     for n, seed in ((5, 3), (6, 4), (7, 5)):
-        inst = normalize_knstar(knstar_instance(n, seed=seed))
+        inst = normalize_knstar(random_knstar(n, seed))
         sums, _ = path_class_costs(inst)
         rows = inst.interaction.rows
         all_ones = sum(sum(row) for row in rows)
@@ -181,7 +163,7 @@ def test_class_sums_total_matches_quadratic_form():
 
 def test_closed_form_matches_enumeration():
     for n, seed in ((5, 11), (6, 12), (7, 13)):
-        inst = normalize_knstar(knstar_instance(n, seed=seed))
+        inst = normalize_knstar(random_knstar(n, seed))
         _, totals = path_class_costs(inst)
         observed = {k: Fraction(0) for k in range(2, n)}
         for p in enumerate_st_paths(inst.graph, 0, n - 1):
@@ -190,7 +172,7 @@ def test_closed_form_matches_enumeration():
 
 
 def test_path_class_costs_preconditions():
-    raw = knstar_instance(5, seed=21)
+    raw = random_knstar(5, 21)
     shifted = QsppInstance(
         raw.graph,
         0,
@@ -203,7 +185,7 @@ def test_path_class_costs_preconditions():
 
 
 def test_scaling_leaves_verdicts_alone():
-    inst = normalize_knstar(knstar_instance(6, seed=31))
+    inst = normalize_knstar(random_knstar(6, 31))
     _, totals = path_class_costs(inst)
     alpha = Fraction(5, 2)
     scaled = QsppInstance(
@@ -309,8 +291,7 @@ def test_raw_and_normalized_instances_agree():
     for n in range(4, 8):
         for s, t in permutations(range(n), 2):
             g = make_complete_symmetric(n, simplified=True, source=s, target=t)
-            q = random_symmetric_interaction(g.m, rng)
-            raw = QsppInstance(g, s, t, (0,) * g.m, q)
+            raw = random_q(g, s, t, rng)
             normalized = normalize_knstar(raw)
             assert raw.interaction != normalized.interaction
             assert path_class_costs(raw) == path_class_costs(normalized)
@@ -321,29 +302,11 @@ def test_raw_and_normalized_instances_agree():
                 assert k4_linearize(raw) == k4_linearize(normalized)
 
 
-def biased_k4_instance(rng: random.Random) -> QsppInstance:
-    """Random four-vertex instance, sometimes loaded on the short routes so
-    both verdicts appear."""
-    g = make_complete_symmetric(4, simplified=True, source=0, target=3)
-    idx = arc_index(g)
-    q = random_symmetric_interaction(g.m, rng, 0, 4)
-    rows = [list(r) for r in q.rows]
-    if rng.random() < 0.5:
-        boost = Fraction(rng.randint(5, 30))
-        pair = rng.choice([((0, 1), (1, 3)), ((0, 2), (2, 3))])
-        e, f = idx[pair[0]], idx[pair[1]]
-        rows[e][f] += boost
-        rows[f][e] += boost
-    return QsppInstance(
-        g, 0, 3, (Fraction(0),) * g.m, InteractionMatrix(rows)
-    )
-
-
 def test_k4_verdict_matches_oracle_on_seeded_instances():
     rng = random.Random(8)
     seen = {True: 0, False: 0}
     for _ in range(120):
-        inst = normalize_knstar(biased_k4_instance(rng))
+        inst = normalize_knstar(biased_k4(rng, 5, 30))
         mine = k4_linearize(inst)
         oracle = lp_oracle(build_path_matrix(inst), require_nonneg=True)
         assert mine.linearizable == oracle.linearizable
@@ -356,16 +319,9 @@ def test_k4_verdict_matches_oracle_on_seeded_instances():
 def test_tournament_always_linearizes():
     rng = random.Random(44)
     for _ in range(100):
-        bits = rng.getrandbits(6)
-        g = make_tournament(4, bits)
+        g = make_tournament(4, rng.getrandbits(6))
         s, t = rng.sample(range(4), 2)
-        inst = QsppInstance(
-            g,
-            s,
-            t,
-            tuple(Fraction(rng.randint(0, 9)) for _ in range(6)),
-            random_symmetric_interaction(6, rng),
-        )
+        inst = random_costs(g, s, t, rng)
         result = tournament4_linearize(inst)
         assert result.linearizable
         assert vector_reproduces_costs(inst, result.vector)

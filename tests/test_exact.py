@@ -26,7 +26,6 @@ from qspath import (
     linearize_weak_sum,
     lp_oracle,
     make_complete_symmetric,
-    make_grid,
     normalize_knstar,
     parse_instance,
     parse_qaplib,
@@ -40,6 +39,8 @@ from qspath import (
 )
 from qspath.generate import filled_instance
 from qspath.model import as_rational
+
+from zoo import filled_grid, q_over
 
 TOKENS = [
     "1_0", " 3", "-0", "+4", "07", "٣", "３", "3/1", "6/4",
@@ -98,27 +99,22 @@ def assert_no_floats(result):
     assert all(type(v) in (int, Fraction) for v in found)
 
 
-def grid(p, q, fill, seed):
-    g = make_grid(p, q)
-    return filled_instance(g, 0, g.n - 1, fill, seed)
-
-
 def test_grid_results_hold_no_floats():
-    yes = grid(4, 4, "weak-sum", 1)
-    no = grid(4, 4, "random", 2)
+    yes = filled_grid(4, 4, "weak-sum", 1)
+    no = filled_grid(4, 4, "random", 2)
     assert linearize_grid(yes).linearizable
     assert not linearize_grid(no).linearizable
-    for inst in (yes, no, grid(3, 4, "product", 3)):
+    for inst in (yes, no, filled_grid(3, 4, "product", 3)):
         assert_no_floats(linearize_grid(inst))
         assert_no_floats(pseudo_linearize(inst))
     assert_no_floats(linearize_weak_sum(yes))
-    assert_no_floats(linearize_g2q(grid(2, 5, "random", 4)))
-    assert_no_floats(solve_product_case(grid(3, 3, "product", 5)))
+    assert_no_floats(linearize_g2q(filled_grid(2, 5, "random", 4)))
+    assert_no_floats(solve_product_case(filled_grid(3, 3, "product", 5)))
 
 
 def test_oracle_and_brute_force_results_hold_no_floats():
     verdicts = set()
-    for inst in (grid(3, 3, "weak-sum", 6), grid(3, 3, "random", 7)):
+    for inst in (filled_grid(3, 3, "weak-sum", 6), filled_grid(3, 3, "random", 7)):
         pm = build_path_matrix(inst)
         for nonneg in (False, True):
             result = lp_oracle(pm, require_nonneg=nonneg)
@@ -147,30 +143,24 @@ def test_qaplib_symmetrization_holds_no_floats():
 
 
 def test_integral_grid_data_stays_int():
-    for inst in (grid(4, 5, "weak-sum", 8), grid(4, 5, "random", 9)):
+    for inst in (filled_grid(4, 5, "weak-sum", 8), filled_grid(4, 5, "random", 9)):
         parsed = parse_instance(emit_instance(inst))
         for data in (inst, parsed):
             assert all(type(v) is int for v in data.linear)
             assert all(type(v) is int for row in data.interaction.rows for v in row)
         result = linearize_grid(parsed)
         assert all(type(v) is int for v in numbers(result))
-    assert type(brute_force_solve(grid(3, 3, "random", 9))[1]) is int
+    assert type(brute_force_solve(filled_grid(3, 3, "random", 9))[1]) is int
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_thirds_scale_the_grid_result(seed):
     fill = "weak-sum" if seed % 2 else "random"
-    base = grid(4, 5, fill, seed)
+    base = filled_grid(4, 5, fill, seed)
     rng = random.Random(seed)
     linear = tuple(rng.randint(0, 9) for _ in range(base.graph.m))
     whole = QsppInstance(base.graph, 0, base.target, linear, base.interaction)
-    third = QsppInstance(
-        base.graph,
-        0,
-        base.target,
-        tuple(Fraction(v, 3) for v in linear),
-        base.interaction.scaled(Fraction(1, 3)),
-    )
+    third = q_over(whole, 3, tuple(Fraction(v, 3) for v in linear))
     assert any(type(v) is Fraction for v in third.linear)
     expected, got = linearize_grid(whole), linearize_grid(third)
     assert got.linearizable == expected.linearizable == (fill == "weak-sum")
@@ -187,10 +177,8 @@ def test_whole_values_of_rational_data_come_back_as_int():
     """Sums of thirds that come out whole are ints, not Fraction(n, 1)."""
     results, verdicts = [], set()
     for p, fill in ((3, "random"), (3, "weak-sum"), (2, "random")):
-        base = grid(p, 3, fill, 5)
-        inst = QsppInstance(
-            base.graph, 0, base.target, base.linear, base.interaction.scaled(Fraction(1, 3))
-        )
+        base = filled_grid(p, 3, fill, 5)
+        inst = q_over(base, 3)
         decision = linearize_grid(inst)
         verdicts.add(decision.linearizable)
         pseudo = pseudo_linearize(inst)
@@ -206,10 +194,8 @@ def test_whole_values_of_rational_data_come_back_as_int():
             results.append(linearize_g2q(inst))
         if fill == "weak-sum":
             results.append(linearize_weak_sum(inst))
-    adjacent = grid(3, 3, "adjacent", 4)
-    results.append(solve_aqspp(dataclasses.replace(
-        adjacent, interaction=adjacent.interaction.scaled(Fraction(1, 3))
-    )))
+    adjacent = filled_grid(3, 3, "adjacent", 4)
+    results.append(solve_aqspp(q_over(adjacent, 3)))
     assert verdicts == {True, False}
     values = list(numbers(results))
     assert any(type(v) is int and v for v in values)
@@ -250,10 +236,10 @@ def oracle_values(result):
 def test_integral_oracle_results_stay_int():
     seen = set()
     for inst in (
-        grid(5, 5, "weak-sum", 10),
-        grid(5, 5, "random", 11),
-        grid(4, 5, "product", 12),
-        grid(4, 5, "adjacent", 13),
+        filled_grid(5, 5, "weak-sum", 10),
+        filled_grid(5, 5, "random", 11),
+        filled_grid(4, 5, "product", 12),
+        filled_grid(4, 5, "adjacent", 13),
     ):
         pm = build_path_matrix(inst)
         assert all(type(v) is int for v in pm.costs)
@@ -275,17 +261,11 @@ def test_thirds_scale_the_oracle_result(seed):
     beyond its signs and ratios, so a vector comes out divided by 3 and a
     certificate comes out the same."""
     fill = "weak-sum" if seed % 2 else "random"
-    base = grid(4, 4, fill, seed)
+    base = filled_grid(4, 4, fill, seed)
     rng = random.Random(seed)
     linear = tuple(rng.randint(0, 9) for _ in range(base.graph.m))
     whole = QsppInstance(base.graph, 0, base.target, linear, base.interaction)
-    third = QsppInstance(
-        base.graph,
-        0,
-        base.target,
-        tuple(Fraction(v, 3) for v in linear),
-        base.interaction.scaled(Fraction(1, 3)),
-    )
+    third = q_over(whole, 3, tuple(Fraction(v, 3) for v in linear))
     whole_pm, third_pm = build_path_matrix(whole), build_path_matrix(third)
     assert any(type(v) is Fraction for v in third_pm.costs)
     for nonneg in (False, True):

@@ -12,47 +12,21 @@ from qspath import (
     emit_instance,
     fileio,
     make_complete_symmetric,
-    make_cyclic_counterexample,
-    make_directed_cycle,
     make_grid,
     make_hypercube,
-    make_tournament,
     parse_instance,
 )
-from qspath.generate import fill_product, filled_instance, random_qap
+from qspath.generate import fill_product, filled_instance
 from qspath.graphs import MAX_VERTICES
 from qspath import model
 from qspath.model import as_rational
-from qspath.reductions import qap_to_qspp
 
-from helpers import naive_emit, parallel_arcs_text, random_symmetric_interaction, traced_peak
-
-
-def _every_family():
-    rng = random.Random(3)
-    cyc = make_directed_cycle(5)
-    instances = [
-        filled_instance(make_grid(3, 3), 0, 8, "weak-sum", seed=1),
-        filled_instance(
-            make_complete_symmetric(5, simplified=True), 0, 4, "random", seed=2
-        ),
-        QsppInstance(
-            cyc,
-            0,
-            3,
-            tuple(Fraction(rng.randint(0, 9)) for _ in range(5)),
-            random_symmetric_interaction(5, rng),
-        ),
-        filled_instance(make_hypercube(3), 0, 7, "product", seed=4),
-        filled_instance(make_tournament(4, 0b10110), 0, 3, "adjacent", seed=5),
-        qap_to_qspp(random_qap(3, rng)),
-        make_cyclic_counterexample(Fraction(2, 7)),
-    ]
-    return instances
+from helpers import naive_emit, parallel_arcs_text, traced_peak
+from zoo import every_family, filled_grid, q_over, signed_redraw
 
 
 def test_round_trip_every_family():
-    for inst in _every_family():
+    for inst in every_family():
         assert inst == parse_instance(emit_instance(inst))
 
 
@@ -64,7 +38,7 @@ SLICES = [1, 2, 3, 17, 64]
 @pytest.mark.parametrize("chars", SLICES)
 def test_round_trip_every_family_at_short_slices(chars, monkeypatch):
     monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
-    for inst in _every_family():
+    for inst in every_family():
         text = emit_instance(inst)
         assert text.find("\n", chars) < len(text) - 1  # two slices at least
         assert inst == parse_instance(text)
@@ -88,7 +62,7 @@ def _entry_lines_split(text: str) -> str:
 )
 def test_parse_reads_any_line_layout_at_any_slice_length(layout, chars, monkeypatch):
     monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
-    inst = filled_instance(make_grid(3, 4), 0, 11, "random", seed=6)
+    inst = filled_grid(3, 4, "random", 6)
     text = layout(emit_instance(inst))
     assert parse_instance(text) == inst
     # a fault in the last record keeps its token number
@@ -102,7 +76,7 @@ def test_parse_reads_any_line_layout_at_any_slice_length(layout, chars, monkeypa
 @pytest.mark.parametrize("chars", [17, 64, 1 << 16])
 def test_parse_finds_a_pair_repeated_in_a_later_slice(chars, monkeypatch):
     monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
-    text = emit_instance(filled_instance(make_grid(3, 3), 0, 8, "random", seed=2))
+    text = emit_instance(filled_grid(3, 3, "random", 2))
     head, _, entries = text.partition("Q sparse ")
     count, _, body = entries.partition("\n")
     e, f, value = body.split("\n")[0].split()
@@ -115,7 +89,7 @@ def test_parse_finds_a_pair_repeated_in_a_later_slice(chars, monkeypatch):
 
 
 def test_parse_peaks_below_a_split_of_the_whole_text():
-    text = emit_instance(filled_instance(make_grid(12, 12), 0, 143, "random", seed=1))
+    text = emit_instance(filled_grid(12, 12, "random", 1))
     assert traced_peak(lambda: parse_instance(text)) < traced_peak(text.split)
 
 
@@ -209,7 +183,7 @@ def test_parse_dense_matrix():
 
 
 def test_parse_rejects_malformed_files():
-    good = emit_instance(filled_instance(make_grid(2, 2), 0, 3, "zero"))
+    good = emit_instance(filled_grid(2, 2, "zero", None))
     with pytest.raises(FormatError):
         parse_instance(good.replace("QSPP 1", "QSPP 2", 1))
     with pytest.raises(FormatError, match="dense and ascending"):
@@ -490,15 +464,14 @@ def test_cell_table_serves_only_a_kept_triangle(monkeypatch):
     file, a scaled Q, a filled Q whose rows were read) is written by
     compress, with no table and no scan for its largest value."""
     monkeypatch.setattr(fileio, "_cell_table", None)
-    g = make_grid(4, 4)
-    filled = filled_instance(g, 0, g.n - 1, "weak-sum", seed=2)
+    filled = filled_grid(4, 4, "weak-sum", 2)
     filled.interaction.rows
     instances = [
         filled,
-        filled_instance(g, 0, g.n - 1, "zero"),
-        filled_instance(g, 0, g.n - 1, "adjacent", seed=2),
+        filled_grid(4, 4, "zero", None),
+        filled_grid(4, 4, "adjacent", 2),
         parse_instance(naive_emit(filled)),
-        QsppInstance(g, 0, g.n - 1, filled.linear, filled.interaction.scaled(Fraction(1, 3))),
+        q_over(filled, 3),
     ]
     for inst in instances:
         assert inst.interaction._uppers()[1] is None
@@ -509,9 +482,8 @@ def test_emit_writes_a_filled_instance_without_building_its_rows(monkeypatch):
     """An instance from a random, weak-sum or product fill is written from
     the fill's upper triangle; its m*m rows are built only when something
     reads them."""
-    g = make_grid(4, 5)
     for fill in ("random", "weak-sum", "product"):
-        inst = filled_instance(g, 0, g.n - 1, fill, seed=3)
+        inst = filled_grid(4, 5, fill, 3)
         monkeypatch.setattr(InteractionMatrix, "_mirrored", None)
         text = emit_instance(inst)
         monkeypatch.undo()
@@ -544,7 +516,7 @@ def _respelled(text: str, every: int) -> str:
 
 @pytest.mark.parametrize("every", [1, 2, 7, 1000])
 def test_parse_reads_ids_outside_the_table_through_int(every):
-    inst = filled_instance(make_grid(3, 3), 0, 8, "random", seed=5)
+    inst = filled_grid(3, 3, "random", 5)
     text = emit_instance(inst)
     odd = _respelled(text, every)
     assert odd != text
@@ -580,7 +552,7 @@ BAD_IDS = [
 
 @pytest.mark.parametrize("old,new,message", BAD_IDS)
 def test_parse_keeps_the_messages_for_bad_ids(old, new, message):
-    text = emit_instance(filled_instance(make_grid(2, 3), 0, 5, "random", seed=1))
+    text = emit_instance(filled_grid(2, 3, "random", 1))
     assert text.count(old) == 1
     with pytest.raises(FormatError) as info:
         parse_instance(text.replace(old, new))
@@ -608,27 +580,15 @@ def _outcome(text: str):
     return inst.graph.n, inst.graph.arcs, inst.source, inst.target, inst.linear, inst.interaction.rows
 
 
-def _signed(inst: QsppInstance, rng: random.Random) -> QsppInstance:
-    """inst with signed c and a dense Q of values -9..9."""
-    m = inst.graph.m
-    linear = tuple(rng.randint(-9, 9) for _ in range(m))
-    matrix = random_symmetric_interaction(m, rng, lo=-9, hi=9)
-    return QsppInstance(inst.graph, inst.source, inst.target, linear, matrix)
-
-
 def _canonical(name: str) -> tuple[str, int]:
     """The canonical text of a named seeded instance, and its m."""
     fill, shape, *rest = name.split()
     p, q = map(int, shape.split("x"))
-    inst = filled_instance(
-        make_grid(p, q), 0, p * q - 1, fill, seed=p * q, max_entry=999 if "999" in rest else 9
-    )
+    inst = filled_grid(p, q, fill, p * q, 999 if "999" in rest else 9)
     if "Q/3" in rest:
-        inst = QsppInstance(
-            inst.graph, inst.source, inst.target, inst.linear, inst.interaction.scaled(Fraction(1, 3))
-        )
+        inst = q_over(inst, 3)
     if "signed" in rest:
-        inst = _signed(inst, random.Random(p * q))
+        inst = signed_redraw(inst, random.Random(p * q))
     return emit_instance(inst), inst.graph.m
 
 

@@ -10,14 +10,7 @@ import sys
 
 import pytest
 
-from qspath import (
-    Digraph,
-    make_complete_symmetric,
-    make_directed_cycle,
-    make_grid,
-    make_hypercube,
-    make_tournament,
-)
+from qspath import Digraph, make_grid
 from qspath.generate import (
     FILLS,
     _drawn,
@@ -30,6 +23,7 @@ from qspath import model
 from qspath.model import InteractionMatrix
 
 from helpers import randint_fill, traced_peak
+from zoo import fill_graphs
 
 
 @pytest.mark.parametrize(
@@ -131,7 +125,7 @@ def test_fill_triangles_mirror_into_the_rows_the_fills_built(fill):
     """Each dense fill's upper triangle stays below its top (the mirror
     lays out a byte buffer on that promise) and mirrors into the rows
     randint draws."""
-    for g in _graphs():
+    for g in fill_graphs():
         for max_entry in (0, 1, 9, 127, 128, 255, 256):
             seed = 7 * g.m + max_entry
             linear, matrix = FILLS[fill](g, random.Random(seed), max_entry)
@@ -146,18 +140,6 @@ def test_fill_triangles_mirror_into_the_rows_the_fills_built(fill):
     g = make_grid(3, 4)
     a = _drawn(random.Random(5), 9, g.m)
     assert fill_weak_sum(g, random.Random(5))[1].rows == _old_outer_rows(a, int.__add__)
-
-
-def _graphs():
-    for p, q in ((2, 2), (3, 4), (5, 3), (6, 6)):
-        yield make_grid(p, q)
-    yield make_complete_symmetric(5, simplified=True)
-    yield make_complete_symmetric(4, simplified=False, source=0, target=3)
-    yield make_directed_cycle(5)
-    yield make_hypercube(3)
-    yield make_tournament(5, 0b1011001101)
-    for seed in range(3):
-        yield random_digraph(7, 0.4, random.Random(seed))
 
 
 def test_random_digraph_within_the_arc_bound_draws_one_coin_per_pair(monkeypatch):
@@ -180,7 +162,7 @@ def test_random_digraph_within_the_arc_bound_draws_one_coin_per_pair(monkeypatch
 
 @pytest.mark.parametrize("fill", ["random", "weak-sum", "product", "adjacent"])
 def test_fills_draw_what_randint_draws(fill):
-    for g in _graphs():
+    for g in fill_graphs():
         for max_entry in (0, 1, 3, 9, 100, 255, 256, 1000):
             seed = 31 * g.m + max_entry
             ours, theirs = random.Random(seed), random.Random(seed)

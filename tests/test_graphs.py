@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,11 +8,9 @@ from hypothesis import strategies as st
 
 from qspath import (
     Digraph,
-    InteractionMatrix,
     InvalidPathError,
     Path,
     PathLimitExceeded,
-    QsppInstance,
     count_grid_paths,
     detect_grid,
     enumerate_st_paths,
@@ -32,7 +29,8 @@ from qspath import graphs
 from qspath.generate import random_dag, random_digraph
 from qspath.graphs import reachable
 
-from helpers import double_loop_cost, naive_st_paths, priced_walk_instances
+from helpers import double_loop_cost, naive_st_paths, traced_peak
+from zoo import bound_instances, priced_walk_instances
 
 
 def test_digraph_rejects_bad_arcs():
@@ -358,36 +356,13 @@ def test_generators_refuse_past_the_vertex_bound_before_building_arcs(
     """With the bound lowered to 1000, a generator asked for 1200 vertices
     refuses before it builds an arc list of up to 1.4 million arcs."""
     monkeypatch.setattr(graphs, "MAX_VERTICES", 1000)
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(ValueError) as info:
             make(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(info.value) == f"vertex count {count} exceeds the bound of 1000"
-    assert peak < 64 * 1024
+        assert str(info.value) == f"vertex count {count} exceeds the bound of 1000"
 
-
-def _bound_instances():
-    """Signed instances on the grids 2..5 x 2..5 and on random DAGs with
-    n = 3..9, corner to corner, and on random DAGs with n = 6..9 from a
-    middle vertex; every third one has c and Q in thirds."""
-    rng = random.Random("completion bound")
-    shapes = [(make_grid(p, q), 0) for p in range(2, 6) for q in range(2, 6)]
-    shapes += [(random_dag(n, 0.6, rng), 0) for n in range(3, 10) for _ in range(3)]
-    shapes += [(random_dag(n, 0.6, rng), n // 3) for n in range(6, 10) for _ in range(3)]
-    for k, (g, source) in enumerate(shapes):
-        den = 3 if k % 3 == 2 else 1
-
-        def draw():
-            return Fraction(rng.randint(-9, 9), den)
-
-        m = g.m
-        matrix = InteractionMatrix.from_triples(
-            m, ((e, f, draw()) for e in range(m) for f in range(e + 1, m))
-        )
-        yield QsppInstance(g, source, g.n - 1, tuple(draw() for _ in range(m)), matrix)
+    assert traced_peak(refuse) < 64 * 1024
 
 
 def _cheapest_through(inst):
@@ -426,7 +401,7 @@ def test_the_completion_bound_is_at_most_every_completion():
     thirds.  Raising one entry of h, or of D, past that cost is caught,
     so the check sees a table that bounds too high."""
     checked = mutated = 0
-    for inst in _bound_instances():
+    for inst in bound_instances():
         g, t = inst.graph, inst.target
         useful = reachable(g, t, forward=False)
         if not useful[inst.source]:

@@ -21,12 +21,12 @@ from qspath import (
     lp_oracle,
     make_grid,
     path_cost,
+    path_vertices,
     pseudo_linearize,
     reduce_cost_vector,
     shrink_target,
     validate_path,
 )
-from qspath.generate import filled_instance
 from qspath import grid
 from qspath.errors import InternalError
 from qspath.grid import (
@@ -40,39 +40,11 @@ from helpers import (
     arc_index,
     double_loop_cost,
     incomparable_square_pairs,
-    late_no_grid,
-    random_symmetric_interaction,
     square_pair_linearizable,
     vector_reproduces_costs,
 )
-
-
-def grid_instance(p, q, interaction=None, linear=None, seed=None):
-    g = make_grid(p, q)
-    if interaction is None:
-        interaction = random_symmetric_interaction(g.m, random.Random(seed))
-    if linear is None:
-        linear = (Fraction(0),) * g.m
-    return QsppInstance(g, 0, g.n - 1, linear, interaction)
-
-
-def weak_sum_grid(p, q, seed, lo=0, hi=9):
-    g = make_grid(p, q)
-    rng = random.Random(seed)
-    a = [Fraction(rng.randint(lo, hi)) for _ in range(g.m)]
-    rows = [
-        [a[e] + a[f] if e != f else Fraction(0) for f in range(g.m)]
-        for e in range(g.m)
-    ]
-    return grid_instance(p, q, interaction=InteractionMatrix(rows))
-
-
-def potentials_kernel_vector(g, p, q, rng):
-    """Per-arc differences of a vertex potential with equal terminal values;
-    adding such a vector changes no corner-to-corner path cost."""
-    phi = [Fraction(rng.randint(-9, 9)) for _ in range(g.n)]
-    phi[0] = phi[g.n - 1] = Fraction(0)
-    return tuple(phi[arc.head] - phi[arc.tail] for arc in g.arcs)
+from zoo import all_pairs, filled_grid, grid_instance, late_no_grid, potential_shift, q_over
+from zoo import random_grid, square_pair_planted_rows, weak_sum_grid
 
 
 def support_arcs(g, p, q):
@@ -117,9 +89,7 @@ def test_reduce_is_invariant_under_potential_kernel():
     rng = random.Random(23)
     for p, q in [(3, 3), (5, 4)]:
         g = make_grid(p, q)
-        costs = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.m))
-        kernel = potentials_kernel_vector(g, p, q, rng)
-        shifted = tuple(c + z for c, z in zip(costs, kernel))
+        costs, shifted = potential_shift(g, rng)
         assert reduce_cost_vector(g, costs) == reduce_cost_vector(g, shifted)
 
 
@@ -165,7 +135,7 @@ def test_critical_paths_structure():
 def test_incremental_critical_costs_match_direct_recomputation():
     rng = random.Random(37)
     for p, q in [(2, 2), (3, 4), (5, 5), (6, 6)]:
-        inst = grid_instance(p, q, seed=rng.randint(0, 10**9))
+        inst = random_grid(p, q, rng.randint(0, 10**9))
         shape = grid_shape(inst.graph)
         fast = _critical_costs(inst, shape, p, q, inst.linear)
         slow = {
@@ -182,10 +152,8 @@ def test_critical_costs_of_every_sub_grid_match_direct_pricing():
     rng = random.Random(41)
     for _ in range(4):
         p, q = rng.randint(4, 7), rng.randint(4, 7)
-        g = make_grid(p, q)
-        base = filled_instance(g, 0, g.n - 1, "random", rng.randint(0, 10**6))
-        interaction = base.interaction.scaled(rng.choice((1, Fraction(1, 3))))
-        inst = QsppInstance(g, 0, g.n - 1, base.linear, interaction)
+        inst = q_over(filled_grid(p, q, "random", rng.randint(0, 10**6)), rng.choice((1, 3)))
+        g = inst.graph
         shape = grid_shape(g)
         matrix = inst.interaction.rows
         for rows in range(2, p + 1):
@@ -224,12 +192,12 @@ def test_full_width_and_single_column_sub_grids_continue_to_full_critical_paths(
 
 
 def test_pseudo_linearization_zero_instance():
-    inst = grid_instance(3, 3, interaction=InteractionMatrix.zero(12))
+    inst = grid_instance(3, 3, InteractionMatrix.zero(12))
     assert pseudo_linearize(inst) == (0,) * 12
 
 
 def test_pseudo_linearization_of_weak_sum_reproduces_costs():
-    inst = weak_sum_grid(3, 3, seed=5)
+    inst = weak_sum_grid(3, 3, 5, 0)
     vector = pseudo_linearize(inst)
     assert vector_reproduces_costs(inst, vector)
 
@@ -239,13 +207,13 @@ def test_pseudo_linearization_matches_reduced_true_linearization():
     # pseudo-linearization
     from qspath import linearize_weak_sum
 
-    inst = weak_sum_grid(4, 3, seed=6)
+    inst = weak_sum_grid(4, 3, 6, 0)
     direct = linearize_weak_sum(inst)
     assert reduce_cost_vector(inst.graph, direct) == pseudo_linearize(inst)
 
 
 def test_pseudo_linearization_always_hits_critical_costs():
-    inst = grid_instance(4, 4, seed=51)  # generic, almost surely not linearizable
+    inst = random_grid(4, 4, 51)  # generic, almost surely not linearizable
     vector = pseudo_linearize(inst)
     for arc, path in critical_paths(4, 4).items():
         assert sum(vector[a] for a in path.arcs) == path_cost(inst, path)
@@ -265,7 +233,7 @@ def test_shrink_formula_single_entry():
 
 
 def test_shrink_moves_linearizations_to_the_new_target():
-    inst = weak_sum_grid(3, 3, seed=7)
+    inst = weak_sum_grid(3, 3, 7, 0)
     vector = pseudo_linearize(inst)
     assert vector_reproduces_costs(inst, vector)
     for v in (5, 7):  # both predecessors of the bottom-right corner
@@ -282,7 +250,7 @@ def test_shrink_keeps_path_costs_under_signed_linear_costs():
     checked = 0
     for _ in range(40):
         p, q = rng.randint(2, 5), rng.randint(2, 5)
-        base = weak_sum_grid(p, q, seed=rng.randint(0, 10**6))
+        base = weak_sum_grid(p, q, rng.randint(0, 10**6), 0)
         linear = tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(base.graph.m))
         inst = QsppInstance(base.graph, 0, base.target, linear, base.interaction)
         vector = pseudo_linearize(inst)
@@ -304,11 +272,8 @@ def test_shrinking_down_the_last_column_keeps_critical_path_costs():
     checked = 0
     for _ in range(20):
         p, q = rng.randint(3, 6), rng.randint(2, 6)
-        g = make_grid(p, q)
-        base = filled_instance(g, 0, g.n - 1, "random", rng.randint(0, 10**6))
-        base = QsppInstance(
-            g, 0, g.n - 1, base.linear, base.interaction.scaled(rng.choice((1, Fraction(1, 3))))
-        )
+        base = q_over(filled_grid(p, q, "random", rng.randint(0, 10**6)), rng.choice((1, 3)))
+        g = base.graph
         linear = tuple(rng.randint(-9, 9) for _ in range(g.m))
         inst = QsppInstance(g, 0, g.n - 1, linear, base.interaction)
         assert not linearize_grid(inst).linearizable or q == 2
@@ -327,7 +292,7 @@ def test_shrinking_down_the_last_column_keeps_critical_path_costs():
 
 
 def test_shrink_requires_bridge_and_acyclic_graph():
-    inst = weak_sum_grid(2, 2, seed=8)
+    inst = weak_sum_grid(2, 2, 8, 0)
     with pytest.raises(FamilyError):
         shrink_target(pseudo_linearize(inst), inst, 0)  # no arc 0 -> target
     loop = Digraph(3, [(0, 1), (1, 0), (1, 2)])
@@ -337,7 +302,7 @@ def test_shrink_requires_bridge_and_acyclic_graph():
 
 
 def test_shrink_rejects_vertices_outside_the_graph():
-    inst = weak_sum_grid(3, 3, seed=8)
+    inst = weak_sum_grid(3, 3, 8, 0)
     vector = pseudo_linearize(inst)
     for v in (-4, -1, 9, 30):  # -4 would otherwise name vertex 5
         with pytest.raises(ValueError, match="outside the vertex range"):
@@ -360,25 +325,25 @@ def test_two_row_construction_single_interior_pair():
 
 def test_two_row_construction_random_instances():
     for q_dim in range(2, 7):
-        inst = grid_instance(2, q_dim, seed=100 + q_dim)
+        inst = random_grid(2, q_dim, 100 + q_dim)
         vector = linearize_g2q(inst)
         assert vector_reproduces_costs(inst, vector)
 
 
 def test_two_row_construction_rejects_taller_grids():
     with pytest.raises(FamilyError):
-        linearize_g2q(grid_instance(3, 3, seed=1))
+        linearize_g2q(random_grid(3, 3, 1))
 
 
 def test_linearize_grid_accepts_weak_sum():
-    inst = weak_sum_grid(4, 4, seed=9, lo=-5)
+    inst = weak_sum_grid(4, 4, 9, -5)
     result = linearize_grid(inst)
     assert result.linearizable
     assert vector_reproduces_costs(inst, result.vector)
 
 
 def test_linearize_grid_zero_interaction():
-    inst = grid_instance(3, 4, interaction=InteractionMatrix.zero(17))
+    inst = grid_instance(3, 4, InteractionMatrix.zero(17))
     result = linearize_grid(inst)
     assert result.linearizable
     assert result.vector == (0,) * 17
@@ -391,11 +356,9 @@ def test_thin_grids_are_always_linearizable():
     for side in range(2, 9):
         for p, q in ((side, 2), (2, side)):
             for fill in ("random", "weak-sum", "product", "adjacent"):
-                g = make_grid(p, q)
-                base = filled_instance(g, 0, g.n - 1, fill, rng.randint(0, 10**6))
+                base = filled_grid(p, q, fill, rng.randint(0, 10**6))
                 linear = tuple(Fraction(c + rng.randint(-9, 9), 3) for c in base.linear)
-                interaction = base.interaction.scaled(Fraction(1, 3))
-                inst = QsppInstance(g, 0, g.n - 1, linear, interaction)
+                inst = q_over(base, 3, linear)
                 result = linearize_grid(inst)
                 assert result.linearizable
                 assert vector_reproduces_costs(inst, result.vector)
@@ -409,9 +372,9 @@ def test_linearize_grid_verdict_matches_oracle():
     for _ in range(60):
         choice = rng.random()
         if choice < 0.4:
-            inst = weak_sum_grid(3, 3, seed=rng.randint(0, 10**9))
+            inst = weak_sum_grid(3, 3, rng.randint(0, 10**9), 0)
         else:
-            inst = grid_instance(3, 3, seed=rng.randint(0, 10**9))
+            inst = random_grid(3, 3, rng.randint(0, 10**9))
         result = linearize_grid(inst)
         oracle = lp_oracle(build_path_matrix(inst), require_nonneg=False)
         assert result.linearizable == oracle.linearizable
@@ -429,13 +392,8 @@ def test_linearize_grid_verdict_matches_oracle_on_fractional_entries():
     @given(seed=st.integers(0, 10**6))
     def check(seed):
         rng = random.Random(seed)
-        g = make_grid(3, 3)
-        rows = [[Fraction(0)] * g.m for _ in range(g.m)]
-        for e in range(g.m):
-            for f in range(e + 1, g.m):
-                v = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                rows[e][f] = rows[f][e] = v
-        inst = QsppInstance(g, 0, 8, (Fraction(0),) * g.m, InteractionMatrix(rows))
+        q = all_pairs(12, lambda e, f: Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        inst = grid_instance(3, 3, q)
         result = linearize_grid(inst)
         oracle = lp_oracle(build_path_matrix(inst), require_nonneg=False)
         assert result.linearizable == oracle.linearizable
@@ -443,24 +401,6 @@ def test_linearize_grid_verdict_matches_oracle_on_fractional_entries():
             assert vector_reproduces_costs(inst, result.vector)
 
     check()
-
-
-def planted_grid_rows(g, p, q, rng):
-    """Dense random Q on a p-by-q grid, then made linearizable: each
-    incomparable square pair (S, S') is met through its down(S) x down(S')
-    entry, taken in decreasing order of the two squares' column sum, since
-    such an entry lies in no pair of larger column sum."""
-    rows = [[0] * g.m for _ in range(g.m)]
-    for e in range(g.m):
-        for f in range(e + 1, g.m):
-            rows[e][f] = rows[f][e] = rng.randint(-9, 9)
-    pairs = sorted(incomparable_square_pairs(g, p, q), key=lambda t: -t[0][1] - t[1][1])
-    for _, _, delta, other in pairs:
-        gap = sum(s * t * rows[a][b] for a, s in delta for b, t in other)
-        a, b = delta[0][0], other[0][0]
-        rows[a][b] -= gap
-        rows[b][a] -= gap
-    return rows
 
 
 def test_square_pair_criterion_matches_path_matrix_oracle():
@@ -477,7 +417,7 @@ def test_square_pair_criterion_matches_path_matrix_oracle():
         arcs = list(make_grid(p, q).arcs)
         rng.shuffle(arcs)
         g = Digraph(p * q, arcs)
-        rows = planted_grid_rows(g, p, q, rng)
+        rows = square_pair_planted_rows(g, p, q, rng)
         pairs = list(incomparable_square_pairs(g, p, q))
         if pairs and rng.random() < 0.6:  # the down x down entry of one pair
             _, _, delta, other = rng.choice(pairs)
@@ -506,7 +446,7 @@ def test_linearize_grid_agrees_with_square_pair_criterion_on_large_grids():
         arcs = list(make_grid(p, q).arcs)
         rng.shuffle(arcs)
         g = Digraph(p * q, arcs)
-        planted = planted_grid_rows(g, p, q, rng)
+        planted = square_pair_planted_rows(g, p, q, rng)
         pairs = list(incomparable_square_pairs(g, p, q))
         changed = [tuple(rng.sample(range(g.m), 2))]
         # down(S) x down(S') for S in column 2 breaks only the pair (S, S')
@@ -523,10 +463,7 @@ def test_linearize_grid_agrees_with_square_pair_criterion_on_large_grids():
             variants.append(rows)
         for rows in variants:
             linear = tuple(Fraction(rng.randint(-9, 9), divisor) for _ in range(g.m))
-            interaction = InteractionMatrix(rows)
-            if divisor > 1:
-                interaction = interaction.scaled(Fraction(1, divisor))
-            inst = QsppInstance(g, 0, g.n - 1, linear, interaction)
+            inst = q_over(QsppInstance(g, 0, g.n - 1, linear, InteractionMatrix(rows)), divisor)
             verdict = square_pair_linearizable(inst, p, q)
             assert verdict or rows is not planted
             assert linearize_grid(inst).linearizable == verdict
@@ -537,7 +474,7 @@ def test_linearize_grid_agrees_with_square_pair_criterion_on_large_grids():
 def test_linearizable_grid_runs_no_sweep(monkeypatch):
     """A "yes" comes from the square-pair criterion alone: no sub-grid is
     swept and the vector is the pseudo-linearization."""
-    inst = filled_instance(make_grid(6, 7), 0, 41, "weak-sum", 5)
+    inst = filled_grid(6, 7, "weak-sum", 5)
 
     def no_sweep(*args):
         raise AssertionError("the sweep ran on a linearizable grid")
@@ -549,7 +486,7 @@ def test_linearizable_grid_runs_no_sweep(monkeypatch):
 
 
 def test_sweep_that_finds_no_mismatch_is_an_internal_error(monkeypatch):
-    inst = filled_instance(make_grid(5, 6), 0, 29, "weak-sum", 5)
+    inst = filled_grid(5, 6, "weak-sum", 5)
     assert linearize_grid(inst).linearizable
     monkeypatch.setattr(grid, "_square_pairs_vanish", lambda inst, shape: False)
     with pytest.raises(InternalError):
@@ -559,7 +496,7 @@ def test_sweep_that_finds_no_mismatch_is_an_internal_error(monkeypatch):
 def test_linearize_grid_witness_is_a_real_disagreement():
     found = 0
     for seed in range(30):
-        inst = grid_instance(4, 4, seed=seed)
+        inst = random_grid(4, 4, seed)
         result = linearize_grid(inst)
         if result.linearizable:
             continue
@@ -573,6 +510,21 @@ def test_linearize_grid_witness_is_a_real_disagreement():
     assert found >= 25
 
 
+# the witness of each late "no", which a rewrite of the sweep must keep: its
+# path's vertices (right once, down two rows, right to the last column, then
+# down) and (expected, got) by seed
+LATE_NO_WITNESSES = {
+    8: (
+        (0, 1, 9, 17, 18, 19, 20, 21, 22, 23, 31, 39, 47, 55, 63),
+        {1: (1690, 1692), 2: (1794, 1796)},
+    ),
+    12: (
+        (0, 1, 13, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 47, 59, 71, 83, 95, 107, 119, 131, 143),
+        {1: (4074, 4076), 2: (4788, 4790)},
+    ),
+}
+
+
 @pytest.mark.parametrize("side", [8, 12])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_late_no_grid_is_rejected_at_sub_target_2_2(side, seed):
@@ -580,13 +532,15 @@ def test_late_no_grid_is_rejected_at_sub_target_2_2(side, seed):
     result = linearize_grid(inst)
     assert not result.linearizable
     assert result.note == "candidate disagrees below sub-target (2,2)"
+    vertices, costs = LATE_NO_WITNESSES[side]
+    assert path_vertices(inst.graph, result.witness.path) == vertices
+    assert (result.witness.expected, result.witness.got) == costs[seed]
     assert result.witness.expected == double_loop_cost(inst, result.witness.path)
-    assert result.witness.expected != result.witness.got
 
 
 def test_linearize_grid_handles_nonzero_linear_costs():
     rng = random.Random(71)
-    inst0 = weak_sum_grid(3, 4, seed=rng.randint(0, 10**9))
+    inst0 = weak_sum_grid(3, 4, rng.randint(0, 10**9), 0)
     linear = tuple(Fraction(rng.randint(0, 9)) for _ in range(inst0.graph.m))
     inst = QsppInstance(inst0.graph, 0, 11, linear, inst0.interaction)
     result = linearize_grid(inst)
@@ -597,7 +551,7 @@ def test_linearize_grid_handles_nonzero_linear_costs():
 
 
 def test_linearize_grid_product_fill_is_soundly_handled():
-    inst = filled_instance(make_grid(3, 3), 0, 8, "product", seed=3)
+    inst = filled_grid(3, 3, "product", 3)
     result = linearize_grid(inst)
     oracle = lp_oracle(build_path_matrix(inst), require_nonneg=False)
     assert result.linearizable == oracle.linearizable
@@ -608,7 +562,7 @@ def test_linearize_grid_product_fill_is_soundly_handled():
 def test_linearize_grid_verdict_is_scale_invariant():
     alpha = Fraction(5, 2)
     for seed in (3, 9, 27):
-        inst = grid_instance(3, 3, seed=seed)
+        inst = random_grid(3, 3, seed)
         scaled = QsppInstance(
             inst.graph, 0, 8, inst.linear, inst.interaction.scaled(alpha)
         )
@@ -616,7 +570,7 @@ def test_linearize_grid_verdict_is_scale_invariant():
 
 
 def test_linearize_grid_is_deterministic():
-    inst = grid_instance(4, 3, seed=81)
+    inst = random_grid(4, 3, 81)
     first = linearize_grid(inst)
     second = linearize_grid(inst)
     assert first == second

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from fractions import Fraction
 from itertools import repeat
 
@@ -29,33 +28,23 @@ from qspath import (
     spp_solve,
     validate_instance,
 )
-from qspath.generate import FILLS, filled_instance, random_dag, random_qap
+from qspath.generate import filled_instance, random_qap
 from qspath.graphs import DEFAULT_PATH_LIMIT
 from qspath import model
 from qspath.model import _RUN_MIN, ValidationReport, _EntryRows, as_rational, rational_tokens
 
 from helpers import (
-    PRICED_WALK_FILLS,
     arc_index,
     double_loop_cost,
     first_cheapest,
     naive_st_paths,
     path_by_vertices,
-    priced_walk_instances,
     quadratic_form_cost,
-    random_symmetric_interaction,
     traced_peak,
 )
-
-
-def k4_short_paths_instance():
-    """Unit interaction on both length-2 routes of the simplified 4-vertex shape."""
-    g = make_complete_symmetric(4, simplified=True, source=0, target=3)
-    idx = arc_index(g)
-    q = InteractionMatrix.from_entries(
-        g.m, {(idx[(0, 1)], idx[(1, 3)]): 1, (idx[(0, 2)], idx[(2, 3)]): 1}
-    )
-    return QsppInstance(g, 0, 3, (Fraction(0),) * g.m, q)
+from zoo import PRICED_WALK_FILLS, SHORT_PATHS_COSTLY, agreement_instances, filled_grid
+from zoo import knstar_instance, priced_walk_instances, random_costs, random_q
+from zoo import random_symmetric_interaction
 
 
 def test_as_rational_rejects_floats():
@@ -370,7 +359,7 @@ def test_symmetry_checks_find_one_asymmetric_pair_anywhere(e):
 
 
 def test_path_cost_short_route_pair():
-    inst = k4_short_paths_instance()
+    inst = knstar_instance(4, SHORT_PATHS_COSTLY)
     p1 = path_by_vertices(inst.graph, (0, 1, 3))
     assert path_cost(inst, p1) == 2
     p3 = path_by_vertices(inst.graph, (0, 1, 2, 3))
@@ -386,7 +375,7 @@ def test_path_cost_zero_interaction_is_linear_sum():
 
 
 def test_path_cost_rejects_invalid_paths():
-    inst = k4_short_paths_instance()
+    inst = knstar_instance(4, SHORT_PATHS_COSTLY)
     with pytest.raises(InvalidPathError):
         path_cost(inst, Path(()))
     with pytest.raises(InvalidPathError):
@@ -418,15 +407,8 @@ def test_path_cost_agrees_with_both_oracles():
 
 
 def test_path_cost_scaling():
-    rng = random.Random(5)
     g = make_grid(3, 3)
-    inst = QsppInstance(
-        g,
-        0,
-        8,
-        tuple(Fraction(rng.randint(0, 9)) for _ in range(g.m)),
-        random_symmetric_interaction(g.m, rng),
-    )
+    inst = random_costs(g, 0, 8, random.Random(5))
     alpha = Fraction(7, 3)
     scaled = QsppInstance(
         g, 0, 8, tuple(alpha * c for c in inst.linear), inst.interaction.scaled(alpha)
@@ -436,7 +418,7 @@ def test_path_cost_scaling():
 
 
 def test_brute_force_is_a_lower_bound_and_breaks_ties_first():
-    inst = k4_short_paths_instance()
+    inst = knstar_instance(4, SHORT_PATHS_COSTLY)
     best_path, best_cost = brute_force_solve(inst)
     costs = [path_cost(inst, p) for p in enumerate_st_paths(inst.graph, 0, 3)]
     assert best_cost == min(costs)
@@ -506,14 +488,12 @@ def test_a_dag_over_the_limit_is_refused_before_any_path_is_priced():
         brute_force_solve(inst)
     with pytest.raises(PathLimitExceeded):
         build_path_matrix(inst)
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(PathLimitExceeded):
             enumerate_st_paths(g, 0, g.n - 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+
+    assert traced_peak(refuse) < 100_000
 
 
 def test_brute_force_and_path_matrix_keep_the_enumeration_contracts():
@@ -534,80 +514,6 @@ def test_brute_force_and_path_matrix_keep_the_enumeration_contracts():
     assert brute_force_solve(cyclic_zero) == (enumerate_st_paths(k5, 0, 4)[0], 0)
 
 
-AGREEMENT_GRIDS = ((2, 2), (2, 5), (3, 3), (3, 4), (4, 3), (4, 4), (3, 6), (5, 5))
-
-
-def _signed(inst: QsppInstance, rng: random.Random) -> QsppInstance:
-    """The instance with a draw of 0..9 taken off each c entry and each
-    pair of Q, so both go negative."""
-    m = inst.graph.m
-    rows = inst.interaction.rows
-    return QsppInstance(
-        inst.graph,
-        inst.source,
-        inst.target,
-        tuple(v - rng.randint(0, 9) for v in inst.linear),
-        InteractionMatrix.from_triples(
-            m,
-            ((e, f, rows[e][f] - rng.randint(0, 9)) for e in range(m) for f in range(e + 1, m)),
-        ),
-    )
-
-
-def _repeated(g: Digraph, target: int, rng: random.Random) -> QsppInstance:
-    """c in 0..1 and Q in 0..2, so many paths tie."""
-    m = g.m
-    return QsppInstance(
-        g,
-        0,
-        target,
-        tuple(rng.randint(0, 1) for _ in range(m)),
-        InteractionMatrix.from_triples(
-            m, ((e, f, rng.randint(0, 2)) for e in range(m) for f in range(e + 1, m))
-        ),
-    )
-
-
-def _agreement_instances():
-    """(family, instance) pairs for checking the bounded search against
-    pricing every path: grids on every fill as drawn, with Q/3 and signed;
-    grids with repeated values; the priced-walk families on every fill;
-    K4*-K6*, full and simplified, which are cyclic and walked unbounded;
-    QAP reductions with n = 4..6; and signed random DAGs searched from a
-    middle vertex, which leaves vertices that reach the target unreached."""
-    for p, q in AGREEMENT_GRIDS:
-        g = make_grid(p, q)
-        for fill in FILLS:
-            for seed in (1, 2):
-                inst = filled_instance(g, 0, g.n - 1, fill, seed)
-                yield "grid", inst
-                third = inst.interaction.scaled(Fraction(1, 3))
-                yield "grid", QsppInstance(g, 0, g.n - 1, inst.linear, third)
-                yield "grid", _signed(inst, random.Random(f"{p}x{q}/{fill}/{seed}"))
-        for seed in (1, 2):
-            yield "grid", _repeated(g, g.n - 1, random.Random(f"{p}x{q}/{seed}"))
-    for family in ("grid", "dag", "cyclic", "complete"):
-        for fill in PRICED_WALK_FILLS:
-            for inst in priced_walk_instances(family, random.Random(f"agree/{family}"), fill):
-                yield "priced-walk", inst
-    for n in (4, 5, 6):
-        for simplified in (False, True):
-            g = make_complete_symmetric(n, simplified=simplified)
-            zero = QsppInstance(g, 0, n - 1, (0,) * g.m, InteractionMatrix.zero(g.m))
-            yield "complete", zero
-            yield "complete", _signed(zero, random.Random(f"K{n}/{simplified}"))
-            yield "complete", _repeated(g, n - 1, random.Random(f"K{n}/{simplified}"))
-    for n, seeds in ((4, (1, 2)), (5, (1, 2)), (6, (1,))):
-        for seed in seeds:
-            yield "qap", qap_to_qspp(random_qap(n, random.Random(seed)))
-    rng = random.Random("middle source")
-    for n in (6, 7, 8, 9):
-        for _ in range(3):
-            g = random_dag(n, 0.6, rng)
-            zero = QsppInstance(g, n // 3, n - 1, (0,) * g.m, InteractionMatrix.zero(g.m))
-            yield "middle-source", _signed(zero, rng)
-
-
 def test_brute_force_returns_the_first_cheapest_path_of_every_path_priced():
     """Old against new: on every instance the bounded search returns the
     (path, cost) that pricing every path in enumeration order and keeping
@@ -616,7 +522,7 @@ def test_brute_force_returns_the_first_cheapest_path_of_every_path_priced():
     pairs as when every path was priced; grids and K_n* also run one over
     the count."""
     seen = {}
-    for family, inst in _agreement_instances():
+    for family, inst in agreement_instances():
         seen[family] = seen.get(family, 0) + 1
         expected = first_cheapest(inst)
         if expected is None:
@@ -749,9 +655,7 @@ def test_validate_instance_reports():
 def test_brute_force_scaling_invariance(seed, alpha):
     rng = random.Random(seed)
     g = make_grid(2, 3)
-    inst = QsppInstance(
-        g, 0, 5, (Fraction(0),) * g.m, random_symmetric_interaction(g.m, rng)
-    )
+    inst = random_q(g, 0, 5, rng)
     _, cost = brute_force_solve(inst)
     scaled = QsppInstance(g, 0, 5, inst.linear, inst.interaction.scaled(alpha))
     _, scaled_cost = brute_force_solve(scaled)
@@ -841,9 +745,8 @@ def test_readers_answer_what_the_rows_hold():
 
 @pytest.mark.parametrize("fill", ["random", "weak-sum", "product"])
 def test_pairs_and_is_zero_read_a_kept_triangle_without_building_rows(fill):
-    g = make_grid(4, 5)
     for max_entry in (0, 1, 9, 300):
-        q = filled_instance(g, 0, g.n - 1, fill, seed=max_entry, max_entry=max_entry).interaction
+        q = filled_grid(4, 5, fill, max_entry, max_entry).interaction
         uppers, top = q._uppers()
         pairs = list(q.pairs())
         assert q.is_zero() == (pairs == [])

@@ -1,12 +1,9 @@
-import gc
 import math
 import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -25,39 +22,23 @@ from qspath import (
     build_path_matrix,
     linearize_grid,
     lp_oracle,
-    make_complete_symmetric,
     make_grid,
-    make_hypercube,
     normalize_knstar,
     path_vertices,
 )
 from qspath import pathmatrix
-from qspath.generate import FILLS, filled_instance, random_dag, random_digraph, worked_example
+from qspath.generate import worked_example
 from qspath.pathmatrix import _verify_certificate
 
-from helpers import (
-    PRICED_WALK_FILLS,
-    arc_index,
-    assert_oracle_matches_reference,
-    assert_valid_certificate,
-    priced_walk_instances,
-    random_symmetric_interaction,
-)
-
-
-def k4_instance(entries) -> QsppInstance:
-    g = make_complete_symmetric(4, simplified=True, source=0, target=3)
-    idx = arc_index(g)
-    mapped = {(idx[e], idx[f]): v for (e, f), v in entries.items()}
-    q = InteractionMatrix.from_entries(g.m, mapped)
-    return QsppInstance(g, 0, 3, (Fraction(0),) * g.m, q)
-
-
-SHORT_PATHS_COSTLY = {((0, 1), (1, 3)): 1, ((0, 2), (2, 3)): 1}
+from helpers import arc_index, assert_oracle_matches_reference, assert_valid_certificate
+from helpers import traced_peak
+from zoo import SHORT_PATHS_COSTLY, exclusive_pair_entries, filled_grid, grid_instance
+from zoo import knstar_instance, random_costs, reference_digraphs, reference_grids
+from zoo import reference_knstar, reference_priced_walk
 
 
 def test_path_matrix_k4_content():
-    inst = k4_instance(SHORT_PATHS_COSTLY)
+    inst = knstar_instance(4, SHORT_PATHS_COSTLY)
     pm = build_path_matrix(inst)
     assert len(pm.rows) == 4 and pm.arc_count == 6
     idx = arc_index(inst.graph)
@@ -88,14 +69,14 @@ def test_path_matrix_tiny_grid():
 
 
 def test_oracle_zero_costs_feasible():
-    inst = k4_instance({})
+    inst = knstar_instance(4, {})
     result = lp_oracle(build_path_matrix(inst), require_nonneg=True)
     assert result.linearizable
     assert result.vector == (0,) * 6
 
 
 def test_oracle_rejects_costly_short_paths_with_certificate():
-    inst = k4_instance(SHORT_PATHS_COSTLY)
+    inst = knstar_instance(4, SHORT_PATHS_COSTLY)
     pm = build_path_matrix(inst)
     result = lp_oracle(pm, require_nonneg=True)
     assert not result.linearizable
@@ -113,7 +94,7 @@ def test_oracle_rejects_costly_short_paths_with_certificate():
 def test_certificate_check_raises_on_bad_certificates():
     """assert_valid_certificate raises AssertionError itself, so its checks
     also run under python -O, which strips bare asserts from helpers.py."""
-    pm = build_path_matrix(k4_instance(SHORT_PATHS_COSTLY))
+    pm = build_path_matrix(knstar_instance(4, SHORT_PATHS_COSTLY))
     with pytest.raises(AssertionError, match="not negative"):
         assert_valid_certificate(pm, [0] * len(pm.paths), require_nonneg=True)
     with pytest.raises(AssertionError, match=r"\(B\^T y\)\[0\] = -"):
@@ -141,7 +122,7 @@ def test_equality_sense_certificate_needs_a_zero_combination():
 
 
 def test_oracle_feasible_interior_pair():
-    inst = k4_instance({((0, 1), (1, 2)): 1})
+    inst = knstar_instance(4, {((0, 1), (1, 2)): 1})
     pm = build_path_matrix(inst)
     by_route = {path_vertices(inst.graph, p): i for i, p in enumerate(pm.paths)}
     assert pm.costs[by_route[(0, 1, 2, 3)]] == 2
@@ -157,10 +138,9 @@ def test_oracle_feasible_interior_pair():
 
 
 def test_oracle_unrestricted_certificate_on_unbalanced_grid():
-    rng = random.Random(1)
     found = False
     for seed in range(40):
-        inst = filled_instance(make_grid(3, 3), 0, 8, "random", seed=seed)
+        inst = filled_grid(3, 3, "random", seed)
         pm = build_path_matrix(inst)
         result = lp_oracle(pm, require_nonneg=False)
         if result.linearizable:
@@ -199,13 +179,7 @@ def test_oracle_feasible_by_construction():
 def test_oracle_outcomes_always_verify(seed, nonneg):
     rng = random.Random(seed)
     g = make_grid(rng.randint(2, 3), rng.randint(2, 4))
-    inst = QsppInstance(
-        g,
-        0,
-        g.n - 1,
-        tuple(Fraction(rng.randint(0, 3)) for _ in range(g.m)),
-        random_symmetric_interaction(g.m, rng, 0, 3),
-    )
+    inst = random_costs(g, 0, g.n - 1, rng, 3)
     pm = build_path_matrix(inst)
     result = lp_oracle(pm, require_nonneg=nonneg)
     if result.linearizable:
@@ -217,30 +191,6 @@ def test_oracle_outcomes_always_verify(seed, nonneg):
         assert_valid_certificate(pm, result.witness.coefficients, require_nonneg=nonneg)
 
 
-def planted_grid(p: int, q: int, rng: random.Random) -> dict[tuple[int, int], int]:
-    """Weak-sum interactions, then random values on every arc pair that no
-    monotone path carries together: two down arcs leaving the same row, or
-    two right arcs leaving the same column.  Such instances are linearizable
-    without being weak-sum."""
-    g = make_grid(p, q)
-    a = [rng.randint(0, 9) for _ in range(g.m)]
-    entries = {(e, f): a[e] + a[f] for e, f in combinations(range(g.m), 2)}
-    exclusive: dict[tuple[str, int], list[int]] = {}
-    for arc_id, arc in enumerate(g.arcs):
-        i, j = divmod(arc.head, q)
-        key = ("down", i) if arc.tail == arc.head + q else ("right", j)
-        exclusive.setdefault(key, []).append(arc_id)
-    for group in exclusive.values():
-        for e, f in combinations(group, 2):
-            entries[(e, f)] = rng.randint(0, 9)
-    return entries
-
-
-def grid_instance(p: int, q: int, linear, entries) -> QsppInstance:
-    g = make_grid(p, q)
-    return QsppInstance(g, 0, g.n - 1, linear, InteractionMatrix.from_entries(g.m, entries))
-
-
 @pytest.mark.parametrize("p, q", [(6, 6), (6, 7), (7, 6), (7, 7)])
 def test_grid_decision_matches_oracle_on_planted_grids(p, q):
     """The grid decision against the equality-sense oracle beyond weak-sum
@@ -249,9 +199,10 @@ def test_grid_decision_matches_oracle_on_planted_grids(p, q):
     rng = random.Random(p * 100 + q)
     verdicts = []
     for _ in range(2):
-        entries = planted_grid(p, q, rng)
-        linear = tuple(rng.randint(0, 9) for _ in range(2 * p * q - p - q))
-        planted = grid_instance(p, q, linear, entries)
+        entries = exclusive_pair_entries(p, q, rng)
+        m = 2 * p * q - p - q
+        linear = tuple(rng.randint(0, 9) for _ in range(m))
+        planted = grid_instance(p, q, InteractionMatrix.from_entries(m, entries), linear)
         pm = build_path_matrix(planted)
         assert linearize_grid(planted).linearizable
         assert lp_oracle(pm, require_nonneg=False).linearizable
@@ -260,7 +211,7 @@ def test_grid_decision_matches_oracle_on_planted_grids(p, q):
             e, f = sorted(rng.sample(arcs, 2))
             changed = dict(entries)
             changed[(e, f)] += rng.randint(1, 9)
-            inst = grid_instance(p, q, linear, changed)
+            inst = grid_instance(p, q, InteractionMatrix.from_entries(m, changed), linear)
             oracle = lp_oracle(build_path_matrix(inst), require_nonneg=False)
             assert linearize_grid(inst).linearizable == oracle.linearizable
             verdicts.append(oracle.linearizable)
@@ -276,17 +227,13 @@ def test_oracle_scale_guard():
 def test_default_limit_refuses_before_building_what_the_oracle_refuses():
     """A 10x10 grid has 48,620 paths; the default limit is the oracle's, so
     enumeration stops at path 1001 instead of building every dense row."""
-    g = make_grid(10, 10)
-    inst = filled_instance(g, 0, g.n - 1, "weak-sum", 3)
-    gc.collect()
-    tracemalloc.start()
-    try:
+    inst = filled_grid(10, 10, "weak-sum", 3)
+
+    def refuse():
         with pytest.raises(PathLimitExceeded):
             lp_oracle(build_path_matrix(inst))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 1024 * 1024
+
+    assert traced_peak(refuse) < 5 * 1024 * 1024
 
 
 OPTIMIZED_CHECK = """
@@ -333,68 +280,11 @@ def test_result_checks_survive_optimized_mode():
     assert proc.returncode == 0, proc.stderr
 
 
-def _filled(g, target, seeds, fills=sorted(FILLS)):
-    return [filled_instance(g, 0, target, fill, seed) for fill in fills for seed in seeds]
-
-
-def _reference_grids():
-    """Every fill on the 2..4 x 2..4 grids, and Q/3 with signed rational c."""
-    out = []
-    for p in range(2, 5):
-        for q in range(2, 5):
-            g = make_grid(p, q)
-            out += _filled(g, g.n - 1, (1, 2, 3))
-            rng = random.Random(p * 10 + q)
-            for inst in _filled(g, g.n - 1, (1, 2), ("random", "weak-sum")):
-                linear = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(g.m))
-                out.append(QsppInstance(g, 0, g.n - 1, linear, inst.interaction.scaled(Fraction(1, 3))))
-    return out
-
-
-def _reference_knstar():
-    """K4*-K6*, complete and in the simplified form with Q normalized."""
-    out = []
-    for n, seeds in ((4, (1, 2, 3)), (5, (1, 2, 3)), (6, (1,))):
-        fills = sorted(FILLS) if n < 6 else ("random", "weak-sum")
-        out += _filled(make_complete_symmetric(n, target=n - 1), n - 1, seeds, fills)
-        simplified = make_complete_symmetric(n, simplified=True, target=n - 1)
-        out += map(normalize_knstar, _filled(simplified, n - 1, seeds, fills))
-    return out
-
-
-def _reference_digraphs():
-    """Hypercubes of dimension 2-4, random DAGs and random digraphs."""
-    out = []
-    for d in (2, 3, 4):
-        g = make_hypercube(d)
-        out += _filled(g, g.n - 1, (1, 2, 3))
-    rng = random.Random(22)
-    for n in (4, 5, 6, 7):
-        for _ in range(5):
-            out += _filled(random_dag(n, 0.6, rng), n - 1, (1, 2, 3), ("random", "weak-sum"))
-    for n in (4, 5, 6):
-        for _ in range(5):
-            out += _filled(random_digraph(n, 0.5, rng), n - 1, (1, 2), ("random", "adjacent"))
-    return out
-
-
-def _reference_priced_walk():
-    """The priced-walk families on their six fills, signed thirds in c and Q;
-    complete digraphs on the signed fill only."""
-    rng = random.Random(23)
-    return [
-        inst
-        for fill in PRICED_WALK_FILLS
-        for family in ("grid", "dag", "cyclic", "complete")[: 4 if fill == "signed" else 3]
-        for inst in priced_walk_instances(family, rng, fill)
-    ]
-
-
 REFERENCE_FAMILIES = {
-    "grids": _reference_grids,
-    "knstar": _reference_knstar,
-    "digraphs": _reference_digraphs,
-    "priced-walk": _reference_priced_walk,
+    "grids": reference_grids,
+    "knstar": reference_knstar,
+    "digraphs": reference_digraphs,
+    "priced-walk": reference_priced_walk,
 }
 
 

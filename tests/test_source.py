@@ -3,16 +3,19 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "qspath"
-HELPERS = Path(__file__).resolve().parent / "helpers.py"
+TESTS = Path(__file__).resolve().parent
+HELPERS = TESTS / "helpers.py"
+ZOO = TESTS / "zoo.py"
 
 
 def test_library_has_no_assert_statements():
     """python -O strips assert statements, so a check written as one would
     silently stop running; the library raises InternalError instead.  The
-    test helpers are held to the same rule: pytest rewrites asserts only in
-    test modules, so a bare assert in helpers.py checks nothing under -O."""
-    files = sorted(SOURCE.glob("*.py")) + [HELPERS]
-    assert len(files) > 1
+    test helpers and the instance zoo are held to the same rule: pytest
+    rewrites asserts only in test modules, so a bare assert in helpers.py or
+    zoo.py checks nothing under -O."""
+    files = sorted(SOURCE.glob("*.py")) + [HELPERS, ZOO]
+    assert len(files) > 2
     found = [
         f"{path.name}:{node.lineno}"
         for path in files
@@ -254,3 +257,19 @@ def test_the_library_reads_no_clock():
         for line in _clock_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+def test_the_zoo_builders_are_defined_only_in_the_zoo():
+    """Every seeded instance builder the suite shares lives in zoo.py; a
+    function of the same name defined in another module under tests/, at
+    any depth, is a second copy."""
+    zoo = {node.name for node in ast.parse(ZOO.read_text()).body if isinstance(node, ast.FunctionDef)}
+    assert "late_no_grid" in zoo
+    copies = [
+        (path.name, node.name)
+        for path in sorted(TESTS.glob("*.py"))
+        if path != ZOO
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in zoo
+    ]
+    assert copies == []

@@ -27,28 +27,8 @@ from qspath import (
     solve_product_case,
 )
 
-from helpers import random_symmetric_interaction, vector_reproduces_costs
-
-
-def weak_sum_matrix(a):
-    m = len(a)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for e in range(m):
-        for f in range(m):
-            if e != f:
-                rows[e][f] = Fraction(a[e]) + Fraction(a[f])
-    return InteractionMatrix(rows)
-
-
-def product_matrix_and_linear(a):
-    m = len(a)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for e in range(m):
-        for f in range(m):
-            if e != f:
-                rows[e][f] = Fraction(a[e]) * Fraction(a[f])
-    linear = tuple(Fraction(v) * Fraction(v) for v in a)
-    return InteractionMatrix(rows), linear
+from helpers import vector_reproduces_costs
+from zoo import product_matrix_and_linear, random_costs, weak_sum_matrix
 
 
 def test_detect_weak_sum_forced_first_entry():
@@ -261,15 +241,8 @@ def test_product_matrix_with_its_diagonal_kept_is_refused():
 
 
 def test_linearize_directed_cycle():
-    rng = random.Random(6)
     g = make_directed_cycle(4)
-    inst = QsppInstance(
-        g,
-        0,
-        2,
-        tuple(Fraction(rng.randint(0, 9)) for _ in range(4)),
-        random_symmetric_interaction(4, rng),
-    )
+    inst = random_costs(g, 0, 2, random.Random(6))
     vector = linearize_directed_cycle(inst)
     (path,) = enumerate_st_paths(g, 0, 2)
     assert vector[path.arcs[0]] == path_cost(inst, path)

@@ -38,9 +38,10 @@ of these vanish, the cost is affine in X, hence linear in the arc indicator
 for an incomparable pair, let X be the up-right closure of S and S' without
 S and S'; then X, X+S, X+S' and X+S+S' are all paths, and the second
 difference of their costs is 2 delta_S Q delta_S', which a linear cost makes
-zero.  There are about (pq)^2/4 such pairs, one four-by-four sum each
-(_square_pairs_vanish), so the check is linear in the size of Q.  On a
-"yes" the pseudo-linearization is the linearization.
+zero.  There are about (pq)^2/4 such pairs, one four-by-four sum each.
+_square_pair_rows yields their numbers one square S at a time, and the
+criterion stops at the first S with a nonzero one, so the check is linear
+in the size of Q.  On a "yes" the pseudo-linearization is the linearization.
 
 The criterion does not name a path, so on a "no" a sweep names the witness.
 It visits the sub-grids of rows = p-1..2 rows and cols = 2..q-1 columns in
@@ -303,10 +304,10 @@ def linearize_g2q(inst: QsppInstance) -> tuple[Fraction, ...]:
 # ---- the full decision procedure -----------------------------------------
 
 
-def _square_pairs_vanish(inst: QsppInstance, shape: GridShape) -> bool:
-    """The square-pair criterion: delta_S Q delta_S' = 0 for every unit
-    square S' strictly above-left of a unit square S.  Stops at the first S
-    with a failing pair."""
+def _square_pair_rows(inst: QsppInstance, shape: GridShape) -> Iterator[tuple[int, int, list]]:
+    """For each unit square S = (i, j), 2 <= i <= p-1 and 2 <= j <= q-1, row
+    by row, yield (i, j, row): row holds delta_S Q delta_S' for every unit
+    square S' = (a, b) strictly above-left of S (a < i, b < j), row-major."""
     row = inst.interaction.row
     down, right = shape.down, shape.right
     # per row of unit squares, each square's arcs in delta's sign pattern
@@ -319,15 +320,13 @@ def _square_pairs_vanish(inst: QsppInstance, shape: GridShape) -> bool:
         ]
         for i in range(1, shape.p)
     ]
-    for i in range(1, shape.p - 1):
-        for j in range(1, shape.q - 1):
+    for i in range(2, shape.p):
+        for j in range(2, shape.q):
             # (delta_S Q)[b] for the arcs b of the squares above-left of S
-            above_left = itemgetter(*chain.from_iterable(r[: 4 * j] for r in squares[:i]))
-            a1, a2, b1, b2 = (above_left(row(a)) for a in squares[i][4 * j : 4 * j + 4])
+            above_left = itemgetter(*chain.from_iterable(r[: 4 * j - 4] for r in squares[: i - 1]))
+            a1, a2, b1, b2 = (above_left(row(a)) for a in squares[i - 1][4 * j - 4 : 4 * j])
             w = list(map(sub, map(add, a1, a2), map(add, b1, b2)))
-            if any(map(sub, map(add, w[0::4], w[1::4]), map(add, w[2::4], w[3::4]))):
-                return False
-    return True
+            yield i, j, list(map(sub, map(add, w[0::4], w[1::4]), map(add, w[2::4], w[3::4])))
 
 
 def linearize_grid(inst: QsppInstance) -> LinearizationResult:
@@ -344,7 +343,7 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     _require_corner_instance(inst, shape)
     p, q = shape.p, shape.q
     pseudo_full = _pseudo_vector(inst, shape)
-    if _square_pairs_vanish(inst, shape):
+    if not any(any(r) for _, _, r in _square_pair_rows(inst, shape)):
         return LinearizationResult(True, vector=rational_vector(pseudo_full))
     # not linearizable: the sweep names the witness.  Under these linear
     # costs a path costs its true cost minus its pseudo-linearization price.

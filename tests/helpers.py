@@ -277,6 +277,20 @@ def incomparable_square_pairs(g: Digraph, p: int, q: int):
                 yield (i, j), (i2, j2), delta, deltas[(i2, j2)]
 
 
+def square_pair_rows(inst: QsppInstance, p: int, q: int) -> list[tuple[int, int, list]]:
+    """(i, j, row) for each unit square S = (i, j) with a square strictly
+    above-left of it, row holding delta_S Q delta_S', the sum of
+    s * t * Q[a][b] over the terms of the two deltas, for each such S';
+    squares and rows both in row-major order."""
+    rows = inst.interaction.rows
+    table: dict[tuple[int, int], list] = {}
+    for square, _, delta, other in incomparable_square_pairs(inst.graph, p, q):
+        table.setdefault(square, []).append(
+            sum(s * t * rows[a][b] for a, s in delta for b, t in other)
+        )
+    return [(i, j, row) for (i, j), row in table.items()]
+
+
 def square_pair_linearizable(inst: QsppInstance, p: int, q: int) -> bool:
     """Equality-sense linearizability of a corner-to-corner grid instance.
 
@@ -287,11 +301,7 @@ def square_pair_linearizable(inst: QsppInstance, p: int, q: int) -> bool:
     delta_S Q delta_S' = 0 for every square S' strictly above-left of S.
     Linear costs play no role.
     """
-    rows = inst.interaction.rows
-    return all(
-        sum(s * t * rows[a][b] for a, s in delta for b, t in other) == 0
-        for _, _, delta, other in incomparable_square_pairs(inst.graph, p, q)
-    )
+    return not any(any(row) for _, _, row in square_pair_rows(inst, p, q))
 
 
 def naive_emit(inst: QsppInstance) -> str:

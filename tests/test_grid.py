@@ -29,9 +29,11 @@ from qspath import (
 )
 from qspath import grid
 from qspath.errors import InternalError
+from qspath.generate import FILLS
 from qspath.grid import (
     _critical_costs,
     _critical_path_arcs,
+    _square_pair_rows,
     _support,
     grid_shape,
 )
@@ -41,10 +43,11 @@ from helpers import (
     double_loop_cost,
     incomparable_square_pairs,
     square_pair_linearizable,
+    square_pair_rows,
     vector_reproduces_costs,
 )
 from zoo import all_pairs, filled_grid, grid_instance, late_no_grid, potential_shift, q_over
-from zoo import random_grid, square_pair_planted_rows, weak_sum_grid
+from zoo import random_grid, signed_redraw, square_pair_planted_rows, weak_sum_grid
 
 
 def support_arcs(g, p, q):
@@ -471,6 +474,61 @@ def test_linearize_grid_agrees_with_square_pair_criterion_on_large_grids():
     assert seen[True] >= 4 and seen[False] >= 8
 
 
+def test_square_pair_rows_match_the_definition():
+    """Every square-pair number delta_S Q delta_S', in the generator's order,
+    on every fill, its Q/3 copy and a signed redraw of the 2..6 x 2..6
+    grids, and on planted grids with shuffled arc ids."""
+    rng = random.Random(37)
+    instances = []
+    for p in range(2, 7):
+        for q in range(2, 7):
+            for fill in sorted(FILLS):
+                inst = filled_grid(p, q, fill, p * q)
+                instances += [(p, q, inst), (p, q, q_over(inst, 3))]
+                instances.append((p, q, signed_redraw(inst, rng)))
+            # planted with shuffled arc ids, half the time one entry changed
+            arcs = list(make_grid(p, q).arcs)
+            rng.shuffle(arcs)
+            g = Digraph(p * q, arcs)
+            planted = square_pair_planted_rows(g, p, q, rng)
+            if rng.random() < 0.5:
+                e, f = rng.sample(range(g.m), 2)
+                planted[e][f] = planted[f][e] = planted[e][f] + rng.choice((-2, -1, 1, 3))
+            divisor = rng.choice((1, 3))
+            linear = tuple(Fraction(rng.randint(-9, 9), divisor) for _ in range(g.m))
+            inst = QsppInstance(g, 0, g.n - 1, linear, InteractionMatrix(planted))
+            instances.append((p, q, q_over(inst, divisor)))
+    nonzero = 0
+    for p, q, inst in instances:
+        rows = list(_square_pair_rows(inst, grid_shape(inst.graph)))
+        assert rows == square_pair_rows(inst, p, q)
+        nonzero += any(any(row) for _, _, row in rows)
+    assert nonzero >= 150
+
+
+def test_criterion_reads_rows_up_to_the_first_nonzero_one(monkeypatch):
+    """linearize_grid stops the generator at the first row with a nonzero
+    number: the third on the 8 x 8 late "no", whose first nonzero number is
+    M((2, 4), (1, 1)), and the first on a random 6 x 6."""
+    taken = []
+
+    def counted(inst, shape):
+        for item in _square_pair_rows(inst, shape):
+            taken.append(item[:2])
+            yield item
+
+    monkeypatch.setattr(grid, "_square_pair_rows", counted)
+    counts = []
+    for p, inst in ((8, late_no_grid(8, 8, 1)), (6, random_grid(6, 6, 5))):
+        taken.clear()
+        assert not linearize_grid(inst).linearizable
+        naive = square_pair_rows(inst, p, p)
+        first = next(k for k, (_, _, row) in enumerate(naive) if any(row))
+        assert taken == [s[:2] for s in naive[: first + 1]]
+        counts.append(len(taken))
+    assert counts == [3, 1]
+
+
 def test_linearizable_grid_runs_no_sweep(monkeypatch):
     """A "yes" comes from the square-pair criterion alone: no sub-grid is
     swept and the vector is the pseudo-linearization."""
@@ -488,7 +546,7 @@ def test_linearizable_grid_runs_no_sweep(monkeypatch):
 def test_sweep_that_finds_no_mismatch_is_an_internal_error(monkeypatch):
     inst = filled_grid(5, 6, "weak-sum", 5)
     assert linearize_grid(inst).linearizable
-    monkeypatch.setattr(grid, "_square_pairs_vanish", lambda inst, shape: False)
+    monkeypatch.setattr(grid, "_square_pair_rows", lambda inst, shape: iter([(2, 2, [1])]))
     with pytest.raises(InternalError):
         linearize_grid(inst)
 

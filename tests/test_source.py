@@ -189,6 +189,17 @@ def test_the_completion_bound_lives_in_the_search_alone():
     }
 
 
+def test_square_pairs_are_summed_in_one_place():
+    """_square_pair_rows is the one loop over square pairs: it alone forms
+    the numbers delta_S Q delta_S', by itemgetter gathers over the squares
+    above-left of each S, so any other reader of those numbers takes them
+    from the generator rather than summing them again."""
+    assert {use[:2] for use in _library_uses({"itemgetter"})} == {
+        ("grid.py", ""),  # the import
+        ("grid.py", "_square_pair_rows"),
+    }
+
+
 # the faults an entry of a sparse Q can have, by a fragment of each message
 ENTRY_FAULTS = ("outside the arc range", "diagonal interaction entries", "listed twice")
 

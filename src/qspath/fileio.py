@@ -19,8 +19,11 @@ Layout (whitespace-tolerant on parsing, canonical on emission):
 The emitter writes rationals as integers or numerator/denominator pairs like
 3/2.  The parser also accepts decimal tokens such as 1.5 or 1e3 and reads
 them exactly, as Fraction does (1.5 is 3/2, 1e3 is the int 1000); no value
-ever becomes a float.  Grid instances use the row-major vertex numbering, so
-a p-by-q grid vertex in row i, column j (1-based) is vertex (i-1)*q + (j-1).
+ever becomes a float.  A value whose numerator or denominator would have
+more than model.MAX_DIGITS (4,300) digits, the most str() prints, is
+refused, 1e5000 as much as 4,301 digits spelled out.  Grid instances use
+the row-major vertex numbering, so a p-by-q grid vertex in row i, column j
+(1-based) is vertex (i-1)*q + (j-1).
 
 The emitter writes Q a row at a time, right of the diagonal, each row one
 join.  A matrix from a seeded fill hands over its upper triangle with the

@@ -20,7 +20,7 @@ brute_force_solve adds a completion lower bound of the Gilmore-Lawler kind
 (Rostami et al. 2018) where the part of the graph that reaches the target t
 is acyclic, for any sign of c and Q.  Two tables are made once per solve, in
 reverse topological order over the vertices of that part that the source
-reaches, the only ones the search enters:
+reaches (those the path count walks into), the only ones the search enters:
   D[t] = 0, and D[v] = min over its out-arcs a = (v, w) of Q[a] + D[w],
   elementwise, so D[v][f] <= sum over e in R of Q[e][f] for every path R
   from v to t;
@@ -315,18 +315,18 @@ def reachable(g: Digraph, start: int, forward: bool) -> list[bool]:
 
 def _completion_tables(
     g: Digraph,
-    source: int,
     target: int,
     order: Sequence[int],
+    ways: Sequence[int],
     linear: Sequence,
     rows: Sequence[Sequence],
 ) -> tuple[list, list]:
     """(D, h), the tables of the completion bound (see the module docstring)
     over the vertices that lie on a source-target path of g, when the part
-    of g that reaches the target is acyclic and ``order`` is its topological
-    order.  D[v] is cut after the last arc that can come before v on a path
-    from the source, the columns the bound reads; every other vertex, which
-    the search never enters, gets None.
+    of g that reaches the target is acyclic, ``order`` is its topological
+    order and ``ways[v]`` the path count's walks from the source into v.
+    D[v] is cut after the last arc that can come before v on such a path,
+    the columns the bound reads; a vertex the search never enters gets None.
 
     One pass in reverse topological order makes each D[v] from whole rows
     of Q: a map(add) per out-arc and, from the second one on, an elementwise
@@ -334,21 +334,18 @@ def _completion_tables(
     """
     arcs = g.arcs
     # span[v]: 1 + the largest arc id on a path from the source into v
-    reached = [False] * g.n
-    reached[source] = True
     span = [0] * g.n
     for v in order:
         for a in g._in[v]:
             u = arcs[a].head
-            if reached[u]:
-                reached[v] = True
+            if ways[u]:
                 span[v] = max(span[v], a + 1, span[u])
     dist: list = [None] * g.n
     dist[target] = [0] * span[target]
     least: list = [None] * g.n
     least[target] = 0
     for v in reversed(order):
-        if not reached[v]:
+        if not ways[v]:
             continue
         k = span[v]
         row = None
@@ -397,15 +394,17 @@ def _walk_st_paths(
     if not useful[source]:
         return
     order = topological_order(g, useful)
-    if order is not None and _count_st_paths(g, source, target, order) > limit:
-        raise PathLimitExceeded(limit)
+    if order is not None:
+        ways = _count_st_paths(g, source, order)
+        if ways[target] > limit:
+            raise PathLimitExceeded(limit)
     priced = linear is not None
     if priced:
         rows = tuple(rows)
         entry = [row.__getitem__ for row in rows]
     bounded = bounded and order is not None
     if bounded:
-        dist, least = _completion_tables(g, source, target, order, linear, rows)
+        dist, least = _completion_tables(g, target, order, ways, linear, rows)
         dist = [None if row is None else row.__getitem__ for row in dist]
     tail = [arc.tail for arc in g.arcs]
     on_path = [False] * g.n
@@ -508,11 +507,11 @@ def topological_order(
     return order if len(order) == sum(keep) else None
 
 
-def _count_st_paths(g: Digraph, source: int, target: int, order: Sequence[int]) -> int:
-    """Number of simple source-target paths, given a topological ``order``
-    of an acyclic part of g that holds every vertex able to reach the
-    target.  Every source-target walk then is a simple path, so one pass
-    over the order adds up the walks into each vertex.
+def _count_st_paths(g: Digraph, source: int, order: Sequence[int]) -> list[int]:
+    """The walks from the source into each vertex, counted in one pass over
+    a topological ``order`` of an acyclic part of g that holds every vertex
+    able to reach the target.  Every source-target walk then is a simple
+    path, so the target's entry counts the source-target paths.
     """
     ways = [0] * g.n
     ways[source] = 1
@@ -520,7 +519,7 @@ def _count_st_paths(g: Digraph, source: int, target: int, order: Sequence[int]) 
         if ways[v]:
             for a in g.out_arcs(v):
                 ways[g.arcs[a].tail] += ways[v]
-    return ways[target]
+    return ways
 
 
 def is_acyclic(g: Digraph) -> bool:

@@ -34,12 +34,13 @@ is_zero().  pairs and is_zero read a seeded fill's kept triangle without
 building the m*m cells, and tests/test_source.py pins the rule.
 
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
-the earliest enumerated optimum, and the shortest-path solvers only ever
-replace a label on strict improvement.
+the earliest enumerated optimum, and _relax, the one shortest-path
+relaxation, replaces a label only on strict improvement.
 """
 from __future__ import annotations
 
 import heapq
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +68,8 @@ def as_rational(value: object) -> int | Fraction:
     Accepts ints, Fractions and anything Fraction accepts, such as the
     strings '3', '3/4' or '1.5'; floats are rejected.  An int, or a Fraction
     whose denominator is not 1, is returned as it is, so data made exact
-    once is never rebuilt.
+    once is never rebuilt.  A string whose numerator or denominator would
+    have more than MAX_DIGITS digits raises ValueError, before it is built.
     """
     if type(value) is int:
         return value
@@ -77,9 +79,32 @@ def as_rational(value: object) -> int | Fraction:
         try:
             return int(value)
         except ValueError:
-            pass
+            value = _bounded_fraction(value)
     exact = value if type(value) is Fraction else Fraction(value)
     return exact.numerator if exact.denominator == 1 else exact
+
+
+# the exponent of a decimal token such as 2.5E+4400, its digits in group 1
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+
+
+def _bounded_fraction(text: str) -> Fraction:
+    """Fraction(text), refused with ValueError past MAX_DIGITS digits.
+
+    int() reads no run of more than MAX_DIGITS digits, so only an exponent
+    makes a long value from a short token, and Fraction would multiply it
+    out first: 0.5 s for 1e2000000.  The mantissa has fewer digits than the
+    token has characters, so an exponent past MAX_DIGITS plus that length
+    puts any nonzero value past the bound: such a token is read with
+    exponent 0, and refused unless it is zero.
+    """
+    text = text.strip()
+    match = _EXPONENT.search(text)
+    huge = match is not None and int(match[1]) > MAX_DIGITS + len(text)
+    exact = Fraction(text[: match.start(1)] + "0") if huge else Fraction(text)
+    if huge and exact or max(abs(exact.numerator), exact.denominator) >= _DIGITS_CEILING:
+        raise ValueError(f"value has more than {MAX_DIGITS} digits")
+    return exact
 
 
 def rational_vector(values: Iterable[object]) -> tuple[int | Fraction, ...]:
@@ -107,6 +132,12 @@ def rational_tokens(tokens: Sequence[str]) -> list[int | Fraction]:
 # 0.35 s at 144 MB peak RSS, and one of 2,048 in 0.08 s at 48 MB (2-core
 # host, CPython 3.11).
 MAX_ARCS = 4096
+
+# A value read from text whose numerator or denominator has more digits than
+# this is refused: CPython converts no longer int to a string (see
+# sys.get_int_max_str_digits), so every later print of the value would fail.
+MAX_DIGITS = 4300
+_DIGITS_CEILING = 10**MAX_DIGITS
 
 
 def _check_arc_count(m: int) -> None:
@@ -498,50 +529,42 @@ def _reconstruct(g: Digraph, pred_arc: list[int | None], target: int) -> Path:
     return Path(tuple(arcs))
 
 
-def _dijkstra(spp: SppInstance) -> tuple[Path, Fraction]:
-    g = spp.graph
-    dist: list[Fraction | None] = [None] * g.n
+def _relax(
+    g: Digraph, source: int, target: int, costs: Sequence, order: Sequence[int] | None = None
+) -> tuple[Path, Fraction]:
+    """Shortest source-target path and its cost: each visited vertex relaxes
+    its out-arcs, and a label changes only on strict improvement.  The
+    visits follow ``order``, a topological order, or else, for nonnegative
+    costs, Dijkstra's settle order from a heap of (label, vertex); they stop
+    at the target, whose label is then final."""
+    dist: list = [None] * g.n
     pred: list[int | None] = [None] * g.n
-    dist[spp.source] = 0
-    heap: list[tuple[Fraction, int]] = [(0, spp.source)]
-    done = [False] * g.n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == spp.target:
+    dist[source] = 0
+    heap = [(0, source)]
+
+    def settled() -> Iterator[int]:
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d == dist[u]:  # else the label has improved since this push
+                yield u
+
+    for u in settled() if order is None else order:
+        if u == target:
             break
-        for a in g.out_arcs(u):
-            v = g.arcs[a].tail
-            nd = d + spp.linear[a]
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                pred[v] = a
-                heapq.heappush(heap, (nd, v))
-    if dist[spp.target] is None:
-        raise NoPathError(f"no path from {spp.source} to {spp.target}")
-    return _reconstruct(g, pred, spp.target), as_rational(dist[spp.target])
-
-
-def _dag_relax(spp: SppInstance, order: list[int]) -> tuple[Path, Fraction]:
-    g = spp.graph
-    dist: list[Fraction | None] = [None] * g.n
-    pred: list[int | None] = [None] * g.n
-    dist[spp.source] = 0
-    for u in order:
         du = dist[u]
         if du is None:
             continue
         for a in g.out_arcs(u):
             v = g.arcs[a].tail
-            nd = du + spp.linear[a]
+            nd = du + costs[a]
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 pred[v] = a
-    if dist[spp.target] is None:
-        raise NoPathError(f"no path from {spp.source} to {spp.target}")
-    return _reconstruct(g, pred, spp.target), as_rational(dist[spp.target])
+                if order is None:
+                    heapq.heappush(heap, (nd, v))
+    if dist[target] is None:
+        raise NoPathError(f"no path from {source} to {target}")
+    return _reconstruct(g, pred, target), as_rational(dist[target])
 
 
 def spp_solve(spp: SppInstance) -> tuple[Path, Fraction]:
@@ -550,12 +573,12 @@ def spp_solve(spp: SppInstance) -> tuple[Path, Fraction]:
 
     Negative costs on a cyclic graph are refused outright.
     """
-    if all(c >= 0 for c in spp.linear):
-        return _dijkstra(spp)
-    order = topological_order(spp.graph)
-    if order is None:
-        raise CyclicGraphError("negative arc costs require an acyclic graph")
-    return _dag_relax(spp, order)
+    order = None
+    if not all(c >= 0 for c in spp.linear):
+        order = topological_order(spp.graph)
+        if order is None:
+            raise CyclicGraphError("negative arc costs require an acyclic graph")
+    return _relax(spp.graph, spp.source, spp.target, spp.linear, order)
 
 
 @dataclass(frozen=True)

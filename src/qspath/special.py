@@ -17,7 +17,7 @@ from .model import (
     InteractionMatrix,
     QsppInstance,
     SppInstance,
-    _dag_relax,
+    _relax,
     as_rational,
     cost_of_arcs,
     rational_vector,
@@ -70,8 +70,8 @@ def all_paths_equal_length(g: Digraph, source: int, target: int) -> int | None:
             "equal-length detection needs the set of vertices on source-target "
             "routes to induce an acyclic subgraph"
         )
-    _, shortest = _dag_relax(SppInstance(g, source, target, (1,) * g.m), order)
-    _, longest = _dag_relax(SppInstance(g, source, target, (-1,) * g.m), order)
+    _, shortest = _relax(g, source, target, (1,) * g.m, order)
+    _, longest = _relax(g, source, target, (-1,) * g.m, order)
     return shortest if shortest == -longest else None
 
 

@@ -71,6 +71,9 @@ def test_two_cycle_pairs_are_not_adjacent():
     g = Digraph(3, [(0, 1), (1, 0), (1, 2)])
     q = InteractionMatrix.from_entries(3, {(0, 1): 1})
     assert not is_adjacent_qspp(QsppInstance(g, 0, 2, (0, 0, 0), q))
+    # nor does the lift continue an arc along its way back
+    aux = build_auxiliary(QsppInstance(g, 0, 2, (0, 0, 0), InteractionMatrix.zero(3)))
+    assert set(aux.graph.arcs) == {(0, 1), (1, 3), (3, 4)}
 
 
 def test_auxiliary_of_counterexample():

@@ -325,6 +325,11 @@ def test_generate_disjoint_reduce_needs_four_vertices(capsys):
     assert "generate disjoint-reduce needs n >= 4" in err
 
 
+def test_generate_disjoint_reduce_needs_a_seed(capsys):
+    code, out, err = run(capsys, "generate", "disjoint-reduce", "6")
+    assert (code, out, err) == (2, "", "error: disjoint-reduce needs --seed\n")
+
+
 def test_negative_arc_count_exit_two(tmp_path, capsys):
     path = tmp_path / "negative.qspp"
     path.write_text("QSPP 1\nn 2\nm -1\ns 0\nt 1\nc\n\nQ sparse 0\n")
@@ -575,6 +580,31 @@ def test_file_that_is_not_utf8_exit_two(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "not UTF-8 text" in err
+
+
+BIG_VALUE_QSPP = "QSPP 1\nn 2\nm 1\ns 0\nt 1\narc 0 0 1\nc\n1e5000\nQ sparse 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["solve", "{f}", "--method", "spp"], BIG_VALUE_QSPP,
+         "error: token 16 ('1e5000'): expected rational linear cost 0\n"),
+        (["solve", "{f}", "--method", "brute"], BIG_VALUE_QSPP,
+         "error: token 16 ('1e5000'): expected rational linear cost 0\n"),
+        (["linearize", "{f}", "--mode", "oracle"], BIG_VALUE_QSPP,
+         "error: token 16 ('1e5000'): expected rational linear cost 0\n"),
+        (["generate", "qap-reduce", "{f}"], "1\n1e5000\n1\n",
+         "error: token 2 ('1e5000') is not a number\n"),
+    ],
+    ids=["solve-spp", "solve-brute", "linearize-oracle", "qap-reduce"],
+)
+def test_a_value_past_the_digit_bound_exit_two(tmp_path, capsys, argv, text, message):
+    """A 6-byte token whose value no int-to-string conversion would take
+    is refused by the parser, not left to fail where a command prints it."""
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    assert run(capsys, *[a.format(f=path) for a in argv]) == (2, "", message)
 
 
 @pytest.mark.parametrize("fill", ["random", "weak-sum", "product", "adjacent"])

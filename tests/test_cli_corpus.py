@@ -72,6 +72,10 @@ GENERATE = {
         ["tournament", "4", "--orientation", "21", "--fill", "random", "--seed", "9"], 0,
         "968b74099067201f76a262c53c479abc2c090a865210d116b5e7c0f7b76df983",
     ),
+    "tournament-seeded": (
+        ["tournament", "5", "--fill", "random", "--seed", "8"], 0,
+        "b9eed738276b0c714d8291c1db5b9ad7031b718a1207662a9d7dc632cb397885",
+    ),
     "qap-reduce": (
         ["qap-reduce", "{qap}"], 0,
         "b8121643890097b58dd43f366a228bd79c7c4f5e434add89472c89b48fa3510e",

@@ -182,6 +182,8 @@ def test_path_class_costs_preconditions():
     )
     with pytest.raises(FamilyError, match="linear"):
         path_class_costs(shifted)
+    with pytest.raises(FamilyError, match="at least four vertices"):
+        path_class_costs(knstar_instance(3, {}))
 
 
 def test_scaling_leaves_verdicts_alone():
@@ -203,6 +205,19 @@ def test_k4_rejects_the_costly_short_paths_instance():
     inst = normalize_knstar(worked_example(4))
     result = k4_linearize(inst)
     assert not result.linearizable
+    assert_valid_certificate(
+        build_path_matrix(inst), result.witness.coefficients, require_nonneg=True
+    )
+
+
+def test_k4_rejects_a_negative_path_with_its_unit_certificate():
+    """Q = -1 on the pair (0->1, 1->3) prices the path 0-1-3 at -2, which
+    no nonnegative vector reaches: the certificate is that path's row."""
+    inst = knstar_instance(4, {((0, 1), (1, 3)): -1})
+    result = k4_linearize(inst)
+    assert not result.linearizable
+    assert result.note == "a path has negative cost, unreachable with nonnegative entries"
+    assert result.witness.coefficients == (0, 1, 0, 0)
     assert_valid_certificate(
         build_path_matrix(inst), result.witness.coefficients, require_nonneg=True
     )
@@ -338,6 +353,9 @@ def test_tournament_zero_interaction_returns_own_costs():
 def test_tournament_family_and_validity_checks():
     with pytest.raises(FamilyError):
         tournament4_linearize(knstar_instance(4, {}))
+    five = make_tournament(5)
+    with pytest.raises(FamilyError, match="^need a four-vertex tournament$"):
+        tournament4_linearize(QsppInstance(five, 0, 4, (0,) * 10, InteractionMatrix.zero(10)))
     g = make_tournament(4)
     negative = QsppInstance(
         g, 0, 3, (Fraction(-1),) * 6, InteractionMatrix.zero(6)

@@ -7,6 +7,7 @@ scaled results of the integral data.
 """
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,22 @@ def test_token_agrees_with_fraction(token):
     got = as_rational(token)
     assert got == expected
     assert type(got) is (int if expected.denominator == 1 else Fraction)
+
+
+def test_a_value_past_the_digit_bound_is_refused_before_it_is_built():
+    """Every numerator and denominator read from text has at most MAX_DIGITS
+    digits, so str() can print it; a huge exponent is refused without
+    multiplying it out, which takes about a second for 1e3000000."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        as_rational("1e3000000")
+    assert time.perf_counter() - start < 0.01
+    for token in ("1e5000", "1e-5000", "2.5E+4400", "-1e4300", "1e-4300"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            as_rational(token)
+    assert as_rational("1e4299") == 10**4299
+    assert as_rational("-1e-4299") == Fraction(-1, 10**4299)
+    assert as_rational("0e3000000") == 0
 
 
 def test_exact_values_keep_their_form_and_floats_are_refused():

@@ -239,7 +239,7 @@ def test_path_count_matches_the_formula_and_enumeration():
         # count and the completion bound alike; a cycle among them leaves
         # no order and so no count
         order = topological_order(g, reachable(g, target, forward=False))
-        return None if order is None else graphs._count_st_paths(g, 0, target, order)
+        return None if order is None else graphs._count_st_paths(g, 0, order)[target]
 
     for p in range(2, 10):
         for q in range(2, 10):
@@ -329,6 +329,16 @@ def test_path_vertices_rejects_out_of_range_arc_ids_anywhere():
     assert path_vertices(g, Path((0, 3))) == (0, 2, 3)
 
 
+def test_validate_path_names_the_wrong_end():
+    g = make_grid(2, 2)
+    path = Path((0, 3))  # 0 -> 2 -> 3
+    assert validate_path(g, path, 0, 3) == (0, 2, 3)
+    with pytest.raises(InvalidPathError, match="^path starts at 0, expected 1$"):
+        validate_path(g, path, 1, 3)
+    with pytest.raises(InvalidPathError, match="^path ends at 3, expected 2$"):
+        validate_path(g, path, 0, 2)
+
+
 def test_path_enumeration_rejects_endpoints_outside_the_graph():
     """A negative id must not be read from the end of the vertex list, and
     an id past the last vertex must not surface as IndexError."""
@@ -407,8 +417,9 @@ def test_the_completion_bound_is_at_most_every_completion():
         if not useful[inst.source]:
             continue
         order = topological_order(g, useful)
+        ways = graphs._count_st_paths(g, inst.source, order)
         dist, least = graphs._completion_tables(
-            g, inst.source, t, order, inst.linear, inst.interaction.rows
+            g, t, order, ways, inst.linear, inst.interaction.rows
         )
         cheapest = _cheapest_through(inst)
         assert _bound_excesses(inst, cheapest, dist, least) == []

@@ -122,6 +122,14 @@ def test_reduce_rejects_non_grids():
         reduce_cost_vector(Digraph(3, [(0, 1), (1, 2)]), (0, 0))
 
 
+def test_reduce_and_shrink_refuse_a_vector_of_the_wrong_length():
+    inst = weak_sum_grid(2, 2, 8, 0)
+    with pytest.raises(ValueError, match="^cost vector length must equal the arc count$"):
+        reduce_cost_vector(inst.graph, (0,) * 3)
+    with pytest.raises(ValueError, match="^vector length must equal the arc count$"):
+        shrink_target((0,) * 3, inst, 1)
+
+
 def test_critical_paths_structure():
     for p, q in [(2, 2), (3, 3), (4, 6), (6, 5)]:
         g = make_grid(p, q)

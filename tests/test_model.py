@@ -338,6 +338,8 @@ def test_instance_dimension_checks():
         QsppInstance(g, 0, 3, (0,) * 4, InteractionMatrix.zero(5))
     with pytest.raises(ValueError):
         QsppInstance(g, 1, 1, (0,) * 4, InteractionMatrix.zero(4))
+    with pytest.raises(ValueError, match="^linear cost vector length must equal the arc count$"):
+        SppInstance(g, 0, 3, (0,) * 3)
 
 
 @pytest.mark.parametrize("e", [0, 99, 198])
@@ -630,6 +632,9 @@ def test_spp_unreachable_target():
     g = Digraph(3, [(1, 0)])
     with pytest.raises(NoPathError):
         spp_solve(SppInstance(g, 0, 2, (1,)))
+    # a negative cost takes the acyclic branch, which reports it alike
+    with pytest.raises(NoPathError, match="^no path from 0 to 2$"):
+        spp_solve(SppInstance(g, 0, 2, (-1,)))
 
 
 def test_validate_instance_reports():

@@ -27,6 +27,16 @@ from qspath.reductions import decode_qap_path, qap_objective
 TINY_QAP = QapInstance(2, [[0, 1], [1, 0]], [[0, 2], [2, 0]], [[0, 0], [0, 0]])
 
 
+def test_qap_instance_refuses_wrong_shapes_and_asymmetric_data():
+    zero = [[0, 0], [0, 0]]
+    with pytest.raises(ValueError, match="^b must be 2x2$"):
+        QapInstance(2, zero, [[0, 0]], zero)
+    with pytest.raises(ValueError, match="^c must be 2x2$"):
+        QapInstance(2, zero, zero, [[0, 0], [0]])
+    with pytest.raises(ValueError, match="^matrix b must be symmetric$"):
+        QapInstance(2, zero, [[0, 1], [2, 0]], zero)
+
+
 def test_reduction_sizes():
     inst = qap_to_qspp(random_qap(3, random.Random(0)))
     assert inst.graph.n == 4
@@ -175,6 +185,8 @@ def test_parse_qaplib_symmetrizes_and_flags():
 def test_parse_qaplib_errors_carry_positions():
     with pytest.raises(FormatError, match="got 4"):
         parse_qaplib("2 0 1 1")
+    with pytest.raises(FormatError, match=r"^first token \('2\.0'\) must be the size n$"):
+        parse_qaplib("2.0 0 1 1 0 0 2 2 0")
     with pytest.raises(FormatError, match="token 3"):
         parse_qaplib("2 0 x 1 0 0 2 2 0")
     with pytest.raises(FormatError):
@@ -227,6 +239,8 @@ def test_disjoint_instance_validation():
         DisjointPathsInstance(g, 0, 1, 0, 3)
     with pytest.raises(ValueError):
         DisjointPathsInstance(g, 0, 3, 2, 3)
+    with pytest.raises(ValueError, match="^terminal outside the vertex range$"):
+        DisjointPathsInstance(g, 0, 1, 2, 4)
 
 
 def _has_arc_disjoint_pair(g, s1, t1, s2, t2, limit=2000) -> bool:

@@ -40,28 +40,39 @@ OF_EXACT_BUILDERS = {
 }
 
 
-def _uses(tree: ast.AST, names: set[str], scope: str = ""):
-    """(enclosing qualified name, line) of every reference to one of
-    ``names``: a bare name, an attribute or an imported name, called or not,
-    so an alias is caught too."""
+def _scoped(tree: ast.AST, scope: str = ""):
+    """(enclosing qualified name, node) of every node below tree but the
+    class and function definitions themselves, such as ("A.f", node) for a
+    node in method f of class A, and ("", node) at module level."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _uses(node, names, f"{scope}.{node.name}" if scope else node.name)
+            yield from _scoped(node, f"{scope}.{node.name}" if scope else node.name)
         else:
-            if (
-                isinstance(node, ast.Attribute) and node.attr in names
-                or isinstance(node, ast.Name) and node.id in names
-                or isinstance(node, ast.alias) and node.name in names
-            ):
-                yield scope, node.lineno
-            yield from _uses(node, names, scope)
+            yield scope, node
+            yield from _scoped(node, scope)
+
+
+def _parsed(name: str) -> ast.AST:
+    return ast.parse((SOURCE / name).read_text(), name)
+
+
+def _library_nodes(files=None):
+    """(file name, scope, node) over the library, or over the files named."""
+    for file in files or sorted(path.name for path in SOURCE.glob("*.py")):
+        for scope, node in _scoped(_parsed(file)):
+            yield file, scope, node
 
 
 def _library_uses(names: set[str]) -> list[tuple[str, str, int]]:
+    """(file, scope, line) of every reference to one of ``names``: a bare
+    name, an attribute or an imported name, called or not, so an alias is
+    caught too."""
     return [
-        (path.name, scope, line)
-        for path in sorted(SOURCE.glob("*.py"))
-        for scope, line in _uses(ast.parse(path.read_text(), str(path)), names)
+        (file, scope, node.lineno)
+        for file, scope, node in _library_nodes()
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.alias) and node.name in names
     ]
 
 
@@ -75,19 +86,6 @@ def test_unchecked_matrix_wrapper_is_used_only_by_the_builders():
     assert {use[:2] for use in uses} == OF_EXACT_BUILDERS
 
 
-def _attributes(tree: ast.AST, names: set[str], scope: str = ""):
-    """(enclosing qualified name, source of the object) of every attribute
-    named in ``names``, such as ("f", "inst.interaction") for
-    inst.interaction.rows in f, in the manner of _uses."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _attributes(node, names, f"{scope}.{node.name}" if scope else node.name)
-        else:
-            if isinstance(node, ast.Attribute) and node.attr in names:
-                yield scope, ast.unparse(node.value)
-            yield from _attributes(node, names, scope)
-
-
 def test_only_the_model_reads_how_q_is_stored():
     """Outside model.py, code asks an InteractionMatrix for row, pairs or
     is_zero and reads neither its rows nor its kept triangle, so a change of
@@ -95,12 +93,11 @@ def test_only_the_model_reads_how_q_is_stored():
     PathMatrix's, pm.rows in pathmatrix.py, and the emitter alone asks for
     the upper rows, with a seeded fill's top, through _uppers."""
     reads = {
-        (path.name, scope, obj)
-        for path in sorted(SOURCE.glob("*.py"))
-        if path.name != "model.py"
-        for scope, obj in _attributes(
-            ast.parse(path.read_text(), str(path)), {"rows", "_upper", "_uppers"}
-        )
+        (file, scope, ast.unparse(node.value))
+        for file, scope, node in _library_nodes()
+        if file != "model.py"
+        and isinstance(node, ast.Attribute)
+        and node.attr in {"rows", "_upper", "_uppers"}
     }
     assert reads == {
         ("fileio.py", "emit_instance", "inst.interaction"),
@@ -110,23 +107,6 @@ def test_only_the_model_reads_how_q_is_stored():
     }
 
 
-def _strided_stores(tree: ast.AST, scope: str = ""):
-    """(enclosing qualified name, line) of every store into a slice with a
-    step, such as flat[start::m] = row, in the manner of _uses."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _strided_stores(node, f"{scope}.{node.name}" if scope else node.name)
-        else:
-            if (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.ctx, ast.Store)
-                and isinstance(node.slice, ast.Slice)
-                and node.slice.step is not None
-            ):
-                yield scope, node.lineno
-            yield from _strided_stores(node, scope)
-
-
 def test_the_upper_triangle_is_mirrored_in_one_place():
     """The random fill, and the weak-sum and product fills through
     _outer_upper, hand the upper triangle of Q, unchecked, to
@@ -134,9 +114,12 @@ def test_the_upper_triangle_is_mirrored_in_one_place():
     down each column in a strided slice; no other code in generate.py or
     model.py writes a strided slice."""
     stores = {
-        (name, scope)
-        for name in ("generate.py", "model.py")
-        for scope, _ in _strided_stores(ast.parse((SOURCE / name).read_text(), name))
+        (file, scope)
+        for file, scope, node in _library_nodes(("generate.py", "model.py"))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.slice, ast.Slice)
+        and node.slice.step is not None
     }
     assert stores == {("model.py", "InteractionMatrix._mirrored")}
     uses = _library_uses({"_of_upper"})
@@ -200,20 +183,25 @@ def test_square_pairs_are_summed_in_one_place():
     }
 
 
+def test_labels_are_relaxed_in_one_place():
+    """model._relax is the one shortest-path relaxation, in Dijkstra's
+    settle order or a topological one: no other code pushes onto a heap but
+    topological_order's queue of ready vertices, and only spp_solve and the
+    equal-length check call it, the adjacent and product solvers through
+    spp_solve."""
+    assert {use[:2] for use in _library_uses({"heappush"})} == {
+        ("graphs.py", "topological_order"),
+        ("model.py", "_relax"),
+    }
+    assert {use[:2] for use in _library_uses({"_relax"})} == {
+        ("model.py", "spp_solve"),
+        ("special.py", ""),  # the import
+        ("special.py", "all_paths_equal_length"),
+    }
+
+
 # the faults an entry of a sparse Q can have, by a fragment of each message
 ENTRY_FAULTS = ("outside the arc range", "diagonal interaction entries", "listed twice")
-
-
-def _raises(tree: ast.AST, scope: str = ""):
-    """(enclosing qualified name, source of the raised expression) of every
-    raise statement, in the manner of _uses."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _raises(node, f"{scope}.{node.name}" if scope else node.name)
-        else:
-            if isinstance(node, ast.Raise):
-                yield scope, ast.unparse(node.exc) if node.exc else ""
-            yield from _raises(node, scope)
 
 
 def test_entry_faults_are_raised_only_by_the_entry_checker():
@@ -222,13 +210,14 @@ def test_entry_faults_are_raised_only_by_the_entry_checker():
     raises the faults of an entry, at the first one in file order, and
     _add_row raises nothing itself."""
     faults = {
-        (name, scope)
-        for name in ("model.py", "fileio.py")
-        for scope, exc in _raises(ast.parse((SOURCE / name).read_text(), name))
-        if any(fault in exc for fault in ENTRY_FAULTS)
+        (file, scope)
+        for file, scope, node in _library_nodes(("model.py", "fileio.py"))
+        if isinstance(node, ast.Raise)
+        and node.exc
+        and any(fault in ast.unparse(node.exc) for fault in ENTRY_FAULTS)
     }
     assert faults == {("model.py", "_EntryRows._add_each")}
-    model = ast.parse((SOURCE / "model.py").read_text())
+    model = _parsed("model.py")
     entry_rows = next(n for n in model.body if isinstance(n, ast.ClassDef) and n.name == "_EntryRows")
     add_row = next(n for n in entry_rows.body if isinstance(n, ast.FunctionDef) and n.name == "_add_row")
     assert [node.lineno for node in ast.walk(add_row) if isinstance(node, ast.Raise)] == []

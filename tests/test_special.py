@@ -265,6 +265,9 @@ def test_linearize_directed_cycle_rejects_other_graphs():
     )
     with pytest.raises(FamilyError):
         linearize_directed_cycle(inst)
+    wider = QsppInstance(make_grid(2, 3), 0, 5, (0,) * 7, InteractionMatrix.zero(7))
+    with pytest.raises(FamilyError, match="as many arcs as vertices"):
+        linearize_directed_cycle(wider)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,11 @@ verdict), 3 for a not-linearizable verdict, 2 for usage errors and violated
 preconditions.  Every value printed is exact, a whole number or a rational,
 never a float, and no module of the library reads a clock.
 
+Each handler returns its exit code and its whole text, which main writes
+once through _write, to --output for generate and to stdout otherwise; a
+result holding a value past the interpreter's digit limit, the most str()
+prints, exits 2 with nothing written.
+
 Each process runs one command, so the module loads at import only the
 layers of the common commands: ``generate``, ``linearize --mode
 grid|oracle|oracle-nonneg`` and ``solve --method brute|spp``.  Their
@@ -21,7 +26,6 @@ import functools
 import random
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 
 from .errors import FormatError, QspathError
 from .fileio import emit_instance, parse_instance
@@ -38,12 +42,18 @@ from .graphs import (
     path_vertices,
 )
 from .grid import linearize_grid
-from .model import QsppInstance, SppInstance, _check_arc_count, brute_force_solve, spp_solve
+from .model import (
+    QsppInstance,
+    SppInstance,
+    _check_arc_count,
+    _decimal_texts,
+    brute_force_solve,
+    spp_solve,
+)
 from .pathmatrix import (
     MAX_ORACLE_PATHS,
     CostMismatch,
     InfeasibilityCertificate,
-    LinearizationResult,
     build_path_matrix,
     lp_oracle,
 )
@@ -74,7 +84,7 @@ FAMILY_PARAMS = {
 }
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> tuple[int, str]:
     family = args.family
     expected = FAMILY_PARAMS[family]
     if len(args.params) != len(expected):
@@ -89,8 +99,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         # the parameters and options are user input; the graph and instance
         # constructors refuse bad values with ValueError, a usage error here
         raise QspathError(f"generate {family}: {exc}") from exc
-    _write(emit_instance(inst), args.output)
-    return 0
+    return 0, emit_instance(inst)
 
 
 def _generated_instance(args: argparse.Namespace) -> QsppInstance:
@@ -179,14 +188,12 @@ def _load(path: str) -> QsppInstance:
     return parse_instance(_read_text(path))
 
 
-def _print_solution(method: str, inst: QsppInstance, path, cost: Fraction) -> None:
-    verts = path_vertices(inst.graph, path)
-    print(f"method {method}")
-    print("path " + " ".join(str(v) for v in verts))
-    print(f"cost {cost}")
+def _lines(*rows) -> str:
+    """One line per row of words and exact values, separated by spaces."""
+    return "".join(" ".join(_decimal_texts(row)) + "\n" for row in rows)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     inst = _load(args.file)
     if args.method == "brute":
         path, cost = brute_force_solve(inst, args.limit)
@@ -206,32 +213,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         path, cost = spp_solve(
             SppInstance(inst.graph, inst.source, inst.target, inst.linear)
         )
-    _print_solution(args.method, inst, path, cost)
-    return 0
+    verts = path_vertices(inst.graph, path)
+    return 0, _lines(("method", args.method), ("path", *verts), ("cost", cost))
 
 
-def _print_result(inst: QsppInstance, result: LinearizationResult) -> int:
-    if result.linearizable:
-        print("verdict linearizable")
-        print("vector")
-        print(" ".join(str(v) for v in result.vector))
-        return 0
-    print("verdict not-linearizable")
-    if result.note:
-        print(f"note {result.note}")
-    witness = result.witness
-    if isinstance(witness, InfeasibilityCertificate):
-        print("certificate")
-        print(" ".join(str(v) for v in witness.coefficients))
-    elif isinstance(witness, CostMismatch):
-        verts = path_vertices(inst.graph, witness.path)
-        print("witness-path " + " ".join(str(v) for v in verts))
-        print(f"expected {witness.expected}")
-        print(f"got {witness.got}")
-    return 3
-
-
-def _cmd_linearize(args: argparse.Namespace) -> int:
+def _cmd_linearize(args: argparse.Namespace) -> tuple[int, str]:
     inst = _load(args.file)
     if args.mode == "grid":
         result = linearize_grid(inst)
@@ -246,7 +232,18 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     else:
         pm = build_path_matrix(inst, args.limit)
         result = lp_oracle(pm, require_nonneg=args.mode == "oracle-nonneg")
-    return _print_result(inst, result)
+    if result.linearizable:
+        return 0, _lines(("verdict", "linearizable"), ("vector",), result.vector)
+    rows = [("verdict", "not-linearizable")]
+    if result.note:
+        rows.append(("note", result.note))
+    witness = result.witness
+    if isinstance(witness, InfeasibilityCertificate):
+        rows += [("certificate",), witness.coefficients]
+    elif isinstance(witness, CostMismatch):
+        verts = path_vertices(inst.graph, witness.path)
+        rows += [("witness-path", *verts), ("expected", witness.expected), ("got", witness.got)]
+    return 3, _lines(*rows)
 
 
 def _path_limit(text: str) -> int:
@@ -338,10 +335,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        _write(text, getattr(args, "output", None))
     except (QspathError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

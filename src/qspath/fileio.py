@@ -72,7 +72,14 @@ from typing import Callable, Sequence, TypeVar
 
 from .errors import FormatError, InternalError
 from .graphs import Digraph
-from .model import InteractionMatrix, QsppInstance, _EntryRows, as_rational, rational_tokens
+from .model import (
+    InteractionMatrix,
+    QsppInstance,
+    _decimal_texts,
+    _EntryRows,
+    as_rational,
+    rational_tokens,
+)
 
 T = TypeVar("T")
 
@@ -80,11 +87,11 @@ T = TypeVar("T")
 def _texts(values: Sequence[int | Fraction], texts: dict[int, str]) -> list[str]:
     """str over a row of values, read through the table texts; a value it
     does not hold (negative, a Fraction, or too large) sends the whole row
-    through str."""
+    through model._decimal_texts."""
     try:
         return list(map(texts.__getitem__, values))
     except KeyError:
-        return list(map(str, values))
+        return _decimal_texts(values)
 
 
 def _cell_table(named: list[str], top: int) -> list[list[str | None]]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,7 @@ from itertools import compress, repeat
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CyclicGraphError, NoPathError
+from .errors import CyclicGraphError, NoPathError, ScaleError
 from .graphs import (
     DEFAULT_PATH_LIMIT,
     Digraph,
@@ -138,6 +139,18 @@ MAX_ARCS = 4096
 # sys.get_int_max_str_digits), so every later print of the value would fail.
 MAX_DIGITS = 4300
 _DIGITS_CEILING = 10**MAX_DIGITS
+
+
+def _decimal_texts(values: Iterable[object]) -> list[str]:
+    """str over exact values, for the CLI's results and the emitter.  A sum
+    or product of values inside MAX_DIGITS can pass the interpreter's limit
+    (sys.get_int_max_str_digits), where str() raises ValueError; this raises
+    ScaleError instead, a usage error and not a fault."""
+    try:
+        return list(map(str, values))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ScaleError(f"a value has more than {limit} digits, the most str() prints") from None
 
 
 def _check_arc_count(m: int) -> None:

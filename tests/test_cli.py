@@ -583,6 +583,18 @@ def test_file_that_is_not_utf8_exit_two(tmp_path, capsys, argv):
 
 
 BIG_VALUE_QSPP = "QSPP 1\nn 2\nm 1\ns 0\nt 1\narc 0 0 1\nc\n1e5000\nQ sparse 0\n"
+# the largest value the parser takes, 4,300 nines: one arc costs it, and two
+# arcs of that cost make a path whose 4,301-digit cost str() refuses
+NINES = "9" * model.MAX_DIGITS
+ONE_ARC_NINES = f"QSPP 1\nn 2\nm 1\ns 0\nt 1\narc 0 0 1\nc\n{NINES}\nQ sparse 0\n"
+TWO_ARC_NINES = (
+    f"QSPP 1\nn 3\nm 2\ns 0\nt 2\narc 0 0 1\narc 1 1 2\nc\n{NINES} {NINES}\nQ sparse 0\n"
+)
+# a QAP of 2,200-digit flows and distances, whose reduction's big M has
+# about 4,400 digits
+HALF_NINES = "9" * 2200
+BIG_M_QAP = f"2\n0 {HALF_NINES}\n{HALF_NINES} 0\n0 {HALF_NINES}\n{HALF_NINES} 0\n"
+PAST_STR = "error: a value has more than 4300 digits, the most str() prints\n"
 
 
 @pytest.mark.parametrize(
@@ -596,15 +608,32 @@ BIG_VALUE_QSPP = "QSPP 1\nn 2\nm 1\ns 0\nt 1\narc 0 0 1\nc\n1e5000\nQ sparse 0\n
          "error: token 16 ('1e5000'): expected rational linear cost 0\n"),
         (["generate", "qap-reduce", "{f}"], "1\n1e5000\n1\n",
          "error: token 2 ('1e5000') is not a number\n"),
+        (["solve", "{f}", "--method", "spp"], TWO_ARC_NINES, PAST_STR),
+        (["solve", "{f}", "--method", "brute"], TWO_ARC_NINES, PAST_STR),
+        (["linearize", "{f}", "--mode", "oracle"], TWO_ARC_NINES, PAST_STR),
+        (["linearize", "{f}", "--mode", "oracle-nonneg"], TWO_ARC_NINES, PAST_STR),
+        (["generate", "qap-reduce", "{f}"], BIG_M_QAP, PAST_STR),
     ],
-    ids=["solve-spp", "solve-brute", "linearize-oracle", "qap-reduce"],
+    ids=["solve-spp", "solve-brute", "linearize-oracle", "qap-reduce",
+         "sum-solve-spp", "sum-solve-brute", "sum-linearize-oracle",
+         "sum-linearize-oracle-nonneg", "big-m-qap-reduce"],
 )
 def test_a_value_past_the_digit_bound_exit_two(tmp_path, capsys, argv, text, message):
     """A 6-byte token whose value no int-to-string conversion would take
-    is refused by the parser, not left to fail where a command prints it."""
+    is refused by the parser, not left to fail where a command prints it;
+    a result computed from values inside the bound, a sum or a reduction's
+    big M, that str() will not print is refused before any line is
+    written."""
     path = tmp_path / "big.txt"
     path.write_text(text)
     assert run(capsys, *[a.format(f=path) for a in argv]) == (2, "", message)
+
+
+def test_a_value_at_the_digit_bound_prints(tmp_path, capsys):
+    path = tmp_path / "nines.qspp"
+    path.write_text(ONE_ARC_NINES)
+    expected = f"method spp\npath 0 1\ncost {NINES}\n"
+    assert run(capsys, "solve", str(path), "--method", "spp") == (0, expected, "")
 
 
 @pytest.mark.parametrize("fill", ["random", "weak-sum", "product", "adjacent"])

@@ -200,6 +200,23 @@ def test_labels_are_relaxed_in_one_place():
     }
 
 
+def test_command_output_is_written_in_one_place():
+    """Each CLI handler returns its exit code and its whole text, and
+    cli.main writes that text once through cli._write: the library's one
+    print is main's error line to stderr, and no other function names
+    stdout or writes to a stream."""
+    assert [use[:2] for use in _library_uses({"print"})] == [("cli.py", "main")]
+    (call,) = [
+        node
+        for _, scope, node in _library_nodes(("cli.py",))
+        if scope == "main" and isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+    ]
+    assert [ast.unparse(keyword) for keyword in call.keywords] == ["file=sys.stderr"]
+    assert {use[:2] for use in _library_uses({"stdout", "write", "writelines"})} == {
+        ("cli.py", "_write")
+    }
+
+
 # the faults an entry of a sparse Q can have, by a fragment of each message
 ENTRY_FAULTS = ("outside the arc range", "diagonal interaction entries", "listed twice")
 

@@ -36,12 +36,6 @@ from .pathmatrix import (
 )
 
 
-def _choose(a: int, b: int) -> int:
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
 def knstar_order(g: Digraph, source: int, target: int) -> int:
     """Vertex count if ``g`` is the simplified complete shape; raises otherwise.
 
@@ -105,12 +99,13 @@ def _paths_per_pair(n: int, class_index: int, k: int) -> int:
     if class_index == 1:
         return int(k == 2)
     pinned = (2, 2, 3, 3, 4)[class_index - 2]
-    return _choose(n - 2 - pinned, k - 1 - pinned) * math.factorial(k - 3) if k > pinned else 0
+    return math.comb(n - 2 - pinned, k - 1 - pinned) * math.factorial(k - 3) if k > pinned else 0
 
 
 def paths_of_length(n: int, k: int) -> int:
-    """Number of source-target paths of length k on the simplified shape."""
-    return _choose(n - 2, k - 1) * math.factorial(k - 1)
+    """Number of source-target paths of length k on the simplified shape, which
+    has no source-target arc: k-1 of the n-2 interior vertices in order."""
+    return math.perm(n - 2, k - 1) if k >= 2 else 0
 
 
 def path_class_costs(

@@ -28,7 +28,7 @@ class PathLimitExceeded(QspathError):
     """Path enumeration found more paths than the caller allowed."""
 
     def __init__(self, limit: int):
-        super().__init__(f"more than {limit} paths; raise the limit to enumerate them")
+        super().__init__(f"more than {limit} paths, the path limit")
         self.limit = limit
 
 

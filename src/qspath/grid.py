@@ -39,9 +39,11 @@ for an incomparable pair, let X be the up-right closure of S and S' without
 S and S'; then X, X+S, X+S' and X+S+S' are all paths, and the second
 difference of their costs is 2 delta_S Q delta_S', which a linear cost makes
 zero.  There are about (pq)^2/4 such pairs, one four-by-four sum each.
-_square_pair_rows yields their numbers one square S at a time, and the
-criterion stops at the first S with a nonzero one, so the check is linear
-in the size of Q.  On a "yes" the pseudo-linearization is the linearization.
+_square_pair_rows yields their numbers one square S at a time, read from
+GridShape.squares, where grid_shape lists each square's four arcs once
+(the sweep's flips below read them there too); the criterion stops at the
+first S with a nonzero one, so the check is linear in the size of Q.  On a
+"yes" the pseudo-linearization is the linearization.
 
 The criterion does not name a path, so on a "no" a sweep names the witness.
 It visits the sub-grids of rows = p-1..2 rows and cols = 2..q-1 columns in
@@ -82,12 +84,16 @@ from .pathmatrix import CostMismatch, LinearizationResult
 
 @dataclass(frozen=True)
 class GridShape:
-    """Arc-id lookup tables for a row-major directed grid."""
+    """Arc-id tables of a row-major directed grid, built by grid_shape alone.
+    squares[i-1] lists each unit square (i, j), j = 1..q-1, as its arcs in
+    delta_S's sign pattern, down(i, j), right(i+1, j), right(i, j) and
+    down(i, j+1); _square_pair_rows and _critical_costs' flips read it."""
 
     p: int
     q: int
     down: dict[tuple[int, int], int]
     right: dict[tuple[int, int], int]
+    squares: tuple[tuple[int, ...], ...]
 
 
 def grid_shape(g: Digraph) -> GridShape:
@@ -95,26 +101,29 @@ def grid_shape(g: Digraph) -> GridShape:
     dims = detect_grid(g)
     if dims is None:
         raise FamilyError("graph is not a row-major directed grid")
-    return _classify(*dims, g)
-
-
-def _classify(p: int, q: int, g: Digraph) -> GridShape:
+    p, q = dims
     down: dict[tuple[int, int], int] = {}
     right: dict[tuple[int, int], int] = {}
     for arc_id, arc in enumerate(g.arcs):
         i, j = divmod(arc.head, q)
-        if arc.tail == arc.head + q:
-            down[(i + 1, j + 1)] = arc_id
-        else:
-            right[(i + 1, j + 1)] = arc_id
-    return GridShape(p, q, down, right)
-
-
-def _require_corner_instance(inst: QsppInstance, shape: GridShape) -> None:
-    if inst.source != 0 or inst.target != shape.p * shape.q - 1:
-        raise FamilyError(
-            "grid operations expect the top-left source and bottom-right target"
+        (down if arc.tail == arc.head + q else right)[(i + 1, j + 1)] = arc_id
+    squares = tuple(
+        tuple(
+            a
+            for j in range(1, q)
+            for a in (down[(i, j)], right[(i + 1, j)], right[(i, j)], down[(i, j + 1)])
         )
+        for i in range(1, p)
+    )
+    return GridShape(p, q, down, right, squares)
+
+
+def _corner_shape(inst: QsppInstance) -> GridShape:
+    """grid_shape of a corner-to-corner instance; raises FamilyError otherwise."""
+    shape = grid_shape(inst.graph)
+    if inst.source != 0 or inst.target != shape.p * shape.q - 1:
+        raise FamilyError("grid operations expect the top-left source and bottom-right target")
+    return shape
 
 
 # ---- critical paths and their costs -------------------------------------
@@ -151,7 +160,7 @@ def _critical_path_arcs(shape: GridShape, rows: int, cols: int, i: int, j: int) 
 def critical_paths(p: int, q: int) -> dict[int, Path]:
     """The (p-1)(q-1)+1 critical paths of the p-by-q grid, keyed by the
     support arc each one pins down (ids follow make_grid's numbering)."""
-    shape = _classify(p, q, make_grid(p, q))
+    shape = grid_shape(make_grid(p, q))
     return {
         a: Path(tuple(_critical_path_arcs(shape, p, q, i, j)))
         for a, i, j in _support(shape, p, q)
@@ -170,21 +179,21 @@ def _critical_costs(
     support arc, under the instance's interactions and ``linear``.
 
     After the top path, each step of the walk down(i, j), i = 1..rows-1,
-    j = cols-1..1, flips one unit square: right(i, j), down(i, j+1) at list
-    positions i+j-2 and i+j-1 become down(i, j), right(i+1, j).  With a
-    symmetric matrix, the cost moves by the linear difference plus twice
-    what the new pair adds to the rest of the path (and to each other) minus
-    what the old pair did.  The continuation past the sub-grid never flips.
+    j = cols-1..1, flips unit square (i, j) of shape.squares: right(i, j),
+    down(i, j+1) at list positions i+j-2 and i+j-1 become down(i, j),
+    right(i+1, j).  With a symmetric matrix, the cost moves by the linear
+    difference plus twice what the new pair adds to the rest of the path
+    (and to each other) minus what the old pair did.  The continuation past
+    the sub-grid never flips.
     """
     row = inst.interaction.row
     arcs = _critical_path_arcs(shape, rows, cols, 1, cols)
     cost = sum(linear[a] + sum(map(row(a).__getitem__, arcs)) for a in arcs)
     costs = {shape.right[(1, 1)]: cost}
-    for i in range(1, rows):
+    for i, squares in enumerate(shape.squares[: rows - 1], 1):
         for j in range(cols - 1, 0, -1):
             s = i + j - 2
-            a1, a2 = arcs[s], arcs[s + 1]
-            b1, b2 = shape.down[(i, j)], shape.right[(i + 1, j)]
+            b1, b2, a1, a2 = squares[4 * j - 4 : 4 * j]
             old1, old2, new1, new2 = map(row, (a1, a2, b1, b2))
             shared = sum(
                 new1[k] + new2[k] - old1[k] - old2[k] for k in arcs[:s] + arcs[s + 2 :]
@@ -250,9 +259,7 @@ def pseudo_linearize(inst: QsppInstance) -> tuple[Fraction, ...]:
     It is a linearization exactly when the instance is linearizable in the
     equality sense; computing it never requires linearizability.
     """
-    shape = grid_shape(inst.graph)
-    _require_corner_instance(inst, shape)
-    return rational_vector(_pseudo_vector(inst, shape))
+    return rational_vector(_pseudo_vector(inst, _corner_shape(inst)))
 
 
 # ---- target shrinking ----------------------------------------------------
@@ -308,18 +315,7 @@ def _square_pair_rows(inst: QsppInstance, shape: GridShape) -> Iterator[tuple[in
     """For each unit square S = (i, j), 2 <= i <= p-1 and 2 <= j <= q-1, row
     by row, yield (i, j, row): row holds delta_S Q delta_S' for every unit
     square S' = (a, b) strictly above-left of S (a < i, b < j), row-major."""
-    row = inst.interaction.row
-    down, right = shape.down, shape.right
-    # per row of unit squares, each square's arcs in delta's sign pattern
-    # + + - -: down(i, j), right(i+1, j), right(i, j), down(i, j+1)
-    squares = [
-        [
-            a
-            for j in range(1, shape.q)
-            for a in (down[(i, j)], right[(i + 1, j)], right[(i, j)], down[(i, j + 1)])
-        ]
-        for i in range(1, shape.p)
-    ]
+    row, squares = inst.interaction.row, shape.squares
     for i in range(2, shape.p):
         for j in range(2, shape.q):
             # (delta_S Q)[b] for the arcs b of the squares above-left of S
@@ -339,8 +335,7 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     first sub-grid critical path, continued to the corner, whose true cost
     the pseudo-linearization misses.
     """
-    shape = grid_shape(inst.graph)
-    _require_corner_instance(inst, shape)
+    shape = _corner_shape(inst)
     p, q = shape.p, shape.q
     pseudo_full = _pseudo_vector(inst, shape)
     if not any(any(r) for _, _, r in _square_pair_rows(inst, shape)):

@@ -153,6 +153,14 @@ def _decimal_texts(values: Iterable[object]) -> list[str]:
         raise ScaleError(f"a value has more than {limit} digits, the most str() prints") from None
 
 
+def _symmetric(rows: Sequence[Sequence[object]]) -> bool:
+    """Whether square rows, tuples or lists, equal their columns: one C-level
+    comparison per row right of the diagonal, zip building each column."""
+    return all(
+        tuple(row[e + 1 :]) == col[e + 1 :] for e, (row, col) in enumerate(zip(rows, zip(*rows)))
+    )
+
+
 def _check_arc_count(m: int) -> None:
     """Raise ValueError past MAX_ARCS."""
     if m > MAX_ARCS:
@@ -314,11 +322,7 @@ class InteractionMatrix:
         for row in mat:
             if len(row) != len(mat):
                 raise ValueError("interaction matrix must be square")
-        # each row right of the diagonal against its column below it, one
-        # C-level comparison per row; zip builds one column at a time
-        if not all(
-            row[e + 1 :] == col[e + 1 :] for e, (row, col) in enumerate(zip(mat, zip(*mat)))
-        ):
+        if not _symmetric(mat):
             raise ValueError("interaction matrix must be symmetric")
         if any(row[e] for e, row in enumerate(mat)):
             raise ValueError("interaction matrix must have a zero diagonal")

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import FormatError
 from .graphs import Digraph
-from .model import InteractionMatrix, QsppInstance, _check_arc_count, as_rational
+from .model import InteractionMatrix, QsppInstance, _check_arc_count, _symmetric, as_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -48,10 +48,8 @@ class QapInstance:
         object.__setattr__(self, "b", _as_matrix(self.b, self.n, "b"))
         object.__setattr__(self, "c", _as_matrix(self.c, self.n, "c"))
         for name, mat in (("a", self.a), ("b", self.b)):
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    if mat[i][j] != mat[j][i]:
-                        raise ValueError(f"matrix {name} must be symmetric")
+            if not _symmetric(mat):
+                raise ValueError(f"matrix {name} must be symmetric")
 
 
 def qap_objective(qap: QapInstance, placement: Sequence[int]) -> Fraction:
@@ -185,7 +183,7 @@ def parse_qaplib(text: str) -> QapInstance:
     symmetrized = []
 
     def symmetrize(mat: list[list[Fraction]], name: str) -> list[list[Fraction]]:
-        if all(mat[i][j] == mat[j][i] for i in range(n) for j in range(i + 1, n)):
+        if _symmetric(mat):
             return mat
         symmetrized.append(name)
         return [

@@ -508,6 +508,25 @@ def test_solve_brute_respects_path_limit(tmp_path, capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("limit", [[], ["--limit", "2000"]], ids=["default-limit", "limit-2000"])
+@pytest.mark.parametrize("mode", ["oracle", "oracle-nonneg"])
+@pytest.mark.parametrize(
+    "family",
+    [["grid", "7", "8", "--fill", "weak-sum"], ["complete", "8", "--fill", "random"]],
+    ids=["grid-7x8", "complete-8"],
+)
+def test_an_oracle_refusal_gives_no_advice_that_cannot_help(tmp_path, capsys, family, mode, limit):
+    """The 7-by-8 grid has 1,716 paths and the cyclic complete 8 has 1,956,
+    past the oracle's cap of 1000: a larger --limit only moves the refusal
+    from the enumeration to the oracle, so neither tells the user to raise
+    it."""
+    path = tmp_path / "big.qspp"
+    run(capsys, "generate", *family, "--seed", "1", "--output", str(path))
+    code, out, err = run(capsys, "linearize", str(path), "--mode", mode, *limit)
+    assert (code, out) == (2, "")
+    assert "raise the limit" not in err
+
+
 def test_solve_product_rejects_plain_instances(tmp_path, capsys):
     path = tmp_path / "rnd.qspp"
     run(capsys, "generate", "grid", "2", "3", "--fill", "random", "--seed", "3",

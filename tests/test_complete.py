@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -113,15 +114,16 @@ def test_surviving_pairs_all_appear_on_some_path():
 
 
 def test_path_counts_per_length():
+    """Every length from 0 to n+1 against enumeration: the simplified shape
+    has no source-target arc, so no path of length 1, and none past n-1."""
     assert paths_of_length(5, 2) == 3
     assert paths_of_length(5, 3) == 6
     assert paths_of_length(5, 4) == 6
-    for n in (4, 5, 6):
+    for n in range(2, 8):
         g = make_complete_symmetric(n, simplified=True, source=0, target=n - 1)
-        seen = {}
-        for p in enumerate_st_paths(g, 0, n - 1):
-            seen[len(p)] = seen.get(len(p), 0) + 1
-        assert seen == {k: paths_of_length(n, k) for k in range(2, n)}
+        seen = Counter(map(len, enumerate_st_paths(g, 0, n - 1)))
+        lengths = range(n + 2)
+        assert {k: paths_of_length(n, k) for k in lengths} == {k: seen[k] for k in lengths}
 
 
 def test_single_interior_pair_five_vertices():

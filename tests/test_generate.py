@@ -16,6 +16,7 @@ from qspath.generate import (
     _drawn,
     fill_random,
     fill_weak_sum,
+    filled_instance,
     random_digraph,
     random_qap,
 )
@@ -74,6 +75,12 @@ def test_fills_and_qap_data_refuse_a_negative_max_entry():
             FILLS[fill](g, random.Random(1), -1)
     with pytest.raises(ValueError, match="empty range"):
         random_qap(3, random.Random(1), -1)
+
+
+def test_filled_instance_names_an_unknown_fill():
+    """The CLI offers only the known fills; a library call names any other."""
+    with pytest.raises(ValueError, match="^unknown fill 'bogus'$"):
+        filled_instance(make_grid(2, 2), 0, 3, "bogus", seed=1)
 
 
 def _mirror(uppers):

@@ -47,6 +47,12 @@ def test_digraph_allows_parallel_arcs():
     assert g.m == 2
     assert g.out_arcs(0) == (0, 1)
     assert g.in_arcs(1) == (0, 1)
+    # graphs are equal by vertex count and arc list and then hash equal;
+    # another type compares unequal rather than raising
+    twin = Digraph(2, [(0, 1), (0, 1)])
+    assert g == twin and hash(g) == hash(twin)
+    assert g != Digraph(2, [(0, 1)]) and (g == g.arcs) is False
+    assert repr(g) == "Digraph(n=2, m=2)"
 
 
 def test_adjacency_matches_arc_list():
@@ -172,6 +178,8 @@ def test_tournament_orientation_bits_flip_pairs():
     assert set(g.arcs) == {(1, 0), (0, 2), (1, 2)}
     with pytest.raises(ValueError):
         make_tournament(3, 8)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        make_tournament(1)
 
 
 def test_enumerate_grid_corner_paths():
@@ -225,6 +233,8 @@ def test_count_grid_paths_formula_and_enumeration_agree():
     assert count_grid_paths(3, 3) == 6
     assert count_grid_paths(2, 7) == 7
     assert count_grid_paths(4, 5) == 35
+    with pytest.raises(ValueError, match="p >= 2 and q >= 2"):
+        count_grid_paths(1, 4)
     for p in range(2, 7):
         for q in range(2, 7):
             g = make_grid(p, q)

@@ -109,6 +109,13 @@ def test_interaction_matrix_constructors():
         (0, Fraction(1, 2)),
         (Fraction(1, 2), 0),
     )
+    # another type compares unequal rather than raising, the repr holds the
+    # order, and an attribute the matrix lacks is named in the error
+    q = InteractionMatrix.zero(3)
+    assert (q == q.rows) is False and q != "Q"
+    assert repr(q) == "InteractionMatrix(m=3)"
+    with pytest.raises(AttributeError, match="'InteractionMatrix' object has no attribute 'nope'"):
+        q.nope
 
 
 @pytest.mark.parametrize("mixed", [False, True])

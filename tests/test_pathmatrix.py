@@ -28,7 +28,7 @@ from qspath import (
 )
 from qspath import pathmatrix
 from qspath.generate import worked_example
-from qspath.pathmatrix import _verify_certificate
+from qspath.pathmatrix import _verify_certificate, _verify_solution
 
 from helpers import arc_index, assert_oracle_matches_reference, assert_valid_certificate
 from helpers import traced_peak
@@ -278,6 +278,28 @@ def test_result_checks_survive_optimized_mode():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "verify, wrong, nonneg, message",
+    [
+        (_verify_solution, lambda pm: [0] * pm.arc_count, False, "misses a path cost"),
+        (_verify_solution, lambda pm: [-1] + [0] * (pm.arc_count - 1), True, "negative entry"),
+        (_verify_certificate, lambda pm: [-1] * len(pm.rows), True, r"B\^T y >= 0"),
+        (_verify_certificate, lambda pm: [0] * len(pm.rows), True, r"b\^T y < 0"),
+    ],
+    ids=["misses-a-cost", "negative-entry", "negative-combination", "nonnegative-cost"],
+)
+def test_the_oracle_refuses_its_own_wrong_answers(verify, wrong, nonneg, message):
+    """Each wrong answer the oracle's self-checks exist for, in process: the
+    run under -O above sees only that something was refused.  On the 3-by-3
+    grid with Q = 0 and c = (-1, 0, ..., 0), c itself solves B c' = b but has
+    a negative entry, and y = 0 meets B^T y >= 0 but not b^T y < 0."""
+    linear = (-1,) + (0,) * 11
+    pm = build_path_matrix(grid_instance(3, 3, InteractionMatrix.zero(12), linear))
+    _verify_solution(pm, list(linear), False)
+    with pytest.raises(InternalError, match=message):
+        verify(pm, wrong(pm), nonneg)
 
 
 REFERENCE_FAMILIES = {

@@ -183,6 +183,66 @@ def test_square_pairs_are_summed_in_one_place():
     }
 
 
+def test_the_unit_square_table_is_built_in_one_place():
+    """grid_shape alone lists a unit square's four arcs, a tuple of down and
+    right lookups, into GridShape.squares; the square-pair criterion reads
+    neither lookup table, and _critical_costs' flips read no down arc, so
+    both take each square's arcs from the table."""
+    builds = {
+        (file, scope)
+        for file, scope, node in _library_nodes()
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 4
+        and all(
+            isinstance(elt, ast.Subscript)
+            and ast.unparse(elt.value).rsplit(".", 1)[-1] in {"down", "right"}
+            for elt in node.elts
+        )
+    }
+    assert builds == {("grid.py", "grid_shape")}
+    reads = {
+        (scope, node.attr)
+        for _, scope, node in _library_nodes(("grid.py",))
+        if isinstance(node, ast.Attribute) and node.attr in {"down", "right"}
+    }
+    assert reads & {
+        ("_square_pair_rows", "down"),
+        ("_square_pair_rows", "right"),
+        ("_critical_costs", "down"),
+    } == set()
+
+
+def _transposed(node: ast.AST) -> bool:
+    """Whether node zips a matrix against its own transpose, zip(m, zip(*m)),
+    or compares a cell with its mirror, m[i][j] against m[j][i]."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "zip" and len(node.args) == 2:
+        rows, columns = map(ast.unparse, node.args)
+        return columns == f"zip(*{rows})"
+    if isinstance(node, ast.Compare) and len(node.comparators) == 1:
+        cells = [node.left, node.comparators[0]]
+        if all(isinstance(c, ast.Subscript) and isinstance(c.value, ast.Subscript) for c in cells):
+            (m, i, j), (mirror, j2, i2) = (
+                map(ast.unparse, (c.value.value, c.value.slice, c.slice)) for c in cells
+            )
+            return m == mirror and i != j and (i, j) == (i2, j2)
+    return False
+
+
+def test_symmetry_is_checked_in_one_place():
+    """model._symmetric, each row against its column, is the one symmetry
+    test: no other code zips a matrix against its transpose or compares a
+    cell with its mirror, and the matrix constructor, QapInstance and
+    parse_qaplib's symmetrize call it."""
+    checks = {(file, scope) for file, scope, node in _library_nodes() if _transposed(node)}
+    assert checks == {("model.py", "_symmetric")}
+    assert {use[:2] for use in _library_uses({"_symmetric"})} == {
+        ("model.py", "InteractionMatrix.__init__"),
+        ("reductions.py", ""),  # the import
+        ("reductions.py", "QapInstance.__post_init__"),
+        ("reductions.py", "parse_qaplib.symmetrize"),
+    }
+
+
 def test_labels_are_relaxed_in_one_place():
     """model._relax is the one shortest-path relaxation, in Dijkstra's
     settle order or a topological one: no other code pushes onto a heap but

@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import model
 from .graphs import Digraph, _adjacent, _check_vertex_count, make_complete_symmetric
@@ -192,44 +192,40 @@ def filled_instance(
     return QsppInstance(g, source, target, linear, matrix)
 
 
-def _check_density(density: float) -> None:
+def _coin_digraph(
+    n: int, pairs: Iterable[tuple[int, int]], density: float, rng: random.Random
+) -> Digraph:
+    """The digraph on n vertices of the pairs that one coin each, drawn in
+    the order given, keeps with probability ``density``.
+
+    No instance holds more than MAX_ARCS arcs, so the draw stops with
+    ValueError at the first arc past it rather than drawing a coin for
+    every pair; a digraph within it draws one coin per pair.
+    """
+    _check_vertex_count(n)
     # the negated test also refuses NaN, which every comparison fails
     if not 0 <= density <= 1:
         raise ValueError(f"density must be in [0, 1], got {density}")
+    most = model.MAX_ARCS
+    arcs = []
+    for pair in pairs:
+        if rng.random() < density:
+            if len(arcs) == most:
+                raise ValueError(f"the digraph's arc count exceeds the bound of {most}")
+            arcs.append(pair)
+    return Digraph(n, arcs)
 
 
 def random_dag(n: int, density: float, rng: random.Random) -> Digraph:
-    """Random DAG on vertices 0..n-1 with arcs i -> j, i < j, kept with the
-    given probability."""
-    _check_vertex_count(n)
-    _check_density(density)
-    arcs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < density
-    ]
-    return Digraph(n, arcs)
+    """Random DAG on vertices 0..n-1, one coin per pair i < j in order,
+    stopping past MAX_ARCS arcs (see _coin_digraph)."""
+    return _coin_digraph(n, ((i, j) for i in range(n) for j in range(i + 1, n)), density, rng)
 
 
 def random_digraph(n: int, density: float, rng: random.Random) -> Digraph:
-    """Random digraph (cycles allowed) over all ordered pairs.
-
-    No instance holds more than MAX_ARCS arcs, so the draw stops with
-    ValueError at the first arc past it rather than drawing all n(n-1)
-    coins; a digraph within it draws one coin per ordered pair, in order.
-    """
-    _check_vertex_count(n)
-    _check_density(density)
-    most = model.MAX_ARCS
-    arcs = []
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < density:
-                if len(arcs) == most:
-                    raise ValueError(f"the digraph's arc count exceeds the bound of {most}")
-                arcs.append((u, v))
-    return Digraph(n, arcs)
+    """Random digraph (cycles allowed), one coin per ordered pair u != v in
+    order, stopping past MAX_ARCS arcs (see _coin_digraph)."""
+    return _coin_digraph(n, ((u, v) for u in range(n) for v in range(n) if u != v), density, rng)
 
 
 def worked_example(n: int) -> QsppInstance:

@@ -71,6 +71,14 @@ def _check_vertex_count(n: int, shown: str | None = None) -> None:
         raise ValueError(f"vertex count {shown or n} exceeds the bound of {MAX_VERTICES}")
 
 
+def _check_order(n: int) -> None:
+    """Raise ValueError unless 2 <= n <= MAX_VERTICES: the guard of the
+    generators on n vertices (complete, cycle, tournament)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    _check_vertex_count(n)
+
+
 class Arc(NamedTuple):
     """Directed arc from ``head`` to ``tail``."""
 
@@ -219,9 +227,7 @@ def make_complete_symmetric(
     dropped: arcs into the source, arcs out of the target, and the direct
     source-target arc.  Arc order is lexicographic by (head, tail).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    _check_vertex_count(n)
+    _check_order(n)
     if target is None:
         target = n - 1
     if source == target:
@@ -239,9 +245,7 @@ def make_complete_symmetric(
 
 def make_directed_cycle(n: int) -> Digraph:
     """Directed cycle v_0 -> v_1 -> ... -> v_{n-1} -> v_0."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    _check_vertex_count(n)
+    _check_order(n)
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -270,9 +274,7 @@ def make_tournament(n: int, orientation_bits: int = 0) -> Digraph:
     Pairs (i, j) with i < j are enumerated lexicographically; bit k of
     ``orientation_bits`` flips the k-th pair from i->j to j->i.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    _check_vertex_count(n)
+    _check_order(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if not 0 <= orientation_bits < (1 << len(pairs)):
         raise ValueError("orientation_bits out of range for this n")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CyclicGraphError, FamilyError, NoPathError
-from .graphs import Digraph, Path, check_endpoints, reachable, topological_order
+from .graphs import Digraph, Path, check_endpoints, iter_st_paths, reachable, topological_order
 from .model import (
     InteractionMatrix,
     QsppInstance,
@@ -104,23 +104,20 @@ def _product_factor(
     q: InteractionMatrix, linear: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
     """The rational a >= 0 with Q + Diag(c) = a*a^T; raises FamilyError when
-    there is none, with its own message when the diagonal forces irrational
-    factors."""
+    there is none."""
     m = q.m
     # Q has a zero diagonal, so the diagonal of Q + Diag(c) is c
     if len(linear) == m and all(c >= 0 for c in linear):
         factor = tuple(map(_rational_sqrt, linear))
-        if None in factor:
-            raise FamilyError(
-                "interaction-plus-diagonal matrix is a rank-one product whose factor "
-                "is irrational; no exact factorization exists"
-            )
-        if all(
+        if None not in factor and all(
             q.row(e)[e + 1 :] == tuple(a * b for b in factor[e + 1 :])
             for e, a in enumerate(factor)
         ):
             return factor
-    raise FamilyError("interaction-plus-diagonal matrix is not a rank-one product")
+    raise FamilyError(
+        "interaction-plus-diagonal matrix is not a rank-one product with a nonnegative "
+        "rational factor (a factor with a negative or irrational entry is refused)"
+    )
 
 
 def detect_product(
@@ -159,13 +156,7 @@ def linearize_directed_cycle(inst: QsppInstance) -> tuple[Fraction, ...]:
             raise FamilyError("every cycle vertex needs out-degree and in-degree one")
     if not all(reachable(g, 0, forward=True)):
         raise FamilyError("graph is not a single directed cycle")
-    arcs = []
-    v = inst.source
-    while v != inst.target:
-        a = g.out_arcs(v)[0]
-        arcs.append(a)
-        v = g.arcs[a].tail
-    total = cost_of_arcs(inst, arcs)
+    (path,) = iter_st_paths(g, inst.source, inst.target)
     result = [0] * g.m
-    result[arcs[0]] = total
+    result[path.arcs[0]] = cost_of_arcs(inst, path.arcs)
     return tuple(result)

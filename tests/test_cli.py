@@ -528,12 +528,22 @@ def test_an_oracle_refusal_gives_no_advice_that_cannot_help(tmp_path, capsys, fa
 
 
 def test_solve_product_rejects_plain_instances(tmp_path, capsys):
+    """A random fill, and a signed rank-one file: with c = (4, 9) and
+    Q[0][1] = -6, Q + Diag(c) is a*a^T for a = (2, -3), which has no
+    nonnegative factor: the refusal names the factor it lacks rather than
+    saying the matrix is no rank-one product."""
     path = tmp_path / "rnd.qspp"
     run(capsys, "generate", "grid", "2", "3", "--fill", "random", "--seed", "3",
         "--output", str(path))
-    code, _, err = run(capsys, "solve", str(path), "--method", "product")
-    assert code == 2
-    assert "rank-one" in err
+    signed = tmp_path / "signed.qspp"
+    signed.write_text(
+        "QSPP 1\nn 3\nm 2\ns 0\nt 2\narc 0 0 1\narc 1 1 2\nc\n4 9\nQ sparse 1\n0 1 -6\n"
+    )
+    for file in (path, signed):
+        code, out, err = run(capsys, "solve", str(file), "--method", "product")
+        assert code == 2
+        assert out == ""
+        assert "is not a rank-one product with a nonnegative rational factor" in err
 
 
 def test_missing_file_exit_two(capsys):

@@ -17,6 +17,7 @@ from qspath.generate import (
     fill_random,
     fill_weak_sum,
     filled_instance,
+    random_dag,
     random_digraph,
     random_qap,
 )
@@ -150,21 +151,33 @@ def test_fill_triangles_mirror_into_the_rows_the_fills_built(fill):
 
 
 def test_random_digraph_within_the_arc_bound_draws_one_coin_per_pair(monkeypatch):
-    """Under the arc bound the digraph and the stream after it are those of
-    one coin per ordered pair, in order; one arc less refuses it."""
-    for seed in range(1, 51):
-        for n in range(4, 13):
-            rng, replay = random.Random(seed), random.Random(seed)
-            g = random_digraph(n, 0.4, rng)
-            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-            assert g == Digraph(n, [p for p in pairs if replay.random() < 0.4])
-            assert rng.getrandbits(64) == replay.getrandbits(64)
-            monkeypatch.setattr(model, "MAX_ARCS", g.m)
-            assert random_digraph(n, 0.4, random.Random(seed)) == g
-            monkeypatch.setattr(model, "MAX_ARCS", g.m - 1)
-            with pytest.raises(ValueError, match=f"exceeds the bound of {g.m - 1}$"):
-                random_digraph(n, 0.4, random.Random(seed))
-            monkeypatch.undo()
+    """Under the arc bound random_digraph (ordered pairs u != v) and
+    random_dag (pairs i < j) return the graph, and leave the stream, of one
+    coin per pair in order; with the bound one arc lower each is refused at
+    the coin of its first arc past it, the stream left just after that coin."""
+    generators = [
+        (random_digraph, lambda n: [(u, v) for u in range(n) for v in range(n) if u != v]),
+        (random_dag, lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)]),
+    ]
+    for make, pairs_of in generators:
+        for seed in range(1, 51):
+            for n in range(4, 13):
+                rng, replay = random.Random(seed), random.Random(seed)
+                g = make(n, 0.4, rng)
+                pairs = pairs_of(n)
+                assert g == Digraph(n, [p for p in pairs if replay.random() < 0.4])
+                assert rng.getrandbits(64) == replay.getrandbits(64)
+                monkeypatch.setattr(model, "MAX_ARCS", g.m)
+                assert make(n, 0.4, random.Random(seed)) == g
+                if g.m:  # no bound lies below an empty graph
+                    monkeypatch.setattr(model, "MAX_ARCS", g.m - 1)
+                    rng, replay = random.Random(seed), random.Random(seed)
+                    with pytest.raises(ValueError, match=f"exceeds the bound of {g.m - 1}$"):
+                        make(n, 0.4, rng)
+                    for _ in range(pairs.index(g.arcs[-1]) + 1):
+                        replay.random()
+                    assert rng.getrandbits(64) == replay.getrandbits(64)
+                monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fill", ["random", "weak-sum", "product", "adjacent"])

@@ -350,3 +350,29 @@ def test_the_zoo_builders_are_defined_only_in_the_zoo():
         if isinstance(node, ast.FunctionDef) and node.name in zoo
     ]
     assert copies == []
+
+
+def test_the_random_graphs_draw_in_one_coin_loop():
+    """random_dag and random_digraph hand their pairs to
+    generate._coin_digraph, the one loop that draws a coin per pair and
+    stops at the first arc past MAX_ARCS, so no other code calls
+    rng.random(); and graphs._check_order is the one guard for n >= 2 of
+    the generators on n vertices."""
+    coins = {
+        (file, scope)
+        for file, scope, node in _library_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "random"
+    }
+    assert coins == {("generate.py", "_coin_digraph")}
+    assert {use[:2] for use in _library_uses({"_coin_digraph"})} == {
+        ("generate.py", "random_dag"),
+        ("generate.py", "random_digraph"),
+    }
+    guards = {
+        (file, scope)
+        for file, scope, node in _library_nodes()
+        if isinstance(node, ast.Raise) and node.exc and "need n >= 2" in ast.unparse(node.exc)
+    }
+    assert guards == {("graphs.py", "_check_order")}

@@ -241,13 +241,21 @@ def test_product_matrix_with_its_diagonal_kept_is_refused():
 
 
 def test_linearize_directed_cycle():
-    g = make_directed_cycle(4)
-    inst = random_costs(g, 0, 2, random.Random(6))
-    vector = linearize_directed_cycle(inst)
-    (path,) = enumerate_st_paths(g, 0, 2)
-    assert vector[path.arcs[0]] == path_cost(inst, path)
-    assert sum(vector[a] for a in path.arcs) == path_cost(inst, path)
-    assert sum(1 for v in vector if v) <= 1
+    """Every ordered (source, target) pair of a 5-cycle, wrapping ones such
+    as (3, 1) too: the vector's single nonzero entry is the path's cost, on
+    its first arc, the arc out of the source; each c is raised by one, so
+    every path costs more than 0."""
+    g = make_directed_cycle(5)
+    for source in range(5):
+        for target in set(range(5)) - {source}:
+            base = random_costs(g, source, target, random.Random(6))
+            linear = tuple(c + 1 for c in base.linear)
+            inst = QsppInstance(g, source, target, linear, base.interaction)
+            (path,) = enumerate_st_paths(g, source, target)
+            cost = path_cost(inst, path)
+            assert cost > 0 and path.arcs[0] == source
+            expected = tuple(cost if a == source else 0 for a in range(5))
+            assert linearize_directed_cycle(inst) == expected
 
 
 def test_linearize_directed_cycle_adjacent_terminals():

@@ -26,20 +26,30 @@ the row-major vertex numbering, so a p-by-q grid vertex in row i, column j
 (1-based) is vertex (i-1)*q + (j-1).
 
 The emitter writes Q a row at a time, right of the diagonal, each row one
-join.  A matrix from a seeded fill hands over its upper triangle with the
-fill's top (_uppers); _of_upper's promise puts every value in range(top),
-so its cells are read from a table of the texts "f v" for every arc id f
-and every whole 0 < v < top, one list of length top per column, built once
-per file when it holds no more texts than Q has cells right of the
-diagonal; filter drops the zero cells, so no text is built per cell.  A
-value at or past top raises IndexError from the table, and a negative one,
-which a list would wrap round, is refused by one min over each row that is
-not bytes (a bytes row holds none).  Every other matrix, and a triangle too
-large for the table, goes the way the rows of any matrix go:
-itertools.compress picks the nonzero cells, named from a table of id
-strings, and their values, like the linear costs, are written through a
-table from each whole number below m to its text, or through str as a
-whole row when one misses it, as the parser's id columns fall back to int.
+join of its nonzero cells' texts "f v", in one of three ways:
+
+- A weak-sum or product Q kept as its vector a (_outer_form) is written
+  from a (_outer_rows).  For each distinct x = a[e], the texts of the cells
+  op(x, a[f]) are built once, from the first row holding x onward, and
+  every row holding x is a slice of that list, from which compress drops
+  the zero cells only where the list holds one.  Distinct values start at
+  distinct rows, so no more texts are built than the triangle has cells,
+  whatever the largest value.
+- A random fill's kept triangle (_uppers, with the fill's top) is read
+  through a table of the texts "f v" for every arc id f and every whole
+  0 < v < top, one list of length top per column, built once per file when
+  it holds no more texts than Q has cells right of the diagonal; filter
+  drops the zero cells (_upper_rows).  _of_upper's promise puts every value
+  in range(top): a value at or past top raises IndexError from the table,
+  and a negative one, which a list would wrap round, is refused by one min
+  over each row that is not bytes (a bytes row holds none).
+- Every other matrix, and a triangle too large for the table, goes the way
+  the rows of any matrix go (_upper_rows too): itertools.compress picks
+  the nonzero cells, named from a table of id strings.
+
+Values, like the linear costs, are written through a table from each whole
+number below m to its text, or through str as a whole row when one misses
+it, as the parser's id columns fall back to int.
 
 The parser reads the text as a stream.  It splits one slice at a time,
 about 16 KiB cut at a newline (a text with no later newline is one slice),
@@ -68,7 +78,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress, repeat
 from operator import add, getitem
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import FormatError, InternalError
 from .graphs import Digraph
@@ -105,6 +115,47 @@ def _cell_table(named: list[str], top: int) -> list[list[str | None]]:
     return [[None, *map(add, repeat(name), values)] for name in named]
 
 
+def _outer_rows(
+    a: Sequence[int], op: Callable[[int, int], int], named: list[str], texts: dict[int, str]
+) -> Iterator[list[str]]:
+    """The texts "f v" of each row of Q[e][f] = op(a[e], a[f]) right of the
+    diagonal, zero cells dropped: each row a slice of one list per distinct
+    a[e] (see the module docstring)."""
+    # per distinct value: the row that built its list, the list, and its
+    # values when one of them is zero (else None)
+    lists: dict[int, tuple[int, list[str], list[int] | None]] = {}
+    for e, x in enumerate(a):
+        if x not in lists:
+            values = list(map(op, repeat(x), a[e + 1 :]))
+            cells = list(map(add, named[e + 1 :], _texts(values, texts)))
+            lists[x] = (e, cells, values if 0 in values else None)
+        first, cells, values = lists[x]
+        k = e - first
+        yield cells[k:] if values is None else list(compress(cells[k:], values[k:]))
+
+def _upper_rows(
+    uppers: Iterable[Sequence[int | Fraction]],
+    top: int | None,
+    named: list[str],
+    texts: dict[int, str],
+) -> Iterator[list[str]]:
+    """The texts of each row's nonzero cells: through the cell table for a
+    kept triangle when that holds at most as many texts as there are cells
+    right of the diagonal, and otherwise by compress."""
+    m = len(named)
+    cells = _cell_table(named, top) if top is not None and m * top <= m * (m - 1) // 2 else None
+    for e, upper in enumerate(uppers):
+        if cells is not None:
+            if type(upper) is not bytes and min(upper, default=0) < 0:
+                raise IndexError(f"row {e} of a kept triangle holds a negative value")
+            yield list(filter(None, map(getitem, cells[e + 1 :], upper)))
+        else:
+            # compress picks the nonzero cells, each named by "<f> " from a
+            # table and given its value's text
+            values = _texts(list(compress(upper, upper)), texts)
+            yield list(map(add, compress(named[e + 1 :], upper), values))
+
+
 def emit_instance(inst: QsppInstance) -> str:
     """Canonical text form; parse(emit(x)) reproduces x exactly."""
     g = inst.graph
@@ -118,23 +169,16 @@ def emit_instance(inst: QsppInstance) -> str:
     named = [text + " " for text in texts.values()]
     lines.append("c")
     lines.append(" ".join(_texts(inst.linear, texts)))
-    # Q a row at a time, right of the diagonal, each row one join: from a
-    # seeded fill's triangle through the cell table, when that holds at most
-    # as many texts as there are such cells, and otherwise by compress
-    uppers, top = inst.interaction._uppers()
-    cells = _cell_table(named, top) if top is not None and m * top <= m * (m - 1) // 2 else None
+    # Q a row at a time, right of the diagonal, each row one join, in one
+    # of the three ways the module docstring tells
+    outer = inst.interaction._outer_form()
+    if outer is not None:
+        rows = _outer_rows(outer[0], outer[1], named, texts)
+    else:
+        rows = _upper_rows(*inst.interaction._uppers(), named, texts)
     count = 0
     blocks = []
-    for e, upper in enumerate(uppers):
-        if cells is not None:
-            if type(upper) is not bytes and min(upper, default=0) < 0:
-                raise IndexError(f"row {e} of a kept triangle holds a negative value")
-            row = list(filter(None, map(getitem, cells[e + 1 :], upper)))
-        else:
-            # compress picks the nonzero cells, each named by "<f> " from a
-            # table and given its value's text
-            values = _texts(list(compress(upper, upper)), texts)
-            row = list(map(add, compress(named[e + 1 :], upper), values))
+    for e, row in enumerate(rows):
         if row:
             count += len(row)
             blocks.append(named[e] + ("\n" + named[e]).join(row))

@@ -8,16 +8,16 @@ the top bytes of the Mersenne words one getrandbits call returns (_drawn),
 and the fills use the bytes or list it returns as they are.
 
 The random, weak-sum and product fills set every cell of Q by
-construction, so they compute only its upper triangle, row e being its
-m - 1 - e cells right of the diagonal, and hand it unchecked to
-InteractionMatrix._of_upper with top, one more than the largest value the
-fill can draw: the random fill cuts its draws, already in row-major pair
-order, into consecutive slices; a weak-sum or product row e is the
-per-arc bytes a[e+1:] put through one bytes.translate, by a 256-byte table
-of op(a[e], v) built once per distinct value, or one map into a list when
-top > 256 (_outer_upper).  The adjacent fill names only some pairs and goes
-through the entry checker.  The fills return problem-definition data
-(symmetric, zero diagonal, nonnegative).
+construction and hand it unchecked to InteractionMatrix with top, one more
+than the largest value the fill can draw.  The random fill cuts its draws,
+already in row-major pair order, into consecutive slices, row e being the
+m - 1 - e cells right of the diagonal, and hands that upper triangle to
+_of_upper.  The weak-sum and product fills hand only their drawn per-arc
+vector a and op, so Q[e][f] = op(a[e], a[f]), to _of_outer; model builds
+the triangle from a only when something reads it, and the emitter writes
+the file from a.  The adjacent fill names only some pairs and goes through
+the entry checker.  The fills return problem-definition data (symmetric,
+zero diagonal, nonnegative).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from . import model
 from .graphs import Digraph, _adjacent, _check_vertex_count, make_complete_symmetric
@@ -78,25 +78,6 @@ def _drawn(rng: random.Random, hi: int, count: int) -> bytes | list[int]:
     return out
 
 
-def _outer_upper(a: Sequence[int], op: Callable[[int, int], int], top: int) -> InteractionMatrix:
-    """The matrix op(a[e], a[f]) off the diagonal, its values below top.
-
-    When top <= 256, the fill drew its values up to 127 (weak-sum) or 15
-    (product), so a is the bytes _drawn returns, and row e of the upper
-    triangle is a[e+1:].translate(tables[a[e]]), one C-level pass:
-    tables[x] maps each v <= max(a) to op(x, v), which is below top for x
-    and v in a, and is padded to the 256 bytes translate takes.  There is one
-    table per distinct value of a.  Otherwise row e is one map over
-    a[e+1:] into a list."""
-    if top <= 256:
-        span = range(max(a, default=0) + 1)
-        tables = {x: bytes(map(op, repeat(x), span)).ljust(256, b"\0") for x in set(a)}
-        uppers = [a[e + 1 :].translate(tables[x]) for e, x in enumerate(a)]
-    else:
-        uppers = [list(map(op, repeat(x), a[e + 1 :])) for e, x in enumerate(a)]
-    return InteractionMatrix._of_upper(uppers, top)
-
-
 def fill_zero(g: Digraph) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     return (0,) * g.m, InteractionMatrix.zero(g.m)
 
@@ -121,7 +102,7 @@ def fill_weak_sum(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Interactions a[e] + a[f] for a random per-arc vector a, zero linear costs."""
     a = _drawn(rng, max_entry, g.m)
-    return (0,) * g.m, _outer_upper(a, add, 2 * max_entry + 1)
+    return (0,) * g.m, InteractionMatrix._of_outer(a, add, 2 * max_entry + 1)
 
 
 def fill_product(
@@ -129,7 +110,7 @@ def fill_product(
 ) -> tuple[tuple[Fraction, ...], InteractionMatrix]:
     """Rank-one data: interactions a[e]*a[f], linear costs a[e] squared."""
     a = _drawn(rng, max_entry, g.m)
-    return tuple(v * v for v in a), _outer_upper(a, mul, max_entry**2 + 1)
+    return tuple(v * v for v in a), InteractionMatrix._of_outer(a, mul, max_entry**2 + 1)
 
 
 def fill_adjacent(

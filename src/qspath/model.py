@@ -20,18 +20,21 @@ bound that graphs describes, on signed and rational data alike.
 Every matrix built from off-diagonal entries (from_triples, from_entries,
 the adjacent fill and the parser of sparse files) is checked and written by
 one entry checker, _EntryRows, which finds a repeated pair in a bitmap of
-seen cells.  zero, scaled and qap_to_qspp on integer data set every cell
-by construction and hand their finished rows to _of_exact instead; the
-random, weak-sum and product fills hand the upper triangle of Q to
-_of_upper, which alone mirrors one, and tests/test_source.py keeps both to
-these builders.  Any other rows go through the coercing constructor, which
-checks them.
+seen cells.  The unchecked builders skip that check: zero, scaled and
+qap_to_qspp on integer data set every cell by construction and hand their
+finished rows to _of_exact; the random fill hands the upper triangle of Q
+to _of_upper; the weak-sum and product fills hand only their vector a to
+_of_outer, for Q[e][f] = op(a[e], a[f]), whose triangle is built on its
+first read.  _mirrored alone lays out rows from a triangle, and
+tests/test_source.py keeps each builder to its callers.  Any other rows go
+through the coercing constructor, which checks them.
 
 Only this module knows how Q is stored.  Every other module reads it via
 three readers of InteractionMatrix: row(e), the exact row; pairs(), each
 nonzero cell right of the diagonal once as (e, f, value), row-major; and
-is_zero().  pairs and is_zero read a seeded fill's kept triangle without
-building the m*m cells, and tests/test_source.py pins the rule.
+is_zero().  pairs and is_zero read a seeded fill's triangle without
+building the m*m cells.  The emitter alone also reads the kept forms,
+through _uppers and _outer_form, and tests/test_source.py pins the rule.
 
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
 the earliest enumerated optimum, and _relax, the one shortest-path
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CyclicGraphError, NoPathError, ScaleError
 from .graphs import (
@@ -312,10 +315,11 @@ class InteractionMatrix:
     not symmetric, then not zero on the diagonal.  zero, from_entries,
     from_triples, scaled and the builders elsewhere that set every cell
     themselves produce the invariant and skip the check through _of_exact,
-    or through _of_upper with only the upper triangle.
+    through _of_upper with only the upper triangle, or through _of_outer
+    with only the vector a of Q[e][f] = op(a[e], a[f]).
     """
 
-    __slots__ = ("rows", "_upper")
+    __slots__ = ("rows", "_upper", "_outer")
 
     def __init__(self, rows: Iterable[Iterable[object]]):
         mat = tuple(rational_vector(row) for row in rows)
@@ -327,7 +331,7 @@ class InteractionMatrix:
         if any(row[e] for e, row in enumerate(mat)):
             raise ValueError("interaction matrix must have a zero diagonal")
         self.rows: tuple[tuple[Fraction, ...], ...] = mat
-        self._upper = None
+        self._upper = self._outer = None
 
     @classmethod
     def _of_exact(cls, rows: Iterable[Iterable[int | Fraction]]) -> "InteractionMatrix":
@@ -335,7 +339,7 @@ class InteractionMatrix:
         the caller guarantees symmetry and a zero diagonal."""
         matrix = object.__new__(cls)
         matrix.rows = tuple(map(tuple, rows))
-        matrix._upper = None
+        matrix._upper = matrix._outer = None
         return matrix
 
     @classmethod
@@ -347,28 +351,71 @@ class InteractionMatrix:
         never builds its m*m cells."""
         matrix = object.__new__(cls)
         matrix._upper = (uppers, top)
+        matrix._outer = None
+        return matrix
+
+    @classmethod
+    def _of_outer(
+        cls, a: Sequence[int], op: Callable[[int, int], int], top: int
+    ) -> "InteractionMatrix":
+        """The matrix op(a[e], a[f]) off the diagonal, checking nothing: the
+        caller guarantees that op is symmetric and that every value of a and
+        every op(a[e], a[f]) is a whole number in range(top).  Only a is
+        kept; the upper triangle is built on its first read (_outer_uppers),
+        and the rows from it, so a matrix only written to a file builds
+        neither."""
+        matrix = object.__new__(cls)
+        matrix._outer = (a, op, top)
         return matrix
 
     def __getattr__(self, name: str):
-        # called only for an unset slot: rows, on a matrix from _of_upper
+        # called only for an unset slot: rows, on a matrix from _of_upper or
+        # _of_outer, and _upper, on one from _of_outer
+        if name == "_upper":
+            self._upper = upper = self._outer_uppers()
+            return upper
         if name != "rows":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self.rows = rows = self._mirrored()
-        self._upper = None
+        self._upper = self._outer = None
         return rows
 
     def _uppers(self) -> tuple[Iterable[Sequence[int | Fraction]], int | None]:
         """(uppers, top): each row's cells right of the diagonal, with top as
-        given to _of_upper while its triangle is kept and None otherwise."""
+        given to _of_upper or _of_outer while its triangle or vector is kept
+        and None otherwise."""
         if self._upper is not None:
             return self._upper
         return (row[e + 1 :] for e, row in enumerate(self.rows)), None
 
+    def _outer_form(self) -> tuple[Sequence[int], Callable[[int, int], int], int] | None:
+        """(a, op, top) as given to _of_outer while Q is kept as its vector
+        a, and None otherwise."""
+        return self._outer
+
+    def _outer_uppers(self) -> tuple[list[bytes] | list[list[int]], int]:
+        """The upper triangle of the vector kept by _of_outer, with its top.
+
+        When top <= 256 every value of a is below 256 too, so row e is
+        bytes(a)[e+1:].translate(tables[a[e]]), one C-level pass: tables[x]
+        maps each v <= max(a) to op(x, v), which is below top for x and v in
+        a, and is padded to the 256 bytes translate takes.  There is one
+        table per distinct value of a.  Otherwise row e is one map over
+        a[e+1:] into a list."""
+        a, op, top = self._outer
+        if top <= 256:
+            a = bytes(a)
+            span = range(max(a, default=0) + 1)
+            tables = {x: bytes(map(op, repeat(x), span)).ljust(256, b"\0") for x in set(a)}
+            return [a[e + 1 :].translate(tables[x]) for e, x in enumerate(a)], top
+        return [list(map(op, repeat(x), a[e + 1 :])) for e, x in enumerate(a)], top
+
     def _mirrored(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of the upper triangle kept by _of_upper.  Q is laid out
-        row-major in one flat buffer, a bytearray when top <= 256 and a list
-        otherwise; row e's cells go right of its diagonal in one slice and
-        down column e below it in one strided slice."""
+        """The rows of the upper triangle kept by _of_upper or built from
+        _of_outer's vector.  Q is laid out row-major in one flat buffer, a
+        bytearray when top <= 256 and a list otherwise; row e's cells go
+        right of its diagonal in one slice and down column e below it in
+        one strided slice."""
         uppers, top = self._upper
         m = len(uppers)
         flat = bytearray(m * m) if top <= 256 else [0] * (m * m)
@@ -417,6 +464,8 @@ class InteractionMatrix:
 
     @property
     def m(self) -> int:
+        if self._outer is not None:
+            return len(self._outer[0])
         return len(self.rows if self._upper is None else self._upper[0])
 
     def row(self, e: int) -> tuple[int | Fraction, ...]:

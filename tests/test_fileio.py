@@ -350,38 +350,52 @@ def _emit_from_upper(g, uppers, top, linear=None):
 
 
 def test_emit_matches_the_naive_emitter_at_every_table_edge(monkeypatch):
-    """Every seeded fill on either side of each edge of the emitter's cell
-    table and of the fills' byte rows: tops of 1 (all zero) up to 2 * 256 + 1,
-    tables built (top <= (m - 1) / 2) and not built, bytes rows (top <= 256)
-    and list rows.  The product fill caps its values at 3 through
-    filled_instance, so its list rows are drawn by fill_product directly."""
+    """Every seeded fill at tops of 1 (all zero) up to 2 * 256 + 1.  The
+    weak-sum and product fills are written from their vector a, whatever
+    the top; the random fill on either side of each edge of the emitter's
+    cell table and of its byte rows: tables built (top <= (m - 1) / 2) and
+    not built, bytes rows (top <= 256) and list rows.  The product fill
+    caps its values at 3 through filled_instance, so its list a is drawn by
+    fill_product directly."""
     built = []
-    real = fileio._cell_table
+    real_table, real_outer = fileio._cell_table, fileio._outer_rows
 
-    def counted(named, top):
-        built.append(top)
-        return real(named, top)
+    def counted_table(named, top):
+        built.append(("table", top))
+        return real_table(named, top)
 
-    monkeypatch.setattr(fileio, "_cell_table", counted)
+    def counted_outer(a, op, named, texts):
+        built.append(("outer", type(a)))
+        return real_outer(a, op, named, texts)
+
+    monkeypatch.setattr(fileio, "_cell_table", counted_table)
+    monkeypatch.setattr(fileio, "_outer_rows", counted_outer)
     graphs = (make_grid(3, 4), make_grid(6, 6), make_complete_symmetric(5), make_hypercube(3))
     seen = set()
     for g in graphs:
         instances = [
-            filled_instance(g, 0, g.n - 1, fill, seed=max_entry + 1, max_entry=max_entry)
+            (fill, filled_instance(g, 0, g.n - 1, fill, seed=max_entry + 1, max_entry=max_entry))
             for fill in ("random", "weak-sum", "product")
             for max_entry in (0, 1, 3, 9, 127, 128, 255, 256)
         ]
-        for max_entry in (15, 16):
+        for max_entry in (15, 16, 300):
             linear, matrix = fill_product(g, random.Random(max_entry), max_entry)
-            instances.append(QsppInstance(g, 0, g.n - 1, linear, matrix))
-        for inst in instances:
-            uppers, top = inst.interaction._uppers()
+            instances.append(("product", QsppInstance(g, 0, g.n - 1, linear, matrix)))
+        for fill, inst in instances:
             del built[:]
-            text = emit_instance(inst)
-            seen.add((type(uppers[0]), bool(built)))
-            assert built in ([], [top])
+            if fill == "random":
+                uppers, top = inst.interaction._uppers()
+                text = emit_instance(inst)
+                m = g.m
+                assert built == ([("table", top)] if m * top <= m * (m - 1) // 2 else [])
+                seen.add((type(uppers[0]), bool(built)))
+            else:
+                a = inst.interaction._outer_form()[0]
+                text = emit_instance(inst)
+                assert built == [("outer", type(a))]
+                seen.add(type(a))
             assert text == naive_emit(inst)
-    assert seen == {(bytes, True), (bytes, False), (list, False)}
+    assert seen == {(bytes, True), (bytes, False), (list, False), bytes, list}
 
 
 def test_cell_table_writes_what_the_naive_emitter_writes():

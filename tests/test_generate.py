@@ -5,12 +5,14 @@ take from the Mersenne stream exactly what one randint call per value
 takes; on a CPython whose randint draws differently these tests fail
 rather than let seeded files drift.
 """
+import itertools
 import random
 import sys
+from operator import add, mul
 
 import pytest
 
-from qspath import Digraph, make_grid
+from qspath import Digraph, QsppInstance, emit_instance, make_grid
 from qspath.generate import (
     FILLS,
     _drawn,
@@ -24,7 +26,7 @@ from qspath.generate import (
 from qspath import model
 from qspath.model import InteractionMatrix
 
-from helpers import randint_fill, traced_peak
+from helpers import naive_emit, randint_fill, traced_peak
 from zoo import fill_graphs
 
 
@@ -126,6 +128,72 @@ def _old_outer_rows(a, op):
         row[e] = 0
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _pairs_of(rows):
+    m = len(rows)
+    return [(e, f, rows[e][f]) for e in range(m) for f in range(e + 1, m) if rows[e][f]]
+
+
+@pytest.mark.parametrize("op", [add, mul])
+@pytest.mark.parametrize("max_entry", [0, 1, 9, 127, 128, 255, 300])
+def test_outer_form_answers_like_the_coercing_constructor(op, max_entry):
+    """A matrix kept as its vector a answers every reader, and is written,
+    like the coercing constructor's matrix of the same rows: a as bytes
+    (while its values fit one) and as a list, its triangle read before its
+    rows and after, m from 0 up to an a with more distinct values than
+    (m - 1) / 2, and product rows whose a[e] = 0 written empty."""
+    top = op(max_entry, max_entry) + 1
+    rng = random.Random(max_entry)
+    for m in (0, 1, 2, 3, 40):
+        drawn = [rng.randint(0, max_entry) for _ in range(m)]
+        if m == 40:
+            drawn[7] = drawn[30] = 0
+            if max_entry >= 127:
+                assert len(set(drawn)) > (m - 1) / 2
+        want = InteractionMatrix(_old_outer_rows(drawn, op))
+        g = Digraph(2, [(0, 1)] * m)
+        naive = naive_emit(QsppInstance(g, 0, 1, (0,) * m, want))
+        assert emit_instance(QsppInstance(g, 0, 1, (0,) * m, want)) == naive
+        if op is mul:
+            # past the 5 header lines, m arc lines, c, its costs and "Q sparse"
+            entries = naive.split("\n")[m + 8 :]
+            assert not any(line.startswith(("7 ", "30 ")) for line in entries)
+        forms = [list, bytes] if max_entry < 256 else [list]
+        for form, readers_first in itertools.product(forms, (True, False)):
+            a = form(drawn)
+            q = InteractionMatrix._of_outer(a, op, top)
+            assert q.m == m
+            # neither m nor the emitter builds the triangle or the rows
+            assert emit_instance(QsppInstance(g, 0, 1, (0,) * m, q)) == naive
+            for slot in ("rows", "_upper"):
+                with pytest.raises(AttributeError):
+                    object.__getattribute__(q, slot)
+            assert q._outer_form() == (a, op, top)
+            if readers_first:
+                assert list(q.pairs()) == _pairs_of(want.rows)
+                assert q.is_zero() == (not any(map(any, want.rows)))
+                uppers, kept_top = q._uppers()
+                assert kept_top == top
+                assert {type(upper) for upper in uppers} <= {bytes if top <= 256 else list}
+                assert [list(upper) for upper in uppers] == [
+                    list(row[e + 1 :]) for e, row in enumerate(want.rows)
+                ]
+                # neither rows nor the vector are dropped by reading the triangle
+                with pytest.raises(AttributeError):
+                    object.__getattribute__(q, "rows")
+                assert q._outer_form() == (a, op, top)
+                assert q.m == m
+                assert emit_instance(QsppInstance(g, 0, 1, (0,) * m, q)) == naive
+            assert q.rows == want.rows
+            assert q.rows is q.rows
+            assert q._outer_form() is None and q._uppers()[1] is None
+            assert all(q.row(e) is q.rows[e] for e in range(m))
+            assert list(q.pairs()) == _pairs_of(want.rows)
+            assert q.is_zero() == want.is_zero()
+            assert q.m == m
+            assert q == want and hash(q) == hash(want)
+            assert emit_instance(QsppInstance(g, 0, 1, (0,) * m, q)) == naive
 
 
 @pytest.mark.parametrize("fill", ["random", "weak-sum", "product"])

@@ -88,31 +88,34 @@ def test_unchecked_matrix_wrapper_is_used_only_by_the_builders():
 
 def test_only_the_model_reads_how_q_is_stored():
     """Outside model.py, code asks an InteractionMatrix for row, pairs or
-    is_zero and reads neither its rows nor its kept triangle, so a change of
-    Q's storage stays inside model.py.  The other reads of a .rows are a
-    PathMatrix's, pm.rows in pathmatrix.py, and the emitter alone asks for
-    the upper rows, with a seeded fill's top, through _uppers."""
+    is_zero and reads neither its rows, its kept triangle nor its kept
+    vector, so a change of Q's storage stays inside model.py.  The other
+    reads of a .rows are a PathMatrix's, pm.rows in pathmatrix.py, and the
+    emitter alone asks for the upper rows, with a seeded fill's top, through
+    _uppers, and for a weak-sum or product fill's vector through
+    _outer_form."""
     reads = {
-        (file, scope, ast.unparse(node.value))
+        (file, scope, ast.unparse(node.value), node.attr)
         for file, scope, node in _library_nodes()
         if file != "model.py"
         and isinstance(node, ast.Attribute)
-        and node.attr in {"rows", "_upper", "_uppers"}
+        and node.attr in {"rows", "_upper", "_uppers", "_outer", "_outer_form"}
     }
     assert reads == {
-        ("fileio.py", "emit_instance", "inst.interaction"),
-        ("pathmatrix.py", "_verify_solution", "pm"),
-        ("pathmatrix.py", "_verify_certificate", "pm"),
-        ("pathmatrix.py", "lp_oracle", "pm"),
+        ("fileio.py", "emit_instance", "inst.interaction", "_uppers"),
+        ("fileio.py", "emit_instance", "inst.interaction", "_outer_form"),
+        ("pathmatrix.py", "_verify_solution", "pm", "rows"),
+        ("pathmatrix.py", "_verify_certificate", "pm", "rows"),
+        ("pathmatrix.py", "lp_oracle", "pm", "rows"),
     }
 
 
 def test_the_upper_triangle_is_mirrored_in_one_place():
-    """The random fill, and the weak-sum and product fills through
-    _outer_upper, hand the upper triangle of Q, unchecked, to
-    InteractionMatrix._of_upper, and its _mirrored alone lays out its rows,
-    down each column in a strided slice; no other code in generate.py or
-    model.py writes a strided slice."""
+    """The random fill hands the upper triangle of Q, and the weak-sum and
+    product fills their vector a, unchecked, to InteractionMatrix._of_upper
+    and _of_outer; _mirrored alone lays out the rows, down each column in a
+    strided slice, and no other code in generate.py or model.py writes a
+    strided slice."""
     stores = {
         (file, scope)
         for file, scope, node in _library_nodes(("generate.py", "model.py"))
@@ -123,9 +126,11 @@ def test_the_upper_triangle_is_mirrored_in_one_place():
     }
     assert stores == {("model.py", "InteractionMatrix._mirrored")}
     uses = _library_uses({"_of_upper"})
+    assert {use[:2] for use in uses} == {("generate.py", "fill_random")}
+    uses = _library_uses({"_of_outer"})
     assert {use[:2] for use in uses} == {
-        ("generate.py", "fill_random"),
-        ("generate.py", "_outer_upper"),
+        ("generate.py", "fill_weak_sum"),
+        ("generate.py", "fill_product"),
     }
 
 

@@ -28,14 +28,14 @@ the row-major vertex numbering, so a p-by-q grid vertex in row i, column j
 The emitter writes Q a row at a time, right of the diagonal, each row one
 join of its nonzero cells' texts "f v", in one of three ways:
 
-- A weak-sum or product Q kept as its vector a (_outer_form) is written
+- A weak-sum, product or zero Q kept as its vector a (_kept) is written
   from a (_outer_rows).  For each distinct x = a[e], the texts of the cells
   op(x, a[f]) are built once, from the first row holding x onward, and
   every row holding x is a slice of that list, from which compress drops
   the zero cells only where the list holds one.  Distinct values start at
   distinct rows, so no more texts are built than the triangle has cells,
   whatever the largest value.
-- A random fill's kept triangle (_uppers, with the fill's top) is read
+- A random fill's kept triangle (_uppers, with the top in _kept) is read
   through a table of the texts "f v" for every arc id f and every whole
   0 < v < top, one list of length top per column, built once per file when
   it holds no more texts than Q has cells right of the diagonal; filter
@@ -48,8 +48,9 @@ join of its nonzero cells' texts "f v", in one of three ways:
   the nonzero cells, named from a table of id strings.
 
 Values, like the linear costs, are written through a table from each whole
-number below m to its text, or through str as a whole row when one misses
-it, as the parser's id columns fall back to int.
+number below m, and below a kept form's top when that is no more texts
+than Q has cells right of the diagonal, to its text, or through str as a
+whole row when one misses it, as the parser's id columns fall back to int.
 
 The parser reads the text as a stream.  It splits one slice at a time,
 about 16 KiB cut at a newline (a text with no later newline is one slice),
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import add, getitem
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -163,19 +164,21 @@ def emit_instance(inst: QsppInstance) -> str:
     lines = ["QSPP 1", f"n {g.n}", f"m {m}", f"s {inst.source}", f"t {inst.target}"]
     for arc_id, arc in enumerate(g.arcs):
         lines.append(f"arc {arc_id} {arc.head} {arc.tail}")
-    # the text of each whole number below m, once per file: as a value, and
-    # with a space after it as an id
-    texts = dict(enumerate(map(str, range(m))))
-    named = [text + " " for text in texts.values()]
+    # Q's kept form (see model) and its top; the text of each whole number
+    # below m, and below that top if it is no more texts than Q has cells
+    # right of the diagonal: as a value, and with a space after it as an id
+    kept = inst.interaction._kept
+    top = None if kept is None else kept[-1]
+    span = m if top is None or top > m * (m - 1) // 2 else max(m, top)
+    texts = dict(enumerate(map(str, range(span))))
+    named = [text + " " for text in islice(texts.values(), m)]
     lines.append("c")
     lines.append(" ".join(_texts(inst.linear, texts)))
-    # Q a row at a time, right of the diagonal, each row one join, in one
-    # of the three ways the module docstring tells
-    outer = inst.interaction._outer_form()
-    if outer is not None:
-        rows = _outer_rows(outer[0], outer[1], named, texts)
+    # Q a row at a time, in one of the three ways the module docstring tells
+    if kept is not None and len(kept) == 3:
+        rows = _outer_rows(kept[0], kept[1], named, texts)
     else:
-        rows = _upper_rows(*inst.interaction._uppers(), named, texts)
+        rows = _upper_rows(inst.interaction._uppers(), top, named, texts)
     count = 0
     blocks = []
     for e, row in enumerate(rows):

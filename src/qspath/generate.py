@@ -13,8 +13,8 @@ than the largest value the fill can draw.  The random fill cuts its draws,
 already in row-major pair order, into consecutive slices, row e being the
 m - 1 - e cells right of the diagonal, and hands that upper triangle to
 _of_upper.  The weak-sum and product fills hand only their drawn per-arc
-vector a and op, so Q[e][f] = op(a[e], a[f]), to _of_outer; model builds
-the triangle from a only when something reads it, and the emitter writes
+vector a and op, so Q[e][f] = op(a[e], a[f]), to _of_outer, as the zero
+fill's InteractionMatrix.zero does a zero vector, and the emitter writes
 the file from a.  The adjacent fill names only some pairs and goes through
 the entry checker.  The fills return problem-definition data (symmetric,
 zero diagonal, nonnegative).

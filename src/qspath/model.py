@@ -20,21 +20,20 @@ bound that graphs describes, on signed and rational data alike.
 Every matrix built from off-diagonal entries (from_triples, from_entries,
 the adjacent fill and the parser of sparse files) is checked and written by
 one entry checker, _EntryRows, which finds a repeated pair in a bitmap of
-seen cells.  The unchecked builders skip that check: zero, scaled and
-qap_to_qspp on integer data set every cell by construction and hand their
-finished rows to _of_exact; the random fill hands the upper triangle of Q
-to _of_upper; the weak-sum and product fills hand only their vector a to
-_of_outer, for Q[e][f] = op(a[e], a[f]), whose triangle is built on its
-first read.  _mirrored alone lays out rows from a triangle, and
+seen cells.  The unchecked builders skip that check: scaled and
+qap_to_qspp on integer data hand their finished rows to _of_exact; the
+random fill keeps its upper triangle (_of_upper), and the weak-sum and
+product fills and zero the vector a of Q[e][f] = op(a[e], a[f])
+(_of_outer), in the one slot _kept until the rows are first read, and
 tests/test_source.py keeps each builder to its callers.  Any other rows go
 through the coercing constructor, which checks them.
 
 Only this module knows how Q is stored.  Every other module reads it via
 three readers of InteractionMatrix: row(e), the exact row; pairs(), each
 nonzero cell right of the diagonal once as (e, f, value), row-major; and
-is_zero().  pairs and is_zero read a seeded fill's triangle without
-building the m*m cells.  The emitter alone also reads the kept forms,
-through _uppers and _outer_form, and tests/test_source.py pins the rule.
+is_zero().  pairs, is_zero and is_nonnegative read a kept form through
+_uppers, the one triangle reader, without building the m*m cells.  The
+emitter alone also reads _kept and _uppers; tests/test_source.py pins it.
 
 Tie-breaking in the solvers is deterministic: the brute-force solver keeps
 the earliest enumerated optimum, and _relax, the one shortest-path
@@ -132,9 +131,9 @@ def rational_tokens(tokens: Sequence[str]) -> list[int | Fraction]:
 # The builders of Q's m*m cells (_EntryRows, InteractionMatrix.zero,
 # generate.filled_instance and reductions.qap_to_qspp) refuse an arc count
 # past this bound before they allocate or draw anything: a file of under
-# 1 MB can list 50,000 parallel arcs.  A zero Q of 4,096 arcs builds in
-# 0.35 s at 144 MB peak RSS, and one of 2,048 in 0.08 s at 48 MB (2-core
-# host, CPython 3.11).
+# 1 MB can list 50,000 parallel arcs.  The rows of a zero Q of 4,096 arcs
+# build in 0.50-0.64 s at 159 MB peak RSS, and those of one of 2,048 in
+# 0.11-0.14 s at 51 MB (2-core host, CPython 3.11).
 MAX_ARCS = 4096
 
 # A value read from text whose numerator or denominator has more digits than
@@ -314,12 +313,13 @@ class InteractionMatrix:
     rows exact and refuses, with ValueError, rows that are not square, then
     not symmetric, then not zero on the diagonal.  zero, from_entries,
     from_triples, scaled and the builders elsewhere that set every cell
-    themselves produce the invariant and skip the check through _of_exact,
-    through _of_upper with only the upper triangle, or through _of_outer
-    with only the vector a of Q[e][f] = op(a[e], a[f]).
+    themselves produce the invariant and skip the check, through _of_exact
+    or with a kept form (_of_upper, _of_outer) whose rows _mirrored builds
+    on their first read, so a matrix only written to a file never builds
+    its m*m cells.
     """
 
-    __slots__ = ("rows", "_upper", "_outer")
+    __slots__ = ("rows", "_kept")
 
     def __init__(self, rows: Iterable[Iterable[object]]):
         mat = tuple(rational_vector(row) for row in rows)
@@ -331,7 +331,7 @@ class InteractionMatrix:
         if any(row[e] for e, row in enumerate(mat)):
             raise ValueError("interaction matrix must have a zero diagonal")
         self.rows: tuple[tuple[Fraction, ...], ...] = mat
-        self._upper = self._outer = None
+        self._kept = None
 
     @classmethod
     def _of_exact(cls, rows: Iterable[Iterable[int | Fraction]]) -> "InteractionMatrix":
@@ -339,19 +339,16 @@ class InteractionMatrix:
         the caller guarantees symmetry and a zero diagonal."""
         matrix = object.__new__(cls)
         matrix.rows = tuple(map(tuple, rows))
-        matrix._upper = matrix._outer = None
+        matrix._kept = None
         return matrix
 
     @classmethod
     def _of_upper(cls, uppers: Sequence[Sequence[int]], top: int) -> "InteractionMatrix":
         """The matrix whose row e holds uppers[e], its m - 1 - e cells right
         of the diagonal, checking nothing: the caller guarantees that every
-        value is a whole number in range(top).  The rows are mirrored from
-        the triangle on their first read, so a matrix only written to a file
-        never builds its m*m cells."""
+        value is a whole number in range(top).  Kept as (uppers, top)."""
         matrix = object.__new__(cls)
-        matrix._upper = (uppers, top)
-        matrix._outer = None
+        matrix._kept = (uppers, top)
         return matrix
 
     @classmethod
@@ -360,66 +357,45 @@ class InteractionMatrix:
     ) -> "InteractionMatrix":
         """The matrix op(a[e], a[f]) off the diagonal, checking nothing: the
         caller guarantees that op is symmetric and that every value of a and
-        every op(a[e], a[f]) is a whole number in range(top).  Only a is
-        kept; the upper triangle is built on its first read (_outer_uppers),
-        and the rows from it, so a matrix only written to a file builds
-        neither."""
+        every op(a[e], a[f]) is a whole number in range(top).  Kept as
+        (a, op, top); each read of the triangle builds it anew."""
         matrix = object.__new__(cls)
-        matrix._outer = (a, op, top)
+        matrix._kept = (a, op, top)
         return matrix
 
     def __getattr__(self, name: str):
-        # called only for an unset slot: rows, on a matrix from _of_upper or
-        # _of_outer, and _upper, on one from _of_outer
-        if name == "_upper":
-            self._upper = upper = self._outer_uppers()
-            return upper
+        # only rows can be unset (on a kept form); building them drops the form
         if name != "rows":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self.rows = rows = self._mirrored()
-        self._upper = self._outer = None
+        self._kept = None
         return rows
 
-    def _uppers(self) -> tuple[Iterable[Sequence[int | Fraction]], int | None]:
-        """(uppers, top): each row's cells right of the diagonal, with top as
-        given to _of_upper or _of_outer while its triangle or vector is kept
-        and None otherwise."""
-        if self._upper is not None:
-            return self._upper
-        return (row[e + 1 :] for e, row in enumerate(self.rows)), None
-
-    def _outer_form(self) -> tuple[Sequence[int], Callable[[int, int], int], int] | None:
-        """(a, op, top) as given to _of_outer while Q is kept as its vector
-        a, and None otherwise."""
-        return self._outer
-
-    def _outer_uppers(self) -> tuple[list[bytes] | list[list[int]], int]:
-        """The upper triangle of the vector kept by _of_outer, with its top.
-
-        When top <= 256 every value of a is below 256 too, so row e is
-        bytes(a)[e+1:].translate(tables[a[e]]), one C-level pass: tables[x]
-        maps each v <= max(a) to op(x, v), which is below top for x and v in
-        a, and is padded to the 256 bytes translate takes.  There is one
-        table per distinct value of a.  Otherwise row e is one map over
-        a[e+1:] into a list."""
-        a, op, top = self._outer
-        if top <= 256:
-            a = bytes(a)
-            span = range(max(a, default=0) + 1)
-            tables = {x: bytes(map(op, repeat(x), span)).ljust(256, b"\0") for x in set(a)}
-            return [a[e + 1 :].translate(tables[x]) for e, x in enumerate(a)], top
-        return [list(map(op, repeat(x), a[e + 1 :])) for e, x in enumerate(a)], top
+    def _uppers(self) -> Iterator[Sequence[int | Fraction]]:
+        """Each row's cells right of the diagonal: slices of rows, the kept
+        triangle, or for a kept vector a, row e built on each read: when top
+        <= 256, bytes(a)[e+1:].translate(tables[a[e]]), with one 256-byte
+        table per distinct value x, v -> op(x, v); else a map into a list."""
+        kept = self._kept
+        if kept is None:
+            return (row[e + 1 :] for e, row in enumerate(self.rows))
+        if len(kept) == 2:
+            return iter(kept[0])
+        a, op, top = kept
+        if top > 256:
+            return (list(map(op, repeat(x), a[e + 1 :])) for e, x in enumerate(a))
+        a = bytes(a)
+        span = range(max(a, default=0) + 1)
+        tables = {x: bytes(map(op, repeat(x), span)).ljust(256, b"\0") for x in set(a)}
+        return (a[e + 1 :].translate(tables[x]) for e, x in enumerate(a))
 
     def _mirrored(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of the upper triangle kept by _of_upper or built from
-        _of_outer's vector.  Q is laid out row-major in one flat buffer, a
-        bytearray when top <= 256 and a list otherwise; row e's cells go
-        right of its diagonal in one slice and down column e below it in
-        one strided slice."""
-        uppers, top = self._upper
-        m = len(uppers)
+        """The rows of the kept form, laid out row-major in one flat buffer,
+        a bytearray when top <= 256: each row of its triangle goes right of
+        the diagonal in one slice and down its column in one strided slice."""
+        m, top = self.m, self._kept[-1]
         flat = bytearray(m * m) if top <= 256 else [0] * (m * m)
-        for e, upper in enumerate(uppers):
+        for e, upper in enumerate(self._uppers()):
             flat[e * m + e + 1 : (e + 1) * m] = upper
             flat[(e + 1) * m + e :: m] = upper
         return tuple(tuple(flat[e * m : (e + 1) * m]) for e in range(m))
@@ -427,7 +403,7 @@ class InteractionMatrix:
     @classmethod
     def zero(cls, m: int) -> "InteractionMatrix":
         _check_arc_count(m)
-        return cls._of_exact([0] * m for _ in range(m))
+        return cls._of_outer(bytes(m), mul, 1)
 
     @classmethod
     def from_entries(
@@ -464,9 +440,7 @@ class InteractionMatrix:
 
     @property
     def m(self) -> int:
-        if self._outer is not None:
-            return len(self._outer[0])
-        return len(self.rows if self._upper is None else self._upper[0])
+        return len(self.rows if self._kept is None else self._kept[0])
 
     def row(self, e: int) -> tuple[int | Fraction, ...]:
         """Row e, exact: the same object as rows[e]."""
@@ -477,7 +451,7 @@ class InteractionMatrix:
         in row-major order; a kept triangle is read without building rows."""
         # ids in a tuple, not a range, so compress makes no int per cell
         columns = tuple(range(self.m))
-        for e, upper in enumerate(self._uppers()[0]):
+        for e, upper in enumerate(self._uppers()):
             yield from zip(repeat(e), compress(columns[e + 1 :], upper), compress(upper, upper))
 
     def is_zero(self) -> bool:
@@ -485,7 +459,10 @@ class InteractionMatrix:
         return next(self.pairs(), None) is None
 
     def is_nonnegative(self) -> bool:
-        return min(map(min, self.rows), default=0) >= 0
+        """Whether no cell is negative; a kept form is read by _uppers."""
+        if self._kept is None:
+            return min(map(min, self.rows), default=0) >= 0
+        return all(min(upper, default=0) >= 0 for upper in self._uppers())
 
     def scaled(self, alpha: object) -> "InteractionMatrix":
         """alpha times every entry, a whole product as an int."""

@@ -106,8 +106,12 @@ def test_generate_writes_the_naive_text_of_the_randint_fill(capsys, fill):
 
 
 def test_generate_builds_no_rows_of_a_dense_fill(capsys, monkeypatch):
+    """generate writes a zero, random, weak-sum or product fill from its
+    kept form: neither the mirror of a kept form nor the unchecked wrapper
+    of finished rows is called."""
     monkeypatch.setattr(InteractionMatrix, "_mirrored", None)
-    for fill in ("random", "weak-sum", "product"):
+    monkeypatch.setattr(InteractionMatrix, "_of_exact", None)
+    for fill in ("zero", "random", "weak-sum", "product"):
         code, out, err = run(capsys, "generate", "grid", "4", "4", "--fill", fill, "--seed", "1")
         assert (code, err) == (0, "")
     monkeypatch.undo()

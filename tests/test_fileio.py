@@ -384,13 +384,14 @@ def test_emit_matches_the_naive_emitter_at_every_table_edge(monkeypatch):
         for fill, inst in instances:
             del built[:]
             if fill == "random":
-                uppers, top = inst.interaction._uppers()
+                top = inst.interaction._kept[-1]
+                first = next(inst.interaction._uppers())
                 text = emit_instance(inst)
                 m = g.m
                 assert built == ([("table", top)] if m * top <= m * (m - 1) // 2 else [])
-                seen.add((type(uppers[0]), bool(built)))
+                seen.add((type(first), bool(built)))
             else:
-                a = inst.interaction._outer_form()[0]
+                a = inst.interaction._kept[0]
                 text = emit_instance(inst)
                 assert built == [("outer", type(a))]
                 seen.add(type(a))
@@ -474,34 +475,56 @@ def test_cell_table_refuses_a_value_outside_the_promise(value):
 
 
 def test_cell_table_serves_only_a_kept_triangle(monkeypatch):
-    """A matrix that has only rows (the zero and adjacent fills, a parsed
-    file, a scaled Q, a filled Q whose rows were read) is written by
-    compress, with no table and no scan for its largest value."""
+    """A matrix that has only rows (the adjacent fill, a parsed file, a
+    scaled Q, a filled Q whose rows were read, the zero fill's too) is
+    written by compress, with no table and no scan for its largest value;
+    the zero fill, kept as its zero vector, is written from that vector."""
     monkeypatch.setattr(fileio, "_cell_table", None)
     filled = filled_grid(4, 4, "weak-sum", 2)
     filled.interaction.rows
+    zero = filled_grid(4, 4, "zero", None)
+    assert zero.interaction._kept is not None
+    assert emit_instance(zero) == naive_emit(zero)
+    zero.interaction.rows
     instances = [
         filled,
-        filled_grid(4, 4, "zero", None),
+        zero,
         filled_grid(4, 4, "adjacent", 2),
         parse_instance(naive_emit(filled)),
         q_over(filled, 3),
     ]
     for inst in instances:
-        assert inst.interaction._uppers()[1] is None
+        assert inst.interaction._kept is None
         assert emit_instance(inst) == naive_emit(inst)
 
 
 def test_emit_writes_a_filled_instance_without_building_its_rows(monkeypatch):
-    """An instance from a random, weak-sum or product fill is written from
-    the fill's upper triangle; its m*m rows are built only when something
+    """An instance from a zero, random, weak-sum or product fill is written
+    from the fill's kept form; its m*m rows are built only when something
     reads them."""
-    for fill in ("random", "weak-sum", "product"):
+    for fill in ("zero", "random", "weak-sum", "product"):
         inst = filled_grid(4, 5, fill, 3)
         monkeypatch.setattr(InteractionMatrix, "_mirrored", None)
         text = emit_instance(inst)
         monkeypatch.undo()
         assert text == naive_emit(inst)
+
+
+def test_values_past_the_arc_count_are_written_through_the_value_table(monkeypatch):
+    """A kept form whose top passes m, but not the m(m - 1)/2 cells right
+    of the diagonal, widens the value table to its top: a 10x11 weak-sum
+    fill at --max-entry 200 (m = 199, values up to 400) writes every row
+    without the str fallback, as the naive emitter writes it."""
+    inst = filled_grid(10, 11, "weak-sum", 1, 200)
+    assert max(inst.interaction._kept[0]) * 2 >= inst.graph.m
+
+    def refuse(values):
+        raise AssertionError("a row went through the str fallback")
+
+    monkeypatch.setattr(fileio, "_decimal_texts", refuse)
+    text = emit_instance(inst)
+    monkeypatch.undo()
+    assert text == naive_emit(inst)
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")

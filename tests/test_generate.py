@@ -6,6 +6,7 @@ takes; on a CPython whose randint draws differently these tests fail
 rather than let seeded files drift.
 """
 import itertools
+import operator
 import random
 import sys
 from operator import add, mul
@@ -107,14 +108,18 @@ def test_of_upper_mirrors_bytes_and_lists_like_a_naive_mirror(top):
         for uppers in forms:
             matrix = InteractionMatrix._of_upper(uppers, top)
             assert matrix.m == m
-            assert matrix._uppers() == (uppers, top)
+            assert matrix._kept == (uppers, top)
+            # the triangle reader yields the kept rows themselves
+            assert all(map(operator.is_, matrix._uppers(), uppers))
+            assert sum(1 for _ in matrix._uppers()) == m
             # the rows are built on their first read, not before, and the
             # triangle is dropped once they are
             with pytest.raises(AttributeError):
                 object.__getattribute__(matrix, "rows")
             assert matrix.rows == _mirror(lists)
             assert matrix.rows is matrix.rows
-            assert matrix._uppers()[1] is None
+            assert matrix._kept is None
+            assert [list(upper) for upper in matrix._uppers()] == lists
             assert matrix.m == m
             assert matrix == InteractionMatrix(_mirror(lists))
 
@@ -166,28 +171,31 @@ def test_outer_form_answers_like_the_coercing_constructor(op, max_entry):
             assert q.m == m
             # neither m nor the emitter builds the triangle or the rows
             assert emit_instance(QsppInstance(g, 0, 1, (0,) * m, q)) == naive
-            for slot in ("rows", "_upper"):
-                with pytest.raises(AttributeError):
-                    object.__getattribute__(q, slot)
-            assert q._outer_form() == (a, op, top)
+            with pytest.raises(AttributeError):
+                object.__getattribute__(q, "rows")
+            assert q._kept == (a, op, top)
             if readers_first:
                 assert list(q.pairs()) == _pairs_of(want.rows)
                 assert q.is_zero() == (not any(map(any, want.rows)))
-                uppers, kept_top = q._uppers()
-                assert kept_top == top
+                uppers = list(q._uppers())
                 assert {type(upper) for upper in uppers} <= {bytes if top <= 256 else list}
                 assert [list(upper) for upper in uppers] == [
                     list(row[e + 1 :]) for e, row in enumerate(want.rows)
                 ]
-                # neither rows nor the vector are dropped by reading the triangle
+                # neither rows nor the vector are dropped by reading the
+                # triangle, and a second read yields it again
                 with pytest.raises(AttributeError):
                     object.__getattribute__(q, "rows")
-                assert q._outer_form() == (a, op, top)
+                assert q._kept == (a, op, top)
+                assert list(q._uppers()) == uppers
                 assert q.m == m
                 assert emit_instance(QsppInstance(g, 0, 1, (0,) * m, q)) == naive
             assert q.rows == want.rows
             assert q.rows is q.rows
-            assert q._outer_form() is None and q._uppers()[1] is None
+            assert q._kept is None
+            assert [list(upper) for upper in q._uppers()] == [
+                list(row[e + 1 :]) for e, row in enumerate(want.rows)
+            ]
             assert all(q.row(e) is q.rows[e] for e in range(m))
             assert list(q.pairs()) == _pairs_of(want.rows)
             assert q.is_zero() == want.is_zero()
@@ -205,7 +213,8 @@ def test_fill_triangles_mirror_into_the_rows_the_fills_built(fill):
         for max_entry in (0, 1, 9, 127, 128, 255, 256):
             seed = 7 * g.m + max_entry
             linear, matrix = FILLS[fill](g, random.Random(seed), max_entry)
-            uppers, top = matrix._uppers()
+            top = matrix._kept[-1]
+            uppers = list(matrix._uppers())
             assert [len(upper) for upper in uppers] == list(range(g.m - 1, -1, -1))
             if fill != "random":
                 # a byte per cell while the values fit one

@@ -742,7 +742,7 @@ def test_readers_answer_what_the_rows_hold():
     kept = 0
     for build in builds:
         q = build()
-        kept += q._uppers()[1] is not None
+        kept += q._kept is not None
         pairs, zero = list(q.pairs()), q.is_zero()
         rows = q.rows
         m = len(rows)
@@ -750,22 +750,86 @@ def test_readers_answer_what_the_rows_hold():
         assert all(type(v) is type(rows[e][f]) for e, f, v in pairs)
         assert zero == (not any(map(any, rows)))
         assert all(q.row(e) is rows[e] for e in range(m))
-    # the kept triangles, the nonzero Q and the zero ones were all reached
+    # the kept forms, the nonzero Q and the zero ones were all reached
     assert kept >= 9 * 4
     assert {build().is_zero() for build in builds} == {False, True}
 
 
-@pytest.mark.parametrize("fill", ["random", "weak-sum", "product"])
+@pytest.mark.parametrize("fill", ["zero", "random", "weak-sum", "product"])
 def test_pairs_and_is_zero_read_a_kept_triangle_without_building_rows(fill):
     for max_entry in (0, 1, 9, 300):
         q = filled_grid(4, 5, fill, max_entry, max_entry).interaction
-        uppers, top = q._uppers()
+        kept = q._kept
+        assert kept is not None
+        uppers = [list(upper) for upper in q._uppers()]
         pairs = list(q.pairs())
         assert q.is_zero() == (pairs == [])
-        # the slot is still unset and the triangle still kept
+        # the slot is still unset and the form still kept
         with pytest.raises(AttributeError):
             object.__getattribute__(q, "rows")
-        assert q._uppers() == (uppers, top)
+        assert q._kept is kept
+        assert [list(upper) for upper in q._uppers()] == uppers
         assert pairs == [
             (e, f, v) for e, upper in enumerate(uppers) for f, v in enumerate(upper, e + 1) if v
         ]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 40])
+@pytest.mark.parametrize("rows_first", [False, True])
+def test_zero_keeps_its_vector_and_answers_like_zero_rows(m, rows_first):
+    """InteractionMatrix.zero(m) keeps its zero vector, and every reader
+    answers as on the zero rows from the coercing constructor, read before
+    the rows are built and after; only rows, row, ==, hash and scaled build
+    them."""
+    want = InteractionMatrix(((0,) * m,) * m)
+    q = InteractionMatrix.zero(m)
+    assert q._kept is not None
+    if rows_first:
+        assert q.rows == want.rows
+        assert q._kept is None
+    assert q.m == m
+    assert list(q.pairs()) == []
+    assert q.is_zero() and q.is_nonnegative()
+    if not rows_first:
+        with pytest.raises(AttributeError):
+            object.__getattribute__(q, "rows")
+        assert q.rows == want.rows
+    assert all(q.row(e) == want.row(e) and q.row(e) is q.rows[e] for e in range(m))
+    assert q == want and hash(q) == hash(want)
+    assert q.scaled(5) == want.scaled(5) == want
+    assert (q.m, list(q.pairs()), q.is_zero(), q.is_nonnegative()) == (m, [], True, True)
+    with pytest.raises(ValueError, match=f"^arc count {model.MAX_ARCS + 1} exceeds"):
+        InteractionMatrix.zero(model.MAX_ARCS + 1)
+
+
+def _nonnegative_by_rows(q: InteractionMatrix) -> bool:
+    return all(v >= 0 for row in q.rows for v in row)
+
+
+def test_is_nonnegative_reads_a_kept_form_without_building_rows(monkeypatch):
+    """validate_instance reads a kept random, weak-sum, product or zero fill
+    through its triangle, building no rows, and is_nonnegative answers as
+    the rows do: on those fills, their negations and signed matrices from
+    the coercing constructor."""
+    instances = [
+        filled_grid(4, 5, fill, seed, max_entry)
+        for fill in ("zero", "random", "weak-sum", "product")
+        for seed, max_entry in ((1, 0), (2, 9), (3, 300))
+    ]
+    monkeypatch.setattr(InteractionMatrix, "_mirrored", None)
+    reports = [validate_instance(inst) for inst in instances]
+    monkeypatch.undo()
+    for inst, report in zip(instances, reports):
+        assert inst.interaction._kept is not None
+        assert report == ValidationReport(True, ())
+        q = inst.interaction
+        assert q.is_nonnegative() == _nonnegative_by_rows(q) is True
+        negated = q.scaled(-1)
+        assert negated.is_nonnegative() == _nonnegative_by_rows(negated) == q.is_zero()
+    rng = random.Random(43)
+    for m in (0, 1, 2, 5, 9):
+        for lo in (-3, -1, 0):
+            signed = random_symmetric_interaction(m, rng, lo, 3)
+            assert signed.is_nonnegative() == _nonnegative_by_rows(signed)
+            rows = InteractionMatrix(signed.rows)
+            assert rows.is_nonnegative() == _nonnegative_by_rows(rows)

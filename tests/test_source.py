@@ -28,12 +28,13 @@ def test_library_has_no_assert_statements():
 # Where the unchecked InteractionMatrix._of_exact may be named: the builders
 # that set every cell of Q themselves, symmetric with a zero diagonal.  Any
 # other rows go through the coercing constructor, which checks them.
+# InteractionMatrix.zero is not one: it keeps its zero vector through
+# _of_outer.
 # complete.normalize_knstar is not one: it hands Q's nonzero pairs, less
 # those no path carries, to from_triples.  reductions.qap_to_qspp is one on
 # integer a and b, whose products are whole and which QapInstance holds
 # symmetric, so every row it sets mirrors its column with 0 on the diagonal.
 OF_EXACT_BUILDERS = {
-    ("model.py", "InteractionMatrix.zero"),
     ("model.py", "InteractionMatrix.scaled"),
     ("model.py", "_EntryRows.matrix"),
     ("reductions.py", "qap_to_qspp"),
@@ -88,34 +89,65 @@ def test_unchecked_matrix_wrapper_is_used_only_by_the_builders():
 
 def test_only_the_model_reads_how_q_is_stored():
     """Outside model.py, code asks an InteractionMatrix for row, pairs or
-    is_zero and reads neither its rows, its kept triangle nor its kept
-    vector, so a change of Q's storage stays inside model.py.  The other
-    reads of a .rows are a PathMatrix's, pm.rows in pathmatrix.py, and the
-    emitter alone asks for the upper rows, with a seeded fill's top, through
-    _uppers, and for a weak-sum or product fill's vector through
-    _outer_form."""
-    reads = {
+    is_zero and reads neither its rows nor its kept form, so a change of
+    Q's storage stays inside model.py.  The other reads of a .rows are a
+    PathMatrix's, pm.rows in pathmatrix.py, and the emitter alone reads the
+    kept form, once, and the rows right of the diagonal through _uppers."""
+    reads = [
         (file, scope, ast.unparse(node.value), node.attr)
         for file, scope, node in _library_nodes()
         if file != "model.py"
         and isinstance(node, ast.Attribute)
-        and node.attr in {"rows", "_upper", "_uppers", "_outer", "_outer_form"}
-    }
-    assert reads == {
+        and node.attr in {"rows", "_kept", "_uppers"}
+    ]
+    assert sorted(set(reads)) == [
+        ("fileio.py", "emit_instance", "inst.interaction", "_kept"),
         ("fileio.py", "emit_instance", "inst.interaction", "_uppers"),
-        ("fileio.py", "emit_instance", "inst.interaction", "_outer_form"),
-        ("pathmatrix.py", "_verify_solution", "pm", "rows"),
         ("pathmatrix.py", "_verify_certificate", "pm", "rows"),
+        ("pathmatrix.py", "_verify_solution", "pm", "rows"),
         ("pathmatrix.py", "lp_oracle", "pm", "rows"),
+    ]
+    assert [read[-1] for read in reads].count("_kept") == 1
+
+
+def test_the_kept_form_is_stored_by_the_matrix_alone():
+    """Only InteractionMatrix assigns its one kept form, _kept, and its
+    __getattr__ serves only rows: it names no other attribute, and stores
+    only the rows and the dropped form."""
+    stores = {
+        (file, scope)
+        for file, scope, node in _library_nodes()
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr == "_kept"
     }
+    assert {(file, scope.split(".")[0]) for file, scope in stores} == {
+        ("model.py", "InteractionMatrix")
+    }
+    getattr_nodes = [
+        node for _, scope, node in _library_nodes(("model.py",))
+        if scope == "InteractionMatrix.__getattr__"
+    ]
+    names = {
+        comparator.value
+        for node in getattr_nodes
+        if isinstance(node, ast.Compare) and ast.unparse(node.left) == "name"
+        for comparator in node.comparators
+    }
+    assert names == {"rows"}
+    assert {
+        node.attr
+        for node in getattr_nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    } == {"rows", "_kept"}
 
 
 def test_the_upper_triangle_is_mirrored_in_one_place():
     """The random fill hands the upper triangle of Q, and the weak-sum and
-    product fills their vector a, unchecked, to InteractionMatrix._of_upper
-    and _of_outer; _mirrored alone lays out the rows, down each column in a
-    strided slice, and no other code in generate.py or model.py writes a
-    strided slice."""
+    product fills and the zero matrix their vector a, unchecked, to
+    InteractionMatrix._of_upper and _of_outer; _mirrored alone lays out the
+    rows, down each column in a strided slice, and no other code in
+    generate.py or model.py writes a strided slice."""
     stores = {
         (file, scope)
         for file, scope, node in _library_nodes(("generate.py", "model.py"))
@@ -131,6 +163,7 @@ def test_the_upper_triangle_is_mirrored_in_one_place():
     assert {use[:2] for use in uses} == {
         ("generate.py", "fill_weak_sum"),
         ("generate.py", "fill_product"),
+        ("model.py", "InteractionMatrix.zero"),
     }
 
 

@@ -50,25 +50,27 @@ join of its nonzero cells' texts "f v", in one of three ways:
 Values, like the linear costs, are written through a table from each whole
 number below m, and below a kept form's top when that is no more texts
 than Q has cells right of the diagonal, to its text, or through str as a
-whole row when one misses it, as the parser's id columns fall back to int.
+whole row when one misses it: one read, _through, for every table of
+emitter and parser, each with its fallback for a run the table misses.
 
 The parser reads the text as a stream.  It splits one slice at a time,
 about 16 KiB cut at a newline (a text with no later newline is one slice),
 so no list of all the file's tokens is ever built; token numbers in messages
-count on across slices.  The arc lines and the linear costs are each
-converted a column at a time.  The entries of a sparse Q are converted one
-slice of whole "e f v" records at a time, and each slice is checked and
-written into the rows of Q at once by the one entry checker in model, whose
-bitmap of seen cells also finds a pair repeated from an earlier slice.
+count on across slices.  The arc lines are converted a column at a time,
+the linear costs and each row of a dense Q one block each (_values).  The
+entries of a sparse Q are converted one slice of whole "e f v" records at a
+time, and each slice is checked and written into the rows of Q at once by
+the one entry checker in model, whose bitmap of seen cells also finds a
+pair repeated from an earlier slice.
 Arc ids, vertex ids, entry ids and entry values are read through a table
 from each canonical id string to its int, built once per file and no larger
 than the text could hold tokens (L characters hold at most L//2 + 1); a
 column holding any other spelling (007, +3, an id out of range, a value
 such as -3 or 3/2) goes through int, or as_rational for values, as a whole,
-so it reads as those read it.  When a block or a slice does not
-convert cleanly, it is read again one token at a time, its pairs going to
-the same checker, so a malformed file always gets the FormatError for its
-first fault in file order.
+so it reads as those read it.  Tokens are read one at a time only when a
+block or a slice does not convert cleanly: it is then read again token by
+token, its pairs going to the same checker, so a malformed file always
+gets the FormatError for its first fault in file order.
 
 How the checker writes a slice's entries, its long rows at once, is told in
 model._EntryRows.
@@ -79,7 +81,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress, islice, repeat
 from operator import add, getitem
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import FormatError, InternalError
 from .graphs import Digraph
@@ -95,14 +97,13 @@ from .model import (
 T = TypeVar("T")
 
 
-def _texts(values: Sequence[int | Fraction], texts: dict[int, str]) -> list[str]:
-    """str over a row of values, read through the table texts; a value it
-    does not hold (negative, a Fraction, or too large) sends the whole row
-    through model._decimal_texts."""
+def _through(table: Mapping, items: Sequence, otherwise: Callable[[Sequence], list]) -> list:
+    """Each item read through the table, or otherwise(items) as a whole when
+    the table misses one (see the module docstring)."""
     try:
-        return list(map(texts.__getitem__, values))
+        return list(map(table.__getitem__, items))
     except KeyError:
-        return _decimal_texts(values)
+        return otherwise(items)
 
 
 def _cell_table(named: list[str], top: int) -> list[list[str | None]]:
@@ -128,7 +129,7 @@ def _outer_rows(
     for e, x in enumerate(a):
         if x not in lists:
             values = list(map(op, repeat(x), a[e + 1 :]))
-            cells = list(map(add, named[e + 1 :], _texts(values, texts)))
+            cells = list(map(add, named[e + 1 :], _through(texts, values, _decimal_texts)))
             lists[x] = (e, cells, values if 0 in values else None)
         first, cells, values = lists[x]
         k = e - first
@@ -153,7 +154,7 @@ def _upper_rows(
         else:
             # compress picks the nonzero cells, each named by "<f> " from a
             # table and given its value's text
-            values = _texts(list(compress(upper, upper)), texts)
+            values = _through(texts, list(compress(upper, upper)), _decimal_texts)
             yield list(map(add, compress(named[e + 1 :], upper), values))
 
 
@@ -173,7 +174,7 @@ def emit_instance(inst: QsppInstance) -> str:
     texts = dict(enumerate(map(str, range(span))))
     named = [text + " " for text in islice(texts.values(), m)]
     lines.append("c")
-    lines.append(" ".join(_texts(inst.linear, texts)))
+    lines.append(" ".join(_through(texts, inst.linear, _decimal_texts)))
     # Q a row at a time, in one of the three ways the module docstring tells
     if kept is not None and len(kept) == 3:
         rows = _outer_rows(kept[0], kept[1], named, texts)
@@ -324,10 +325,7 @@ def _ints(tokens: list[str], ids: dict[str, int]) -> list[int]:
     """int over a column of id tokens, read through the table ids; a token
     it does not hold (007, +3, an id out of range) sends the whole column
     through int, which raises ValueError on a token that is no integer."""
-    try:
-        return list(map(ids.__getitem__, tokens))
-    except KeyError:
-        return list(map(int, tokens))
+    return _through(ids, tokens, lambda column: list(map(int, column)))
 
 
 def _arcs(
@@ -358,13 +356,18 @@ def _entries(
     most values are small whole numbers, so they too are read through the
     id table, and a column holding any other token goes through
     rational_tokens as a whole."""
-    es = _ints(items[start:end:3], ids)
-    fs = _ints(items[start + 1:end:3], ids)
-    values = items[start + 2:end:3]
-    try:
-        return es, fs, list(map(ids.__getitem__, values))
-    except KeyError:
-        return es, fs, rational_tokens(values)
+    values = _through(ids, items[start + 2:end:3], rational_tokens)
+    return _ints(items[start:end:3], ids), _ints(items[start + 1:end:3], ids), values
+
+
+def _values(tok: _Tokens, count: int, name: Callable[[int], str]) -> list[int | Fraction]:
+    """The next count rationals in one block; its rescan alone reads them a
+    token at a time, naming the k-th name(k)."""
+    return tok.block(
+        count,
+        lambda items, start, end: rational_tokens(items[start:end]),
+        lambda: [tok.next_rational(name(k)) for k in range(count)],
+    )
 
 
 def _rescan_entries(tok: _Tokens, rows: _EntryRows, count: int) -> None:
@@ -422,19 +425,13 @@ def parse_instance(text: str) -> QsppInstance:
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     tok.expect("c")
-    linear = tok.block(
-        m,
-        lambda items, start, end: rational_tokens(items[start:end]),
-        lambda: [tok.next_rational(f"linear cost {i}") for i in range(m)],
-    )
+    linear = _values(tok, m, "linear cost {}".format)
     tok.expect("Q")
     kind = tok.next("matrix kind (sparse or dense)")
     if kind == "sparse":
         matrix = _sparse(tok, m, tok.next_count("entry count"), ids)
     elif kind == "dense":
-        rows = [
-            [tok.next_rational(f"Q[{i}][{j}]") for j in range(m)] for i in range(m)
-        ]
+        rows = [_values(tok, m, partial("Q[{}][{}]".format, i)) for i in range(m)]
         try:
             matrix = InteractionMatrix(rows)
         except ValueError as exc:

@@ -320,28 +320,22 @@ def _completion_tables(
     target: int,
     order: Sequence[int],
     ways: Sequence[int],
+    span: Sequence[int],
     linear: Sequence,
     rows: Sequence[Sequence],
 ) -> tuple[list, list]:
     """(D, h), the tables of the completion bound (see the module docstring)
     over the vertices that lie on a source-target path of g, when the part
     of g that reaches the target is acyclic, ``order`` is its topological
-    order and ``ways[v]`` the path count's walks from the source into v.
-    D[v] is cut after the last arc that can come before v on such a path,
-    the columns the bound reads; a vertex the search never enters gets None.
+    order and ``ways`` and ``span`` come from _count_st_paths' forward pass
+    over it.  D[v] is cut after span[v] columns, the last arc that can come
+    before v on such a path; a vertex the search never enters gets None.
 
     One pass in reverse topological order makes each D[v] from whole rows
     of Q: a map(add) per out-arc and, from the second one on, an elementwise
     minimum written as a comprehension, three times as fast as map(min).
     """
     arcs = g.arcs
-    # span[v]: 1 + the largest arc id on a path from the source into v
-    span = [0] * g.n
-    for v in order:
-        for a in g._in[v]:
-            u = arcs[a].head
-            if ways[u]:
-                span[v] = max(span[v], a + 1, span[u])
     dist: list = [None] * g.n
     dist[target] = [0] * span[target]
     least: list = [None] * g.n
@@ -397,7 +391,7 @@ def _walk_st_paths(
         return
     order = topological_order(g, useful)
     if order is not None:
-        ways = _count_st_paths(g, source, order)
+        ways, span = _count_st_paths(g, source, order)
         if ways[target] > limit:
             raise PathLimitExceeded(limit)
     priced = linear is not None
@@ -406,7 +400,7 @@ def _walk_st_paths(
         entry = [row.__getitem__ for row in rows]
     bounded = bounded and order is not None
     if bounded:
-        dist, least = _completion_tables(g, target, order, ways, linear, rows)
+        dist, least = _completion_tables(g, target, order, ways, span, linear, rows)
         dist = [None if row is None else row.__getitem__ for row in dist]
     tail = [arc.tail for arc in g.arcs]
     on_path = [False] * g.n
@@ -509,19 +503,24 @@ def topological_order(
     return order if len(order) == sum(keep) else None
 
 
-def _count_st_paths(g: Digraph, source: int, order: Sequence[int]) -> list[int]:
-    """The walks from the source into each vertex, counted in one pass over
-    a topological ``order`` of an acyclic part of g that holds every vertex
-    able to reach the target.  Every source-target walk then is a simple
-    path, so the target's entry counts the source-target paths.
+def _count_st_paths(g: Digraph, source: int, order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(ways, span) in one pass over a topological ``order`` of an acyclic
+    part of g that holds every vertex able to reach the target: ways[v]
+    counts the walks from the source into v, and span[v] is 1 + the largest
+    arc id on one of them (0 for the source and for a vertex none enters).
+    Every source-target walk then is a simple path, so ways[target] counts
+    the source-target paths.
     """
     ways = [0] * g.n
     ways[source] = 1
+    span = [0] * g.n
     for v in order:
         if ways[v]:
             for a in g.out_arcs(v):
-                ways[g.arcs[a].tail] += ways[v]
-    return ways
+                w = g.arcs[a].tail
+                ways[w] += ways[v]
+                span[w] = max(span[w], a + 1, span[v])
+    return ways, span
 
 
 def is_acyclic(g: Digraph) -> bool:

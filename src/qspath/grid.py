@@ -245,21 +245,16 @@ def reduce_cost_vector(g: Digraph, costs: Sequence[object]) -> tuple[Fraction, .
     return rational_vector(_solve_reduced(shape, gamma))
 
 
-def _pseudo_vector(inst: QsppInstance, shape: GridShape) -> list[Fraction]:
-    """Unique reduced-form vector reproducing the full grid's critical-path
-    costs."""
-    return _solve_reduced(
-        shape, _critical_costs(inst, shape, shape.p, shape.q, inst.linear)
-    )
-
-
 def pseudo_linearize(inst: QsppInstance) -> tuple[Fraction, ...]:
     """Reduced-form vector matching the instance's critical-path costs.
 
     It is a linearization exactly when the instance is linearizable in the
     equality sense; computing it never requires linearizability.
     """
-    return rational_vector(_pseudo_vector(inst, _corner_shape(inst)))
+    shape = _corner_shape(inst)
+    return rational_vector(
+        _solve_reduced(shape, _critical_costs(inst, shape, shape.p, shape.q, inst.linear))
+    )
 
 
 # ---- target shrinking ----------------------------------------------------
@@ -337,7 +332,7 @@ def linearize_grid(inst: QsppInstance) -> LinearizationResult:
     """
     shape = _corner_shape(inst)
     p, q = shape.p, shape.q
-    pseudo_full = _pseudo_vector(inst, shape)
+    pseudo_full = _solve_reduced(shape, _critical_costs(inst, shape, p, q, inst.linear))
     if not any(any(r) for _, _, r in _square_pair_rows(inst, shape)):
         return LinearizationResult(True, vector=rational_vector(pseudo_full))
     # not linearizable: the sweep names the witness.  Under these linear

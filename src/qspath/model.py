@@ -131,9 +131,9 @@ def rational_tokens(tokens: Sequence[str]) -> list[int | Fraction]:
 # The builders of Q's m*m cells (_EntryRows, InteractionMatrix.zero,
 # generate.filled_instance and reductions.qap_to_qspp) refuse an arc count
 # past this bound before they allocate or draw anything: a file of under
-# 1 MB can list 50,000 parallel arcs.  The rows of a zero Q of 4,096 arcs
-# build in 0.50-0.64 s at 159 MB peak RSS, and those of one of 2,048 in
-# 0.11-0.14 s at 51 MB (2-core host, CPython 3.11).
+# 1 MB can list 50,000 parallel arcs.  _EntryRows builds the rows of an empty
+# sparse Q of 4,096 arcs (from_triples(4096, ())) in 0.26-0.34 s at 160 MB
+# peak RSS, and of 2,048 in 0.04-0.07 s at 52 MB (2-core host, CPython 3.11).
 MAX_ARCS = 4096
 
 # A value read from text whose numerator or denominator has more digits than
@@ -392,8 +392,11 @@ class InteractionMatrix:
     def _mirrored(self) -> tuple[tuple[int, ...], ...]:
         """The rows of the kept form, laid out row-major in one flat buffer,
         a bytearray when top <= 256: each row of its triangle goes right of
-        the diagonal in one slice and down its column in one strided slice."""
+        the diagonal in one slice and down its column in one strided slice;
+        a top of 1 admits only zeros, so its rows are one shared zero row."""
         m, top = self.m, self._kept[-1]
+        if top == 1:
+            return ((0,) * m,) * m
         flat = bytearray(m * m) if top <= 256 else [0] * (m * m)
         for e, upper in enumerate(self._uppers()):
             flat[e * m + e + 1 : (e + 1) * m] = upper

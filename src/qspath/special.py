@@ -100,26 +100,6 @@ def _rational_sqrt(value: Fraction) -> int | Fraction | None:
     return as_rational(Fraction(rn, rd))
 
 
-def _product_factor(
-    q: InteractionMatrix, linear: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """The rational a >= 0 with Q + Diag(c) = a*a^T; raises FamilyError when
-    there is none."""
-    m = q.m
-    # Q has a zero diagonal, so the diagonal of Q + Diag(c) is c
-    if len(linear) == m and all(c >= 0 for c in linear):
-        factor = tuple(map(_rational_sqrt, linear))
-        if None not in factor and all(
-            q.row(e)[e + 1 :] == tuple(a * b for b in factor[e + 1 :])
-            for e, a in enumerate(factor)
-        ):
-            return factor
-    raise FamilyError(
-        "interaction-plus-diagonal matrix is not a rank-one product with a nonnegative "
-        "rational factor (a factor with a negative or irrational entry is refused)"
-    )
-
-
 def detect_product(
     q: InteractionMatrix, linear: Sequence[Fraction]
 ) -> tuple[Fraction, ...] | None:
@@ -128,10 +108,15 @@ def detect_product(
     Only rational factorizations are accepted: every diagonal entry of
     Q + Diag(c) must be the square of a rational.
     """
-    try:
-        return _product_factor(q, linear)
-    except FamilyError:
+    # Q has a zero diagonal, so the diagonal of Q + Diag(c) is c
+    if len(linear) != q.m or any(c < 0 for c in linear):
         return None
+    factor = tuple(map(_rational_sqrt, linear))
+    if None in factor or any(
+        q.row(e)[e + 1 :] != tuple(a * b for b in factor[e + 1 :]) for e, a in enumerate(factor)
+    ):
+        return None
+    return factor
 
 
 def solve_product_case(inst: QsppInstance) -> tuple[Path, Fraction]:
@@ -139,7 +124,12 @@ def solve_product_case(inst: QsppInstance) -> tuple[Path, Fraction]:
 
     The optimal path cost is the square of its factor-weight sum.
     """
-    factor = _product_factor(inst.interaction, inst.linear)
+    factor = detect_product(inst.interaction, inst.linear)
+    if factor is None:
+        raise FamilyError(
+            "interaction-plus-diagonal matrix is not a rank-one product with a nonnegative "
+            "rational factor (a factor with a negative or irrational entry is refused)"
+        )
     path, weight = spp_solve(
         SppInstance(inst.graph, inst.source, inst.target, factor)
     )

@@ -182,6 +182,34 @@ def test_parse_dense_matrix():
     assert inst.linear == (1, 2)
 
 
+def _dense_twin(inst: QsppInstance) -> tuple[str, str]:
+    """The emitted sparse text of inst, and the same file with Q dense."""
+    sparse = emit_instance(inst)
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in inst.interaction.rows)
+    return sparse, sparse[: sparse.index("Q sparse")] + "Q dense\n" + rows
+
+
+@pytest.mark.parametrize("chars", [1, 17, fileio._SLICE_CHARS])
+def test_dense_rows_parse_a_block_at_a_time(chars, monkeypatch):
+    """A well-formed dense Q is read a row at a time in one block each, as
+    the linear costs are: no value is read token by token, and the file
+    parses equal to its sparse twin, slices cutting its rows or not."""
+    instances = [filled_grid(3, 4, fill, 2) for fill in ("random", "weak-sum", "product")]
+    instances += [
+        filled_instance(make_hypercube(3), 0, 7, "adjacent", seed=5),
+        q_over(filled_grid(3, 4, "random", 3), 3),
+    ]
+    texts = [_dense_twin(inst) for inst in instances]
+
+    def per_token(self, what):
+        raise AssertionError(f"{what} read token by token")
+
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", chars)
+    monkeypatch.setattr(fileio._Tokens, "next_rational", per_token)
+    for inst, (sparse, dense) in zip(instances, texts):
+        assert parse_instance(dense) == parse_instance(sparse) == inst
+
+
 def test_parse_rejects_malformed_files():
     good = emit_instance(filled_grid(2, 2, "zero", None))
     with pytest.raises(FormatError):

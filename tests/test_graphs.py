@@ -249,7 +249,7 @@ def test_path_count_matches_the_formula_and_enumeration():
         # count and the completion bound alike; a cycle among them leaves
         # no order and so no count
         order = topological_order(g, reachable(g, target, forward=False))
-        return None if order is None else graphs._count_st_paths(g, 0, order)[target]
+        return None if order is None else graphs._count_st_paths(g, 0, order)[0][target]
 
     for p in range(2, 10):
         for q in range(2, 10):
@@ -427,9 +427,9 @@ def test_the_completion_bound_is_at_most_every_completion():
         if not useful[inst.source]:
             continue
         order = topological_order(g, useful)
-        ways = graphs._count_st_paths(g, inst.source, order)
+        ways, span = graphs._count_st_paths(g, inst.source, order)
         dist, least = graphs._completion_tables(
-            g, t, order, ways, inst.linear, inst.interaction.rows
+            g, t, order, ways, span, inst.linear, inst.interaction.rows
         )
         cheapest = _cheapest_through(inst)
         assert _bound_excesses(inst, cheapest, dist, least) == []

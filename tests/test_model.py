@@ -802,6 +802,25 @@ def test_zero_keeps_its_vector_and_answers_like_zero_rows(m, rows_first):
         InteractionMatrix.zero(model.MAX_ARCS + 1)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 40, 4096])
+def test_a_kept_form_of_top_one_reads_as_one_shared_zero_row(m):
+    """A top of 1 admits only zeros, so the rows of zero(m), and of the
+    random, weak-sum and product fills at max_entry 0, are one shared zero
+    row: the zero rows the coercing constructor makes, with no cell
+    written.  (The constructor itself runs only up to m = 40.)"""
+    want = InteractionMatrix(((0,) * m,) * m).rows if m <= 40 else ((0,) * m,) * m
+    g = Digraph(2, [(0, 1)] * m)
+    matrices = [InteractionMatrix.zero(m)] + [
+        filled_instance(g, 0, 1, fill, 1, max_entry=0).interaction
+        for fill in ("random", "weak-sum", "product")
+    ]
+    for q in matrices:
+        assert q._kept[-1] == 1
+        rows = q.rows
+        assert rows == want
+        assert len({id(row) for row in rows}) == min(m, 1)
+
+
 def _nonnegative_by_rows(q: InteractionMatrix) -> bool:
     return all(v >= 0 for row in q.rows for v in row)
 

@@ -414,3 +414,56 @@ def test_the_random_graphs_draw_in_one_coin_loop():
         if isinstance(node, ast.Raise) and node.exc and "need n >= 2" in ast.unparse(node.exc)
     }
     assert guards == {("graphs.py", "_check_order")}
+
+
+def test_each_computation_has_one_definition():
+    """The product recognizer, the pseudo-linearization and the emitter's
+    value texts each have one definition: _product_factor, _pseudo_vector
+    and _texts are gone, neither defined nor named.  fileio reads every
+    table one way, so _through holds its one except KeyError; and the
+    search walks the useful part of the graph forward once, in
+    _count_st_paths, so _completion_tables reads no in-arcs."""
+    gone = {"_product_factor", "_pseudo_vector", "_texts"}
+    defined = {
+        node.name
+        for _, _, node in _library_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert defined & gone == set() and _library_uses(gone) == []
+    key_errors = [
+        scope
+        for _, scope, node in _library_nodes(["fileio.py"])
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "KeyError" in ast.unparse(node.type)
+    ]
+    assert key_errors == ["_through"]
+    in_arcs = [
+        node.lineno
+        for _, scope, node in _library_nodes(["graphs.py"])
+        if scope == "_completion_tables"
+        and isinstance(node, ast.Attribute)
+        and node.attr in {"_in", "in_arcs"}
+    ]
+    assert in_arcs == []
+
+
+def test_values_are_read_token_by_token_only_in_a_rescan():
+    """Every run of values the parser reads, the linear costs, each row of
+    a dense Q and each slice of sparse entries, is converted as one block;
+    next_rational, the per-token read, runs only inside the rescan of a
+    block that did not convert: a _rescan_* function or the rescan argument
+    of a _Tokens.block call."""
+    nodes = list(_library_nodes(["fileio.py"]))
+    in_rescans = {
+        id(inner)
+        for _, _, node in nodes
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "block"
+        for inner in ast.walk(node.args[2])
+    }
+    calls = [
+        (scope, id(node) in in_rescans)
+        for _, scope, node in nodes
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "next_rational"
+    ]
+    assert sorted(calls) == [("_rescan_entries", False), ("_values", True)]

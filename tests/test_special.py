@@ -202,6 +202,32 @@ def test_detect_product_requires_rational_factor():
         solve_product_case(inst)
 
 
+PRODUCT_REFUSAL = (
+    "interaction-plus-diagonal matrix is not a rank-one product with a nonnegative "
+    "rational factor (a factor with a negative or irrational entry is refused)"
+)
+
+
+@pytest.mark.parametrize(
+    "linear, q",
+    [
+        ((4, 9), {(0, 1): -6}),  # a = (2, -3): rank one, but no nonnegative factor
+        ((-1, 1), {}),  # a negative diagonal
+        ((2, 2), {(0, 1): 2}),  # an irrational factor
+        ((1, 1), {}),  # a factor (1, 1) that Q does not match
+    ],
+)
+def test_solve_product_case_refuses_with_the_one_message(linear, q):
+    """solve_product_case refuses whatever detect_product answers None for
+    with one message, word for word, the one the CLI prints."""
+    g = Digraph(2, [(0, 1), (0, 1)])
+    inst = QsppInstance(g, 0, 1, linear, InteractionMatrix.from_entries(2, q))
+    assert detect_product(inst.interaction, inst.linear) is None
+    with pytest.raises(FamilyError) as caught:
+        solve_product_case(inst)
+    assert str(caught.value) == PRODUCT_REFUSAL
+
+
 def test_solve_product_case_matches_brute_force():
     rng = random.Random(31)
     for trial in range(10):
